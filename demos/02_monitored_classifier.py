@@ -73,7 +73,7 @@ monitor = build(train_records, selection, gamma=GAMMA)
 print(f"monitor: {monitor.width} neurons of layer {LAYER}, "
       f"gamma {GAMMA}, classes {monitor.classes}")
 for c in monitor.classes:
-    print(f"  class {c}: {monitor.store.sat_count(monitor.zones[c].root)} "
+    print(f"  class {c}: {monitor.store.sat_count(monitor.zones[c])} "
           f"patterns in zone")
 
 print()

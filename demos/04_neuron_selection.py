@@ -53,10 +53,10 @@ for name, selection in (("full layer", identity_selection(len(scores),
                                                           layer=LAYER)),
                         ("top half", half)):
     monitor = build(records, selection, gamma=1, classes={WATCHED_CLASS})
-    zone = monitor.zones[WATCHED_CLASS]
+    root = monitor.zones[WATCHED_CLASS]
     print(f"{name:<12} {selection.width:>2} vars, "
-          f"{monitor.store.sat_count(zone.root):>6} zone patterns, "
-          f"{monitor.store.node_count(zone.root):>4} BDD nodes")
+          f"{monitor.store.sat_count(root):>6} zone patterns, "
+          f"{monitor.store.node_count(root):>4} BDD nodes")
 
 print("\nfewer monitored neurons make a coarser, cheaper zone; the "
       "gradient ranking keeps the neurons the decision actually leans on")

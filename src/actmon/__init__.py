@@ -36,12 +36,12 @@ from .network import (
 )
 from .traces import TraceHeader, TraceRecord, read_traces, write_traces
 from .monitor import (
-    ComfortZone,
     Monitor,
     Verdict,
     build,
     enlarge_once,
     load_monitor,
+    nested_monitors,
     query,
     save_monitor,
 )
@@ -60,7 +60,6 @@ __all__ = [
     "ActmonError",
     "BddRef",
     "BddStore",
-    "ComfortZone",
     "EvalRow",
     "FormatVersionError",
     "FrozenStoreError",
@@ -88,6 +87,7 @@ __all__ = [
     "load_model",
     "load_monitor",
     "make_blobs",
+    "nested_monitors",
     "query",
     "read_traces",
     "save_model",

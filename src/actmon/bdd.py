@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import FormatVersionError, FrozenStoreError, SchemaError
 
@@ -34,8 +34,9 @@ TRUE = 1
 
 SERIAL_VERSION = 1
 
-# bdd packages get impractical somewhere in the low hundreds of variables
-DEFAULT_VAR_CAP = 256
+# bdd packages get impractical somewhere in the low hundreds of variables;
+# the recursive operations also stay well inside Python's recursion limit here
+MAX_VARS = 256
 VAR_WARN_THRESHOLD = 200
 
 # enumerate_patterns is a test/diagnostics oracle, not a production path
@@ -70,21 +71,18 @@ class BddRef:
 class BddStore:
     """Hash-consed ROBDD node table over ``n_vars`` pattern bits."""
 
-    def __init__(self, n_vars: int, var_cap: int = DEFAULT_VAR_CAP):
+    def __init__(self, n_vars: int):
         if n_vars < 1:
             raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-        if var_cap < 1:
-            raise ValueError(f"var_cap must be >= 1, got {var_cap}")
-        if n_vars > var_cap:
+        if n_vars > MAX_VARS:
             raise ValueError(
-                f"n_vars {n_vars} exceeds the variable cap {var_cap}")
+                f"n_vars {n_vars} exceeds the variable cap {MAX_VARS}")
         if n_vars > VAR_WARN_THRESHOLD:
             warnings.warn(
                 f"{n_vars} BDD variables; operations may become impractical "
                 f"above {VAR_WARN_THRESHOLD}",
                 stacklevel=2)
         self.n_vars = n_vars
-        self.var_cap = var_cap
         self.frozen = False
         # ids 0 and 1 are the terminals; real nodes start at 2
         self._var: list[int] = [n_vars, n_vars]
@@ -351,8 +349,7 @@ class BddStore:
         return json.dumps(self.to_dict(roots), separators=(",", ":")).encode()
 
 
-def from_dict(data: dict, var_cap: int = DEFAULT_VAR_CAP) \
-        -> tuple[BddStore, dict[str, BddRef]]:
+def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
     """Rebuild a store and its roots from :meth:`BddStore.to_dict` output.
 
     Raises :class:`FormatVersionError` on an unknown version and
@@ -374,7 +371,7 @@ def from_dict(data: dict, var_cap: int = DEFAULT_VAR_CAP) \
     if data.get("false_id", FALSE) != FALSE or data.get("true_id", TRUE) != TRUE:
         raise SchemaError("terminal ids must be 0 (false) and 1 (true)")
 
-    store = BddStore(n_vars, var_cap=var_cap)
+    store = BddStore(n_vars)
     id_map: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
     # terminals carry the sentinel variable index n_vars
     var_of: dict[int, int] = {FALSE: n_vars, TRUE: n_vars}
@@ -409,22 +406,13 @@ def from_dict(data: dict, var_cap: int = DEFAULT_VAR_CAP) \
     return store, roots
 
 
-def deserialize(blob: bytes, var_cap: int = DEFAULT_VAR_CAP) \
-        -> tuple[BddStore, dict[str, BddRef]]:
+def deserialize(blob: bytes) -> tuple[BddStore, dict[str, BddRef]]:
     """Inverse of :meth:`BddStore.serialize`."""
     try:
         data = json.loads(blob)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc
-    return from_dict(data, var_cap=var_cap)
-
-
-def union_all(store: BddStore, refs: Iterable[BddRef]) -> BddRef:
-    """Union of arbitrarily many sets; empty input gives the empty set."""
-    acc = store.empty_set()
-    for ref in refs:
-        acc = store.union(acc, ref)
-    return acc
+    return from_dict(data)
 
 
 def _root_sort_key(key: str):

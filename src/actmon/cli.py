@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import evaluation, monitor as monitor_mod, network
-from .bdd import DEFAULT_VAR_CAP
 from .errors import ActmonError, SchemaError
 from .patterns import identity_selection, score_neurons, select_top_fraction
 from .traces import TraceHeader, TraceRecord, read_traces, write_traces
@@ -116,9 +115,7 @@ def cmd_build(args) -> None:
     header, records = read_traces(args.traces)
     classes = _parse_int_list(args.classes) if args.classes else None
     selection = _make_selection(args, header, records, classes)
-    built = monitor_mod.build(
-        records, selection, args.gamma, classes=classes,
-        var_cap=args.var_cap)
+    built = monitor_mod.build(records, selection, args.gamma, classes=classes)
     monitor_mod.save_monitor(built, args.out)
     print(f"wrote monitor to {args.out} "
           f"(classes {built.classes}, gamma {built.gamma}, "
@@ -128,12 +125,13 @@ def cmd_build(args) -> None:
 def cmd_query(args) -> None:
     mon = monitor_mod.load_monitor(args.monitor)
     header, records = read_traces(args.traces)
-    counts = {v: 0 for v in monitor_mod.Verdict}
+    # every verdict is computed before --out is opened, so a record that
+    # fails validation leaves no partial file behind
+    verdicts = [monitor_mod.query(mon, r.activations, r.pred_label)
+                for r in records]
+    counts = {v: verdicts.count(v) for v in monitor_mod.Verdict}
     with open(args.out, "w", encoding="utf-8") as fh:
-        for record in records:
-            verdict = monitor_mod.query(
-                mon, record.activations, record.pred_label)
-            counts[verdict] += 1
+        for record, verdict in zip(records, verdicts):
             fh.write(json.dumps(
                 {"id": record.id, "verdict": verdict.value},
                 separators=(",", ":")) + "\n")
@@ -180,9 +178,9 @@ def cmd_stats(args) -> None:
           f"{list(mon.selection.indices)}")
     print(f"store nodes: {len(mon.store)}")
     for c in mon.classes:
-        zone = mon.zones[c]
-        print(f"class {c}: sat_count {mon.store.sat_count(zone.root)}, "
-              f"nodes {mon.store.node_count(zone.root)}")
+        root = mon.zones[c]
+        print(f"class {c}: sat_count {mon.store.sat_count(root)}, "
+              f"nodes {mon.store.node_count(root)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fraction of neurons to monitor, in (0, 1]")
     p.add_argument("--classes", help="comma-separated class indices "
                    "(default: all classes present)")
-    p.add_argument("--var-cap", type=int, default=DEFAULT_VAR_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 

@@ -19,8 +19,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bdd import BddStore
-from .monitor import ComfortZone, Monitor, Verdict, _zero_zones, enlarge_once, query
+from .monitor import Monitor, Verdict, nested_monitors, query
 from .patterns import NeuronSelection
 from .traces import TraceRecord
 
@@ -91,40 +90,15 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
                 classes: Iterable[int] | None = None) -> list[EvalRow]:
     """Evaluate one family of nested monitors at several gamma levels.
 
-    The gamma-0 zones are built once and enlarged incrementally, so the
-    monitors form a chain (each level's zones contain the previous
-    level's), and the reported warning rate is non-increasing in gamma.
+    The monitors come from :func:`~actmon.monitor.nested_monitors`, so each
+    level's zones contain the previous level's, and the reported warning
+    rate is non-increasing in gamma.
     """
-    gammas = list(gammas)
-    if not gammas or any(g < 0 for g in gammas):
-        raise ValueError("gammas must be a nonempty list of levels >= 0")
-    if sorted(gammas) != gammas or len(set(gammas)) != len(gammas):
-        raise ValueError("gammas must be strictly ascending")
-    train = list(traces_train)
-    if not train:
-        raise ValueError("cannot build a monitor from zero traces")
-    if classes is None:
-        class_list = sorted({r.true_label for r in train})
-    else:
-        class_list = sorted(set(classes))
-
-    store = BddStore(selection.width)
-    roots = _zero_zones(store, train, selection, class_list)
-    level = 0
     rows = []
-    for gamma in gammas:
-        while level < gamma:
-            roots = {c: enlarge_once(store, root, selection.width)
-                     for c, root in roots.items()}
-            level += 1
-        snapshot = Monitor(
-            selection=selection,
-            gamma=gamma,
-            store=store,
-            zones={c: ComfortZone(c, gamma, root)
-                   for c, root in roots.items()},
-        )
-        rows.append(evaluate(snapshot, traces_eval))
+    # a plain loop, not a comprehension, so that the generator's build-time
+    # warnings point at this function's caller
+    for monitor in nested_monitors(traces_train, selection, gammas, classes):
+        rows.append(evaluate(monitor, traces_eval))
     return rows
 
 

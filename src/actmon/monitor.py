@@ -20,7 +20,7 @@ import enum
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import bdd
 from .bdd import BddRef, BddStore
@@ -41,22 +41,13 @@ class Verdict(enum.Enum):
 
 
 @dataclass
-class ComfortZone:
-    """The pattern set monitored for one class, at one enlargement level."""
-
-    class_index: int
-    gamma: int
-    root: BddRef
-
-
-@dataclass
 class Monitor:
-    """Frozen per-class zones plus everything needed to query them."""
+    """Per-class zone roots plus everything needed to query them."""
 
     selection: NeuronSelection
     gamma: int
     store: BddStore
-    zones: dict[int, ComfortZone]
+    zones: dict[int, BddRef]
 
     @property
     def classes(self) -> list[int]:
@@ -80,49 +71,37 @@ def enlarge_once(store: BddStore, zone: BddRef, width: int) -> BddRef:
     return grown
 
 
-def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
-          gamma: int, classes: Iterable[int] | None = None,
-          var_cap: int = bdd.DEFAULT_VAR_CAP) -> Monitor:
-    """Build a monitor from training traces.
+def nested_monitors(traces: Sequence[TraceRecord],
+                    selection: NeuronSelection, gammas: Sequence[int],
+                    classes: Iterable[int] | None = None) -> Iterator[Monitor]:
+    """Monitors at ascending enlargement levels, built from training traces.
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
     ground-truth label *and* the network predicted ``c``; misclassified
-    records and records of unmonitored classes are skipped entirely.  Each
-    zone is then enlarged ``gamma`` times.  The returned monitor's store is
-    frozen.
+    records and records of unmonitored classes are skipped entirely.  The
+    gamma-0 zones are built once and enlarged incrementally, so the yielded
+    monitors form a chain (each level's zones contain the previous
+    level's).  All of them share one store, which stays mutable: freeze it
+    only after taking the last monitor.
 
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
     (it will flag every query) and a build-time warning.
     """
     traces = list(traces)
+    gammas = list(gammas)
     if not traces:
         raise ValueError("cannot build a monitor from zero traces")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if classes is None:
-        class_list = sorted({r.true_label for r in traces})
-    else:
-        class_list = sorted(set(classes))
-        if not class_list:
-            raise ValueError("no classes to monitor")
+    if not gammas or any(g < 0 for g in gammas):
+        raise ValueError("gammas must be a nonempty list of levels >= 0")
+    if sorted(set(gammas)) != gammas:
+        raise ValueError("gammas must be strictly ascending")
+    class_list = sorted({r.true_label for r in traces}
+                        if classes is None else set(classes))
+    if not class_list:
+        raise ValueError("no classes to monitor")
 
-    store = BddStore(selection.width, var_cap=var_cap)
-    roots = _zero_zones(store, traces, selection, class_list)
-    zones: dict[int, ComfortZone] = {}
-    for c in class_list:
-        root = roots[c]
-        for _ in range(gamma):
-            root = enlarge_once(store, root, selection.width)
-        zones[c] = ComfortZone(class_index=c, gamma=gamma, root=root)
-    store.freeze()
-    return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
-
-
-def _zero_zones(store: BddStore, traces: Sequence[TraceRecord],
-                selection: NeuronSelection, class_list: Sequence[int]) \
-        -> dict[int, BddRef]:
-    """Union of pattern cubes per class, before any enlargement."""
+    store = BddStore(selection.width)
     roots = {c: store.empty_set() for c in class_list}
     counts = {c: 0 for c in class_list}
     for record in traces:
@@ -138,7 +117,24 @@ def _zero_zones(store: BddStore, traces: Sequence[TraceRecord],
                 f"class {c}: no correctly classified training record; "
                 f"its zone is empty and will flag every query",
                 stacklevel=3)
-    return roots
+
+    level = 0
+    for gamma in gammas:
+        for _ in range(level, gamma):
+            roots = {c: enlarge_once(store, root, selection.width)
+                     for c, root in roots.items()}
+        level = gamma
+        yield Monitor(selection=selection, gamma=gamma, store=store,
+                      zones=roots)
+
+
+def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
+          gamma: int, classes: Iterable[int] | None = None) -> Monitor:
+    """Build a monitor at enlargement level ``gamma`` from training traces,
+    as :func:`nested_monitors` does, and freeze its store."""
+    (monitor,) = nested_monitors(traces, selection, [gamma], classes)
+    monitor.store.freeze()
+    return monitor
 
 
 def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
@@ -149,10 +145,10 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
     yields ``NO_ZONE`` rather than a warning.
     """
     pattern = binarize(activations, monitor.selection)
-    zone = monitor.zones.get(pred_label)
-    if zone is None:
+    root = monitor.zones.get(pred_label)
+    if root is None:
         return Verdict.NO_ZONE
-    if monitor.store.contains(zone.root, pattern):
+    if monitor.store.contains(root, pattern):
         return Verdict.IN_ZONE
     return Verdict.OUT_OF_ZONE
 
@@ -174,7 +170,7 @@ def monitor_to_dict(monitor: Monitor) -> dict:
             "scores": list(monitor.selection.scores),
         },
         "bdd": monitor.store.to_dict(
-            {str(c): zone.root for c, zone in monitor.zones.items()}),
+            {str(c): root for c, root in monitor.zones.items()}),
     }
 
 
@@ -191,8 +187,7 @@ def save_monitor(monitor: Monitor, path) -> None:
         fh.write("\n")
 
 
-def monitor_from_dict(data: Mapping, var_cap: int = bdd.DEFAULT_VAR_CAP) \
-        -> Monitor:
+def monitor_from_dict(data: Mapping) -> Monitor:
     if not isinstance(data, Mapping) or data.get("format") != MONITOR_FORMAT:
         raise SchemaError("not an actmon-monitor object")
     if data.get("version") != MONITOR_VERSION:
@@ -212,7 +207,7 @@ def monitor_from_dict(data: Mapping, var_cap: int = bdd.DEFAULT_VAR_CAP) \
         raise SchemaError(f"malformed monitor file: {exc}") from exc
     if gamma < 0:
         raise SchemaError(f"negative gamma {gamma}")
-    store, roots = bdd.from_dict(bdd_part, var_cap=var_cap)
+    store, roots = bdd.from_dict(bdd_part)
     if store.n_vars != selection.width:
         raise SchemaError(
             f"BDD width {store.n_vars} does not match selection width "
@@ -223,16 +218,16 @@ def monitor_from_dict(data: Mapping, var_cap: int = bdd.DEFAULT_VAR_CAP) \
             c = int(key)
         except ValueError as exc:
             raise SchemaError(f"non-integer class key {key!r}") from exc
-        zones[c] = ComfortZone(class_index=c, gamma=gamma, root=root)
+        zones[c] = root
     store.freeze()
     return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
 
 
-def load_monitor(path, var_cap: int = bdd.DEFAULT_VAR_CAP) -> Monitor:
+def load_monitor(path) -> Monitor:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(
                 f"monitor file is not valid JSON: {exc}") from exc
-    return monitor_from_dict(data, var_cap=var_cap)
+    return monitor_from_dict(data)

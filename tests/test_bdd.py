@@ -40,6 +40,14 @@ def build_set(store, patterns):
     return acc
 
 
+def union_all(store, refs):
+    """Union of arbitrarily many sets; empty input gives the empty set."""
+    acc = store.empty_set()
+    for ref in refs:
+        acc = store.union(acc, ref)
+    return acc
+
+
 def random_patterns(rng, n, count):
     return {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(count)}
 
@@ -162,7 +170,7 @@ class TestContains:
     def test_hamming_one_neighbour_after_expansion(self):
         store = bdd.BddStore(3)
         zone = store.encode_cube(tup("001"))
-        grown = bdd.union_all(
+        grown = union_all(
             store, [store.exists(j, zone) for j in range(3)])
         assert store.contains(grown, tup("011"))
 
@@ -190,7 +198,7 @@ class TestSatCount:
 
         store = bdd.BddStore(8)
         zone = store.encode_cube(seed)
-        grown = bdd.union_all(
+        grown = union_all(
             store, [store.exists(j, zone) for j in range(8)])
         assert store.sat_count(grown) == 9
         assert set(store.enumerate_patterns(grown)) == ball
@@ -212,7 +220,7 @@ class TestEnumerate:
     def test_ball_of_001(self):
         store = bdd.BddStore(3)
         zone = store.encode_cube(tup("001"))
-        grown = bdd.union_all(
+        grown = union_all(
             store, [store.exists(j, zone) for j in range(3)])
         assert store.enumerate_patterns(grown) == [
             tup("000"), tup("001"), tup("011"), tup("101")]
@@ -335,10 +343,24 @@ class TestVariableCap:
     def test_cap_exceeded(self):
         with pytest.raises(ValueError, match="cap"):
             bdd.BddStore(300)
-
-    def test_configurable_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            bdd.BddStore(17, var_cap=16)
+            bdd.BddStore(bdd.MAX_VARS + 1)
+
+    def test_recursion_safe_at_max_vars(self):
+        # the deepest recursion: cubes that share every bit but the last
+        n = bdd.MAX_VARS
+        with pytest.warns(UserWarning, match="impractical"):
+            store = bdd.BddStore(n)
+        low = (0,) * n
+        high = (0,) * (n - 1) + (1,)
+        both = store.union(store.encode_cube(low), store.encode_cube(high))
+        assert store.exists(n - 1, both) == both
+        assert store.sat_count(both) == 2
+        blob = store.serialize({"0": both})
+        with pytest.warns(UserWarning, match="impractical"):
+            loaded, roots = bdd.deserialize(blob)
+        assert loaded.sat_count(roots["0"]) == 2
+        assert loaded.contains(roots["0"], high)
 
     def test_warning_above_200(self):
         with pytest.warns(UserWarning, match="impractical"):

@@ -193,6 +193,29 @@ class TestErrors:
         assert code == 1
         assert "width" in capsys.readouterr().err
 
+    def test_sweep_with_empty_class_list(self, pipeline, tmp_path, capsys):
+        code = main(["sweep", "--traces", str(pipeline["train"]),
+                     "--eval", str(pipeline["eval"]), "--gamma", "1",
+                     "--classes", ",", "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert "no classes to monitor" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_non_finite_activation_writes_no_verdicts(self, pipeline,
+                                                      tmp_path, capsys):
+        lines = pipeline["train"].read_text().splitlines()
+        record = json.loads(lines[50])
+        record["activations"][0] = math.nan
+        lines[50] = json.dumps(record)  # json writes the bare token NaN
+        traces = tmp_path / "nan.jsonl"
+        traces.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "v.jsonl"
+        code = main(["query", "--monitor", str(pipeline["monitor"]),
+                     "--traces", str(traces), "--out", str(out)])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDatasetFile:
     def test_extract_from_json_dataset(self, pipeline, tmp_path):

@@ -151,6 +151,18 @@ class TestGammaSweep:
         with pytest.raises(ValueError, match="nonempty"):
             gamma_sweep(train, train, identity_selection(8), [])
 
+    def test_empty_zone_warning_points_at_caller(self):
+        train = [rec(0, 0, (1,) * 8), rec(1, 0, (0,) * 8)]
+        with pytest.warns(UserWarning, match="class 1") as caught:
+            gamma_sweep(train, train, identity_selection(8), [0])
+        assert caught[0].filename == __file__
+
+    def test_empty_class_list_rejected(self):
+        train = self._traces(43, 10)
+        with pytest.raises(ValueError, match="no classes to monitor"):
+            gamma_sweep(train, train, identity_selection(8), [0, 1],
+                        classes=[])
+
 
 class TestChooseGamma:
     # a sweep shaped like a realistic one: the warning rate falls with

@@ -134,7 +134,7 @@ class TestBuild:
             pattern_trace(0, 0, (1, 0, 1), "b"),
         ]
         mon = build(traces, identity_selection(3), gamma=0)
-        assert mon.store.enumerate_patterns(mon.zones[0].root) \
+        assert mon.store.enumerate_patterns(mon.zones[0]) \
             == [(0, 0, 1), (1, 0, 1)]
 
     def test_misclassified_contributes_nothing(self):
@@ -144,20 +144,20 @@ class TestBuild:
         ]
         with pytest.warns(UserWarning, match="class 1"):
             mon = build(traces, identity_selection(3), gamma=0)
-        assert mon.store.sat_count(mon.zones[0].root) == 1
-        assert mon.store.sat_count(mon.zones[1].root) == 0
+        assert mon.store.sat_count(mon.zones[0]) == 1
+        assert mon.store.sat_count(mon.zones[1]) == 0
 
     def test_single_record_gamma_one(self):
         traces = [pattern_trace(0, 0, (0, 0, 1))]
         mon = build(traces, identity_selection(3), gamma=1)
-        assert mon.store.enumerate_patterns(mon.zones[0].root) == [
+        assert mon.store.enumerate_patterns(mon.zones[0]) == [
             (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
 
     def test_duplicate_patterns_idempotent(self):
         traces = [pattern_trace(0, 0, (0, 1, 0), rid=f"s{i}")
                   for i in range(5)]
         mon = build(traces, identity_selection(3), gamma=0)
-        assert mon.store.sat_count(mon.zones[0].root) == 1
+        assert mon.store.sat_count(mon.zones[0]) == 1
 
     def test_store_frozen_after_build(self):
         mon = build([pattern_trace(0, 0, (0, 1))],
@@ -192,7 +192,7 @@ class TestBuild:
                                     indices=(2, 0), scores=(0.0, 0.0))
         traces = [rec(0, 0, (3.0, -1.0, 0.0, 9.9))]  # projects to (0, 1)
         mon = build(traces, selection, gamma=0)
-        assert mon.store.enumerate_patterns(mon.zones[0].root) == [(0, 1)]
+        assert mon.store.enumerate_patterns(mon.zones[0]) == [(0, 1)]
 
 
 class TestQuery:
