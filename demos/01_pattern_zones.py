@@ -18,7 +18,7 @@ def show(store, label, ref):
 
 store = BddStore(n_vars=3)
 
-zone = store.encode_cube((0, 0, 1))
+zone = store.encode_set([(0, 0, 1)])
 show(store, "zone = {001}", zone)
 
 # Forgetting one bit makes it a don't-care: each variable in turn.
@@ -37,8 +37,9 @@ for bits in ((0, 0, 1), (0, 1, 1), (1, 1, 0)):
     text = "".join(map(str, bits))
     print(f"  {text} -> {'in' if verdict else 'OUT'}  ({visits} node visits)")
 
-# Canonicity: building the same set in any order gives the same node.
-a = store.union(store.encode_cube((0, 1, 1)), store.encode_cube((1, 0, 1)))
-b = store.union(store.encode_cube((1, 0, 1)), store.encode_cube((0, 1, 1)))
+# Canonicity: the same set gives the same node however it was built, here
+# in one pass and as a union of singletons taken in the other order.
+a = store.encode_set([(0, 1, 1), (1, 0, 1)])
+b = store.union(store.encode_set([(1, 0, 1)]), store.encode_set([(0, 1, 1)]))
 print()
 print(f"same set built in two orders -> same node id: {a == b}")

@@ -4,8 +4,8 @@ A :class:`BddStore` owns a hash-consed node table for one fixed variable
 order (variable ``i`` is bit ``i`` of a pattern, ``0 <= i < n_vars``).
 Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
-handful of operations the monitor construction needs: encoding a single
-pattern as a cube, union, existential quantification over one variable,
+handful of operations the monitor construction needs: encoding a set of
+patterns in one pass, union, existential quantification over one variable,
 membership evaluation, exact model counting, small-width enumeration and
 deterministic JSON serialization.
 
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from typing import Mapping, Sequence
+from bisect import bisect_left
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .errors import FormatVersionError, FrozenStoreError, SchemaError
 
@@ -143,25 +145,24 @@ class BddStore:
 
     # -- set construction --------------------------------------------------
 
-    def empty_set(self) -> BddRef:
-        """The set containing no pattern (the FALSE terminal)."""
+    def encode_set(self, patterns: Iterable[Sequence[int]]) -> BddRef:
+        """The set of the given patterns; none give the empty set.  Built
+        bottom-up from the sorted distinct patterns, one bit per level, so
+        every node created is part of the result."""
         self._require_mutable()
-        return BddRef(self, FALSE)
+        rows = sorted({tuple(self._check_pattern(bits)) for bits in patterns})
 
-    def encode_cube(self, bits: Sequence[int]) -> BddRef:
-        """Encode one pattern as the singleton set {bits}.
+        def build(lo: int, hi: int, var: int) -> int:
+            # rows[lo:hi] share bits < var, so bit var runs 0s then 1s
+            if lo == hi:
+                return FALSE
+            if var == self.n_vars:
+                return TRUE
+            mid = bisect_left(rows, 1, lo, hi, key=itemgetter(var))
+            return self._mk(var, build(lo, mid, var + 1),
+                            build(mid, hi, var + 1))
 
-        The result is the minterm with exactly one node per variable.
-        """
-        self._require_mutable()
-        self._check_pattern(bits)
-        node = TRUE
-        for var in range(self.n_vars - 1, -1, -1):
-            if bits[var]:
-                node = self._mk(var, FALSE, node)
-            else:
-                node = self._mk(var, node, FALSE)
-        return BddRef(self, node)
+        return BddRef(self, build(0, len(rows), 0))
 
     def union(self, a: BddRef, b: BddRef) -> BddRef:
         """Set union; canonical, commutative and idempotent."""
@@ -353,8 +354,8 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
     """Rebuild a store and its roots from :meth:`BddStore.to_dict` output.
 
     Raises :class:`FormatVersionError` on an unknown version and
-    :class:`SchemaError` on a malformed node table: dangling or duplicate
-    ids, equal children, or variable ordering violations.
+    :class:`SchemaError` on a malformed table: wrong field types, dangling
+    or duplicate ids, equal children, ordering violations, too many variables.
     """
     if not isinstance(data, dict):
         raise SchemaError("BDD serialization must be a JSON object")
@@ -362,46 +363,47 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
     if version != SERIAL_VERSION:
         raise FormatVersionError(
             f"unsupported BDD serialization version {version!r}")
-    for field in ("n_vars", "nodes", "roots"):
-        if field not in data:
-            raise SchemaError(f"BDD serialization is missing {field!r}")
+    for field, kind in (("n_vars", int), ("nodes", list), ("roots", dict)):
+        if not isinstance(data.get(field), kind):
+            raise SchemaError(f"BDD serialization {field!r} is missing or "
+                              f"not a {kind.__name__}")
     n_vars = data["n_vars"]
-    if not isinstance(n_vars, int) or n_vars < 1:
-        raise SchemaError(f"invalid n_vars {n_vars!r}")
+    if type(n_vars) is not int or not 1 <= n_vars <= MAX_VARS:
+        raise SchemaError(f"invalid n_vars {n_vars!r} (cap {MAX_VARS})")
     if data.get("false_id", FALSE) != FALSE or data.get("true_id", TRUE) != TRUE:
         raise SchemaError("terminal ids must be 0 (false) and 1 (true)")
 
     store = BddStore(n_vars)
     id_map: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-    # terminals carry the sentinel variable index n_vars
-    var_of: dict[int, int] = {FALSE: n_vars, TRUE: n_vars}
-    assigned: set[int] = set()
     for entry in data["nodes"]:
         try:
             ext_id, var = entry["id"], entry["var"]
             low, high = entry["low"], entry["high"]
         except (TypeError, KeyError) as exc:
             raise SchemaError(f"malformed node entry {entry!r}") from exc
+        # exact ints: JSON true/false load as bools, which equal 1 and 0
+        if not type(ext_id) is type(var) is type(low) is type(high) is int:
+            raise SchemaError(f"malformed node entry {entry!r}")
         if ext_id in id_map:
             raise SchemaError(f"duplicate node id {ext_id}")
-        if not isinstance(var, int) or not 0 <= var < n_vars:
+        if not 0 <= var < n_vars:
             raise SchemaError(f"node {ext_id}: variable {var!r} out of range")
         if low not in id_map or high not in id_map:
             raise SchemaError(f"node {ext_id}: dangling child reference")
-        if low == high:
-            raise SchemaError(f"node {ext_id}: children are equal")
-        if var >= var_of[low] or var >= var_of[high]:
+        low, high = id_map[low], id_map[high]
+        # terminals carry the sentinel variable index n_vars
+        if var >= store._var[low] or var >= store._var[high]:
             raise SchemaError(f"node {ext_id}: variable ordering violation")
-        mapped = store._mk(var, id_map[low], id_map[high])
-        if mapped in assigned:
-            raise SchemaError(f"node {ext_id}: duplicate (var, low, high)")
-        assigned.add(mapped)
-        id_map[ext_id] = mapped
-        var_of[ext_id] = var
+        # a reduced table has no node that _mk would not create anew
+        before = len(store._var)
+        id_map[ext_id] = store._mk(var, low, high)
+        if len(store._var) == before:
+            raise SchemaError(f"node {ext_id}: children are equal or "
+                              f"(var, low, high) is a duplicate")
     roots: dict[str, BddRef] = {}
     for key, ext_id in data["roots"].items():
-        if ext_id not in id_map:
-            raise SchemaError(f"root {key!r}: dangling node id {ext_id}")
+        if type(ext_id) is not int or ext_id not in id_map:
+            raise SchemaError(f"root {key!r}: dangling node id {ext_id!r}")
         roots[key] = BddRef(store, id_map[ext_id])
     return store, roots
 

@@ -102,21 +102,18 @@ def nested_monitors(traces: Sequence[TraceRecord],
         raise ValueError("no classes to monitor")
 
     store = BddStore(selection.width)
-    roots = {c: store.empty_set() for c in class_list}
-    counts = {c: 0 for c in class_list}
+    seen: dict[int, list] = {c: [] for c in class_list}
     for record in traces:
         c = record.true_label
-        if c not in roots or record.pred_label != c:
-            continue
-        pattern = binarize(record.activations, selection)
-        roots[c] = store.union(roots[c], store.encode_cube(pattern))
-        counts[c] += 1
+        if c in seen and record.pred_label == c:
+            seen[c].append(binarize(record.activations, selection))
     for c in class_list:
-        if counts[c] == 0:
+        if not seen[c]:
             warnings.warn(
                 f"class {c}: no correctly classified training record; "
                 f"its zone is empty and will flag every query",
                 stacklevel=3)
+    roots = {c: store.encode_set(seen[c]) for c in class_list}
 
     level = 0
     for gamma in gammas:

@@ -79,9 +79,9 @@ def binarize(activations, selection: NeuronSelection) -> Pattern:
         raise ValueError(
             f"activation width {acts.shape} does not match monitored layer "
             f"width {selection.layer_width}")
-    if not np.all(np.isfinite(acts)):
+    if not np.isfinite(acts).all():
         raise ValueError("non-finite activation value")
-    return tuple(1 if acts[i] > 0.0 else 0 for i in selection.indices)
+    return tuple((acts.take(selection.indices) > 0.0).view(np.int8).tolist())
 
 
 def hamming(p: Sequence[int], q: Sequence[int]) -> int:

@@ -59,13 +59,6 @@ def int_ball(zone_ints, radius, n):
     return members
 
 
-def build_set(store, patterns):
-    acc = store.empty_set()
-    for p in patterns:
-        acc = store.union(acc, store.encode_cube(p))
-    return acc
-
-
 def extract_records(model, xs, ys, tag):
     records = []
     for i, (row, label) in enumerate(zip(xs, ys)):
@@ -105,7 +98,7 @@ def test_c01_bdd_oracle_equivalence():
         sb = {tuple(rng.randint(0, 1) for _ in range(n))
               for _ in range(rng.randint(0, 40))}
         store = bdd.BddStore(n)
-        ra, rb = build_set(store, sa), build_set(store, sb)
+        ra, rb = store.encode_set(sa), store.encode_set(sb)
         assert set(store.enumerate_patterns(ra)) == sa
         assert set(store.enumerate_patterns(rb)) == sb
         assert set(store.enumerate_patterns(store.union(ra, rb))) == sa | sb
@@ -132,7 +125,7 @@ def test_c02_hamming_ball_theorem():
                 for _ in range(rng.randint(1, 20))}
         zone_ints = [to_int(p) for p in zone]
         store = bdd.BddStore(n)
-        root = build_set(store, zone)
+        root = store.encode_set(zone)
 
         grown = enlarge_once(store, root, n)
         assert {to_int(p) for p in store.enumerate_patterns(grown)} \
@@ -157,7 +150,7 @@ def test_c03_ball_cardinality_identities():
         rng = random.Random(width)
         seed_pattern = tuple(rng.randint(0, 1) for _ in range(width))
         store = bdd.BddStore(width)
-        root = store.encode_cube(seed_pattern)
+        root = store.encode_set([seed_pattern])
         for _ in range(gamma):
             root = enlarge_once(store, root, width)
         assert store.sat_count(root) == expected
@@ -276,8 +269,7 @@ def test_c08_membership_cost_bound():
     k = 64
     rng = random.Random(606)
     store = bdd.BddStore(k)
-    zone = build_set(
-        store,
+    zone = store.encode_set(
         [tuple(rng.randint(0, 1) for _ in range(k)) for _ in range(200)])
     zone = enlarge_once(store, zone, k)
     worst = 0

@@ -34,15 +34,16 @@ def exists_oracle(patterns, j):
 
 
 def build_set(store, patterns):
-    acc = store.empty_set()
+    """Reference construction: a union fold of singleton sets."""
+    acc = store.encode_set([])
     for p in patterns:
-        acc = store.union(acc, store.encode_cube(p))
+        acc = store.union(acc, store.encode_set([p]))
     return acc
 
 
 def union_all(store, refs):
     """Union of arbitrarily many sets; empty input gives the empty set."""
-    acc = store.empty_set()
+    acc = store.encode_set([])
     for ref in refs:
         acc = store.union(acc, ref)
     return acc
@@ -55,11 +56,11 @@ def random_patterns(rng, n, count):
 class TestEmptySet:
     def test_enumerates_to_nothing(self):
         store = bdd.BddStore(5)
-        assert store.enumerate_patterns(store.empty_set()) == []
+        assert store.enumerate_patterns(store.encode_set([])) == []
 
     def test_contains_nothing(self):
         store = bdd.BddStore(5)
-        empty = store.empty_set()
+        empty = store.encode_set([])
         rng = random.Random(0)
         for _ in range(20):
             p = tuple(rng.randint(0, 1) for _ in range(5))
@@ -67,40 +68,83 @@ class TestEmptySet:
 
     def test_sat_count_zero(self):
         store = bdd.BddStore(5)
-        assert store.sat_count(store.empty_set()) == 0
+        assert store.sat_count(store.encode_set([])) == 0
 
 
 class TestEncodeCube:
     def test_singleton_001(self):
         store = bdd.BddStore(3)
-        cube = store.encode_cube(tup("001"))
+        cube = store.encode_set([tup("001")])
         assert store.enumerate_patterns(cube) == [tup("001")]
 
     def test_sat_count_one(self):
         store = bdd.BddStore(3)
-        assert store.sat_count(store.encode_cube(tup("001"))) == 1
+        assert store.sat_count(store.encode_set([tup("001")])) == 1
 
     def test_non_member(self):
         store = bdd.BddStore(3)
-        cube = store.encode_cube(tup("001"))
+        cube = store.encode_set([tup("001")])
         assert not store.contains(cube, tup("101"))
 
     def test_one_node_per_variable(self):
         store = bdd.BddStore(7)
-        cube = store.encode_cube(tup("0110101"))
+        cube = store.encode_set([tup("0110101")])
         assert store.node_count(cube) == 7
 
     def test_width_mismatch(self):
         store = bdd.BddStore(3)
         with pytest.raises(ValueError, match="width"):
-            store.encode_cube(tup("0011"))
+            store.encode_set([tup("0011")])
+
+
+class TestEncodeSet:
+    """encode_set against the union fold of singletons and the explicit set."""
+
+    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
+    def test_equals_union_of_singletons(self):
+        rng = random.Random(2718)
+        for n in list(range(1, 13)) + [bdd.MAX_VARS]:
+            for trial in range(10 if n <= 12 else 2):
+                distinct = list(random_patterns(rng, n, rng.randint(0, 30)))
+                # duplicates, in arbitrary order
+                with_dups = distinct + rng.choices(distinct, k=len(distinct))
+                rng.shuffle(with_dups)
+                store = bdd.BddStore(n)
+                assert store.encode_set(with_dups) \
+                    == build_set(store, with_dups)
+
+    def test_enumerates_sorted_distinct_patterns(self):
+        rng = random.Random(1618)
+        for trial in range(40):
+            n = rng.randint(1, 10)
+            patterns = [tuple(rng.randint(0, 1) for _ in range(n))
+                        for _ in range(rng.randint(0, 30))]
+            store = bdd.BddStore(n)
+            assert store.enumerate_patterns(store.encode_set(patterns)) \
+                == sorted(set(patterns))
+
+    def test_empty_input_is_false_terminal(self):
+        store = bdd.BddStore(4)
+        assert store.encode_set([]).node == bdd.FALSE
+        assert store.encode_set(iter(())).node == bdd.FALSE
+
+    @pytest.mark.parametrize("patterns", [
+        [tup("0011"), tup("001")],
+        [tup("0011"), tup("00110")],
+        [tup("0012")],
+        [(0, 1, -1, 0)],
+    ])
+    def test_malformed_pattern_rejected(self, patterns):
+        store = bdd.BddStore(4)
+        with pytest.raises(ValueError):
+            store.encode_set(patterns)
 
 
 class TestUnion:
     def test_identity_element(self):
         store = bdd.BddStore(3)
-        x = store.encode_cube(tup("010"))
-        assert store.union(store.empty_set(), x) == x
+        x = store.encode_set([tup("010")])
+        assert store.union(store.encode_set([]), x) == x
 
     def test_two_cubes(self):
         store = bdd.BddStore(3)
@@ -121,19 +165,19 @@ class TestUnion:
     def test_cross_store_rejected(self):
         s1, s2 = bdd.BddStore(3), bdd.BddStore(3)
         with pytest.raises(ValueError, match="different store"):
-            s1.union(s1.empty_set(), s2.empty_set())
+            s1.union(s1.encode_set([]), s2.encode_set([]))
 
 
 class TestExists:
     def test_dont_care_on_first_bit(self):
         store = bdd.BddStore(3)
-        zone = store.encode_cube(tup("001"))
+        zone = store.encode_set([tup("001")])
         grown = store.exists(0, zone)
         assert store.enumerate_patterns(grown) == [tup("001"), tup("101")]
 
     def test_on_empty_set(self):
         store = bdd.BddStore(3)
-        assert store.exists(1, store.empty_set()) == store.empty_set()
+        assert store.exists(1, store.encode_set([])) == store.encode_set([])
 
     def test_quantifying_all_bits_of_singleton(self):
         # oracle: repeated don't-care expansion of every bit reaches all
@@ -145,7 +189,7 @@ class TestExists:
         assert expected == set(all_patterns(3))
 
         store = bdd.BddStore(3)
-        ref = store.encode_cube(tup("001"))
+        ref = store.encode_set([tup("001")])
         for j in (0, 1, 2):
             ref = store.exists(j, ref)
         assert store.sat_count(ref) == 8
@@ -153,23 +197,23 @@ class TestExists:
     def test_index_out_of_range(self):
         store = bdd.BddStore(3)
         with pytest.raises(ValueError, match="out of range"):
-            store.exists(3, store.empty_set())
+            store.exists(3, store.encode_set([]))
 
 
 class TestContains:
     def test_member(self):
         store = bdd.BddStore(3)
-        zone = store.encode_cube(tup("001"))
+        zone = store.encode_set([tup("001")])
         assert store.contains(zone, tup("001"))
 
     def test_non_member(self):
         store = bdd.BddStore(3)
-        zone = store.encode_cube(tup("001"))
+        zone = store.encode_set([tup("001")])
         assert not store.contains(zone, tup("011"))
 
     def test_hamming_one_neighbour_after_expansion(self):
         store = bdd.BddStore(3)
-        zone = store.encode_cube(tup("001"))
+        zone = store.encode_set([tup("001")])
         grown = union_all(
             store, [store.exists(j, zone) for j in range(3)])
         assert store.contains(grown, tup("011"))
@@ -177,17 +221,17 @@ class TestContains:
     def test_width_mismatch(self):
         store = bdd.BddStore(3)
         with pytest.raises(ValueError, match="width"):
-            store.contains(store.empty_set(), tup("01"))
+            store.contains(store.encode_set([]), tup("01"))
 
 
 class TestSatCount:
     def test_empty(self):
         store = bdd.BddStore(4)
-        assert store.sat_count(store.empty_set()) == 0
+        assert store.sat_count(store.encode_set([])) == 0
 
     def test_singleton(self):
         store = bdd.BddStore(4)
-        assert store.sat_count(store.encode_cube(tup("0011"))) == 1
+        assert store.sat_count(store.encode_set([tup("0011")])) == 1
 
     def test_hamming_one_ball_of_eight_bit_pattern(self):
         # oracle: brute force over all 8-bit patterns at distance <= 1
@@ -197,7 +241,7 @@ class TestSatCount:
         assert len(ball) == 9  # 1 + C(8,1)
 
         store = bdd.BddStore(8)
-        zone = store.encode_cube(seed)
+        zone = store.encode_set([seed])
         grown = union_all(
             store, [store.exists(j, zone) for j in range(8)])
         assert store.sat_count(grown) == 9
@@ -205,7 +249,7 @@ class TestSatCount:
 
     def test_full_set(self):
         store = bdd.BddStore(6)
-        ref = store.encode_cube(tup("000000"))
+        ref = store.encode_set([tup("000000")])
         for j in range(6):
             ref = store.exists(j, ref)
         assert store.sat_count(ref) == 64
@@ -219,7 +263,7 @@ class TestEnumerate:
 
     def test_ball_of_001(self):
         store = bdd.BddStore(3)
-        zone = store.encode_cube(tup("001"))
+        zone = store.encode_set([tup("001")])
         grown = union_all(
             store, [store.exists(j, zone) for j in range(3)])
         assert store.enumerate_patterns(grown) == [
@@ -228,7 +272,7 @@ class TestEnumerate:
     def test_width_guard(self):
         store = bdd.BddStore(21)
         with pytest.raises(ValueError, match="limited to width"):
-            store.enumerate_patterns(store.empty_set())
+            store.enumerate_patterns(store.encode_set([]))
 
 
 class TestSetSemanticsOracle:
@@ -323,16 +367,19 @@ class TestFreeze:
         assert store.sat_count(zone) == 2
         assert len(store.enumerate_patterns(zone)) == 2
 
-    @pytest.mark.parametrize("op", ["empty", "cube", "union", "exists"])
+    @pytest.mark.parametrize(
+        "op", ["empty", "cube", "set", "union", "exists"])
     def test_node_creation_rejected(self, op):
         store = bdd.BddStore(4)
         zone = build_set(store, [tup("0011")])
         store.freeze()
         with pytest.raises(FrozenStoreError):
             if op == "empty":
-                store.empty_set()
+                store.encode_set([])
             elif op == "cube":
-                store.encode_cube(tup("1111"))
+                store.encode_set([tup("1111")])
+            elif op == "set":
+                store.encode_set([tup("1111"), tup("0000"), tup("1111")])
             elif op == "union":
                 store.union(zone, zone)
             else:
@@ -353,7 +400,7 @@ class TestVariableCap:
             store = bdd.BddStore(n)
         low = (0,) * n
         high = (0,) * (n - 1) + (1,)
-        both = store.union(store.encode_cube(low), store.encode_cube(high))
+        both = store.union(store.encode_set([low]), store.encode_set([high]))
         assert store.exists(n - 1, both) == both
         assert store.sat_count(both) == 2
         blob = store.serialize({"0": both})
@@ -450,6 +497,24 @@ class TestSerialization:
             "false_id": 0, "true_id": 1, "roots": {"0": 3},
         }
         with pytest.raises(SchemaError, match="duplicate"):
+            bdd.from_dict(data)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.update(roots=list(d["roots"].values())),
+        lambda d: d.update(nodes=7),
+        lambda d: d["nodes"][0].update(id=[2]),
+        lambda d: d["nodes"][-1].update(low=[0]),
+        lambda d: d["nodes"][-1].update(high=1.0),
+        lambda d: d["nodes"][-1].update(high=True),
+        lambda d: d["roots"].update({"0": [2]}),
+        lambda d: d.update(n_vars=bdd.MAX_VARS + 1),
+    ], ids=["roots-list", "nodes-int", "id-unhashable", "low-unhashable",
+            "high-float", "high-bool", "root-unhashable", "n-vars-above-cap"])
+    def test_malformed_table_is_schema_error(self, corrupt):
+        store, roots = self._sample()
+        data = json.loads(store.serialize(roots))
+        corrupt(data)
+        with pytest.raises(SchemaError):
             bdd.from_dict(data)
 
     def test_garbage_bytes(self):

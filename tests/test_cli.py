@@ -180,6 +180,17 @@ class TestErrors:
                      "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    def test_malformed_monitor_file(self, pipeline, tmp_path, capsys):
+        data = json.loads(pipeline["monitor"].read_text())
+        data["bdd"]["roots"] = list(data["bdd"]["roots"].values())
+        bad = tmp_path / "bad_monitor.json"
+        bad.write_text(json.dumps(data))
+        code = main(["stats", "--monitor", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_width_mismatch_between_build_inputs(self, pipeline, tmp_path,
                                                  capsys):
         # eval traces from a different layer have a different width

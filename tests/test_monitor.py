@@ -46,27 +46,20 @@ def pattern_trace(true_label, pred_label, bits, rid="r"):
     return rec(true_label, pred_label, [float(b) for b in bits], rid)
 
 
-def build_zone(store, patterns):
-    acc = store.empty_set()
-    for p in patterns:
-        acc = store.union(acc, store.encode_cube(p))
-    return acc
-
-
 class TestEnlargeOnce:
     def test_empty_zone_stays_empty(self):
         store = BddStore(4)
-        grown = enlarge_once(store, store.empty_set(), 4)
+        grown = enlarge_once(store, store.encode_set([]), 4)
         assert store.sat_count(grown) == 0
 
     def test_full_set_is_fixpoint(self):
         store = BddStore(4)
-        full = build_zone(store, itertools.product((0, 1), repeat=4))
+        full = store.encode_set(itertools.product((0, 1), repeat=4))
         assert enlarge_once(store, full, 4) == full
 
     def test_singleton_grows_to_hamming_one_ball(self):
         store = BddStore(3)
-        zone = store.encode_cube((0, 0, 1))
+        zone = store.encode_set([(0, 0, 1)])
         grown = enlarge_once(store, zone, 3)
         assert store.enumerate_patterns(grown) == [
             (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
@@ -79,7 +72,7 @@ class TestEnlargeOnce:
             explicit = {tuple(rng.randint(0, 1) for _ in range(n))
                         for _ in range(rng.randint(1, 20))}
             store = BddStore(n)
-            grown = enlarge_once(store, build_zone(store, explicit), n)
+            grown = enlarge_once(store, store.encode_set(explicit), n)
             assert set(store.enumerate_patterns(grown)) == ball(explicit, 1, n)
 
     def test_repeated_application_is_gamma_ball(self):
@@ -90,7 +83,7 @@ class TestEnlargeOnce:
             explicit = {tuple(rng.randint(0, 1) for _ in range(n))
                         for _ in range(rng.randint(1, 8))}
             store = BddStore(n)
-            zone = build_zone(store, explicit)
+            zone = store.encode_set(explicit)
             for _ in range(gamma):
                 zone = enlarge_once(store, zone, n)
             assert set(store.enumerate_patterns(zone)) \
@@ -98,7 +91,7 @@ class TestEnlargeOnce:
 
     def test_monotone_chain(self):
         store = BddStore(6)
-        zone = build_zone(store, [(0, 1, 0, 1, 0, 1), (1, 1, 0, 0, 1, 1)])
+        zone = store.encode_set([(0, 1, 0, 1, 0, 1), (1, 1, 0, 0, 1, 1)])
         counts = []
         members = []
         for _ in range(4):
@@ -113,7 +106,7 @@ class TestEnlargeOnce:
         import math
 
         store = BddStore(8)
-        zone = store.encode_cube((1, 0, 1, 1, 0, 0, 1, 0))
+        zone = store.encode_set([(1, 0, 1, 1, 0, 0, 1, 0)])
         for _ in range(2):
             zone = enlarge_once(store, zone, 8)
         expected = sum(math.comb(8, k) for k in range(3))
@@ -121,7 +114,7 @@ class TestEnlargeOnce:
 
     def test_frozen_store_rejected(self):
         store = BddStore(3)
-        zone = store.encode_cube((0, 0, 1))
+        zone = store.encode_set([(0, 0, 1)])
         store.freeze()
         with pytest.raises(FrozenStoreError):
             enlarge_once(store, zone, 3)
@@ -158,6 +151,19 @@ class TestBuild:
                   for i in range(5)]
         mon = build(traces, identity_selection(3), gamma=0)
         assert mon.store.sat_count(mon.zones[0]) == 1
+
+    def test_gamma_zero_leaves_no_unreachable_node(self):
+        rng = random.Random(211)
+        n = 12
+        traces = [pattern_trace(c, rng.choice([c, c, c, (c + 1) % 3]),
+                                [rng.randint(0, 1) for _ in range(n)],
+                                rid=f"s{i}")
+                  for i, c in enumerate(rng.choices(range(3), k=300))]
+        mon = build(traces, identity_selection(n), gamma=0)
+        table = mon.store.to_dict(
+            {str(c): root for c, root in mon.zones.items()})
+        # to_dict lists every node reachable from the roots exactly once
+        assert len(mon.store) - 2 == len(table["nodes"])
 
     def test_store_frozen_after_build(self):
         mon = build([pattern_trace(0, 0, (0, 1))],

@@ -93,6 +93,22 @@ class TestBinarize:
             alpha = float(rng.uniform(1e-6, 1e6))
             assert binarize(alpha * v, sel) == binarize(v, sel)
 
+    def test_matches_per_index_reference(self):
+        rng = np.random.default_rng(5)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0])
+        for trial in range(200):
+            width = 1 if trial < 10 else int(rng.integers(2, 40))
+            acts = rng.normal(size=width)
+            mask = rng.random(width) < 0.5
+            acts[mask] = rng.choice(specials, size=int(mask.sum()))
+            k = int(rng.integers(1, width + 1))
+            indices = tuple(int(i) for i in rng.permutation(width)[:k])
+            sel = NeuronSelection(0, width, indices, (0.0,) * k)
+            expected = tuple(1 if acts[i] > 0.0 else 0 for i in indices)
+            got = binarize(acts, sel)
+            assert got == expected
+            assert all(type(bit) is int for bit in got)
+
 
 class TestHamming:
     def test_single_bit(self):
