@@ -7,7 +7,6 @@ becomes a member.
 """
 
 from actmon import BddStore
-from actmon.monitor import enlarge_once
 
 
 def show(store, label, ref):
@@ -26,8 +25,9 @@ for var in range(3):
     show(store, f"exists(var {var}, zone)", store.exists(var, zone))
 
 # The union of the three don't-care expansions is exactly the set of
-# patterns within Hamming distance 1 of 001.
-ball = enlarge_once(store, zone, 3)
+# patterns within Hamming distance 1 of 001; grow builds that ball in one
+# pass over the diagram.
+ball = store.grow(zone)
 show(store, "one enlargement step", ball)
 
 print()

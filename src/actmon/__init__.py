@@ -39,7 +39,6 @@ from .monitor import (
     Monitor,
     Verdict,
     build,
-    enlarge_once,
     load_monitor,
     nested_monitors,
     query,
@@ -77,7 +76,6 @@ __all__ = [
     "build",
     "choose_gamma",
     "decide",
-    "enlarge_once",
     "evaluate",
     "forward",
     "gamma_sweep",

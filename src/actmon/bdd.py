@@ -5,9 +5,9 @@ order (variable ``i`` is bit ``i`` of a pattern, ``0 <= i < n_vars``).
 Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
 handful of operations the monitor construction needs: encoding a set of
-patterns in one pass, union, existential quantification over one variable,
-membership evaluation, exact model counting, small-width enumeration and
-deterministic JSON serialization.
+patterns in one pass, union, growth by Hamming distance 1, existential
+quantification over one variable, membership evaluation, exact model
+counting, small-width enumeration and deterministic JSON serialization.
 
 There are no complement edges and no dynamic reordering; canonicity is
 plain Bryant-style reduction (no node with equal children, no duplicate
@@ -92,7 +92,7 @@ class BddStore:
         self._high: list[int] = [FALSE, TRUE]
         # (var, low, high) -> id
         self._unique: dict[tuple[int, int, int], int] = {}
-        # memo for or/exists, keyed by (op tag, operand ids)
+        # memo for or/exists/grow, keyed by (op tag, operand ids)
         self._cache: dict[tuple, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -220,6 +220,24 @@ class BddStore:
                 self._exists(var, self._high[a]))
         self._cache[key] = result
         return result
+
+    def grow(self, a: BddRef) -> BddRef:
+        """The set plus every pattern at Hamming distance 1 from a member,
+        in one pass; ``gamma`` applications give the radius-``gamma`` ball."""
+        self._require_mutable()
+        return BddRef(self, self._grow(self._check_ref(a)))
+
+    def _grow(self, a: int) -> int:
+        # flipping bit var crosses branches; skipped variables are don't-cares
+        if a <= TRUE:
+            return a
+        found = self._cache.get(("grow", a))
+        if found is None:
+            low, high = self._low[a], self._high[a]
+            found = self._cache[("grow", a)] = self._mk(
+                self._var[a], self._or(self._grow(low), high),
+                self._or(self._grow(high), low))
+        return found
 
     # -- read operations (safe on frozen stores) ----------------------------
 

@@ -4,10 +4,9 @@ A monitor is built after training from recorded traces: for every
 monitored class it stores, as one BDD root, the set of activation patterns
 produced by training samples that the network classified correctly.  The
 zone can then be enlarged ``gamma`` times; each round adds every pattern
-within Hamming distance 1 of the current zone, realized as a union of
-single-variable existential quantifications.  At runtime, an input whose
-pattern is missing from the zone of the predicted class is flagged as
-outside the network's experience.
+within Hamming distance 1 of the current zone (``BddStore.grow``).  At
+runtime, an input whose pattern is missing from the zone of the predicted
+class is flagged as outside the network's experience.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -24,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import bdd
 from .bdd import BddRef, BddStore
-from .errors import FormatVersionError, SchemaError
+from .errors import FormatVersionError, SchemaError, exact_int
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -56,19 +55,6 @@ class Monitor:
     @property
     def width(self) -> int:
         return self.selection.width
-
-
-def enlarge_once(store: BddStore, zone: BddRef, width: int) -> BddRef:
-    """One Hamming-distance step: the union of the zone with every pattern
-    that differs from a member in exactly one of the ``width`` bits.
-
-    Equals the union over all variables of the single-variable existential
-    quantification, each of which is already a superset of the zone.
-    """
-    grown = zone
-    for var in range(width):
-        grown = store.union(grown, store.exists(var, zone))
-    return grown
 
 
 def nested_monitors(traces: Sequence[TraceRecord],
@@ -115,14 +101,12 @@ def nested_monitors(traces: Sequence[TraceRecord],
                 stacklevel=3)
     roots = {c: store.encode_set(seen[c]) for c in class_list}
 
-    level = 0
-    for gamma in gammas:
-        for _ in range(level, gamma):
-            roots = {c: enlarge_once(store, root, selection.width)
-                     for c, root in roots.items()}
-        level = gamma
-        yield Monitor(selection=selection, gamma=gamma, store=store,
-                      zones=roots)
+    for level in range(gammas[-1] + 1):
+        if level:
+            roots = {c: store.grow(root) for c, root in roots.items()}
+        if level in gammas:
+            yield Monitor(selection=selection, gamma=level, store=store,
+                          zones=roots)
 
 
 def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
@@ -193,31 +177,35 @@ def monitor_from_dict(data: Mapping) -> Monitor:
     try:
         sel = data["selection"]
         selection = NeuronSelection(
-            layer=int(sel["layer"]),
-            layer_width=int(sel["layer_width"]),
-            indices=tuple(int(i) for i in sel["indices"]),
+            layer=exact_int(sel["layer"], "selection layer"),
+            layer_width=exact_int(sel["layer_width"], "layer_width"),
+            indices=tuple(exact_int(i, "neuron index")
+                          for i in sel["indices"]),
             scores=tuple(float(s) for s in sel["scores"]),
         )
-        gamma = int(data["gamma"])
+        gamma = exact_int(data["gamma"], "gamma")
+        layer = exact_int(data["layer"], "layer")
+        classes = [exact_int(c, "class") for c in data["classes"]]
         bdd_part = data["bdd"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"malformed monitor file: {exc}") from exc
     if gamma < 0:
         raise SchemaError(f"negative gamma {gamma}")
+    if layer != selection.layer:
+        raise SchemaError(f"layer {layer} does not match selection layer "
+                          f"{selection.layer}")
     store, roots = bdd.from_dict(bdd_part)
     if store.n_vars != selection.width:
         raise SchemaError(
             f"BDD width {store.n_vars} does not match selection width "
             f"{selection.width}")
-    zones = {}
-    for key, root in roots.items():
-        try:
-            c = int(key)
-        except ValueError as exc:
-            raise SchemaError(f"non-integer class key {key!r}") from exc
-        zones[c] = root
+    # one root per listed class, keyed as the writer keys it
+    if len(classes) != len(roots) or set(roots) != set(map(str, classes)):
+        raise SchemaError(f"classes {classes} do not match the zone keys "
+                          f"{list(roots)}")
     store.freeze()
-    return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
+    return Monitor(selection=selection, gamma=gamma, store=store,
+                   zones={c: roots[str(c)] for c in classes})
 
 
 def load_monitor(path) -> Monitor:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatVersionError, SchemaError
+from .errors import FormatVersionError, SchemaError, exact_int
 
 TRACE_FORMAT = "actmon-trace"
 TRACE_VERSION = 1
@@ -94,11 +94,11 @@ def _parse_header(line: str) -> TraceHeader:
             f"unsupported trace version {head.get('version')!r}")
     try:
         header = TraceHeader(
-            layer=int(head["layer"]),
-            width=int(head["width"]),
-            classes=int(head["classes"]),
+            layer=exact_int(head["layer"], "layer"),
+            width=exact_int(head["width"], "width"),
+            classes=exact_int(head["classes"], "classes"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, SchemaError) as exc:
         raise SchemaError(f"malformed trace header: {exc}") from exc
     if header.width < 1 or header.classes < 2:
         raise SchemaError("trace header width/classes out of range")
@@ -110,11 +110,11 @@ def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
         row = json.loads(line)
         record = TraceRecord(
             id=str(row["id"]),
-            true_label=int(row["true_label"]),
-            pred_label=int(row["pred_label"]),
+            true_label=exact_int(row["true_label"], "true_label"),
+            pred_label=exact_int(row["pred_label"], "pred_label"),
             activations=np.asarray(row["activations"], dtype=np.float64),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"line {line_no}: malformed trace record: {exc}") \
             from exc
     if record.activations.shape != (header.width,):

@@ -21,7 +21,7 @@ from actmon.evaluation import (
     evaluate,
     gamma_sweep,
 )
-from actmon.monitor import Verdict, build, enlarge_once, load_monitor, query, save_monitor
+from actmon.monitor import Verdict, build, load_monitor, query, save_monitor
 from actmon.network import (
     BLOB_STD,
     decide,
@@ -127,13 +127,13 @@ def test_c02_hamming_ball_theorem():
         store = bdd.BddStore(n)
         root = store.encode_set(zone)
 
-        grown = enlarge_once(store, root, n)
+        grown = store.grow(root)
         assert {to_int(p) for p in store.enumerate_patterns(grown)} \
             == int_ball(zone_ints, 1, n)
 
         ball_root = root
         for _ in range(gamma):
-            ball_root = enlarge_once(store, ball_root, n)
+            ball_root = store.grow(ball_root)
         assert {to_int(p) for p in store.enumerate_patterns(ball_root)} \
             == int_ball(zone_ints, gamma, n)
     elapsed = time.perf_counter() - started
@@ -152,7 +152,7 @@ def test_c03_ball_cardinality_identities():
         store = bdd.BddStore(width)
         root = store.encode_set([seed_pattern])
         for _ in range(gamma):
-            root = enlarge_once(store, root, width)
+            root = store.grow(root)
         assert store.sat_count(root) == expected
     print("criterion 3 PASS: gamma-ball cardinalities 37 (K=8, gamma=2) "
           "and 176 (K=10, gamma=3)")
@@ -271,7 +271,7 @@ def test_c08_membership_cost_bound():
     store = bdd.BddStore(k)
     zone = store.encode_set(
         [tuple(rng.randint(0, 1) for _ in range(k)) for _ in range(200)])
-    zone = enlarge_once(store, zone, k)
+    zone = store.grow(zone)
     worst = 0
     for _ in range(10_000):
         pattern = tuple(rng.randint(0, 1) for _ in range(k))

@@ -49,6 +49,15 @@ def union_all(store, refs):
     return acc
 
 
+def enlarge_reference(store, zone):
+    """Reference distance-1 step: the zone unioned with its don't-care
+    expansion on each variable in turn (K exists and K union calls)."""
+    grown = zone
+    for var in range(store.n_vars):
+        grown = store.union(grown, store.exists(var, zone))
+    return grown
+
+
 def random_patterns(rng, n, count):
     return {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(count)}
 
@@ -198,6 +207,41 @@ class TestExists:
         store = bdd.BddStore(3)
         with pytest.raises(ValueError, match="out of range"):
             store.exists(3, store.encode_set([]))
+
+
+class TestGrow:
+    """grow against the K-fold exists/union reference."""
+
+    def test_equals_reference_loop(self):
+        rng = random.Random(1986)
+        for n in range(1, 15):
+            for trial in range(6):
+                distinct = list(random_patterns(rng, n, rng.randint(0, 30)))
+                # duplicates, in arbitrary order
+                with_dups = distinct + rng.choices(distinct, k=len(distinct))
+                rng.shuffle(with_dups)
+                # separate stores: the saved tables must match, not only
+                # the set each root denotes
+                fast, slow = bdd.BddStore(n), bdd.BddStore(n)
+                a, b = fast.encode_set(with_dups), slow.encode_set(with_dups)
+                for _ in range(rng.randint(1, 3)):
+                    a, b = fast.grow(a), enlarge_reference(slow, b)
+                assert fast.to_dict({"0": a}) == slow.to_dict({"0": b})
+
+    def test_empty_set_stays_empty(self):
+        store = bdd.BddStore(5)
+        assert store.grow(store.encode_set([])).node == bdd.FALSE
+
+    def test_full_set_is_fixpoint(self):
+        store = bdd.BddStore(5)
+        full = store.encode_set(all_patterns(5))
+        assert full.node == bdd.TRUE
+        assert store.grow(full) == full
+
+    def test_cross_store_rejected(self):
+        s1, s2 = bdd.BddStore(3), bdd.BddStore(3)
+        with pytest.raises(ValueError, match="different store"):
+            s1.grow(s2.encode_set([tup("001")]))
 
 
 class TestContains:
@@ -368,7 +412,7 @@ class TestFreeze:
         assert len(store.enumerate_patterns(zone)) == 2
 
     @pytest.mark.parametrize(
-        "op", ["empty", "cube", "set", "union", "exists"])
+        "op", ["empty", "cube", "set", "union", "exists", "grow"])
     def test_node_creation_rejected(self, op):
         store = bdd.BddStore(4)
         zone = build_set(store, [tup("0011")])
@@ -382,8 +426,10 @@ class TestFreeze:
                 store.encode_set([tup("1111"), tup("0000"), tup("1111")])
             elif op == "union":
                 store.union(zone, zone)
-            else:
+            elif op == "exists":
                 store.exists(0, zone)
+            else:
+                store.grow(zone)
 
 
 class TestVariableCap:
@@ -403,6 +449,8 @@ class TestVariableCap:
         both = store.union(store.encode_set([low]), store.encode_set([high]))
         assert store.exists(n - 1, both) == both
         assert store.sat_count(both) == 2
+        # each cube's 257-pattern ball holds the other cube
+        assert store.sat_count(store.grow(both)) == 2 * (n + 1) - 2
         blob = store.serialize({"0": both})
         with pytest.warns(UserWarning, match="impractical"):
             loaded, roots = bdd.deserialize(blob)

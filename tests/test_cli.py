@@ -191,6 +191,18 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    def test_inexact_integer_in_monitor_file(self, pipeline, tmp_path,
+                                             capsys):
+        data = json.loads(pipeline["monitor"].read_text())
+        data["gamma"] = 1.9
+        bad = tmp_path / "bad_monitor.json"
+        bad.write_text(json.dumps(data))
+        code = main(["stats", "--monitor", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "gamma must be an integer" in err
+        assert "Traceback" not in err
+
     def test_width_mismatch_between_build_inputs(self, pipeline, tmp_path,
                                                  capsys):
         # eval traces from a different layer have a different width

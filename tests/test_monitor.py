@@ -18,8 +18,9 @@ from actmon.monitor import (
     Monitor,
     Verdict,
     build,
-    enlarge_once,
     load_monitor,
+    monitor_from_dict,
+    monitor_to_dict,
     query,
     save_monitor,
 )
@@ -47,20 +48,23 @@ def pattern_trace(true_label, pred_label, bits, rid="r"):
 
 
 class TestEnlargeOnce:
+    """One enlargement step, ``BddStore.grow``, against the brute-force
+    Hamming ball."""
+
     def test_empty_zone_stays_empty(self):
         store = BddStore(4)
-        grown = enlarge_once(store, store.encode_set([]), 4)
+        grown = store.grow(store.encode_set([]))
         assert store.sat_count(grown) == 0
 
     def test_full_set_is_fixpoint(self):
         store = BddStore(4)
         full = store.encode_set(itertools.product((0, 1), repeat=4))
-        assert enlarge_once(store, full, 4) == full
+        assert store.grow(full) == full
 
     def test_singleton_grows_to_hamming_one_ball(self):
         store = BddStore(3)
         zone = store.encode_set([(0, 0, 1)])
-        grown = enlarge_once(store, zone, 3)
+        grown = store.grow(zone)
         assert store.enumerate_patterns(grown) == [
             (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
         assert store.sat_count(grown) == 4
@@ -72,7 +76,7 @@ class TestEnlargeOnce:
             explicit = {tuple(rng.randint(0, 1) for _ in range(n))
                         for _ in range(rng.randint(1, 20))}
             store = BddStore(n)
-            grown = enlarge_once(store, store.encode_set(explicit), n)
+            grown = store.grow(store.encode_set(explicit))
             assert set(store.enumerate_patterns(grown)) == ball(explicit, 1, n)
 
     def test_repeated_application_is_gamma_ball(self):
@@ -85,7 +89,7 @@ class TestEnlargeOnce:
             store = BddStore(n)
             zone = store.encode_set(explicit)
             for _ in range(gamma):
-                zone = enlarge_once(store, zone, n)
+                zone = store.grow(zone)
             assert set(store.enumerate_patterns(zone)) \
                 == ball(explicit, gamma, n)
 
@@ -97,7 +101,7 @@ class TestEnlargeOnce:
         for _ in range(4):
             counts.append(store.sat_count(zone))
             members.append(set(store.enumerate_patterns(zone)))
-            zone = enlarge_once(store, zone, 6)
+            zone = store.grow(zone)
         assert counts == sorted(counts)
         for smaller, larger in zip(members, members[1:]):
             assert smaller <= larger
@@ -108,7 +112,7 @@ class TestEnlargeOnce:
         store = BddStore(8)
         zone = store.encode_set([(1, 0, 1, 1, 0, 0, 1, 0)])
         for _ in range(2):
-            zone = enlarge_once(store, zone, 8)
+            zone = store.grow(zone)
         expected = sum(math.comb(8, k) for k in range(3))
         assert store.sat_count(zone) == expected == 37
 
@@ -117,7 +121,7 @@ class TestEnlargeOnce:
         zone = store.encode_set([(0, 0, 1)])
         store.freeze()
         with pytest.raises(FrozenStoreError):
-            enlarge_once(store, zone, 3)
+            store.grow(zone)
 
 
 class TestBuild:
@@ -331,6 +335,33 @@ class TestPersistence:
         path.write_text(json.dumps(data))
         with pytest.raises(FormatVersionError):
             load_monitor(path)
+
+    @pytest.mark.parametrize("path, value", [
+        ("gamma", 1.9),
+        ("gamma", True),
+        ("gamma", "1"),
+        ("layer", 0.0),
+        ("layer", 3),
+        ("classes", [0]),
+        ("classes", [0, 1, 2]),
+        ("classes", [0, 0]),
+        ("classes", [0.0, 1.0]),
+        ("classes", [False, True]),
+        ("selection.layer", 0.5),
+        ("selection.layer_width", 6.7),
+        ("selection.indices", [0.2, 1.9, "2", 3, 4, 5]),
+    ])
+    def test_inexact_or_contradicting_field(self, path, value):
+        data = monitor_to_dict(self._monitor())
+        assert data["classes"] == [0, 1] and data["layer"] == 0
+        monitor_from_dict(data)  # the unedited dict is valid
+        *parents, field = path.split(".")
+        target = data
+        for key in parents:
+            target = target[key]
+        target[field] = value
+        with pytest.raises(SchemaError):
+            monitor_from_dict(data)
 
     def test_unfrozen_monitor_rejected(self, tmp_path):
         mon = self._monitor()

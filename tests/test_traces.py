@@ -19,6 +19,11 @@ def sample_records(count=5, width=4, seed=0):
     ]
 
 
+HEADER = {"format": "actmon-trace", "version": 1, "layer": 1, "width": 1,
+          "classes": 2}
+RECORD = {"id": "s0", "true_label": 1, "pred_label": 0, "activations": [1.0]}
+
+
 class TestRoundTrip:
     def test_preserves_records_exactly(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -104,4 +109,23 @@ class TestValidation:
             '"classes":2}\n'
             'this is not json\n')
         with pytest.raises(SchemaError, match="line 2"):
+            read_traces(path)
+
+    @pytest.mark.parametrize("part, field, value", [
+        ("header", "layer", 1.9),
+        ("header", "layer", True),
+        ("header", "width", 1.0),
+        ("header", "classes", "2"),
+        ("record", "true_label", 1.9),
+        ("record", "pred_label", False),
+        ("record", "true_label", "1"),
+    ])
+    def test_integer_field_must_be_exact(self, tmp_path, part, field, value):
+        path = tmp_path / "t.jsonl"
+        header, record = dict(HEADER), dict(RECORD)
+        path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
+        read_traces(path)  # the unedited file is valid
+        (header if part == "header" else record)[field] = value
+        path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
+        with pytest.raises(SchemaError, match=f"{field} must be an integer"):
             read_traces(path)
