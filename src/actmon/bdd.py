@@ -7,7 +7,9 @@ so semantically equal sets always share one root.  The store supports the
 handful of operations the monitor construction needs: encoding a set of
 patterns in one pass, union, growth by Hamming distance 1, existential
 quantification over one variable, membership evaluation, exact model
-counting, small-width enumeration and deterministic JSON serialization.
+counting, small-width enumeration, and a deterministic plain-data form
+(:meth:`BddStore.to_dict`, :func:`from_dict`) that monitor files embed;
+reading and writing files is the caller's job.
 
 There are no complement edges and no dynamic reordering; canonicity is
 plain Bryant-style reduction (no node with equal children, no duplicate
@@ -23,7 +25,6 @@ state and may run concurrently on a frozen store.
 
 from __future__ import annotations
 
-import json
 import warnings
 from bisect import bisect_left
 from operator import itemgetter
@@ -363,10 +364,6 @@ class BddStore:
             "roots": {key: relabel[roots[key].node] for key in order},
         }
 
-    def serialize(self, roots: Mapping[str, BddRef]) -> bytes:
-        """Deterministic JSON encoding of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(roots), separators=(",", ":")).encode()
-
 
 def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
     """Rebuild a store and its roots from :meth:`BddStore.to_dict` output.
@@ -424,15 +421,6 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
             raise SchemaError(f"root {key!r}: dangling node id {ext_id!r}")
         roots[key] = BddRef(store, id_map[ext_id])
     return store, roots
-
-
-def deserialize(blob: bytes) -> tuple[BddStore, dict[str, BddRef]]:
-    """Inverse of :meth:`BddStore.serialize`."""
-    try:
-        data = json.loads(blob)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    return from_dict(data)
 
 
 def _root_sort_key(key: str):

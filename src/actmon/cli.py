@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import evaluation, monitor as monitor_mod, network
-from .errors import ActmonError, SchemaError
+from .errors import (ActmonError, SchemaError, exact_int, read_json,
+                     replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
 from .traces import TraceHeader, TraceRecord, read_traces, write_traces
 
@@ -31,16 +32,13 @@ def cmd_train_toy(args) -> None:
 
 def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
     if args.data:
-        with open(args.data, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(
-                    f"dataset file is not valid JSON: {exc}") from exc
+        payload = read_json(args.data, "dataset")
         try:
             x = np.asarray(payload["inputs"], dtype=np.float64)
-            y = np.asarray(payload["labels"], dtype=np.int64)
-        except (KeyError, TypeError, ValueError) as exc:
+            y = np.array([exact_int(label, "label")
+                          for label in payload["labels"]], dtype=np.int64)
+        except (KeyError, TypeError, ValueError, OverflowError,
+                SchemaError) as exc:
             raise SchemaError(f"malformed dataset file: {exc}") from exc
         if x.ndim != 2 or x.shape[0] != y.shape[0]:
             raise SchemaError("dataset inputs/labels shapes disagree")
@@ -125,12 +123,10 @@ def cmd_build(args) -> None:
 def cmd_query(args) -> None:
     mon = monitor_mod.load_monitor(args.monitor)
     header, records = read_traces(args.traces)
-    # every verdict is computed before --out is opened, so a record that
-    # fails validation leaves no partial file behind
     verdicts = [monitor_mod.query(mon, r.activations, r.pred_label)
                 for r in records]
     counts = {v: verdicts.count(v) for v in monitor_mod.Verdict}
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with replace_on_success(args.out) as fh:
         for record, verdict in zip(records, verdicts):
             fh.write(json.dumps(
                 {"id": record.id, "verdict": verdict.value},
@@ -158,12 +154,7 @@ def cmd_sweep(args) -> None:
     print(f"wrote report to {args.out}")
     print(",".join(evaluation.REPORT_COLUMNS))
     for row in rows:
-        out_rate = "-" if row.out_rate is None else f"{row.out_rate:.6f}"
-        precision = "-" if row.misclassified_within_out_rate is None \
-            else f"{row.misclassified_within_out_rate:.6f}"
-        print(f"{row.gamma},{row.n_total},{row.n_out_of_pattern},{out_rate},"
-              f"{row.n_out_misclassified},{precision},"
-              f"{row.overall_misclassification_rate:.6f},{row.n_nozone}")
+        print(",".join(evaluation.report_cells(row, "-")))
     choice = evaluation.choose_gamma(rows)
     tag = "meets" if choice.qualified else "best effort, does not meet"
     print(f"suggested gamma: {choice.gamma} ({tag} the default "

@@ -1,11 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types and the file layer shared across the package.
 
 Width mismatches and other argument-level misuse raise plain ``ValueError``;
 the classes here mark problems with persisted artifacts (model, trace,
 monitor files) and store lifecycle violations, so callers can distinguish
-bad data from bad environments.  :func:`exact_int` is the one integer-field
-check that the file loaders share.
+bad data from bad environments.  Every artifact file is read by
+:func:`read_json` (trace files line by line), its integer fields are
+checked by :func:`exact_int`, and it is written through
+:func:`replace_on_success`.
 """
+
+import contextlib
+import json
+import os
 
 
 class ActmonError(Exception):
@@ -34,3 +40,29 @@ def exact_int(value, what: str) -> int:
     if type(value) is not int:
         raise SchemaError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def read_json(path, what: str):
+    """The JSON value held by the file at ``path``; a file that is not
+    UTF-8 JSON raises :class:`SchemaError` naming the ``what`` artifact."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def replace_on_success(path):
+    """A text handle on ``<path>.tmp``, renamed onto ``path`` once the
+    ``with`` body succeeds and removed on any exception.  A symlink at
+    ``path`` is replaced, not written through; there is no fsync."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -19,8 +19,9 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .monitor import Monitor, Verdict, nested_monitors, query
-from .patterns import NeuronSelection
+from . import patterns
+from .errors import replace_on_success
+from .monitor import Monitor, Verdict, judge, nested_monitors
 from .traces import TraceRecord
 
 
@@ -57,13 +58,19 @@ class GammaChoice:
 def evaluate(monitor: Monitor, eval_traces: Sequence[TraceRecord]) -> EvalRow:
     """Compute one report row for a monitor on labeled traces."""
     traces = list(eval_traces)
+    return _report_row(monitor, traces, [
+        patterns.binarize(r.activations, monitor.selection) for r in traces])
+
+
+def _report_row(monitor: Monitor, traces: list, bits: list) -> EvalRow:
+    """:func:`evaluate` on ``traces`` whose patterns are ``bits``."""
     if not traces:
         raise ValueError("cannot evaluate on an empty trace set")
     n_out = n_out_mis = n_nozone = n_mis = 0
-    for record in traces:
+    for record, pattern in zip(traces, bits):
         misclassified = record.pred_label != record.true_label
         n_mis += misclassified
-        verdict = query(monitor, record.activations, record.pred_label)
+        verdict = judge(monitor, pattern, record.pred_label)
         if verdict is Verdict.NO_ZONE:
             n_nozone += 1
         elif verdict is Verdict.OUT_OF_ZONE:
@@ -85,20 +92,22 @@ def evaluate(monitor: Monitor, eval_traces: Sequence[TraceRecord]) -> EvalRow:
 
 def gamma_sweep(traces_train: Sequence[TraceRecord],
                 traces_eval: Sequence[TraceRecord],
-                selection: NeuronSelection,
+                selection: patterns.NeuronSelection,
                 gammas: Sequence[int],
                 classes: Iterable[int] | None = None) -> list[EvalRow]:
     """Evaluate one family of nested monitors at several gamma levels.
 
     The monitors come from :func:`~actmon.monitor.nested_monitors`, so each
     level's zones contain the previous level's, and the reported warning
-    rate is non-increasing in gamma.
+    rate is non-increasing in gamma.  Each eval record is binarized once.
     """
+    traces = list(traces_eval)
+    bits = [patterns.binarize(r.activations, selection) for r in traces]
     rows = []
     # a plain loop, not a comprehension, so that the generator's build-time
     # warnings point at this function's caller
     for monitor in nested_monitors(traces_train, selection, gammas, classes):
-        rows.append(evaluate(monitor, traces_eval))
+        rows.append(_report_row(monitor, traces, bits))
     return rows
 
 
@@ -141,47 +150,21 @@ REPORT_COLUMNS = (
 )
 
 
+def report_cells(row: EvalRow, undefined: str) -> list[str]:
+    """One report row as text: rates as 6-digit decimals, ``undefined`` in
+    place of a rate that is ``None``."""
+    def rate(value: float | None) -> str:
+        return undefined if value is None else f"{value:.6f}"
+
+    return [str(row.gamma), str(row.n_total), str(row.n_out_of_pattern),
+            rate(row.out_rate), str(row.n_out_misclassified),
+            rate(row.misclassified_within_out_rate),
+            rate(row.overall_misclassification_rate), str(row.n_nozone)]
+
+
 def write_report_csv(path, rows: Sequence[EvalRow]) -> None:
-    """Write a sweep report; rates as 6-digit decimals, undefined as empty."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a sweep report; undefined rates are empty fields."""
+    with replace_on_success(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([
-                row.gamma,
-                row.n_total,
-                row.n_out_of_pattern,
-                _rate(row.out_rate),
-                row.n_out_misclassified,
-                _rate(row.misclassified_within_out_rate),
-                _rate(row.overall_misclassification_rate),
-                row.n_nozone,
-            ])
-
-
-def read_report_csv(path) -> list[EvalRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for line in reader:
-            rows.append(EvalRow(
-                gamma=int(line["gamma"]),
-                n_total=int(line["n_total"]),
-                n_out_of_pattern=int(line["n_out"]),
-                out_rate=_unrate(line["out_rate"]),
-                n_out_misclassified=int(line["n_out_misclassified"]),
-                misclassified_within_out_rate=_unrate(
-                    line["misclassified_within_out_rate"]),
-                overall_misclassification_rate=float(
-                    line["overall_misclassification_rate"]),
-                n_nozone=int(line["n_nozone"]),
-            ))
-    return rows
-
-
-def _rate(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
-def _unrate(text: str) -> float | None:
-    return None if text == "" else float(text)
+        writer.writerows(report_cells(row, "") for row in rows)

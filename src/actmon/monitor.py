@@ -23,7 +23,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import bdd
 from .bdd import BddRef, BddStore
-from .errors import FormatVersionError, SchemaError, exact_int
+from .errors import (FormatVersionError, SchemaError, exact_int, read_json,
+                     replace_on_success)
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -119,13 +120,18 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
 
 
 def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
-    """Judge one runtime sample against the predicted class's zone.
+    """Judge one runtime sample: :func:`judge` on its pattern."""
+    return judge(monitor, binarize(activations, monitor.selection),
+                 pred_label)
+
+
+def judge(monitor: Monitor, pattern, pred_label: int) -> Verdict:
+    """Judge a binarized pattern against the predicted class's zone.
 
     Only the predicted class is consulted; membership in another class's
     zone says nothing about this decision.  An unmonitored predicted class
     yields ``NO_ZONE`` rather than a warning.
     """
-    pattern = binarize(activations, monitor.selection)
     root = monitor.zones.get(pred_label)
     if root is None:
         return Verdict.NO_ZONE
@@ -163,7 +169,7 @@ def save_monitor(monitor: Monitor, path) -> None:
     """
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         fh.write(json.dumps(monitor_to_dict(monitor), separators=(",", ":")))
         fh.write("\n")
 
@@ -176,12 +182,15 @@ def monitor_from_dict(data: Mapping) -> Monitor:
             f"unsupported monitor version {data.get('version')!r}")
     try:
         sel = data["selection"]
+        bad = [s for s in sel["scores"] if type(s) not in (int, float)]
+        if bad:
+            raise SchemaError(f"score must be a number, got {bad[0]!r}")
         selection = NeuronSelection(
             layer=exact_int(sel["layer"], "selection layer"),
             layer_width=exact_int(sel["layer_width"], "layer_width"),
             indices=tuple(exact_int(i, "neuron index")
                           for i in sel["indices"]),
-            scores=tuple(float(s) for s in sel["scores"]),
+            scores=tuple(map(float, sel["scores"])),
         )
         gamma = exact_int(data["gamma"], "gamma")
         layer = exact_int(data["layer"], "layer")
@@ -209,10 +218,4 @@ def monitor_from_dict(data: Mapping) -> Monitor:
 
 
 def load_monitor(path) -> Monitor:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"monitor file is not valid JSON: {exc}") from exc
-    return monitor_from_dict(data)
+    return monitor_from_dict(read_json(path, "monitor"))

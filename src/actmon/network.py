@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatVersionError, SchemaError
+from .errors import (FormatVersionError, SchemaError, read_json,
+                     replace_on_success)
 
 MODEL_VERSION = 1
 
@@ -294,17 +295,13 @@ def save_model(model: ModelSpec, path) -> None:
         ],
         "metadata": model.metadata,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         json.dump(payload, fh, separators=(",", ":"), sort_keys=False)
         fh.write("\n")
 
 
 def load_model(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"model file is not valid JSON: {exc}") from exc
+    payload = read_json(path, "model")
     if not isinstance(payload, dict):
         raise SchemaError("model file must hold a JSON object")
     version = payload.get("version")

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatVersionError, SchemaError, exact_int
+from .errors import (FormatVersionError, SchemaError, exact_int,
+                     replace_on_success)
 
 TRACE_FORMAT = "actmon-trace"
 TRACE_VERSION = 1
@@ -44,7 +45,7 @@ class TraceRecord:
 
 
 def write_traces(path, header: TraceHeader, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with replace_on_success(path) as fh:
         head = {
             "format": TRACE_FORMAT,
             "version": TRACE_VERSION,

@@ -5,13 +5,13 @@ runs on the built-in blobs dataset inside a temp directory, so a clean
 checkout needs no external data.
 """
 
+import csv
 import json
 import math
 
 import pytest
 
 from actmon.cli import main
-from actmon.evaluation import read_report_csv
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +64,10 @@ class TestPipeline:
                 assert verdict["verdict"] == "InZone"
 
     def test_report_rows_and_monotonicity(self, pipeline):
-        rows = read_report_csv(pipeline["report"])
-        assert [r.gamma for r in rows] == [0, 1, 2]
-        outs = [r.n_out_of_pattern for r in rows]
+        with pipeline["report"].open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["gamma"]) for r in rows] == [0, 1, 2]
+        outs = [int(r["n_out"]) for r in rows]
         assert outs == sorted(outs, reverse=True)
 
     def test_stats_output(self, pipeline, capsys):
@@ -261,3 +262,20 @@ class TestDatasetFile:
                      "--layer", "1", "--data", str(data),
                      "--out", str(tmp_path / "t.jsonl")])
         assert code == 1
+
+    @pytest.mark.parametrize("labels", [[1.9, True, 0], [0, 2 ** 70, 1]],
+                             ids=["inexact", "beyond-int64"])
+    def test_labels_must_be_exact_integers(self, pipeline, tmp_path, capsys,
+                                           labels):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "inputs": [[0.0, 1.0], [5.0, 5.0], [-3.0, 0.5]],
+            "labels": labels,
+        }))
+        out = tmp_path / "traces.jsonl"
+        code = main(["extract", "--model", str(pipeline["model"]),
+                     "--layer", "1", "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: malformed dataset file: ")
+        assert not out.exists()

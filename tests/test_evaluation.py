@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
+from actmon import patterns
 from actmon.evaluation import (
     REPORT_COLUMNS,
     EvalRow,
     choose_gamma,
     evaluate,
     gamma_sweep,
-    read_report_csv,
     write_report_csv,
 )
 from actmon.monitor import build
-from actmon.patterns import identity_selection
+from actmon.patterns import binarize, identity_selection
 from actmon.traces import TraceRecord
 
 
@@ -141,6 +141,20 @@ class TestGammaSweep:
         sparse = gamma_sweep(train, evals, identity_selection(8), [0, 2])
         assert sparse == [dense[0], dense[2]]
 
+    def test_each_eval_record_binarized_once(self, monkeypatch):
+        train = self._traces(51, 40)
+        evals = self._traces(52, 50)
+        seen = []
+
+        def counting(activations, selection):
+            seen.append(1)
+            return binarize(activations, selection)
+
+        # the sweep looks binarize up on the patterns module
+        monkeypatch.setattr(patterns, "binarize", counting)
+        rows = gamma_sweep(train, evals, identity_selection(8), [0, 1, 2, 3])
+        assert len(rows) == 4 and len(seen) == len(evals)
+
     def test_unsorted_gammas_rejected(self):
         train = self._traces(41, 10)
         with pytest.raises(ValueError, match="ascending"):
@@ -235,8 +249,3 @@ class TestReportCsv:
         assert lines[0] == ",".join(REPORT_COLUMNS)
         assert lines[1] == "0,100,10,0.100000,3,0.300000,0.050000,0"
         assert lines[2] == "1,100,0,0.000000,0,,0.050000,2"
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "report.csv"
-        write_report_csv(path, self.ROWS)
-        assert read_report_csv(path) == self.ROWS

@@ -326,6 +326,14 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             load_monitor(path)
 
+    @pytest.mark.parametrize("blob", [b"\x00\x01 not json", b"\xff\xfe{}"],
+                             ids=["garbage", "not-utf8"])
+    def test_non_json_file_is_schema_error(self, tmp_path, blob):
+        path = tmp_path / "monitor.json"
+        path.write_bytes(blob)
+        with pytest.raises(SchemaError, match="monitor file is not valid"):
+            load_monitor(path)
+
     def test_version_mismatch(self, tmp_path):
         mon = self._monitor()
         path = tmp_path / "monitor.json"
@@ -350,6 +358,8 @@ class TestPersistence:
         ("selection.layer", 0.5),
         ("selection.layer_width", 6.7),
         ("selection.indices", [0.2, 1.9, "2", 3, 4, 5]),
+        ("selection.scores", ["1.5", 0.0, 0.0, 0.0, 0.0, 0.0]),
+        ("selection.scores", [0.0, 0.0, True, 0.0, 0.0, 0.0]),
     ])
     def test_inexact_or_contradicting_field(self, path, value):
         data = monitor_to_dict(self._monitor())

@@ -260,6 +260,19 @@ class TestModelFiles:
         assert (tmp_path / "a.json").read_bytes() \
             == (tmp_path / "b.json").read_bytes()
 
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        rng = np.random.default_rng(33)
+        model = random_model(rng, (3, 6, 4))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        old = path.read_bytes()
+        # a set is not JSON; json.dump has written the layers by then
+        model.metadata["tags"] = {"a"}
+        with pytest.raises(TypeError):
+            save_model(model, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"version": 9, "layers": []}))

@@ -64,6 +64,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="width"):
             write_traces(tmp_path / "t.jsonl", header, sample_records(width=4))
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = sample_records()
+        records[1].activations = records[1].activations[:3]
+        with pytest.raises(ValueError, match="width"):
+            write_traces(path, TraceHeader(1, 4, 3), records)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"id":"s0","true_label":0,"pred_label":0,'
