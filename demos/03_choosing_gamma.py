@@ -2,8 +2,9 @@
 """How coarse should the monitor be?  Sweeping the Hamming budget.
 
 Zones built only from literally-seen patterns flag too eagerly; zones
-enlarged too far flag nothing.  This demo sweeps gamma over one family of
-nested monitors and prints the two competing rates per level: how often
+enlarged too far flag nothing.  This demo sweeps gamma, reading every
+level off each validation record's Hamming distance to the gamma-0 zone of
+its predicted class, and prints the two competing rates per level: how often
 the monitor warns, and how often its warnings coincide with an actual
 misclassification.  The stopping rule then picks the smallest gamma whose
 warnings are both rare and precise.

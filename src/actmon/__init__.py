@@ -40,7 +40,6 @@ from .monitor import (
     Verdict,
     build,
     load_monitor,
-    nested_monitors,
     query,
     save_monitor,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "load_model",
     "load_monitor",
     "make_blobs",
-    "nested_monitors",
     "query",
     "read_traces",
     "save_model",

@@ -6,8 +6,9 @@ Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
 handful of operations the monitor construction needs: encoding a set of
 patterns in one pass, union, growth by Hamming distance 1, existential
-quantification over one variable, membership evaluation, exact model
-counting, small-width enumeration, and a deterministic plain-data form
+quantification over one variable, membership evaluation, the Hamming
+distance from a pattern to a set, exact model counting, small-width
+enumeration, and a deterministic plain-data form
 (:meth:`BddStore.to_dict`, :func:`from_dict`) that monitor files embed;
 reading and writing files is the caller's job.
 
@@ -19,8 +20,8 @@ root to terminal).
 Lifecycle: a store is created mutable ("build phase", single writer).
 After :meth:`BddStore.freeze` all node-creating operations raise
 :class:`~actmon.errors.FrozenStoreError`; the read operations
-(``contains``, ``sat_count``, ``enumerate_patterns``) never mutate shared
-state and may run concurrently on a frozen store.
+(``contains``, ``distance``, ``sat_count``, ``enumerate_patterns``) never
+mutate shared state and may run concurrently on a frozen store.
 """
 
 from __future__ import annotations
@@ -260,6 +261,32 @@ class BddStore:
             visits += 1
             node = self._high[node] if bits[self._var[node]] else self._low[node]
         return node == TRUE, visits
+
+    def distance(self, a: BddRef, bits: Sequence[int], cap: int) -> int:
+        """Least Hamming distance from ``bits`` to a member of ``a``, or
+        ``cap`` if no member is closer (the empty set gives ``cap``).  A
+        depth-first search: the matching branch first, a flipped branch only
+        while it can still beat the best distance found, so at ``cap`` 1 it
+        is the :meth:`contains` walk."""
+        node = self._check_ref(a)
+        self._check_pattern(bits)
+        var, low, high = self._var, self._low, self._high
+        best = cap
+        stack = [(node, 0)]
+        while stack and best:
+            node, used = stack.pop()
+            if used >= best:
+                continue
+            while node > TRUE:
+                if bits[var[node]]:
+                    node, other = high[node], low[node]
+                else:
+                    node, other = low[node], high[node]
+                if used + 1 < best:
+                    stack.append((other, used + 1))
+            if node == TRUE:
+                best = used
+        return best
 
     def sat_count(self, a: BddRef) -> int:
         """Exact number of ``n_vars``-bit patterns in the denoted set."""

@@ -123,6 +123,9 @@ def cmd_build(args) -> None:
 def cmd_query(args) -> None:
     mon = monitor_mod.load_monitor(args.monitor)
     header, records = read_traces(args.traces)
+    if header.layer != mon.selection.layer:
+        raise ValueError(f"trace layer {header.layer} does not match "
+                         f"monitor layer {mon.selection.layer}")
     verdicts = [monitor_mod.query(mon, r.activations, r.pred_label)
                 for r in records]
     counts = {v: verdicts.count(v) for v in monitor_mod.Verdict}
@@ -145,6 +148,10 @@ def cmd_sweep(args) -> None:
         raise ValueError(
             f"eval trace width {eval_header.width} does not match "
             f"training trace width {header.width}")
+    if eval_header.layer != header.layer:
+        raise ValueError(
+            f"eval trace layer {eval_header.layer} does not match "
+            f"training trace layer {header.layer}")
     classes = _parse_int_list(args.classes) if args.classes else None
     gammas = _parse_gammas(args.gamma)
     selection = _make_selection(args, header, train, classes)
@@ -220,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="verdict JSONL output")
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("sweep", help="evaluate nested monitors across "
-                       "gamma levels")
+    p = sub.add_parser("sweep", help="report warning rates across gamma "
+                       "levels from gamma-0 zone distances")
     p.add_argument("--traces", required=True, help="training traces")
     p.add_argument("--eval", required=True, help="labeled evaluation traces")
     p.add_argument("--gamma", required=True,

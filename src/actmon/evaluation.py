@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from . import patterns
 from .errors import replace_on_success
-from .monitor import Monitor, Verdict, judge, nested_monitors
+from .monitor import Monitor, Verdict, _zero_zones, query
 from .traces import TraceRecord
 
 
@@ -58,19 +58,18 @@ class GammaChoice:
 def evaluate(monitor: Monitor, eval_traces: Sequence[TraceRecord]) -> EvalRow:
     """Compute one report row for a monitor on labeled traces."""
     traces = list(eval_traces)
-    return _report_row(monitor, traces, [
-        patterns.binarize(r.activations, monitor.selection) for r in traces])
+    return _report_row(monitor.gamma, traces, [
+        query(monitor, r.activations, r.pred_label) for r in traces])
 
 
-def _report_row(monitor: Monitor, traces: list, bits: list) -> EvalRow:
-    """:func:`evaluate` on ``traces`` whose patterns are ``bits``."""
+def _report_row(gamma: int, traces: list, verdicts: list) -> EvalRow:
+    """The report row of ``traces`` whose verdicts are ``verdicts``."""
     if not traces:
         raise ValueError("cannot evaluate on an empty trace set")
     n_out = n_out_mis = n_nozone = n_mis = 0
-    for record, pattern in zip(traces, bits):
+    for record, verdict in zip(traces, verdicts):
         misclassified = record.pred_label != record.true_label
         n_mis += misclassified
-        verdict = judge(monitor, pattern, record.pred_label)
         if verdict is Verdict.NO_ZONE:
             n_nozone += 1
         elif verdict is Verdict.OUT_OF_ZONE:
@@ -79,7 +78,7 @@ def _report_row(monitor: Monitor, traces: list, bits: list) -> EvalRow:
     n_total = len(traces)
     n_judged = n_total - n_nozone
     return EvalRow(
-        gamma=monitor.gamma,
+        gamma=gamma,
         n_total=n_total,
         n_out_of_pattern=n_out,
         out_rate=n_out / n_judged if n_judged else None,
@@ -95,20 +94,31 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
                 selection: patterns.NeuronSelection,
                 gammas: Sequence[int],
                 classes: Iterable[int] | None = None) -> list[EvalRow]:
-    """Evaluate one family of nested monitors at several gamma levels.
-
-    The monitors come from :func:`~actmon.monitor.nested_monitors`, so each
-    level's zones contain the previous level's, and the reported warning
-    rate is non-increasing in gamma.  Each eval record is binarized once.
+    """Report rows of the monitors :func:`~actmon.monitor.build` would make
+    at each of ``gammas``, growing no zone: the zones are nested, so a
+    record is outside the gamma zone iff its Hamming distance to the gamma-0
+    zone of its predicted class exceeds gamma.  Each eval record is
+    binarized and searched once, capped at ``max(gammas) + 1``, so the cost
+    does not grow with gamma; the warning rate is non-increasing in it.
     """
+    gammas = list(gammas)
+    if not gammas or any(g < 0 for g in gammas):
+        raise ValueError("gammas must be a nonempty list of levels >= 0")
+    if sorted(set(gammas)) != gammas:
+        raise ValueError("gammas must be strictly ascending")
+    store, zones = _zero_zones(traces_train, selection, classes)
     traces = list(traces_eval)
-    bits = [patterns.binarize(r.activations, selection) for r in traces]
-    rows = []
-    # a plain loop, not a comprehension, so that the generator's build-time
-    # warnings point at this function's caller
-    for monitor in nested_monitors(traces_train, selection, gammas, classes):
-        rows.append(_report_row(monitor, traces, bits))
-    return rows
+    cap = gammas[-1] + 1
+    dists = []
+    for record in traces:
+        pattern = patterns.binarize(record.activations, selection)
+        root = zones.get(record.pred_label)
+        dists.append(None if root is None
+                     else store.distance(root, pattern, cap))
+    return [_report_row(gamma, traces, [
+        Verdict.NO_ZONE if d is None
+        else Verdict.OUT_OF_ZONE if d > gamma else Verdict.IN_ZONE
+        for d in dists]) for gamma in gammas]
 
 
 def choose_gamma(report: Sequence[EvalRow], min_precision: float = 0.3,

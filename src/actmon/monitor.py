@@ -6,7 +6,10 @@ produced by training samples that the network classified correctly.  The
 zone can then be enlarged ``gamma`` times; each round adds every pattern
 within Hamming distance 1 of the current zone (``BddStore.grow``).  At
 runtime, an input whose pattern is missing from the zone of the predicted
-class is flagged as outside the network's experience.
+class is flagged as outside the network's experience.  The zones are
+nested, so a pattern is outside the gamma zone exactly when its Hamming
+distance to the gamma-0 zone exceeds gamma; the gamma sweep reads every
+level off that one distance (``BddStore.distance``) and grows nothing.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -19,7 +22,7 @@ import enum
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import bdd
 from .bdd import BddRef, BddStore
@@ -58,31 +61,23 @@ class Monitor:
         return self.selection.width
 
 
-def nested_monitors(traces: Sequence[TraceRecord],
-                    selection: NeuronSelection, gammas: Sequence[int],
-                    classes: Iterable[int] | None = None) -> Iterator[Monitor]:
-    """Monitors at ascending enlargement levels, built from training traces.
+def _zero_zones(traces: Sequence[TraceRecord], selection: NeuronSelection,
+                classes: Iterable[int] | None
+                ) -> tuple[BddStore, dict[int, BddRef]]:
+    """A new store and the gamma-0 zone of each monitored class.
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
     ground-truth label *and* the network predicted ``c``; misclassified
-    records and records of unmonitored classes are skipped entirely.  The
-    gamma-0 zones are built once and enlarged incrementally, so the yielded
-    monitors form a chain (each level's zones contain the previous
-    level's).  All of them share one store, which stays mutable: freeze it
-    only after taking the last monitor.
+    records and records of unmonitored classes are skipped entirely.
 
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
-    (it will flag every query) and a build-time warning.
+    (it will flag every query) and a warning pointing at the caller of
+    :func:`build` or :func:`~actmon.evaluation.gamma_sweep`.
     """
     traces = list(traces)
-    gammas = list(gammas)
     if not traces:
         raise ValueError("cannot build a monitor from zero traces")
-    if not gammas or any(g < 0 for g in gammas):
-        raise ValueError("gammas must be a nonempty list of levels >= 0")
-    if sorted(set(gammas)) != gammas:
-        raise ValueError("gammas must be strictly ascending")
     class_list = sorted({r.true_label for r in traces}
                         if classes is None else set(classes))
     if not class_list:
@@ -100,38 +95,30 @@ def nested_monitors(traces: Sequence[TraceRecord],
                 f"class {c}: no correctly classified training record; "
                 f"its zone is empty and will flag every query",
                 stacklevel=3)
-    roots = {c: store.encode_set(seen[c]) for c in class_list}
-
-    for level in range(gammas[-1] + 1):
-        if level:
-            roots = {c: store.grow(root) for c, root in roots.items()}
-        if level in gammas:
-            yield Monitor(selection=selection, gamma=level, store=store,
-                          zones=roots)
+    return store, {c: store.encode_set(seen[c]) for c in class_list}
 
 
 def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
           gamma: int, classes: Iterable[int] | None = None) -> Monitor:
-    """Build a monitor at enlargement level ``gamma`` from training traces,
-    as :func:`nested_monitors` does, and freeze its store."""
-    (monitor,) = nested_monitors(traces, selection, [gamma], classes)
-    monitor.store.freeze()
-    return monitor
+    """Build a monitor from training traces: the gamma-0 zones, grown
+    ``gamma`` times, in a frozen store."""
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    store, zones = _zero_zones(traces, selection, classes)
+    for _ in range(gamma):
+        zones = {c: store.grow(root) for c, root in zones.items()}
+    store.freeze()
+    return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
 
 
 def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
-    """Judge one runtime sample: :func:`judge` on its pattern."""
-    return judge(monitor, binarize(activations, monitor.selection),
-                 pred_label)
-
-
-def judge(monitor: Monitor, pattern, pred_label: int) -> Verdict:
-    """Judge a binarized pattern against the predicted class's zone.
+    """Judge one runtime sample against the predicted class's zone.
 
     Only the predicted class is consulted; membership in another class's
     zone says nothing about this decision.  An unmonitored predicted class
     yields ``NO_ZONE`` rather than a warning.
     """
+    pattern = binarize(activations, monitor.selection)
     root = monitor.zones.get(pred_label)
     if root is None:
         return Verdict.NO_ZONE

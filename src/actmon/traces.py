@@ -60,6 +60,10 @@ def write_traces(path, header: TraceHeader, records) -> None:
                 raise ValueError(
                     f"record {record.id!r}: activation width {acts.shape} "
                     f"does not match header width {header.width}")
+            for label in (record.true_label, record.pred_label):
+                if not 0 <= label < header.classes:
+                    raise ValueError(f"record {record.id!r}: label {label} "
+                                     f"outside 0..{header.classes - 1}")
             line = {
                 "id": record.id,
                 "true_label": record.true_label,

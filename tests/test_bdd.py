@@ -12,6 +12,7 @@ import random
 import pytest
 
 from actmon import bdd
+from actmon.patterns import hamming
 from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
 
 
@@ -276,6 +277,71 @@ class TestContains:
         store = bdd.BddStore(3)
         with pytest.raises(ValueError, match="width"):
             store.contains(store.encode_set([]), tup("01"))
+
+
+class TestDistance:
+    """distance against a brute-force minimum of hamming over the members."""
+
+    def test_equals_brute_force_minimum(self):
+        rng = random.Random(1729)
+        for n in range(1, 13):
+            for trial in range(6):
+                distinct = list(random_patterns(rng, n, rng.randint(0, 30)))
+                with_dups = distinct + rng.choices(distinct, k=len(distinct))
+                rng.shuffle(with_dups)
+                store = bdd.BddStore(n)
+                zone = store.encode_set(with_dups)
+                if trial % 2:  # a grown zone skips variables
+                    zone = store.grow(zone)
+                members = store.enumerate_patterns(zone)
+                for bits in list(random_patterns(rng, n, 20)) + distinct[:5]:
+                    nearest = min((hamming(bits, q) for q in members),
+                                  default=float("inf"))
+                    for cap in range(1, 5):
+                        assert store.distance(zone, bits, cap) \
+                            == min(nearest, cap)
+
+    def test_empty_set_gives_cap(self):
+        store = bdd.BddStore(6)
+        for cap in range(1, 5):
+            assert store.distance(store.encode_set([]), (1,) * 6, cap) == cap
+
+    def test_cap_one_is_membership(self):
+        rng = random.Random(42)
+        store = bdd.BddStore(8)
+        zone = store.encode_set(random_patterns(rng, 8, 25))
+        for bits in all_patterns(8):
+            assert (store.distance(zone, bits, 1) == 0) \
+                == store.contains(zone, bits)
+
+    def test_terminals(self):
+        store = bdd.BddStore(4)
+        true = store.encode_set(all_patterns(4))
+        false = store.encode_set([])
+        assert true.node == bdd.TRUE and false.node == bdd.FALSE
+        assert store.distance(true, tup("1010"), 3) == 0
+        assert store.distance(false, tup("1010"), 3) == 3
+
+    def test_cross_store_rejected(self):
+        s1, s2 = bdd.BddStore(3), bdd.BddStore(3)
+        with pytest.raises(ValueError, match="different store"):
+            s1.distance(s2.encode_set([tup("001")]), tup("001"), 2)
+
+    @pytest.mark.parametrize("bits", [tup("01"), tup("0111"), (0, 2, 1)])
+    def test_malformed_pattern_rejected(self, bits):
+        store = bdd.BddStore(3)
+        with pytest.raises(ValueError):
+            store.distance(store.encode_set([tup("001")]), bits, 2)
+
+    def test_frozen_store_at_max_vars(self):
+        n = bdd.MAX_VARS
+        with pytest.warns(UserWarning, match="impractical"):
+            store = bdd.BddStore(n)
+        zone = store.encode_set([(0,) * n, (1,) * n])
+        store.freeze()
+        for ones in (0, 1, 3, 5, n - 2, n):
+            bits = (1,) * ones + (0,) * (n - ones)
+            assert store.distance(zone, bits, 5) == min(ones, n - ones, 5)
 
 
 class TestSatCount:

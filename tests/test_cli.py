@@ -45,6 +45,17 @@ def pipeline(tmp_path_factory):
     return paths
 
 
+def as_layer_zero(traces, tmp_path):
+    """A copy of a layer-1 trace file whose header names layer 0: same
+    width and records, another layer."""
+    lines = traces.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["layer"] = 0
+    other = tmp_path / "relabeled.jsonl"
+    other.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    return other
+
+
 class TestPipeline:
     def test_artifacts_exist(self, pipeline):
         for path in pipeline.values():
@@ -217,6 +228,30 @@ class TestErrors:
         assert code == 1
         assert "width" in capsys.readouterr().err
 
+    def test_query_traces_from_another_layer(self, pipeline, tmp_path,
+                                             capsys):
+        other = as_layer_zero(pipeline["eval"], tmp_path)
+        out = tmp_path / "v.jsonl"
+        code = main(["query", "--monitor", str(pipeline["monitor"]),
+                     "--traces", str(other), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: trace layer 0 does not match "
+                              "monitor layer 1")
+        assert not out.exists()
+
+    def test_sweep_eval_traces_from_another_layer(self, pipeline, tmp_path,
+                                                  capsys):
+        other = as_layer_zero(pipeline["eval"], tmp_path)
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--traces", str(pipeline["train"]),
+                     "--eval", str(other), "--gamma", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: eval trace layer 0 does not match "
+                              "training trace layer 1")
+        assert not out.exists()
+
     def test_sweep_with_empty_class_list(self, pipeline, tmp_path, capsys):
         code = main(["sweep", "--traces", str(pipeline["train"]),
                      "--eval", str(pipeline["eval"]), "--gamma", "1",
@@ -262,6 +297,20 @@ class TestDatasetFile:
                      "--layer", "1", "--data", str(data),
                      "--out", str(tmp_path / "t.jsonl")])
         assert code == 1
+
+    def test_label_outside_model_classes(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({
+            "inputs": [[0.0, 1.0], [5.0, 5.0]],
+            "labels": [0, 7],
+        }))
+        out = tmp_path / "traces.jsonl"
+        code = main(["extract", "--model", str(pipeline["model"]),
+                     "--layer", "1", "--data", str(data), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: record 's1': label 7 outside 0..2")
+        assert not out.exists()
 
     @pytest.mark.parametrize("labels", [[1.9, True, 0], [0, 2 ** 70, 1]],
                              ids=["inexact", "beyond-int64"])

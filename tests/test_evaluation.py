@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from actmon import patterns
+from actmon.bdd import BddStore
 from actmon.evaluation import (
     REPORT_COLUMNS,
     EvalRow,
@@ -154,6 +155,78 @@ class TestGammaSweep:
         monkeypatch.setattr(patterns, "binarize", counting)
         rows = gamma_sweep(train, evals, identity_selection(8), [0, 1, 2, 3])
         assert len(rows) == 4 and len(seen) == len(evals)
+
+    @pytest.mark.filterwarnings("ignore:class 2")
+    def test_every_level_equals_a_built_monitor(self):
+        # class 2 has no correctly classified training record (empty zone),
+        # and eval records predicted as class 3 have no zone at all
+        rng = np.random.default_rng(61)
+        train = [rec(t, t if t < 2 else 0,
+                     rng.integers(0, 2, 8).astype(float), f"t{i}")
+                 for i, t in enumerate(rng.integers(0, 3, 50))]
+        evals = [rec(int(rng.integers(0, 4)), int(rng.integers(0, 4)),
+                     rng.integers(0, 2, 8).astype(float), f"e{i}")
+                 for i in range(120)]
+        sel = identity_selection(8)
+        rows = gamma_sweep(train, evals, sel, [0, 1, 2, 3], classes=[0, 1, 2])
+        assert rows == [evaluate(build(train, sel, g, classes=[0, 1, 2]),
+                                 evals) for g in range(4)]
+        assert rows[0].n_nozone > 0 and rows[-1].n_out_of_pattern > 0
+
+    def test_grows_no_zone(self, monkeypatch):
+        train = self._traces(71, 40)
+        evals = self._traces(72, 50)
+        expected = gamma_sweep(train, evals, identity_selection(8), [0, 2, 3])
+
+        def refuse(store, a):
+            raise AssertionError("the sweep must not grow a zone")
+
+        monkeypatch.setattr(BddStore, "grow", refuse)
+        rows = gamma_sweep(train, evals, identity_selection(8), [0, 2, 3])
+        assert rows == expected and [r.gamma for r in rows] == [0, 2, 3]
+
+    def test_wide_sweep_matches_popcount_reference(self):
+        # K=64, 4 classes of noisy prototypes; distances from a packed
+        # XOR/popcount over every training pattern of the predicted class
+        rng = np.random.default_rng(81)
+        k, gammas = 64, [0, 1, 2, 3]
+        protos = rng.integers(0, 2, (4, k), dtype=np.uint8)
+
+        def noisy(count, flip, wrong):
+            true = rng.integers(0, 4, count)
+            pred = np.where(rng.random(count) < wrong,
+                            rng.integers(0, 4, count), true)
+            bits = protos[true] ^ (rng.random((count, k)) < flip)
+            return true, pred, bits
+
+        def records(true, pred, bits, tag):
+            return [rec(int(t), int(p), b.astype(float), f"{tag}{i}")
+                    for i, (t, p, b) in enumerate(zip(true, pred, bits))]
+
+        t_true, t_pred, t_bits = noisy(2000, 0.03, 0.1)
+        e_true, e_pred, e_bits = noisy(600, 0.06, 0.2)
+        rows = gamma_sweep(records(t_true, t_pred, t_bits, "t"),
+                           records(e_true, e_pred, e_bits, "e"),
+                           identity_selection(k), gammas)
+
+        def words(bits):
+            return np.packbits(bits, axis=1).view(np.uint64)
+
+        t_words, e_words = words(t_bits), words(e_bits)
+        dist = np.empty(len(e_bits), dtype=np.int64)
+        for c in range(4):
+            zone = t_words[(t_true == c) & (t_pred == c)]
+            mine = e_pred == c
+            dist[mine] = np.bitwise_count(
+                e_words[mine][:, None, :] ^ zone[None, :, :]
+            ).sum(axis=2).min(axis=1)
+        mis = e_true != e_pred
+        for row, gamma in zip(rows, gammas):
+            out = dist > gamma
+            assert (row.gamma, row.n_out_of_pattern, row.n_out_misclassified,
+                    row.n_nozone) == (gamma, int(out.sum()),
+                                      int((out & mis).sum()), 0)
+        assert rows[0].n_out_of_pattern > rows[-1].n_out_of_pattern > 0
 
     def test_unsorted_gammas_rejected(self):
         train = self._traces(41, 10)

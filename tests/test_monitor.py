@@ -179,7 +179,7 @@ class TestBuild:
             build([], identity_selection(2), gamma=0)
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
+        with pytest.raises(ValueError, match="gamma must be >= 0, got -1"):
             build([pattern_trace(0, 0, (0, 1))],
                   identity_selection(2), gamma=-1)
 

@@ -74,6 +74,18 @@ class TestValidation:
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("field, value", [
+        ("true_label", 3), ("pred_label", 7), ("true_label", -1)])
+    def test_label_checked_on_write(self, tmp_path, field, value):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = sample_records()
+        setattr(records[2], field, value)
+        with pytest.raises(ValueError, match=f"label {value} outside 0..2"):
+            write_traces(path, TraceHeader(1, 4, 3), records)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"id":"s0","true_label":0,"pred_label":0,'
