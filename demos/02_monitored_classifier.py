@@ -14,32 +14,17 @@ import collections
 from actmon import (
     Verdict,
     build,
-    decide,
-    forward,
+    extract,
     identity_selection,
     make_blobs,
     query,
     train_toy,
 )
 from actmon.network import BLOB_STD
-from actmon.traces import TraceRecord
 
 SEED = 0
 LAYER = 1  # second hidden ReLU layer; close to the output
 GAMMA = 1
-
-
-def extract(model, xs, ys, tag):
-    records = []
-    for i, (row, label) in enumerate(zip(xs, ys)):
-        trace = forward(model, row)
-        records.append(TraceRecord(
-            id=f"{tag}{i}",
-            true_label=int(label),
-            pred_label=decide(trace.final),
-            activations=trace.outputs[LAYER],
-        ))
-    return records
 
 
 def watch(monitor, records, label):
@@ -64,7 +49,7 @@ print(f"training a 2-16-14-3 network on blobs (seed {SEED})...")
 x_train, y_train = make_blobs(seed=SEED, per_class=500)
 model = train_toy(x_train, y_train, seed=SEED)
 
-train_records = extract(model, x_train, y_train, "t")
+_, train_records = extract(model, x_train, y_train, LAYER)
 correct = sum(r.true_label == r.pred_label for r in train_records)
 print(f"training accuracy: {correct / len(train_records):.1%}")
 
@@ -78,8 +63,10 @@ for c in monitor.classes:
 
 print()
 x_eval, y_eval = make_blobs(seed=SEED + 5000, per_class=300)
-watch(monitor, extract(model, x_eval, y_eval, "e"), "familiar inputs:")
+_, eval_records = extract(model, x_eval, y_eval, LAYER)
+watch(monitor, eval_records, "familiar inputs:")
 
 x_shift, y_shift = make_blobs(seed=SEED + 9000, per_class=300,
                               offset=2.0 * BLOB_STD)
-watch(monitor, extract(model, x_shift, y_shift, "s"), "shifted inputs (2 sd):")
+_, shift_records = extract(model, x_shift, y_shift, LAYER)
+watch(monitor, shift_records, "shifted inputs (2 sd):")

@@ -12,42 +12,27 @@ warnings are both rare and precise.
 
 from actmon import (
     choose_gamma,
-    decide,
-    forward,
+    extract,
     gamma_sweep,
     identity_selection,
     make_blobs,
     train_toy,
 )
 from actmon.network import BLOB_STD
-from actmon.traces import TraceRecord
 
 SEED = 4
 LAYER = 1
 
 
-def extract(model, xs, ys, tag):
-    records = []
-    for i, (row, label) in enumerate(zip(xs, ys)):
-        trace = forward(model, row)
-        records.append(TraceRecord(
-            id=f"{tag}{i}",
-            true_label=int(label),
-            pred_label=decide(trace.final),
-            activations=trace.outputs[LAYER],
-        ))
-    return records
-
-
 x_train, y_train = make_blobs(seed=SEED, per_class=500)
 model = train_toy(x_train, y_train, seed=SEED)
-train_records = extract(model, x_train, y_train, "t")
+_, train_records = extract(model, x_train, y_train, LAYER)
 
 # a mildly shifted validation stream: some unfamiliar patterns, some
 # genuine mistakes
 x_val, y_val = make_blobs(seed=SEED + 9000, per_class=400,
                           offset=2.0 * BLOB_STD)
-val_records = extract(model, x_val, y_val, "v")
+_, val_records = extract(model, x_val, y_val, LAYER)
 
 selection = identity_selection(model.layer_width(LAYER), layer=LAYER)
 rows = gamma_sweep(train_records, val_records, selection, [0, 1, 2, 3])

@@ -13,15 +13,13 @@ import numpy as np
 
 from actmon import (
     build,
-    decide,
-    forward,
+    extract,
     identity_selection,
     make_blobs,
     score_neurons,
     select_top_fraction,
     train_toy,
 )
-from actmon.traces import TraceRecord
 
 SEED = 1
 LAYER = 1
@@ -30,15 +28,7 @@ WATCHED_CLASS = 2
 x_train, y_train = make_blobs(seed=SEED, per_class=500)
 model = train_toy(x_train, y_train, seed=SEED)
 
-records = []
-for i, (row, label) in enumerate(zip(x_train, y_train)):
-    trace = forward(model, row)
-    records.append(TraceRecord(
-        id=f"t{i}",
-        true_label=int(label),
-        pred_label=decide(trace.final),
-        activations=trace.outputs[LAYER],
-    ))
+_, records = extract(model, x_train, y_train, LAYER)
 
 scores = score_neurons(model, records, LAYER, WATCHED_CLASS)
 against = np.abs(model.layers[-1].weights[:, WATCHED_CLASS])

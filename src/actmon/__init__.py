@@ -28,13 +28,18 @@ from .network import (
     ModelSpec,
     decide,
     forward,
-    layer_gradient,
     load_model,
     make_blobs,
     save_model,
     train_toy,
 )
-from .traces import TraceHeader, TraceRecord, read_traces, write_traces
+from .traces import (
+    TraceHeader,
+    TraceRecord,
+    extract,
+    read_traces,
+    write_traces,
+)
 from .monitor import (
     Monitor,
     Verdict,
@@ -76,11 +81,11 @@ __all__ = [
     "choose_gamma",
     "decide",
     "evaluate",
+    "extract",
     "forward",
     "gamma_sweep",
     "hamming",
     "identity_selection",
-    "layer_gradient",
     "load_model",
     "load_monitor",
     "make_blobs",

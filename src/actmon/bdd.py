@@ -39,7 +39,9 @@ TRUE = 1
 SERIAL_VERSION = 1
 
 # bdd packages get impractical somewhere in the low hundreds of variables;
-# the recursive operations also stay well inside Python's recursion limit here
+# each recursive call goes one variable deeper, so at this cap an operation
+# needs at most 259 frames beyond its caller's, well inside Python's default
+# recursion limit of 1000
 MAX_VARS = 256
 VAR_WARN_THRESHOLD = 200
 

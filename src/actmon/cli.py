@@ -17,7 +17,7 @@ from . import evaluation, monitor as monitor_mod, network
 from .errors import (ActmonError, SchemaError, exact_int, read_json,
                      replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
-from .traces import TraceHeader, TraceRecord, read_traces, write_traces
+from .traces import extract, read_traces, write_traces
 
 
 def cmd_train_toy(args) -> None:
@@ -49,23 +49,8 @@ def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_extract(args) -> None:
     model = network.load_model(args.model)
-    if not model.is_relu_layer(args.layer):
-        raise ValueError(f"layer {args.layer} is not a ReLU layer")
     x, y = _load_dataset(args)
-    records = []
-    for i, (row, label) in enumerate(zip(x, y)):
-        trace = network.forward(model, row)
-        records.append(TraceRecord(
-            id=f"s{i}",
-            true_label=int(label),
-            pred_label=network.decide(trace.final),
-            activations=trace.outputs[args.layer],
-        ))
-    header = TraceHeader(
-        layer=args.layer,
-        width=model.layer_width(args.layer),
-        classes=model.class_count,
-    )
+    header, records = extract(model, x, y, args.layer)
     write_traces(args.out, header, records)
     print(f"wrote {len(records)} traces to {args.out} "
           f"(layer {args.layer}, width {header.width})")
@@ -89,8 +74,11 @@ def _parse_gammas(text: str) -> list[int]:
 def _make_selection(args, header, records, classes):
     """Selection for build/sweep: gradient-ranked when a model is given,
     identity order otherwise."""
+    fraction = 1.0 if args.select_frac is None else args.select_frac
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if args.model is None:
-        if args.select_frac is not None and args.select_frac < 1.0:
+        if fraction < 1.0:
             raise ValueError(
                 "--select-frac below 1.0 needs --model for gradient scores")
         return identity_selection(header.width, layer=header.layer)
@@ -105,7 +93,6 @@ def _make_selection(args, header, records, classes):
     # one shared store needs one variable order; averaging the per-class
     # scores keeps neurons that matter to any monitored class
     scores = np.mean(per_class, axis=0)
-    fraction = 1.0 if args.select_frac is None else args.select_frac
     return select_top_fraction(scores, fraction, layer=header.layer)
 
 

@@ -157,7 +157,8 @@ def save_monitor(monitor: Monitor, path) -> None:
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")
     with replace_on_success(path) as fh:
-        fh.write(json.dumps(monitor_to_dict(monitor), separators=(",", ":")))
+        fh.write(json.dumps(monitor_to_dict(monitor), separators=(",", ":"),
+                            allow_nan=False))
         fh.write("\n")
 
 

@@ -121,30 +121,22 @@ def decide(output) -> int:
     return int(np.argmax(scores))
 
 
-def layer_gradient(model: ModelSpec, inputs, layer: int, class_index: int) \
-        -> np.ndarray:
-    """Gradient of output score ``class_index`` w.r.t. layer ``layer``'s
-    post-ReLU outputs, by reverse-mode differentiation.
-
-    The ReLU subgradient at exactly zero is taken as zero, consistent with
-    zero activations counting as suppressed.
-    """
-    _check_gradient_args(model, layer, class_index)
-    trace = forward(model, inputs)
-    return gradient_from_activations(
-        model, trace.outputs[layer], layer, class_index)
-
-
 def gradient_from_activations(
         model: ModelSpec, activations, layer: int, class_index: int) \
         -> np.ndarray:
-    """Same as :func:`layer_gradient`, but starting from a recorded
-    activation vector of the monitored layer instead of a network input.
+    """Gradient of output score ``class_index`` w.r.t. layer ``layer``'s
+    post-ReLU outputs, by reverse-mode differentiation from a recorded
+    activation vector of that layer.
 
     The downstream layers fully determine this gradient, so a stored trace
-    is as good as the original input.
+    is as good as the original input.  The ReLU subgradient at exactly zero
+    is taken as zero, consistent with zero activations counting as
+    suppressed.
     """
-    _check_gradient_args(model, layer, class_index)
+    if not model.is_relu_layer(layer):
+        raise ValueError(f"layer {layer} is not a ReLU layer")
+    if not 0 <= class_index < model.class_count:
+        raise ValueError(f"class index {class_index} out of range")
     acts = np.asarray(activations, dtype=np.float64)
     if acts.shape != (model.layer_width(layer),):
         raise ValueError(
@@ -164,13 +156,6 @@ def gradient_from_activations(
             grad = grad * (z > 0.0)
         grad = lyr.weights @ grad
     return grad
-
-
-def _check_gradient_args(model: ModelSpec, layer: int, class_index: int):
-    if not model.is_relu_layer(layer):
-        raise ValueError(f"layer {layer} is not a ReLU layer")
-    if not 0 <= class_index < model.class_count:
-        raise ValueError(f"class index {class_index} out of range")
 
 
 # -- toy training -----------------------------------------------------------
@@ -296,7 +281,7 @@ def save_model(model: ModelSpec, path) -> None:
         "metadata": model.metadata,
     }
     with replace_on_success(path) as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=False)
+        json.dump(payload, fh, separators=(",", ":"), allow_nan=False)
         fh.write("\n")
 
 

@@ -6,21 +6,23 @@ neurons are monitored, and in which order they map to pattern bits (and
 hence BDD variables), is captured by a :class:`NeuronSelection`.
 
 Neuron choice is driven by gradient magnitudes: neurons whose output most
-influences the score of the class of interest are ranked first.  In the
-common setup where the monitored layer feeds a linear output layer, those
-magnitudes are exactly the absolute connecting weights and do not depend
-on any sample.
+influences the score of the class of interest are ranked first.  The
+gradients start from the activations stored in trace records, which
+:func:`actmon.traces.extract` makes from raw inputs.  In the common setup
+where the monitored layer feeds a linear output layer, those magnitudes
+are exactly the absolute connecting weights and do not depend on any
+sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import ModelSpec, forward, gradient_from_activations
+from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
 Pattern = tuple[int, ...]
@@ -91,15 +93,14 @@ def hamming(p: Sequence[int], q: Sequence[int]) -> int:
     return sum(a != b for a, b in zip(p, q))
 
 
-def score_neurons(model: ModelSpec, samples, layer: int, class_index: int) \
-        -> np.ndarray:
+def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],
+                  layer: int, class_index: int) -> np.ndarray:
     """Importance score of every neuron in ``layer`` for ``class_index``.
 
     Scores are mean absolute gradients of the class output score with
-    respect to the layer's post-ReLU outputs.  ``samples`` may be trace
-    records (their stored activations are used; records of other classes
-    are ignored, and correctly classified ones are preferred) or raw
-    network inputs (all are used as given).
+    respect to the layer's post-ReLU outputs, taken at the stored
+    activations of the trace records of that class.  Records of other
+    classes are ignored, and correctly classified ones are preferred.
 
     When ``layer`` feeds straight into the linear output layer, the
     gradient is the connecting weight column, independent of any sample;
@@ -109,28 +110,24 @@ def score_neurons(model: ModelSpec, samples, layer: int, class_index: int) \
         raise ValueError(f"layer {layer} is not a ReLU layer")
     if not 0 <= class_index < model.class_count:
         raise ValueError(f"class index {class_index} out of range")
-    samples = list(samples)
-    if not samples:
-        raise ValueError("empty sample set")
+    records = list(records)
+    if not records:
+        raise ValueError("empty record set")
 
     if layer == len(model.layers) - 2:
         return np.abs(model.layers[-1].weights[:, class_index])
 
-    if isinstance(samples[0], TraceRecord):
-        of_class = [r for r in samples if r.true_label == class_index]
-        if not of_class:
-            raise ValueError(f"no samples of class {class_index}")
-        correct = [r for r in of_class if r.pred_label == class_index]
-        chosen = correct or of_class
-        activations = [np.asarray(r.activations, float) for r in chosen]
-    else:
-        activations = [forward(model, row).outputs[layer] for row in samples]
+    of_class = [r for r in records if r.true_label == class_index]
+    if not of_class:
+        raise ValueError(f"no samples of class {class_index}")
+    correct = [r for r in of_class if r.pred_label == class_index]
+    chosen = correct or of_class
 
     total = np.zeros(model.layer_width(layer))
-    for acts in activations:
-        total += np.abs(
-            gradient_from_activations(model, acts, layer, class_index))
-    return total / len(activations)
+    for record in chosen:
+        total += np.abs(gradient_from_activations(
+            model, record.activations, layer, class_index))
+    return total / len(chosen)
 
 
 def select_top_fraction(scores, fraction: float, layer: int = 0) \

@@ -11,6 +11,8 @@ Every following line is one record::
 
 ``layer`` names the monitored layer, ``width`` its neuron count (the length
 of every activation vector), ``classes`` the number of classes.
+:func:`extract` makes the header and records by running a model over a
+dataset.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .errors import (FormatVersionError, SchemaError, exact_int,
                      replace_on_success)
+from .network import ModelSpec, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
 TRACE_VERSION = 1
@@ -42,6 +45,30 @@ class TraceRecord:
     true_label: int
     pred_label: int
     activations: np.ndarray
+
+
+def extract(model: ModelSpec, inputs, labels, layer: int) \
+        -> tuple[TraceHeader, list[TraceRecord]]:
+    """Run each input through ``model`` and record layer ``layer``.
+
+    Record ``i`` is ``s{i}``: ``labels[i]`` is its true label and the
+    model's decision its predicted label.  Returns the pair
+    :func:`read_traces` returns for the written file.  Inputs and labels
+    of different lengths raise ``ValueError``.
+    """
+    if not model.is_relu_layer(layer):
+        raise ValueError(f"layer {layer} is not a ReLU layer")
+    records = []
+    for i, (row, label) in enumerate(zip(inputs, labels, strict=True)):
+        trace = forward(model, row)
+        records.append(TraceRecord(
+            id=f"s{i}",
+            true_label=int(label),
+            pred_label=decide(trace.final),
+            activations=trace.outputs[layer],
+        ))
+    header = TraceHeader(layer, model.layer_width(layer), model.class_count)
+    return header, records
 
 
 def write_traces(path, header: TraceHeader, records) -> None:
@@ -70,7 +97,13 @@ def write_traces(path, header: TraceHeader, records) -> None:
                 "pred_label": record.pred_label,
                 "activations": acts.tolist(),
             }
-            fh.write(json.dumps(line, separators=(",", ":")) + "\n")
+            try:
+                text = json.dumps(line, separators=(",", ":"),
+                                  allow_nan=False)
+            except ValueError as exc:  # JSON has no NaN or infinity
+                raise ValueError(f"record {record.id!r}: non-finite "
+                                 f"activation value") from exc
+            fh.write(text + "\n")
 
 
 def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:

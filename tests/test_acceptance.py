@@ -22,15 +22,9 @@ from actmon.evaluation import (
     gamma_sweep,
 )
 from actmon.monitor import Verdict, build, load_monitor, query, save_monitor
-from actmon.network import (
-    BLOB_STD,
-    decide,
-    forward,
-    make_blobs,
-    train_toy,
-)
+from actmon.network import BLOB_STD, forward, make_blobs, train_toy
 from actmon.patterns import identity_selection, score_neurons
-from actmon.traces import TraceRecord
+from actmon.traces import TraceRecord, extract
 
 MONITORED_LAYER = 1
 
@@ -59,19 +53,6 @@ def int_ball(zone_ints, radius, n):
     return members
 
 
-def extract_records(model, xs, ys, tag):
-    records = []
-    for i, (row, label) in enumerate(zip(xs, ys)):
-        trace = forward(model, row)
-        records.append(TraceRecord(
-            id=f"{tag}{i}",
-            true_label=int(label),
-            pred_label=decide(trace.final),
-            activations=trace.outputs[MONITORED_LAYER],
-        ))
-    return records
-
-
 def toy_pipeline(seed, per_class_train=500, per_class_eval=300, offset=0.0):
     """Train on blobs(seed); return (model, train records, eval records)."""
     x, y = make_blobs(seed=seed, per_class=per_class_train)
@@ -79,8 +60,8 @@ def toy_pipeline(seed, per_class_train=500, per_class_eval=300, offset=0.0):
     xe, ye = make_blobs(seed=seed + 5000, per_class=per_class_eval,
                         offset=offset)
     return (model,
-            extract_records(model, x, y, "t"),
-            extract_records(model, xe, ye, "e"))
+            extract(model, x, y, MONITORED_LAYER)[1],
+            extract(model, xe, ye, MONITORED_LAYER)[1])
 
 
 # -- criteria -----------------------------------------------------------------
@@ -201,7 +182,7 @@ def test_c06_distribution_shift_trend():
         model, train_records, eval_in = toy_pipeline(seed=seed)
         xs, ys = make_blobs(seed=seed + 9000, per_class=300,
                             offset=2.0 * BLOB_STD)
-        eval_shifted = extract_records(model, xs, ys, "s")
+        _, eval_shifted = extract(model, xs, ys, MONITORED_LAYER)
         selection = identity_selection(
             model.layer_width(MONITORED_LAYER), layer=MONITORED_LAYER)
         mon = build(train_records, selection, gamma=0)
@@ -238,9 +219,10 @@ def test_c07_gradient_checks():
     # exact special case, independent of samples
     for _ in range(20):
         model = relu_chain(rng, (3, 7, 5))
-        sample = [rng.normal(size=3)]
+        x = rng.normal(size=3)
         for c in range(5):
-            scores = score_neurons(model, sample, layer=0, class_index=c)
+            _, records = extract(model, [x], [c], 0)
+            scores = score_neurons(model, records, layer=0, class_index=c)
             assert np.array_equal(
                 scores, np.abs(model.layers[-1].weights[:, c]))
 
@@ -253,7 +235,8 @@ def test_c07_gradient_checks():
         if np.min(np.abs(tail_preactivations(model, acts, 0))) <= 1e-3:
             continue  # too close to a ReLU kink
         c = int(rng.integers(0, 3))
-        scores = score_neurons(model, [x], layer=0, class_index=c)
+        _, records = extract(model, [x], [c], 0)
+        scores = score_neurons(model, records, layer=0, class_index=c)
         oracle = np.abs(fd_gradient(model, acts, 0, c))
         denom = max(float(np.linalg.norm(oracle)), 1e-12)
         rel = float(np.linalg.norm(scores - oracle)) / denom

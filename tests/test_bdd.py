@@ -8,6 +8,7 @@ force, independently of the BDD code under test.
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -516,19 +517,34 @@ class TestVariableCap:
             bdd.BddStore(bdd.MAX_VARS + 1)
 
     def test_recursion_safe_at_max_vars(self):
-        # the deepest recursion: cubes that share every bit but the last
+        # each recursive call goes one variable deeper, so an operation needs
+        # MAX_VARS frames plus a few; run them with only 16 frames to spare.
+        # The deepest recursion: cubes that share every bit but the last
         n = bdd.MAX_VARS
-        with pytest.warns(UserWarning, match="impractical"):
-            store = bdd.BddStore(n)
         low = (0,) * n
         high = (0,) * (n - 1) + (1,)
-        both = store.union(store.encode_set([low]), store.encode_set([high]))
-        assert store.exists(n - 1, both) == both
-        assert store.sat_count(both) == 2
-        # each cube's 257-pattern ball holds the other cube
-        assert store.sat_count(store.grow(both)) == 2 * (n + 1) - 2
-        with pytest.warns(UserWarning, match="impractical"):
-            loaded, roots = reload(store, {"0": both})
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + n + 16)
+        try:
+            with pytest.warns(UserWarning, match="impractical"):
+                store = bdd.BddStore(n)
+                both = store.union(store.encode_set([low]),
+                                   store.encode_set([high]))
+                assert store.exists(n - 1, both) == both
+                assert store.sat_count(both) == 2
+                # each cube's 257-pattern ball holds the other cube
+                ball = store.grow(both)
+                assert store.sat_count(ball) == 2 * (n + 1) - 2
+                # two radius-2 balls whose centres differ in one bit
+                ball2 = store.grow(ball)
+                assert store.sat_count(ball2) == 2 + n * (n - 1)
+                loaded, roots = reload(store, {"0": both, "1": ball2})
+                assert loaded.sat_count(roots["1"]) == 2 + n * (n - 1)
+        finally:
+            sys.setrecursionlimit(old_limit)
         assert loaded.sat_count(roots["0"]) == 2
         assert loaded.contains(roots["0"], high)
 

@@ -144,6 +144,20 @@ class TestSelection:
         assert code == 1
         assert "--model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    @pytest.mark.parametrize("fraction", ["5", "nan", "0", "-1"])
+    def test_select_frac_out_of_range_without_model(
+            self, pipeline, tmp_path, capsys, command, fraction):
+        out = tmp_path / "out"
+        args = [command, "--traces", str(pipeline["train"]), "--gamma", "0",
+                "--select-frac", fraction, "--out", str(out)]
+        if command == "sweep":
+            args += ["--eval", str(pipeline["eval"])]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"error: fraction must be in (0, 1], got {float(fraction)}\n")
+        assert not out.exists()
+
     def test_single_class_monitor(self, pipeline, tmp_path, capsys):
         mon = tmp_path / "monitor-c1.json"
         assert main(["build", "--traces", str(pipeline["train"]),

@@ -5,8 +5,10 @@ keep those within distance gamma of some member of an explicit zone set.
 Enlargement in the BDD must match it exactly.
 """
 
+import dataclasses
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -379,6 +381,17 @@ class TestPersistence:
                          store=BddStore(6), zones={})
         with pytest.raises(ValueError, match="frozen"):
             save_monitor(thawed, tmp_path / "m.json")
+
+    def test_non_finite_score_not_saved(self, tmp_path):
+        mon = self._monitor()
+        mon.selection = dataclasses.replace(
+            mon.selection, scores=(math.nan,) + mon.selection.scores[1:])
+        path = tmp_path / "m.json"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError, match="JSON"):
+            save_monitor(mon, path)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_loaded_monitor_is_frozen(self, tmp_path):
         mon = self._monitor()

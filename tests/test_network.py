@@ -13,7 +13,7 @@ from actmon.network import (
     decide,
     evaluate_accuracy,
     forward,
-    layer_gradient,
+    gradient_from_activations,
     load_model,
     make_blobs,
     save_model,
@@ -124,17 +124,18 @@ class TestLayerGradient:
     def test_penultimate_is_weight_column(self):
         rng = np.random.default_rng(21)
         model = random_model(rng, (3, 7, 4))
-        x = rng.normal(size=3)
+        acts = forward(model, rng.normal(size=3)).outputs[0]
         for c in range(4):
-            grad = layer_gradient(model, x, 0, c)
+            grad = gradient_from_activations(model, acts, 0, c)
             assert np.array_equal(grad, model.layers[-1].weights[:, c])
 
     def test_penultimate_ignores_input(self):
         rng = np.random.default_rng(22)
         model = random_model(rng, (3, 7, 4))
-        g1 = layer_gradient(model, rng.normal(size=3), 0, 2)
-        g2 = layer_gradient(model, rng.normal(size=3), 0, 2)
-        assert np.array_equal(g1, g2)
+        a1 = forward(model, rng.normal(size=3)).outputs[0]
+        a2 = forward(model, rng.normal(size=3)).outputs[0]
+        assert np.array_equal(gradient_from_activations(model, a1, 0, 2),
+                              gradient_from_activations(model, a2, 0, 2))
 
     def test_zero_weight_row_gives_zero_gradient(self):
         w_out = np.zeros((5, 3))
@@ -143,7 +144,9 @@ class TestLayerGradient:
             Layer(np.ones((2, 5)), np.zeros(5), "relu"),
             Layer(w_out, np.zeros(3), "none"),
         ])
-        assert layer_gradient(model, (1.0, 1.0), 0, 0).tolist() == [0.0] * 5
+        acts = forward(model, (1.0, 1.0)).outputs[0]
+        grad = gradient_from_activations(model, acts, 0, 0)
+        assert grad.tolist() == [0.0] * 5
 
     def test_matches_finite_differences(self):
         # oracle: central differences on an independent forward pass
@@ -158,7 +161,7 @@ class TestLayerGradient:
             if np.min(np.abs(tail_preactivations(model, acts, 0))) <= 1e-3:
                 continue
             c = int(rng.integers(0, 3))
-            grad = layer_gradient(model, x, 0, c)
+            grad = gradient_from_activations(model, acts, 0, c)
             oracle = fd_gradient(model, acts, 0, c)
             np.testing.assert_allclose(grad, oracle, rtol=1e-4, atol=1e-10)
             checked += 1
@@ -166,10 +169,11 @@ class TestLayerGradient:
     def test_invalid_layer_and_class(self):
         rng = np.random.default_rng(26)
         model = random_model(rng, (3, 5, 2))
+        acts = forward(model, np.zeros(3)).outputs
         with pytest.raises(ValueError, match="ReLU"):
-            layer_gradient(model, np.zeros(3), 1, 0)
+            gradient_from_activations(model, acts[1], 1, 0)
         with pytest.raises(ValueError, match="class"):
-            layer_gradient(model, np.zeros(3), 0, 2)
+            gradient_from_activations(model, acts[0], 0, 2)
 
 
 class TestModelSpec:
@@ -271,6 +275,17 @@ class TestModelFiles:
         with pytest.raises(TypeError):
             save_model(model, path)
         assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_non_finite_weight_not_saved(self, tmp_path):
+        rng = np.random.default_rng(34)
+        model = random_model(rng, (3, 6, 4))
+        model.layers[1].weights[2, 0] = np.inf
+        path = tmp_path / "m.json"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError, match="JSON"):
+            save_model(model, path)
+        assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_version_mismatch(self, tmp_path):

@@ -12,7 +12,7 @@ from actmon.patterns import (
     score_neurons,
     select_top_fraction,
 )
-from actmon.traces import TraceRecord
+from actmon.traces import TraceRecord, extract
 
 
 def relu_chain(rng, dims):
@@ -26,6 +26,11 @@ def relu_chain(rng, dims):
             act,
         ))
     return ModelSpec(layers)
+
+
+def layer0_records(model, inputs, label):
+    """Layer-0 trace records of ``inputs``, every one labeled ``label``."""
+    return extract(model, inputs, [label] * len(inputs), 0)[1]
 
 
 def forward_tail(model, acts, layer):
@@ -197,7 +202,8 @@ class TestScoreNeurons:
         model = relu_chain(rng, (3, 6, 4))
         samples = [rng.normal(size=3) for _ in range(4)]
         for c in range(4):
-            scores = score_neurons(model, samples, layer=0, class_index=c)
+            records = layer0_records(model, samples, c)
+            scores = score_neurons(model, records, layer=0, class_index=c)
             expected = np.abs(model.layers[-1].weights[:, c])
             assert np.array_equal(scores, expected)
 
@@ -206,7 +212,8 @@ class TestScoreNeurons:
             Layer(np.array([[1.0]]), np.zeros(1), "relu"),
             Layer(np.array([[1.0, 0.0]]), np.zeros(2), "none"),
         ])
-        scores = score_neurons(model, [np.array([2.0])], 0, 0)
+        records = layer0_records(model, [np.array([2.0])], 0)
+        scores = score_neurons(model, records, 0, 0)
         assert scores.tolist() == [1.0]
 
     def test_interior_layer_matches_finite_differences(self):
@@ -220,7 +227,8 @@ class TestScoreNeurons:
             if np.min(np.abs(tail_preactivations(model, acts, 0))) <= 1e-3:
                 continue  # too close to a ReLU kink for finite differences
             c = int(rng.integers(0, 4))
-            scores = score_neurons(model, [x], layer=0, class_index=c)
+            records = layer0_records(model, [x], c)
+            scores = score_neurons(model, records, layer=0, class_index=c)
             oracle = np.abs(fd_gradient(model, acts, 0, c))
             np.testing.assert_allclose(scores, oracle, rtol=1e-4, atol=1e-10)
             checked += 1
@@ -229,7 +237,8 @@ class TestScoreNeurons:
         rng = np.random.default_rng(29)
         model = relu_chain(rng, (4, 7, 5, 3))
         samples = [rng.normal(size=4) for _ in range(6)]
-        scores = score_neurons(model, samples, layer=0, class_index=1)
+        records = layer0_records(model, samples, 1)
+        scores = score_neurons(model, records, layer=0, class_index=1)
         assert np.all(scores >= 0.0)
 
     def test_empty_samples_rejected(self):
@@ -241,8 +250,9 @@ class TestScoreNeurons:
     def test_non_relu_layer_rejected(self):
         rng = np.random.default_rng(1)
         model = relu_chain(rng, (3, 5, 4))
+        records = layer0_records(model, [np.zeros(3)], 0)
         with pytest.raises(ValueError, match="ReLU"):
-            score_neurons(model, [np.zeros(3)], 1, 0)
+            score_neurons(model, records, 1, 0)
 
     def _record(self, true_label, pred_label, acts):
         return TraceRecord(id="r", true_label=true_label,

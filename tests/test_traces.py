@@ -1,12 +1,16 @@
 """Tests for the JSON-lines trace file format."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from actmon.cli import main
 from actmon.errors import FormatVersionError, SchemaError
-from actmon.traces import TraceHeader, TraceRecord, read_traces, write_traces
+from actmon.network import load_model, make_blobs
+from actmon.traces import (TraceHeader, TraceRecord, extract, read_traces,
+                           write_traces)
 
 
 def sample_records(count=5, width=4, seed=0):
@@ -86,6 +90,18 @@ class TestValidation:
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_activation_not_written(self, tmp_path, value):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = sample_records()
+        records[3].activations[1] = value
+        with pytest.raises(ValueError,
+                           match="record 's3': non-finite activation"):
+            write_traces(path, TraceHeader(1, 4, 3), records)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"id":"s0","true_label":0,"pred_label":0,'
@@ -151,3 +167,40 @@ class TestValidation:
         path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
         with pytest.raises(SchemaError, match=f"{field} must be an integer"):
             read_traces(path)
+
+
+class TestExtract:
+    @pytest.fixture(scope="class")
+    def model_path(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("extract") / "model.json"
+        assert main(["train-toy", "--seed", "5", "--per-class", "40",
+                     "--epochs", "5", "--out", str(path)]) == 0
+        return path
+
+    def test_same_bytes_as_the_cli(self, model_path, tmp_path):
+        cli_out = tmp_path / "cli.jsonl"
+        assert main(["extract", "--model", str(model_path), "--layer", "1",
+                     "--seed", "5", "--per-class", "40",
+                     "--out", str(cli_out)]) == 0
+        x, y = make_blobs(seed=5, per_class=40)
+        header, records = extract(load_model(model_path), x, y, 1)
+        lib_out = tmp_path / "lib.jsonl"
+        write_traces(lib_out, header, records)
+        assert lib_out.read_bytes() == cli_out.read_bytes()
+        assert read_traces(lib_out)[0] == header
+        assert [r.id for r in records] == [f"s{i}" for i in range(len(y))]
+
+    def test_non_relu_layer_rejected(self, model_path):
+        x, y = make_blobs(seed=5, per_class=2)
+        with pytest.raises(ValueError, match="layer 2 is not a ReLU layer"):
+            extract(load_model(model_path), x, y, 2)
+
+    @pytest.mark.parametrize("drop", ["inputs", "labels"])
+    def test_length_mismatch_rejected(self, model_path, drop):
+        x, y = make_blobs(seed=5, per_class=2)
+        if drop == "inputs":
+            x = x[:-1]
+        else:
+            y = y[:-1]
+        with pytest.raises(ValueError, match=r"zip\(\) argument 2"):
+            extract(load_model(model_path), x, y, 1)
