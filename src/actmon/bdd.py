@@ -48,6 +48,9 @@ VAR_WARN_THRESHOLD = 200
 # enumerate_patterns is a test/diagnostics oracle, not a production path
 ENUMERATE_WIDTH_GUARD = 20
 
+# the values a pattern bit may equal
+_BITS = frozenset((0, 1))
+
 
 class BddRef:
     """Reference to one node of a specific :class:`BddStore`.
@@ -140,10 +143,17 @@ class BddStore:
         return ref.node
 
     def _check_pattern(self, bits: Sequence[int]) -> Sequence[int]:
+        """``bits`` itself, once its width is ``n_vars`` and one set test
+        finds every bit equal to 0 or 1: ``True`` and ``1.0`` pass; ``2``,
+        ``0.5``, NaN and an unhashable element raise ``ValueError``."""
         if len(bits) != self.n_vars:
             raise ValueError(
                 f"pattern width {len(bits)} != store width {self.n_vars}")
-        if any(b not in (0, 1) for b in bits):
+        try:
+            valid = _BITS.issuperset(bits)
+        except TypeError:  # an unhashable element is no bit either
+            valid = False
+        if not valid:
             raise ValueError("pattern bits must be 0 or 1")
         return bits
 
@@ -258,10 +268,11 @@ class BddStore:
         """
         node = self._check_ref(a)
         self._check_pattern(bits)
+        var, low, high = self._var, self._low, self._high
         visits = 0
         while node > TRUE:
             visits += 1
-            node = self._high[node] if bits[self._var[node]] else self._low[node]
+            node = high[node] if bits[var[node]] else low[node]
         return node == TRUE, visits
 
     def distance(self, a: BddRef, bits: Sequence[int], cap: int) -> int:

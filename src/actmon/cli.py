@@ -71,6 +71,19 @@ def _parse_gammas(text: str) -> list[int]:
     return values
 
 
+def _parse_classes(text: str | None, header) -> list[int] | None:
+    """The ``--classes`` list, each index inside ``0..header.classes-1``;
+    ``None`` when the option is absent."""
+    if not text:
+        return None
+    classes = _parse_int_list(text)
+    for c in classes:
+        if not 0 <= c < header.classes:
+            raise ValueError(f"class index {c} outside "
+                             f"0..{header.classes - 1}")
+    return classes
+
+
 def _make_selection(args, header, records, classes):
     """Selection for build/sweep: gradient-ranked when a model is given,
     identity order otherwise."""
@@ -98,7 +111,7 @@ def _make_selection(args, header, records, classes):
 
 def cmd_build(args) -> None:
     header, records = read_traces(args.traces)
-    classes = _parse_int_list(args.classes) if args.classes else None
+    classes = _parse_classes(args.classes, header)
     selection = _make_selection(args, header, records, classes)
     built = monitor_mod.build(records, selection, args.gamma, classes=classes)
     monitor_mod.save_monitor(built, args.out)
@@ -139,7 +152,7 @@ def cmd_sweep(args) -> None:
         raise ValueError(
             f"eval trace layer {eval_header.layer} does not match "
             f"training trace layer {header.layer}")
-    classes = _parse_int_list(args.classes) if args.classes else None
+    classes = _parse_classes(args.classes, header)
     gammas = _parse_gammas(args.gamma)
     selection = _make_selection(args, header, train, classes)
     rows = evaluation.gamma_sweep(

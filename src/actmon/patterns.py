@@ -17,7 +17,7 @@ sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,12 +36,16 @@ class NeuronSelection:
     the list order therefore fixes the variable order of every zone built
     from this selection.  ``scores`` holds the importance magnitude of each
     selected neuron (zeros when the selection was not score-based).
+    ``index_array`` is ``indices`` as a read-only numpy ``intp`` array,
+    made once here so that :func:`binarize` takes with it directly; it
+    takes no part in equality, hashing or ``repr``.
     """
 
     layer: int
     layer_width: int
     indices: tuple[int, ...]
     scores: tuple[float, ...]
+    index_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.layer_width < 1:
@@ -54,6 +58,9 @@ class NeuronSelection:
             raise ValueError("neuron index outside the monitored layer")
         if len(self.scores) != len(self.indices):
             raise ValueError("scores and indices must align")
+        index_array = np.array(self.indices, dtype=np.intp)
+        index_array.flags.writeable = False
+        object.__setattr__(self, "index_array", index_array)
 
     @property
     def width(self) -> int:
@@ -75,6 +82,11 @@ def binarize(activations, selection: NeuronSelection) -> Pattern:
     """Project a full-width activation vector onto the monitored neurons
     and threshold: bit ``i`` is 1 iff the selected neuron's output is
     strictly positive.  An exact zero counts as suppressed.
+
+    The whole layer must have the selection's ``layer_width`` and be
+    finite, monitored neuron or not.  The projection takes through the
+    selection's precomputed ``index_array``; the result is a tuple of
+    Python ints.
     """
     acts = np.asarray(activations, dtype=np.float64)
     if acts.shape != (selection.layer_width,):
@@ -83,7 +95,7 @@ def binarize(activations, selection: NeuronSelection) -> Pattern:
             f"width {selection.layer_width}")
     if not np.isfinite(acts).all():
         raise ValueError("non-finite activation value")
-    return tuple((acts.take(selection.indices) > 0.0).view(np.int8).tolist())
+    return tuple((acts.take(selection.index_array) > 0.0).view(np.int8).tolist())
 
 
 def hamming(p: Sequence[int], q: Sequence[int]) -> int:

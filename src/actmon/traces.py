@@ -54,12 +54,21 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
     Record ``i`` is ``s{i}``: ``labels[i]`` is its true label and the
     model's decision its predicted label.  Returns the pair
     :func:`read_traces` returns for the written file.  Inputs and labels
-    of different lengths raise ``ValueError``.
+    of different lengths raise ``ValueError``, and so does a label that
+    is not a Python or numpy integer (a float, bool or string) or lies
+    outside ``0..class_count-1``.
     """
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
     records = []
     for i, (row, label) in enumerate(zip(inputs, labels, strict=True)):
+        # bool subclasses int, and int() would truncate 1.9 or read "1"
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            raise ValueError(f"record 's{i}': label {label!r} is not an "
+                             f"integer")
+        if not 0 <= label < model.class_count:
+            raise ValueError(f"record 's{i}': label {label} outside "
+                             f"0..{model.class_count - 1}")
         trace = forward(model, row)
         records.append(TraceRecord(
             id=f"s{i}",

@@ -345,6 +345,35 @@ class TestDistance:
             assert store.distance(zone, bits, 5) == min(ones, n - ones, 5)
 
 
+class TestPatternCheck:
+    """encode_set, contains and distance share one check of the bits."""
+
+    OPS = {
+        "encode_set": lambda store, zone, bits: store.encode_set([bits]),
+        "contains": lambda store, zone, bits: store.contains(zone, bits),
+        "distance": lambda store, zone, bits: store.distance(zone, bits, 2),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("bits", [
+        (0, [1], 1), (0, 2, 1), (0, 0.5, 1), (0, float("nan"), 1),
+    ], ids=["unhashable", "two", "half", "nan"])
+    def test_non_bit_rejected(self, op, bits):
+        store = bdd.BddStore(3)
+        zone = store.encode_set([tup("011")])
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            self.OPS[op](store, zone, bits)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("bits", [(0, True, 1), (0, 1.0, 1)],
+                             ids=["bool", "float"])
+    def test_values_equal_to_a_bit_accepted(self, op, bits):
+        store = bdd.BddStore(3)
+        zone = store.encode_set([tup("011")])
+        assert self.OPS[op](store, zone, bits) \
+            == self.OPS[op](store, zone, tup("011"))
+
+
 class TestSatCount:
     def test_empty(self):
         store = bdd.BddStore(4)

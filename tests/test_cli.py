@@ -274,6 +274,23 @@ class TestErrors:
         assert "no classes to monitor" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    @pytest.mark.parametrize("index", ["7", "-1"])
+    def test_class_index_outside_the_traces(self, pipeline, tmp_path, capsys,
+                                            command, index):
+        out = tmp_path / "out"
+        out.write_text("old contents\n")
+        args = {"build": ["--gamma", "0"],
+                "sweep": ["--eval", str(pipeline["eval"]), "--gamma", "1"]}
+        code = main([command, "--traces", str(pipeline["train"]),
+                     *args[command], "--classes", index,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: class index {index} outside 0..2")
+        assert out.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_non_finite_activation_writes_no_verdicts(self, pipeline,
                                                       tmp_path, capsys):
         lines = pipeline["train"].read_text().splitlines()

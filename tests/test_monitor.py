@@ -14,7 +14,8 @@ import random
 import numpy as np
 import pytest
 
-from actmon.bdd import BddStore
+from actmon import bdd
+from actmon.bdd import BddRef, BddStore
 from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
 from actmon.monitor import (
     Monitor,
@@ -282,6 +283,72 @@ class TestQuery:
                 assert min(hamming(p, z) for z in z0) > gamma
             else:
                 assert min(hamming(p, z) for z in z0) <= gamma
+
+
+def reference_verdict(monitor, acts, pred_label):
+    """Per-index threshold, then a plain walk over the serialized nodes."""
+    root = monitor.zones.get(pred_label)
+    if root is None:
+        return Verdict.NO_ZONE
+    bits = [1 if acts[i] > 0.0 else 0 for i in monitor.selection.indices]
+    table = monitor.store.to_dict({"zone": root})
+    nodes = {n["id"]: n for n in table["nodes"]}
+    node = table["roots"]["zone"]
+    while node in nodes:
+        node = nodes[node]["high" if bits[nodes[node]["var"]] else "low"]
+    return Verdict.IN_ZONE if node == table["true_id"] else Verdict.OUT_OF_ZONE
+
+
+class TestQueryReference:
+    """query against :func:`reference_verdict` at K=64 of 128 neurons."""
+
+    WIDTH, K = 128, 64
+
+    def _selection(self, rng):
+        indices = tuple(int(i) for i in rng.permutation(self.WIDTH)[:self.K])
+        return NeuronSelection(1, self.WIDTH, indices, (0.0,) * self.K)
+
+    def _probes(self, rng, seeds, selection):
+        """The seeds, each with one and with two monitored signs flipped,
+        and fresh random vectors."""
+        probes = list(seeds)
+        for acts in seeds:
+            for flips in (1, 2):
+                moved = acts.copy()
+                chosen = rng.choice(selection.indices, flips, replace=False)
+                moved[chosen] = -moved[chosen]
+                probes.append(moved)
+        probes += list(rng.normal(size=(40, self.WIDTH)))
+        return probes
+
+    def test_grown_zone(self):
+        rng = np.random.default_rng(31)
+        selection = self._selection(rng)
+        seeds = list(rng.normal(size=(30, self.WIDTH)))
+        traces = [rec(i % 2, i % 2, acts, f"s{i}")
+                  for i, acts in enumerate(seeds)]
+        mon = build(traces, selection, gamma=1)
+        seen = set()
+        for acts in self._probes(rng, seeds, selection):
+            for pred in (0, 1, 2):
+                verdict = query(mon, acts, pred)
+                assert verdict is reference_verdict(mon, acts, pred)
+                seen.add(verdict)
+        assert seen == set(Verdict)
+
+    def test_terminal_roots(self):
+        rng = np.random.default_rng(37)
+        selection = self._selection(rng)
+        store = BddStore(self.K)
+        zones = {0: store.encode_set([]), 1: BddRef(store, bdd.TRUE)}
+        store.freeze()
+        mon = Monitor(selection=selection, gamma=0, store=store, zones=zones)
+        for acts in self._probes(rng, list(rng.normal(size=(5, self.WIDTH))),
+                                 selection):
+            for pred, expected in ((0, Verdict.OUT_OF_ZONE),
+                                   (1, Verdict.IN_ZONE), (2, Verdict.NO_ZONE)):
+                assert query(mon, acts, pred) is expected
+                assert reference_verdict(mon, acts, pred) is expected
 
 
 class TestPersistence:

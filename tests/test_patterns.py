@@ -1,5 +1,7 @@
 """Tests for binarization, Hamming distance and neuron selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,32 @@ class TestNeuronSelection:
         assert sel.indices == (0, 1, 2, 3, 4)
         assert sel.layer == 2
         assert sel.width == 5
+
+    def test_index_array_leaves_equality_hash_and_repr_alone(self):
+        sel = NeuronSelection(0, 4, (3, 0), (0.5, 0.25))
+        same = NeuronSelection(0, 4, (3, 0), (0.5, 0.25))
+        assert sel == same and hash(sel) == hash(same)
+        assert hash(sel) == hash((0, 4, (3, 0), (0.5, 0.25)))
+        assert sel != NeuronSelection(0, 4, (0, 3), (0.5, 0.25))
+        assert repr(sel) == ("NeuronSelection(layer=0, layer_width=4, "
+                             "indices=(3, 0), scores=(0.5, 0.25))")
+
+    def test_index_array_is_a_read_only_copy_of_indices(self):
+        sel = NeuronSelection(0, 4, (3, 0), (0.0, 0.0))
+        assert sel.index_array.dtype == np.intp
+        assert sel.index_array.tolist() == [3, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            sel.index_array[0] = 1
+
+    def test_replace_recomputes_the_index_array(self):
+        sel = NeuronSelection(0, 4, (3, 0), (0.0, 0.0))
+        moved = dataclasses.replace(sel, indices=(1, 2))
+        assert moved.index_array.tolist() == [1, 2]
+        assert sel.index_array.tolist() == [3, 0]
+        acts = (-1.0, 2.0, 0.0, 5.0)
+        assert binarize(acts, sel) == (1, 0)
+        assert binarize(acts, moved) == (1, 0)
+        assert binarize((-1.0, 0.0, 2.0, 5.0), moved) == (0, 1)
 
 
 class TestScoreNeurons:

@@ -204,3 +204,30 @@ class TestExtract:
             y = y[:-1]
         with pytest.raises(ValueError, match=r"zip\(\) argument 2"):
             extract(load_model(model_path), x, y, 1)
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1.9, True, 7], "record 's0': label 1.9 is not an integer"),
+        ([1, True, 2], "record 's1': label True is not an integer"),
+        ([1, np.True_, 2], "record 's1': label np.True_ is not an integer"),
+        ([0, 1, "2"], "record 's2': label '2' is not an integer"),
+        ([0, 1, 2.0], "record 's2': label 2.0 is not an integer"),
+        ([0, 1, 3], r"record 's2': label 3 outside 0\.\.2"),
+        ([0, -1, 1], r"record 's1': label -1 outside 0\.\.2"),
+        ([0, np.int64(7), 1], r"record 's1': label 7 outside 0\.\.2"),
+    ], ids=["float", "bool", "numpy-bool", "string", "integral-float",
+            "above", "negative", "numpy-above"])
+    def test_label_must_be_a_class_index(self, model_path, labels, message):
+        x, _ = make_blobs(seed=5, per_class=1)
+        with pytest.raises(ValueError, match=message):
+            extract(load_model(model_path), x, labels, 1)
+
+    @pytest.mark.parametrize("labels", [
+        [0, 1, 2],
+        np.array([0, 1, 2], dtype=np.int64),
+        [np.int32(0), np.uint8(1), np.int64(2)],
+    ], ids=["int", "int64-array", "numpy-scalars"])
+    def test_python_and_numpy_integers_accepted(self, model_path, labels):
+        x, _ = make_blobs(seed=5, per_class=1)
+        _, records = extract(load_model(model_path), x, labels, 1)
+        assert [r.true_label for r in records] == [0, 1, 2]
+        assert all(type(r.true_label) is int for r in records)
