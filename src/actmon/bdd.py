@@ -21,7 +21,8 @@ Lifecycle: a store is created mutable ("build phase", single writer).
 After :meth:`BddStore.freeze` all node-creating operations raise
 :class:`~actmon.errors.FrozenStoreError`; the read operations
 (``contains``, ``distance``, ``sat_count``, ``enumerate_patterns``) never
-mutate shared state and may run concurrently on a frozen store.
+mutate the store and may run concurrently on a frozen store.  The store
+holds the node table and no cache: every memo lives for one call.
 """
 
 from __future__ import annotations
@@ -99,15 +100,12 @@ class BddStore:
         self._high: list[int] = [FALSE, TRUE]
         # (var, low, high) -> id
         self._unique: dict[tuple[int, int, int], int] = {}
-        # memo for or/exists/grow, keyed by (op tag, operand ids)
-        self._cache: dict[tuple, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     def freeze(self) -> None:
-        """Make the store immutable and drop the operation cache."""
+        """Forbid new nodes; the table itself is left as it is."""
         self.frozen = True
-        self._cache.clear()
 
     def _require_mutable(self) -> None:
         if self.frozen:
@@ -181,28 +179,31 @@ class BddStore:
     def union(self, a: BddRef, b: BddRef) -> BddRef:
         """Set union; canonical, commutative and idempotent."""
         self._require_mutable()
-        return BddRef(self, self._or(self._check_ref(a), self._check_ref(b)))
+        return BddRef(self, self._or(self._check_ref(a), self._check_ref(b),
+                                     {}))
 
-    def _or(self, a: int, b: int) -> int:
+    # union, exists and grow pass one memo down their recursion: (a, b)
+    # pairs key the or results, node ids the exists/grow results
+    def _or(self, a: int, b: int, memo: dict) -> int:
         if a == b or b == FALSE:
             return a
         if a == FALSE:
             return b
         if a == TRUE or b == TRUE:
             return TRUE
-        if a > b:  # commutative, so normalize the cache key
+        if a > b:  # commutative, so normalize the memo key
             a, b = b, a
-        key = ("or", a, b)
-        found = self._cache.get(key)
+        key = (a, b)
+        found = memo.get(key)
         if found is not None:
             return found
         va, vb = self._var[a], self._var[b]
         var = min(va, vb)
         a0, a1 = (self._low[a], self._high[a]) if va == var else (a, a)
         b0, b1 = (self._low[b], self._high[b]) if vb == var else (b, b)
-        result = self._mk(var, self._or(a0, b0), self._or(a1, b1))
-        self._cache[key] = result
-        return result
+        found = memo[key] = self._mk(
+            var, self._or(a0, b0, memo), self._or(a1, b1, memo))
+        return found
 
     def exists(self, var: int, a: BddRef) -> BddRef:
         """Existentially quantify variable ``var`` (0-based) out of ``a``.
@@ -215,42 +216,39 @@ class BddStore:
         if not 0 <= var < self.n_vars:
             raise ValueError(
                 f"variable index {var} out of range 0..{self.n_vars - 1}")
-        return BddRef(self, self._exists(var, self._check_ref(a)))
+        return BddRef(self, self._exists(var, self._check_ref(a), {}))
 
-    def _exists(self, var: int, a: int) -> int:
+    def _exists(self, var: int, a: int, memo: dict) -> int:
         if a <= TRUE or self._var[a] > var:
             # ordering: var cannot occur below a node with a larger index
             return a
-        key = ("exists", var, a)
-        found = self._cache.get(key)
-        if found is not None:
-            return found
-        if self._var[a] == var:
-            result = self._or(self._low[a], self._high[a])
-        else:
-            result = self._mk(
-                self._var[a],
-                self._exists(var, self._low[a]),
-                self._exists(var, self._high[a]))
-        self._cache[key] = result
-        return result
+        found = memo.get(a)
+        if found is None:
+            low, high = self._low[a], self._high[a]
+            if self._var[a] == var:
+                found = self._or(low, high, memo)
+            else:
+                found = self._mk(self._var[a], self._exists(var, low, memo),
+                                 self._exists(var, high, memo))
+            memo[a] = found
+        return found
 
     def grow(self, a: BddRef) -> BddRef:
         """The set plus every pattern at Hamming distance 1 from a member,
         in one pass; ``gamma`` applications give the radius-``gamma`` ball."""
         self._require_mutable()
-        return BddRef(self, self._grow(self._check_ref(a)))
+        return BddRef(self, self._grow(self._check_ref(a), {}))
 
-    def _grow(self, a: int) -> int:
+    def _grow(self, a: int, memo: dict) -> int:
         # flipping bit var crosses branches; skipped variables are don't-cares
         if a <= TRUE:
             return a
-        found = self._cache.get(("grow", a))
+        found = memo.get(a)
         if found is None:
             low, high = self._low[a], self._high[a]
-            found = self._cache[("grow", a)] = self._mk(
-                self._var[a], self._or(self._grow(low), high),
-                self._or(self._grow(high), low))
+            found = memo[a] = self._mk(
+                self._var[a], self._or(self._grow(low, memo), high, memo),
+                self._or(self._grow(high, memo), low, memo))
         return found
 
     # -- read operations (safe on frozen stores) ----------------------------
@@ -277,12 +275,14 @@ class BddStore:
 
     def distance(self, a: BddRef, bits: Sequence[int], cap: int) -> int:
         """Least Hamming distance from ``bits`` to a member of ``a``, or
-        ``cap`` if no member is closer (the empty set gives ``cap``).  A
-        depth-first search: the matching branch first, a flipped branch only
-        while it can still beat the best distance found, so at ``cap`` 1 it
-        is the :meth:`contains` walk."""
+        ``cap`` (at least 1) if no member is closer; the empty set gives
+        ``cap``.  A depth-first search: the matching branch first, a flipped
+        branch only while it can still beat the best distance found, so at
+        ``cap`` 1 it is the :meth:`contains` walk."""
         node = self._check_ref(a)
         self._check_pattern(bits)
+        if cap < 1:
+            raise ValueError(f"distance cap must be >= 1, got {cap}")
         var, low, high = self._var, self._low, self._high
         best = cap
         stack = [(node, 0)]

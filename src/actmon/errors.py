@@ -3,15 +3,18 @@
 Width mismatches and other argument-level misuse raise plain ``ValueError``;
 the classes here mark problems with persisted artifacts (model, trace,
 monitor files) and store lifecycle violations, so callers can distinguish
-bad data from bad environments.  Every artifact file is read by
-:func:`read_json` (trace files line by line), its integer fields are
-checked by :func:`exact_int`, and it is written through
-:func:`replace_on_success`.
+bad data from bad environments.  Every artifact is parsed by the one
+strict decoder :data:`JSON_DECODER` (whole files through :func:`read_json`,
+trace files line by line), its integer fields are checked by
+:func:`exact_int`, and it is written through :func:`replace_on_success`.
+Integer arguments from library callers are checked by :func:`as_int`.
 """
 
 import contextlib
 import json
 import os
+
+import numpy as np
 
 
 class ActmonError(Exception):
@@ -42,13 +45,34 @@ def exact_int(value, what: str) -> int:
     return value
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer, else a
+    ``ValueError``: a bool, float or string is no integer argument, and
+    ``int()`` would truncate ``1.9`` or read ``"1"``."""
+    if type(value) is int:  # the common case, tested first
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _non_finite(token: str):
+    raise ValueError(f"non-finite number {token} is not standard JSON")
+
+
+# the writers refuse NaN and infinity (allow_nan=False), so the one reader
+# refuses the NaN, Infinity and -Infinity tokens that json.loads accepts
+JSON_DECODER = json.JSONDecoder(parse_constant=_non_finite)
+
+
 def read_json(path, what: str):
     """The JSON value held by the file at ``path``; a file that is not
-    UTF-8 JSON raises :class:`SchemaError` naming the ``what`` artifact."""
+    UTF-8 standard JSON raises :class:`SchemaError` naming the ``what``
+    artifact."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return JSON_DECODER.decode(fh.read())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError too
             raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
 
 

@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import bdd
 from .bdd import BddRef, BddStore
-from .errors import (FormatVersionError, SchemaError, exact_int, read_json,
-                     replace_on_success)
+from .errors import (FormatVersionError, SchemaError, as_int, exact_int,
+                     read_json, replace_on_success)
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -101,7 +101,10 @@ def _zero_zones(traces: Sequence[TraceRecord], selection: NeuronSelection,
 def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
           gamma: int, classes: Iterable[int] | None = None) -> Monitor:
     """Build a monitor from training traces: the gamma-0 zones, grown
-    ``gamma`` times, in a frozen store."""
+    ``gamma`` times, in a frozen store.  ``gamma`` is a Python or numpy
+    integer and is stored as an int; a bool, float or string raises
+    ``ValueError``."""
+    gamma = as_int(gamma, "gamma")
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     store, zones = _zero_zones(traces, selection, classes)

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import as_int
 from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
@@ -39,6 +40,11 @@ class NeuronSelection:
     ``index_array`` is ``indices`` as a read-only numpy ``intp`` array,
     made once here so that :func:`binarize` takes with it directly; it
     takes no part in equality, hashing or ``repr``.
+
+    ``layer``, ``layer_width`` and each index may be Python or numpy
+    integers (say from ``np.argsort``) and are stored as Python ints, so
+    the selection saves as JSON; a bool, float or string raises
+    ``ValueError``.
     """
 
     layer: int
@@ -48,6 +54,11 @@ class NeuronSelection:
     index_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "layer", as_int(self.layer, "layer"))
+        object.__setattr__(self, "layer_width",
+                           as_int(self.layer_width, "layer width"))
+        object.__setattr__(self, "indices", tuple(
+            as_int(i, "neuron index") for i in self.indices))
         if self.layer_width < 1:
             raise ValueError("layer width must be >= 1")
         if not self.indices:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (FormatVersionError, SchemaError, exact_int,
-                     replace_on_success)
+from .errors import (JSON_DECODER, FormatVersionError, SchemaError, as_int,
+                     exact_int, replace_on_success)
 from .network import ModelSpec, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
@@ -62,17 +62,14 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
         raise ValueError(f"layer {layer} is not a ReLU layer")
     records = []
     for i, (row, label) in enumerate(zip(inputs, labels, strict=True)):
-        # bool subclasses int, and int() would truncate 1.9 or read "1"
-        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
-            raise ValueError(f"record 's{i}': label {label!r} is not an "
-                             f"integer")
+        label = as_int(label, f"record 's{i}': label")
         if not 0 <= label < model.class_count:
             raise ValueError(f"record 's{i}': label {label} outside "
                              f"0..{model.class_count - 1}")
         trace = forward(model, row)
         records.append(TraceRecord(
             id=f"s{i}",
-            true_label=int(label),
+            true_label=label,
             pred_label=decide(trace.final),
             activations=trace.outputs[layer],
         ))
@@ -117,22 +114,25 @@ def write_traces(path, header: TraceHeader, records) -> None:
 
 def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise SchemaError("trace file is empty")
-        header = _parse_header(first)
-        records = []
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            records.append(_parse_record(line, line_no, header))
+        try:
+            first = fh.readline()
+            if not first.strip():
+                raise SchemaError("trace file is empty")
+            header = _parse_header(first)
+            records = []
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                records.append(_parse_record(line, line_no, header))
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"trace file is not UTF-8 text: {exc}") from exc
     return header, records
 
 
 def _parse_header(line: str) -> TraceHeader:
     try:
-        head = json.loads(line)
-    except json.JSONDecodeError as exc:
+        head = JSON_DECODER.decode(line)
+    except ValueError as exc:
         raise SchemaError(f"trace header is not valid JSON: {exc}") from exc
     if not isinstance(head, dict) or head.get("format") != TRACE_FORMAT:
         raise SchemaError("first line must be an actmon-trace header")
@@ -154,7 +154,7 @@ def _parse_header(line: str) -> TraceHeader:
 
 def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
     try:
-        row = json.loads(line)
+        row = JSON_DECODER.decode(line)
         record = TraceRecord(
             id=str(row["id"]),
             true_label=exact_int(row["true_label"], "true_label"),

@@ -6,6 +6,7 @@ operations (union, don't-care expansion on one bit) are computed by brute
 force, independently of the BDD code under test.
 """
 
+import copy
 import json
 import random
 import sys
@@ -328,6 +329,14 @@ class TestDistance:
         with pytest.raises(ValueError, match="different store"):
             s1.distance(s2.encode_set([tup("001")]), tup("001"), 2)
 
+    @pytest.mark.parametrize("cap", [0, -1, -5])
+    def test_cap_below_one_rejected(self, cap):
+        # a cap of 0 would read as membership, a negative one as a distance
+        store = bdd.BddStore(3)
+        zone = store.encode_set([tup("001")])
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            store.distance(zone, tup("110"), cap)
+
     @pytest.mark.parametrize("bits", [tup("01"), tup("0111"), (0, 2, 1)])
     def test_malformed_pattern_rejected(self, bits):
         store = bdd.BddStore(3)
@@ -536,6 +545,38 @@ class TestFreeze:
                 store.exists(0, zone)
             else:
                 store.grow(zone)
+
+
+class TestNoCache:
+    """The store holds the node table only: every memo lives for one
+    call, and hash-consing alone makes a repeated operation free of new
+    nodes."""
+
+    TABLE = {"n_vars", "frozen", "_var", "_low", "_high", "_unique"}
+
+    def test_state_is_the_node_table(self):
+        store = bdd.BddStore(6)
+        zone = store.grow(build_set(store, [tup("001100"), tup("110011")]))
+        store.exists(2, zone)
+        assert set(vars(store)) == self.TABLE
+        before = copy.deepcopy(vars(store))
+        store.freeze()
+        assert vars(store) == {**before, "frozen": True}
+
+    @pytest.mark.parametrize("op", ["union", "grow", "exists"])
+    def test_repeat_adds_no_node(self, op):
+        rng = random.Random(77)
+        store = bdd.BddStore(9)
+        a = store.encode_set(random_patterns(rng, 9, 25))
+        b = store.encode_set(random_patterns(rng, 9, 25))
+        run = {"union": lambda: store.union(a, b),
+               "grow": lambda: store.grow(store.grow(a)),
+               "exists": lambda: store.exists(4, b)}[op]
+        first = run()
+        size = len(store)
+        assert run() == first and len(store) == size
+        if op == "union":
+            assert store.union(b, a) == first and len(store) == size
 
 
 class TestVariableCap:

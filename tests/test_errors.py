@@ -1,5 +1,6 @@
-"""Tests for the shared file layer: the replace-on-success writer, and a
-guard that no other code in the package opens a file for writing."""
+"""Tests for the shared file layer: the replace-on-success writer, the
+strict JSON reader, and guards that no other code in the package opens a
+file for writing or parses JSON."""
 
 import ast
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import actmon
-from actmon.errors import replace_on_success
+from actmon.errors import SchemaError, read_json, replace_on_success
 
 SRC = Path(actmon.__file__).parent
 # a literal open() mode that writes, appends or creates
@@ -45,6 +46,22 @@ class TestReplaceOnSuccess:
         assert not link.is_symlink() and link.read_text() == "new"
 
 
+class TestReadJson:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_is_schema_error(self, tmp_path, token):
+        path = tmp_path / "a.json"
+        path.write_text(f'{{"x": [1.0, {token}]}}')
+        with pytest.raises(SchemaError,
+                           match="model file is not valid JSON: non-finite"):
+            read_json(path, "model")
+
+    def test_standard_json_read(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text('{"x": [1.0, -2, 1e300, "NaN"], "y": null}\n')
+        assert read_json(path, "model") == {"x": [1.0, -2, 1e300, "NaN"],
+                                            "y": None}
+
+
 def write_opens(tree):
     """The ``open`` calls in ``tree`` (``open(...)`` or ``x.open(...)``)
     that may write: one argument is a literal mode with ``w``, ``a`` or
@@ -79,3 +96,38 @@ def test_only_the_writer_opens_files_for_writing():
     (module, line), = found
     assert module == "errors.py"
     assert writer.lineno <= line <= writer.end_lineno
+
+
+# the json names that parse text; the strict decoder replaces them all
+JSON_PARSERS = {"load", "loads", "JSONDecoder"}
+
+
+def json_parsers(tree):
+    """The uses in ``tree`` of ``json.load``, ``json.loads`` or
+    ``json.JSONDecoder``, as attributes of ``json`` or imported by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in JSON_PARSERS \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "json":
+            yield node
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" \
+                and any(a.name in JSON_PARSERS for a in node.names):
+            yield node
+
+
+def test_json_parsers_guard_sees_each_form():
+    tree = ast.parse("import json\nfrom json import loads\n"
+                     "json.load(fh)\njson.loads(s)\njson.dumps(x)\n")
+    assert [node.lineno for node in json_parsers(tree)] == [2, 3, 4]
+
+
+def test_only_the_strict_decoder_parses_json():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, node.lineno) for node in json_parsers(tree)]
+    errors_tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    (decoder,) = [node for node in ast.walk(errors_tree)
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["JSON_DECODER"]]
+    assert found == [("errors.py", decoder.lineno)], found

@@ -191,6 +191,22 @@ class TestBuild:
             build([pattern_trace(0, 0, (0, 1, 1))],
                   identity_selection(2), gamma=0)
 
+    @pytest.mark.parametrize("gamma", [True, False, 1.0, "1", np.True_,
+                                       np.float64(1.0)])
+    def test_non_integer_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma .* is not an integer"):
+            build([pattern_trace(0, 0, (0, 1))], identity_selection(2),
+                  gamma=gamma)
+
+    @pytest.mark.parametrize("gamma", [np.int64(1), np.uint8(1), np.intp(1)])
+    def test_numpy_gamma_saves_and_loads(self, gamma, tmp_path):
+        mon = build([pattern_trace(0, 0, (0, 1))], identity_selection(2),
+                    gamma=gamma)
+        assert type(mon.gamma) is int and mon.gamma == 1
+        path = tmp_path / "m.json"
+        save_monitor(mon, path)
+        assert load_monitor(path).gamma == 1
+
     def test_classes_filter(self):
         traces = [
             pattern_trace(0, 0, (0, 1), "a"),
@@ -459,6 +475,32 @@ class TestPersistence:
             save_monitor(mon, path)
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_numpy_selection_saves_and_loads(self, tmp_path):
+        rng = np.random.default_rng(23)
+        order = np.argsort(rng.normal(size=6))[:4]
+        selection = NeuronSelection(np.int64(0), np.int64(6), tuple(order),
+                                    (0.0,) * 4)
+        traces = [rec(0, 0, rng.normal(size=6), rid=f"s{i}")
+                  for i in range(10)]
+        mon = build(traces, selection, gamma=np.int64(1))
+        path = tmp_path / "m.json"
+        save_monitor(mon, path)
+        loaded = load_monitor(path)
+        assert loaded.selection == mon.selection
+        assert loaded.selection.indices == tuple(int(i) for i in order)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_is_schema_error(self, tmp_path, token):
+        path = tmp_path / "monitor.json"
+        save_monitor(self._monitor(), path)
+        text = path.read_text()
+        load_monitor(path)  # the unedited file is valid
+        assert '"scores":[0.0,' in text
+        path.write_text(text.replace('"scores":[0.0,',
+                                     f'"scores":[{token},', 1))
+        with pytest.raises(SchemaError, match="monitor file .*non-finite"):
+            load_monitor(path)
 
     def test_loaded_monitor_is_frozen(self, tmp_path):
         mon = self._monitor()

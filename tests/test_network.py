@@ -2,6 +2,7 @@
 training and model files."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -287,6 +288,17 @@ class TestModelFiles:
             save_model(model, path)
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_not_loaded(self, tmp_path, value):
+        rng = np.random.default_rng(35)
+        path = tmp_path / "m.json"
+        save_model(random_model(rng, (3, 6, 4)), path)
+        data = json.loads(path.read_text())
+        data["layers"][0]["weights"][1][2] = value
+        path.write_text(json.dumps(data))  # json writes the bare token
+        with pytest.raises(SchemaError, match="model file .*non-finite"):
+            load_model(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.json"

@@ -213,6 +213,27 @@ class TestNeuronSelection:
         with pytest.raises(ValueError, match="read-only"):
             sel.index_array[0] = 1
 
+    def test_numpy_integers_stored_as_python_ints(self):
+        order = np.argsort([0.5, 2.0, 1.0, 0.0])[::-1][:2]  # int64 indices
+        sel = NeuronSelection(np.int64(1), np.int32(4), tuple(order),
+                              (2.0, 1.0))
+        assert sel == NeuronSelection(1, 4, (1, 2), (2.0, 1.0))
+        assert type(sel.layer) is type(sel.layer_width) is int
+        assert all(type(i) is int for i in sel.indices)
+        assert NeuronSelection(0, 4, order, (2.0, 1.0)).indices == (1, 2)
+
+    @pytest.mark.parametrize("field, value", [
+        ("layer", True), ("layer", 1.0), ("layer", "1"),
+        ("layer_width", np.True_), ("layer_width", 4.0),
+        ("layer_width", "4"), ("indices", (0, True)), ("indices", (0, 1.0)),
+        ("indices", (0, "1")), ("indices", (0, np.float64(1.0))),
+    ])
+    def test_non_integer_rejected(self, field, value):
+        args = {"layer": 0, "layer_width": 4, "indices": (0, 1),
+                "scores": (0.0, 0.0), field: value}
+        with pytest.raises(ValueError, match="is not an integer"):
+            NeuronSelection(**args)
+
     def test_replace_recomputes_the_index_array(self):
         sel = NeuronSelection(0, 4, (3, 0), (0.0, 0.0))
         moved = dataclasses.replace(sel, indices=(1, 2))

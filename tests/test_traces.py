@@ -149,6 +149,31 @@ class TestValidation:
         with pytest.raises(SchemaError, match="line 2"):
             read_traces(path)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_token_names_the_line(self, tmp_path, token):
+        path = tmp_path / "t.jsonl"
+        lines = [json.dumps(HEADER)] + [json.dumps(RECORD)] * 3
+        lines[2] = lines[2].replace("[1.0]", f"[{token}]")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="line 3: .*non-finite"):
+            read_traces(path)
+
+    def test_non_finite_token_in_header(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(HEADER).replace('"width": 1',
+                                                   '"width": NaN') + "\n")
+        with pytest.raises(SchemaError, match="header .*non-finite"):
+            read_traces(path)
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_not_utf8_is_schema_error(self, tmp_path, line):
+        path = tmp_path / "t.jsonl"
+        lines = [json.dumps(HEADER).encode(), json.dumps(RECORD).encode()]
+        lines[line - 1] = lines[line - 1].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(SchemaError, match="not UTF-8"):
+            read_traces(path)
+
     @pytest.mark.parametrize("part, field, value", [
         ("header", "layer", 1.9),
         ("header", "layer", True),
