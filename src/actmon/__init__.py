@@ -7,6 +7,8 @@ and answers whether an operation-time input's pattern falls inside the
 zone of the predicted class.
 """
 
+from types import ModuleType as _Module
+
 from .bdd import BddRef, BddStore
 from .errors import (
     ActmonError,
@@ -59,43 +61,6 @@ from .evaluation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActmonError",
-    "BddRef",
-    "BddStore",
-    "EvalRow",
-    "FormatVersionError",
-    "FrozenStoreError",
-    "GammaChoice",
-    "Layer",
-    "LayerTrace",
-    "ModelSpec",
-    "Monitor",
-    "NeuronSelection",
-    "SchemaError",
-    "TraceHeader",
-    "TraceRecord",
-    "Verdict",
-    "binarize",
-    "build",
-    "choose_gamma",
-    "decide",
-    "evaluate",
-    "extract",
-    "forward",
-    "gamma_sweep",
-    "hamming",
-    "identity_selection",
-    "load_model",
-    "load_monitor",
-    "make_blobs",
-    "query",
-    "read_traces",
-    "save_model",
-    "save_monitor",
-    "score_neurons",
-    "select_top_fraction",
-    "train_toy",
-    "write_report_csv",
-    "write_traces",
-]
+# the names imported above, so that the export list has one place
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

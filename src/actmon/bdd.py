@@ -9,8 +9,9 @@ patterns in one pass, union, growth by Hamming distance 1, existential
 quantification over one variable, membership evaluation, the Hamming
 distance from a pattern to a set, exact model counting, small-width
 enumeration, and a deterministic plain-data form
-(:meth:`BddStore.to_dict`, :func:`from_dict`) that monitor files embed;
-reading and writing files is the caller's job.
+(:meth:`BddStore.to_dict`, :func:`from_dict`) that monitor files embed, in
+which a node's id is its position in the table; reading and writing files
+is the caller's job.
 
 There are no complement edges and no dynamic reordering; canonicity is
 plain Bryant-style reduction (no node with equal children, no duplicate
@@ -27,12 +28,11 @@ holds the node table and no cache: every memo lives for one call.
 
 from __future__ import annotations
 
-import warnings
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FormatVersionError, FrozenStoreError, SchemaError
+from .errors import FormatVersionError, FrozenStoreError, SchemaError, warn
 
 FALSE = 0
 TRUE = 1
@@ -88,10 +88,8 @@ class BddStore:
             raise ValueError(
                 f"n_vars {n_vars} exceeds the variable cap {MAX_VARS}")
         if n_vars > VAR_WARN_THRESHOLD:
-            warnings.warn(
-                f"{n_vars} BDD variables; operations may become impractical "
-                f"above {VAR_WARN_THRESHOLD}",
-                stacklevel=2)
+            warn(f"{n_vars} BDD variables; operations may become "
+                 f"impractical above {VAR_WARN_THRESHOLD}")
         self.n_vars = n_vars
         self.frozen = False
         # ids 0 and 1 are the terminals; real nodes start at 2
@@ -408,9 +406,12 @@ class BddStore:
 def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
     """Rebuild a store and its roots from :meth:`BddStore.to_dict` output.
 
-    Raises :class:`FormatVersionError` on an unknown version and
-    :class:`SchemaError` on a malformed table: wrong field types, dangling
-    or duplicate ids, equal children, ordering violations, too many variables.
+    A node's id is its position in the table, as ``to_dict`` writes it:
+    dense from 2, each child before its parent, so a loaded node keeps its
+    id and a root is a position.  Raises :class:`FormatVersionError` on an
+    unknown version and :class:`SchemaError` on a malformed table: wrong
+    field types, an id that is not its position, dangling children, equal
+    children, duplicate triples, ordering violations, too many variables.
     """
     if not isinstance(data, dict):
         raise SchemaError("BDD serialization must be a JSON object")
@@ -429,37 +430,38 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
         raise SchemaError("terminal ids must be 0 (false) and 1 (true)")
 
     store = BddStore(n_vars)
-    id_map: dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+    # _mk's id objects by position: as in a built store, children share them
+    # and the query walk reads no ints scattered by the JSON parse
+    made = [FALSE, TRUE]
     for entry in data["nodes"]:
         try:
-            ext_id, var = entry["id"], entry["var"]
+            node, var = entry["id"], entry["var"]
             low, high = entry["low"], entry["high"]
         except (TypeError, KeyError) as exc:
             raise SchemaError(f"malformed node entry {entry!r}") from exc
         # exact ints: JSON true/false load as bools, which equal 1 and 0
-        if not type(ext_id) is type(var) is type(low) is type(high) is int:
+        if not type(node) is type(var) is type(low) is type(high) is int:
             raise SchemaError(f"malformed node entry {entry!r}")
-        if ext_id in id_map:
-            raise SchemaError(f"duplicate node id {ext_id}")
+        if node != len(store):
+            raise SchemaError(f"node id {node} is not its position "
+                              f"{len(store)} in the table")
         if not 0 <= var < n_vars:
-            raise SchemaError(f"node {ext_id}: variable {var!r} out of range")
-        if low not in id_map or high not in id_map:
-            raise SchemaError(f"node {ext_id}: dangling child reference")
-        low, high = id_map[low], id_map[high]
+            raise SchemaError(f"node {node}: variable {var!r} out of range")
+        if not (0 <= low < node and 0 <= high < node):
+            raise SchemaError(f"node {node}: dangling child reference")
         # terminals carry the sentinel variable index n_vars
         if var >= store._var[low] or var >= store._var[high]:
-            raise SchemaError(f"node {ext_id}: variable ordering violation")
+            raise SchemaError(f"node {node}: variable ordering violation")
         # a reduced table has no node that _mk would not create anew
-        before = len(store._var)
-        id_map[ext_id] = store._mk(var, low, high)
-        if len(store._var) == before:
-            raise SchemaError(f"node {ext_id}: children are equal or "
+        made.append(store._mk(var, made[low], made[high]))
+        if made[-1] != node:
+            raise SchemaError(f"node {node}: children are equal or "
                               f"(var, low, high) is a duplicate")
     roots: dict[str, BddRef] = {}
-    for key, ext_id in data["roots"].items():
-        if type(ext_id) is not int or ext_id not in id_map:
-            raise SchemaError(f"root {key!r}: dangling node id {ext_id!r}")
-        roots[key] = BddRef(store, id_map[ext_id])
+    for key, node in data["roots"].items():
+        if type(node) is not int or not 0 <= node < len(store):
+            raise SchemaError(f"root {key!r}: dangling node id {node!r}")
+        roots[key] = BddRef(store, node)
     return store, roots
 
 

@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import evaluation, monitor as monitor_mod, network
-from .errors import (ActmonError, SchemaError, exact_int, read_json,
-                     replace_on_success)
+from .errors import (ActmonError, SchemaError, exact_int, finite_floats,
+                     read_json, replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
 from .traces import extract, read_traces, write_traces
 
@@ -34,13 +34,12 @@ def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
     if args.data:
         payload = read_json(args.data, "dataset")
         try:
-            x = np.asarray(payload["inputs"], dtype=np.float64)
+            x = finite_floats(payload["inputs"], "inputs", 2)
             y = np.array([exact_int(label, "label")
                           for label in payload["labels"]], dtype=np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError,
-                SchemaError) as exc:
+        except (KeyError, TypeError, OverflowError, SchemaError) as exc:
             raise SchemaError(f"malformed dataset file: {exc}") from exc
-        if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        if x.shape[0] != y.shape[0]:
             raise SchemaError("dataset inputs/labels shapes disagree")
         return x, y
     return network.make_blobs(
@@ -187,6 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Activation-pattern runtime monitors for ReLU "
                     "classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
+    selecting = argparse.ArgumentParser(add_help=False)
+    selecting.add_argument("--model", help="enables gradient-based neuron "
+                           "selection")
+    selecting.add_argument("--select-frac", type=float,
+                           help="fraction of neurons to monitor, in (0, 1]")
+    selecting.add_argument("--classes", help="comma-separated class indices "
+                           "(default: all classes present)")
 
     p = sub.add_parser("train-toy", help="train a small classifier on the "
                        "built-in blobs dataset")
@@ -210,14 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("build", help="build a monitor from training traces")
+    p = sub.add_parser("build", parents=[selecting],
+                       help="build a monitor from training traces")
     p.add_argument("--traces", required=True)
     p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--model", help="enables gradient-based neuron selection")
-    p.add_argument("--select-frac", type=float,
-                   help="fraction of neurons to monitor, in (0, 1]")
-    p.add_argument("--classes", help="comma-separated class indices "
-                   "(default: all classes present)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build)
 
@@ -227,15 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="verdict JSONL output")
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("sweep", help="report warning rates across gamma "
-                       "levels from gamma-0 zone distances")
+    p = sub.add_parser("sweep", parents=[selecting],
+                       help="report warning rates across gamma levels from "
+                       "gamma-0 zone distances")
     p.add_argument("--traces", required=True, help="training traces")
     p.add_argument("--eval", required=True, help="labeled evaluation traces")
     p.add_argument("--gamma", required=True,
                    help="max gamma (e.g. 3) or comma list (e.g. 0,1,3)")
-    p.add_argument("--model", help="enables gradient-based neuron selection")
-    p.add_argument("--select-frac", type=float)
-    p.add_argument("--classes")
     p.add_argument("--out", required=True, help="report CSV output")
     p.set_defaults(func=cmd_sweep)
 

@@ -6,13 +6,17 @@ monitor files) and store lifecycle violations, so callers can distinguish
 bad data from bad environments.  Every artifact is parsed by the one
 strict decoder :data:`JSON_DECODER` (whole files through :func:`read_json`,
 trace files line by line), its integer fields are checked by
-:func:`exact_int`, and it is written through :func:`replace_on_success`.
-Integer arguments from library callers are checked by :func:`as_int`.
+:func:`exact_int` and the number arrays of files read whole by
+:func:`finite_floats`, and it is written through :func:`replace_on_success`.
+Integer arguments from library callers are checked by :func:`as_int`, and
+:func:`warn` points every warning at the caller's line.
 """
 
 import contextlib
 import json
 import os
+import sys
+import warnings
 
 import numpy as np
 
@@ -45,6 +49,25 @@ def exact_int(value, what: str) -> int:
     return value
 
 
+def finite_floats(value, what: str, ndim: int) -> np.ndarray:
+    """``value``, JSON numbers nested ``ndim`` lists deep, as a finite
+    float64 array, else a :class:`SchemaError` naming ``what``: a string,
+    bool, null or literal beyond float64 (``1e999`` reads as inf) is not."""
+    cells = np.array(value, dtype=object)
+    if cells.ndim != ndim:
+        raise SchemaError(f"{what} must be a {ndim}-D array of numbers")
+    for cell in cells.flat:
+        if type(cell) not in (int, float):
+            raise SchemaError(f"{what} must hold numbers, got {cell!r}")
+    try:
+        floats = cells.astype(np.float64)
+    except OverflowError:  # an int beyond the float64 range
+        floats = np.array(np.inf)
+    if not np.isfinite(floats).all():
+        raise SchemaError(f"{what} must hold finite numbers")
+    return floats
+
+
 def as_int(value, what: str) -> int:
     """``value`` as an int if it is a Python or numpy integer, else a
     ``ValueError``: a bool, float or string is no integer argument, and
@@ -54,6 +77,19 @@ def as_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} {value!r} is not an integer")
     return int(value)
+
+
+# sibling modules' code objects carry file names of the form of __file__
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn(message: str) -> None:
+    """A ``UserWarning`` naming the first stack frame outside the package."""
+    level = 2  # warnings.warn at ``level`` names sys._getframe(level - 1)
+    while sys._getframe(level - 1).f_code.co_filename.startswith(
+            _PACKAGE_DIR):
+        level += 1
+    warnings.warn(message, UserWarning, level)
 
 
 def _non_finite(token: str):

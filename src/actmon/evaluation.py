@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import patterns
-from .errors import replace_on_success
-from .monitor import Monitor, Verdict, _zero_zones, query
+from .errors import as_int, replace_on_success
+from .monitor import Monitor, Verdict, build, query
 from .traces import TraceRecord
 
 
@@ -98,23 +98,24 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
     at each of ``gammas``, growing no zone: the zones are nested, so a
     record is outside the gamma zone iff its Hamming distance to the gamma-0
     zone of its predicted class exceeds gamma.  Each eval record is
-    binarized and searched once, capped at ``max(gammas) + 1``, so the cost
-    does not grow with gamma; the warning rate is non-increasing in it.
+    binarized and searched once in the frozen gamma-0 monitor, capped at
+    ``max(gammas) + 1``, so the cost does not grow with gamma; the warning
+    rate is non-increasing in it.  Gammas are integers as in ``build``.
     """
-    gammas = list(gammas)
+    gammas = [as_int(g, "gamma") for g in gammas]
     if not gammas or any(g < 0 for g in gammas):
         raise ValueError("gammas must be a nonempty list of levels >= 0")
     if sorted(set(gammas)) != gammas:
         raise ValueError("gammas must be strictly ascending")
-    store, zones = _zero_zones(traces_train, selection, classes)
+    zero = build(traces_train, selection, 0, classes)
     traces = list(traces_eval)
     cap = gammas[-1] + 1
     dists = []
     for record in traces:
         pattern = patterns.binarize(record.activations, selection)
-        root = zones.get(record.pred_label)
+        root = zero.zones.get(record.pred_label)
         dists.append(None if root is None
-                     else store.distance(root, pattern, cap))
+                     else zero.store.distance(root, pattern, cap))
     return [_report_row(gamma, traces, [
         Verdict.NO_ZONE if d is None
         else Verdict.OUT_OF_ZONE if d > gamma else Verdict.IN_ZONE

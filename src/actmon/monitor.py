@@ -8,8 +8,9 @@ within Hamming distance 1 of the current zone (``BddStore.grow``).  At
 runtime, an input whose pattern is missing from the zone of the predicted
 class is flagged as outside the network's experience.  The zones are
 nested, so a pattern is outside the gamma zone exactly when its Hamming
-distance to the gamma-0 zone exceeds gamma; the gamma sweep reads every
-level off that one distance (``BddStore.distance``) and grows nothing.
+distance to the gamma-0 zone exceeds gamma; the gamma sweep builds the
+frozen gamma-0 monitor, reads every level off that one distance
+(``BddStore.distance``) and grows nothing.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 import enum
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import bdd
 from .bdd import BddRef, BddStore
 from .errors import (FormatVersionError, SchemaError, as_int, exact_int,
-                     read_json, replace_on_success)
+                     finite_floats, read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -61,10 +61,10 @@ class Monitor:
         return self.selection.width
 
 
-def _zero_zones(traces: Sequence[TraceRecord], selection: NeuronSelection,
-                classes: Iterable[int] | None
-                ) -> tuple[BddStore, dict[int, BddRef]]:
-    """A new store and the gamma-0 zone of each monitored class.
+def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
+          gamma: int, classes: Iterable[int] | None = None) -> Monitor:
+    """Build a monitor from training traces: the gamma-0 zones, grown
+    ``gamma`` times, in a frozen store.
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
     ground-truth label *and* the network predicted ``c``; misclassified
@@ -72,14 +72,18 @@ def _zero_zones(traces: Sequence[TraceRecord], selection: NeuronSelection,
 
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
-    (it will flag every query) and a warning pointing at the caller of
-    :func:`build` or :func:`~actmon.evaluation.gamma_sweep`.
+    (it will flag every query) and a warning at the caller's line.  ``gamma``
+    and the classes are Python or numpy integers (a bool, float or string
+    raises ``ValueError``), stored as ints.
     """
+    gamma = as_int(gamma, "gamma")
+    if gamma < 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
     traces = list(traces)
     if not traces:
         raise ValueError("cannot build a monitor from zero traces")
-    class_list = sorted({r.true_label for r in traces}
-                        if classes is None else set(classes))
+    class_list = sorted({r.true_label for r in traces} if classes is None
+                        else {as_int(c, "class") for c in classes})
     if not class_list:
         raise ValueError("no classes to monitor")
 
@@ -91,23 +95,9 @@ def _zero_zones(traces: Sequence[TraceRecord], selection: NeuronSelection,
             seen[c].append(binarize(record.activations, selection))
     for c in class_list:
         if not seen[c]:
-            warnings.warn(
-                f"class {c}: no correctly classified training record; "
-                f"its zone is empty and will flag every query",
-                stacklevel=3)
-    return store, {c: store.encode_set(seen[c]) for c in class_list}
-
-
-def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
-          gamma: int, classes: Iterable[int] | None = None) -> Monitor:
-    """Build a monitor from training traces: the gamma-0 zones, grown
-    ``gamma`` times, in a frozen store.  ``gamma`` is a Python or numpy
-    integer and is stored as an int; a bool, float or string raises
-    ``ValueError``."""
-    gamma = as_int(gamma, "gamma")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    store, zones = _zero_zones(traces, selection, classes)
+            warn(f"class {c}: no correctly classified training record; "
+                 f"its zone is empty and will flag every query")
+    zones = {c: store.encode_set(seen[c]) for c in class_list}
     for _ in range(gamma):
         zones = {c: store.grow(root) for c, root in zones.items()}
     store.freeze()
@@ -173,15 +163,10 @@ def monitor_from_dict(data: Mapping) -> Monitor:
             f"unsupported monitor version {data.get('version')!r}")
     try:
         sel = data["selection"]
-        bad = [s for s in sel["scores"] if type(s) not in (int, float)]
-        if bad:
-            raise SchemaError(f"score must be a number, got {bad[0]!r}")
         selection = NeuronSelection(
-            layer=exact_int(sel["layer"], "selection layer"),
-            layer_width=exact_int(sel["layer_width"], "layer_width"),
-            indices=tuple(exact_int(i, "neuron index")
-                          for i in sel["indices"]),
-            scores=tuple(map(float, sel["scores"])),
+            layer=sel["layer"], layer_width=sel["layer_width"],
+            indices=sel["indices"],
+            scores=tuple(finite_floats(sel["scores"], "scores", 1).tolist()),
         )
         gamma = exact_int(data["gamma"], "gamma")
         layer = exact_int(data["layer"], "layer")

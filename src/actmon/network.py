@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FormatVersionError, SchemaError, read_json,
-                     replace_on_success)
+from .errors import (FormatVersionError, SchemaError, finite_floats,
+                     read_json, replace_on_success)
 
 MODEL_VERSION = 1
 
@@ -296,11 +296,11 @@ def load_model(path) -> ModelSpec:
         raise SchemaError("model file is missing the layers list")
     try:
         layers = [
-            Layer(np.asarray(entry["weights"], dtype=np.float64),
-                  np.asarray(entry["bias"], dtype=np.float64),
+            Layer(finite_floats(entry["weights"], "weights", 2),
+                  finite_floats(entry["bias"], "bias", 1),
                   entry["activation"])
             for entry in payload["layers"]
         ]
         return ModelSpec(layers, payload.get("metadata", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, SchemaError) as exc:
         raise SchemaError(f"malformed model file: {exc}") from exc

@@ -12,7 +12,8 @@ Every following line is one record::
 ``layer`` names the monitored layer, ``width`` its neuron count (the length
 of every activation vector), ``classes`` the number of classes.
 :func:`extract` makes the header and records by running a model over a
-dataset.
+dataset.  Writer and reader share one header rule and one record rule,
+so :func:`write_traces` refuses what :func:`read_traces` refuses.
 """
 
 from __future__ import annotations
@@ -55,57 +56,71 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
     model's decision its predicted label.  Returns the pair
     :func:`read_traces` returns for the written file.  Inputs and labels
     of different lengths raise ``ValueError``, and so does a label that
-    is not a Python or numpy integer (a float, bool or string) or lies
-    outside ``0..class_count-1``.
+    :func:`write_traces` would refuse.
     """
+    layer = as_int(layer, "layer")
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
+    header = TraceHeader(layer, model.layer_width(layer), model.class_count)
     records = []
     for i, (row, label) in enumerate(zip(inputs, labels, strict=True)):
-        label = as_int(label, f"record 's{i}': label")
-        if not 0 <= label < model.class_count:
-            raise ValueError(f"record 's{i}': label {label} outside "
-                             f"0..{model.class_count - 1}")
         trace = forward(model, row)
-        records.append(TraceRecord(
-            id=f"s{i}",
-            true_label=label,
-            pred_label=decide(trace.final),
-            activations=trace.outputs[layer],
-        ))
-    header = TraceHeader(layer, model.layer_width(layer), model.class_count)
+        records.append(TraceRecord(f"s{i}", *_writable(
+            f"s{i}", label, decide(trace.final), trace.outputs[layer], header)))
     return header, records
 
 
+def _check_header(header: TraceHeader) -> TraceHeader:
+    """The header rule of writer and reader (else ``ValueError``)."""
+    if header.width < 1 or header.classes < 2:
+        raise ValueError(f"width {header.width} must be >= 1 and classes "
+                         f"{header.classes} >= 2")
+    return header
+
+
+def _check_record(header: TraceHeader, true_label: int, pred_label: int,
+                  activations: np.ndarray) -> None:
+    """The record rule of writer and reader: activations of the header's
+    width, both labels in ``0..classes-1``; else ``ValueError``."""
+    if activations.shape != (header.width,):
+        raise ValueError(f"activation shape {activations.shape} does not "
+                         f"match header width {header.width}")
+    for label in (true_label, pred_label):
+        if not 0 <= label < header.classes:
+            raise ValueError(f"label {label} outside 0..{header.classes - 1}")
+
+
+def _writable(rid: str, true_label, pred_label, activations,
+              header: TraceHeader) -> tuple[int, int, np.ndarray]:
+    """The labels through :func:`~actmon.errors.as_int` and the activations
+    as float64, under the record rule; else ``ValueError`` naming ``rid``."""
+    try:
+        fields = (as_int(true_label, "label"), as_int(pred_label, "label"),
+                  np.asarray(activations, np.float64))
+        _check_record(header, *fields)
+    except ValueError as exc:
+        raise ValueError(f"record {rid!r}: {exc}") from exc
+    return fields
+
+
 def write_traces(path, header: TraceHeader, records) -> None:
+    """Write a trace file, refusing with ``ValueError`` (the old file kept)
+    what :func:`read_traces` refuses; integers go through ``as_int``."""
+    header = _check_header(TraceHeader(
+        as_int(header.layer, "layer"), as_int(header.width, "width"),
+        as_int(header.classes, "classes")))
     with replace_on_success(path) as fh:
-        head = {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "layer": header.layer,
-            "width": header.width,
-            "classes": header.classes,
-        }
-        fh.write(json.dumps(head, separators=(",", ":")) + "\n")
+        fh.write(json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION,
+                             **vars(header)}, separators=(",", ":")) + "\n")
         for record in records:
-            acts = np.asarray(record.activations, dtype=np.float64)
-            if acts.shape != (header.width,):
-                raise ValueError(
-                    f"record {record.id!r}: activation width {acts.shape} "
-                    f"does not match header width {header.width}")
-            for label in (record.true_label, record.pred_label):
-                if not 0 <= label < header.classes:
-                    raise ValueError(f"record {record.id!r}: label {label} "
-                                     f"outside 0..{header.classes - 1}")
-            line = {
-                "id": record.id,
-                "true_label": record.true_label,
-                "pred_label": record.pred_label,
-                "activations": acts.tolist(),
-            }
+            true_label, pred_label, acts = _writable(
+                record.id, record.true_label, record.pred_label,
+                record.activations, header)
             try:
-                text = json.dumps(line, separators=(",", ":"),
-                                  allow_nan=False)
+                text = json.dumps({"id": record.id, "true_label": true_label,
+                                   "pred_label": pred_label,
+                                   "activations": acts.tolist()},
+                                  separators=(",", ":"), allow_nan=False)
             except ValueError as exc:  # JSON has no NaN or infinity
                 raise ValueError(f"record {record.id!r}: non-finite "
                                  f"activation value") from exc
@@ -126,6 +141,11 @@ def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
                 records.append(_parse_record(line, line_no, header))
         except UnicodeDecodeError as exc:
             raise SchemaError(f"trace file is not UTF-8 text: {exc}") from exc
+    # JSON reads 1e999 as infinity; one check per file, not per record
+    if records and not np.isfinite(
+            np.concatenate([r.activations for r in records])).all():
+        bad = next(r for r in records if not np.isfinite(r.activations).all())
+        raise SchemaError(f"record {bad.id!r}: non-finite activation value")
     return header, records
 
 
@@ -140,16 +160,13 @@ def _parse_header(line: str) -> TraceHeader:
         raise FormatVersionError(
             f"unsupported trace version {head.get('version')!r}")
     try:
-        header = TraceHeader(
+        return _check_header(TraceHeader(
             layer=exact_int(head["layer"], "layer"),
             width=exact_int(head["width"], "width"),
             classes=exact_int(head["classes"], "classes"),
-        )
-    except (KeyError, SchemaError) as exc:
+        ))
+    except (KeyError, ValueError, SchemaError) as exc:
         raise SchemaError(f"malformed trace header: {exc}") from exc
-    if header.width < 1 or header.classes < 2:
-        raise SchemaError("trace header width/classes out of range")
-    return header
 
 
 def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
@@ -161,16 +178,10 @@ def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
             pred_label=exact_int(row["pred_label"], "pred_label"),
             activations=np.asarray(row["activations"], dtype=np.float64),
         )
-    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+        _check_record(header, record.true_label, record.pred_label,
+                      record.activations)
+    except (KeyError, TypeError, ValueError, OverflowError,
+            SchemaError) as exc:
         raise SchemaError(f"line {line_no}: malformed trace record: {exc}") \
             from exc
-    if record.activations.shape != (header.width,):
-        raise SchemaError(
-            f"line {line_no}: activation width "
-            f"{record.activations.shape[0] if record.activations.ndim == 1 else record.activations.shape} "
-            f"does not match header width {header.width}")
-    for label in (record.true_label, record.pred_label):
-        if not 0 <= label < header.classes:
-            raise SchemaError(
-                f"line {line_no}: label {label} outside 0..{header.classes - 1}")
     return record

@@ -707,6 +707,28 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="duplicate"):
             bdd.from_dict(data)
 
+    @staticmethod
+    def _scale_ids(data):
+        """Every id, child and root times 10: a consistent relabeling that
+        to_dict never writes."""
+        scale = {0: 0, 1: 1}
+        scale.update((node["id"], node["id"] * 10) for node in data["nodes"])
+        for node in data["nodes"]:
+            node.update({k: scale[node[k]] for k in ("id", "low", "high")})
+        data["roots"] = {k: scale[v] for k, v in data["roots"].items()}
+
+    @pytest.mark.parametrize("corrupt", [
+        _scale_ids,
+        lambda d: d["nodes"].reverse(),
+        lambda d: d["nodes"][-1].update(id=d["nodes"][-1]["id"] + 1),
+    ], ids=["ids-times-ten", "parents-first", "gap"])
+    def test_ids_must_be_positions(self, corrupt):
+        store, roots = self._sample()
+        data = store.to_dict(roots)
+        corrupt(data)
+        with pytest.raises(SchemaError, match="is not its position"):
+            bdd.from_dict(data)
+
     @pytest.mark.parametrize("corrupt", [
         lambda d: d.update(roots=list(d["roots"].values())),
         lambda d: d.update(nodes=7),

@@ -359,3 +359,74 @@ class TestDatasetFile:
         assert code == 1
         assert err.startswith("error: malformed dataset file: ")
         assert not out.exists()
+
+
+class TestOverflowingLiteral:
+    """A number literal beyond float64 is a schema error (exit 1), not a
+    traceback, in every file a command reads."""
+
+    HUGE = "1" * 400
+
+    def _fails_cleanly(self, argv, capsys, message):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_trace_activation(self, pipeline, tmp_path, capsys):
+        lines = pipeline["train"].read_text().splitlines()
+        record = json.loads(lines[2])
+        record["activations"][0] = 12345.678
+        lines[2] = json.dumps(record).replace("12345.678", self.HUGE)
+        bad = tmp_path / "train.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        self._fails_cleanly(["build", "--traces", str(bad), "--gamma", "0",
+                             "--out", str(tmp_path / "m.json")], capsys,
+                            "line 3: ")
+
+    def test_model_weight(self, pipeline, tmp_path, capsys):
+        data = json.loads(pipeline["model"].read_text())
+        data["layers"][0]["weights"][0][0] = 12345.678
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(data).replace("12345.678", self.HUGE))
+        self._fails_cleanly(["extract", "--model", str(bad), "--layer", "1",
+                             "--per-class", "2",
+                             "--out", str(tmp_path / "t.jsonl")], capsys,
+                            "weights must hold finite numbers")
+
+    @pytest.mark.parametrize("command", ["stats", "query"])
+    def test_monitor_score(self, pipeline, tmp_path, capsys, command):
+        data = json.loads(pipeline["monitor"].read_text())
+        data["selection"]["scores"][0] = 12345.678
+        bad = tmp_path / "monitor.json"
+        bad.write_text(json.dumps(data).replace("12345.678", self.HUGE))
+        argv = [command, "--monitor", str(bad)]
+        if command == "query":
+            argv += ["--traces", str(pipeline["eval"]),
+                     "--out", str(tmp_path / "v.jsonl")]
+        self._fails_cleanly(argv, capsys, "scores must hold finite numbers")
+
+    @pytest.mark.parametrize("literal", ['"1"', "true", "1e999", HUGE],
+                             ids=["string", "bool", "infinite", "huge"])
+    def test_dataset_input(self, pipeline, tmp_path, capsys, literal):
+        data = tmp_path / "data.json"
+        data.write_text(f'{{"inputs": [[0.0, {literal}]], "labels": [0]}}')
+        out = tmp_path / "traces.jsonl"
+        self._fails_cleanly(["extract", "--model", str(pipeline["model"]),
+                             "--layer", "1", "--data", str(data),
+                             "--out", str(out)], capsys,
+                            "malformed dataset file: inputs must hold")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "sweep"])
+def test_selection_flags_shared(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for flag, help_text in [
+            ("--model", "enables gradient-based neuron selection"),
+            ("--select-frac", "fraction of neurons to monitor, in (0, 1]"),
+            ("--classes", "comma-separated class indices")]:
+        assert f"{flag} " in text and help_text in text

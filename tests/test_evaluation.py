@@ -238,6 +238,21 @@ class TestGammaSweep:
         with pytest.raises(ValueError, match="nonempty"):
             gamma_sweep(train, train, identity_selection(8), [])
 
+    @pytest.mark.parametrize("gammas", [[True], [0, 1.5], ["1"],
+                                        [0, np.float64(1.0)]],
+                             ids=["bool", "float", "string", "numpy-float"])
+    def test_non_integer_gamma_rejected(self, gammas):
+        train = self._traces(44, 10)
+        with pytest.raises(ValueError, match="gamma .* is not an integer"):
+            gamma_sweep(train, train, identity_selection(8), gammas)
+
+    def test_numpy_gamma_reported_as_int(self):
+        train = self._traces(45, 10)
+        rows = gamma_sweep(train, train, identity_selection(8),
+                           [np.int64(0), np.uint8(1)])
+        assert [(type(r.gamma), r.gamma) for r in rows] \
+            == [(int, 0), (int, 1)]
+
     def test_empty_zone_warning_points_at_caller(self):
         train = [rec(0, 0, (1,) * 8), rec(1, 0, (0,) * 8)]
         with pytest.warns(UserWarning, match="class 1") as caught:

@@ -215,6 +215,32 @@ class TestBuild:
         mon = build(traces, identity_selection(2), gamma=0, classes={1})
         assert mon.classes == [1]
 
+    @pytest.mark.parametrize("cls", [True, 1.5, "1", np.True_])
+    def test_non_integer_class_rejected(self, cls):
+        with pytest.raises(ValueError, match="class .* is not an integer"):
+            build([pattern_trace(1, 1, (0, 1))], identity_selection(2),
+                  gamma=0, classes=[cls])
+
+    def test_numpy_class_saves_and_loads(self, tmp_path):
+        mon = build([pattern_trace(1, 1, (0, 1))], identity_selection(2),
+                    gamma=0, classes=[np.int64(1)])
+        assert [type(c) for c in mon.classes] == [int]
+        path = tmp_path / "m.json"
+        save_monitor(mon, path)
+        assert load_monitor(path).classes == [1]
+
+    def test_empty_zone_warning_points_at_caller(self):
+        traces = [pattern_trace(0, 0, (0, 1)), pattern_trace(1, 0, (1, 1))]
+        with pytest.warns(UserWarning, match="class 1") as caught:
+            build(traces, identity_selection(2), gamma=0)
+        assert caught[0].filename == __file__
+
+    def test_width_warning_points_at_caller(self):
+        traces = [pattern_trace(0, 0, (1,) * 201)]
+        with pytest.warns(UserWarning, match="impractical") as caught:
+            build(traces, identity_selection(201), gamma=0)
+        assert caught[0].filename == __file__
+
     def test_projection_applies_before_enlargement(self):
         # monitor only neuron 2 and 0 of a width-4 layer
         selection = NeuronSelection(layer=0, layer_width=4,
@@ -445,6 +471,8 @@ class TestPersistence:
         ("selection.indices", [0.2, 1.9, "2", 3, 4, 5]),
         ("selection.scores", ["1.5", 0.0, 0.0, 0.0, 0.0, 0.0]),
         ("selection.scores", [0.0, 0.0, True, 0.0, 0.0, 0.0]),
+        ("selection.scores", [0.0, 0.0, 0.0, None, 0.0, 0.0]),
+        ("selection.scores", [[0.0]] * 6),
     ])
     def test_inexact_or_contradicting_field(self, path, value):
         data = monitor_to_dict(self._monitor())
@@ -500,6 +528,27 @@ class TestPersistence:
         path.write_text(text.replace('"scores":[0.0,',
                                      f'"scores":[{token},', 1))
         with pytest.raises(SchemaError, match="monitor file .*non-finite"):
+            load_monitor(path)
+
+    def test_width_warning_on_load_points_at_caller(self, tmp_path):
+        path = tmp_path / "m.json"
+        with pytest.warns(UserWarning, match="impractical"):
+            save_monitor(build([pattern_trace(0, 0, (1,) * 201)],
+                               identity_selection(201), gamma=0), path)
+        with pytest.warns(UserWarning, match="impractical") as caught:
+            load_monitor(path)
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("literal", ["1" * 400, "1e999", "-1e999"],
+                             ids=["huge-int", "inf", "minus-inf"])
+    def test_overflowing_score_is_schema_error(self, tmp_path, literal):
+        path = tmp_path / "monitor.json"
+        save_monitor(self._monitor(), path)
+        text = path.read_text()
+        assert '"scores":[0.0,' in text
+        path.write_text(text.replace('"scores":[0.0,',
+                                     f'"scores":[{literal},', 1))
+        with pytest.raises(SchemaError, match="scores must hold finite"):
             load_monitor(path)
 
     def test_loaded_monitor_is_frozen(self, tmp_path):

@@ -300,6 +300,35 @@ class TestModelFiles:
         with pytest.raises(SchemaError, match="model file .*non-finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("bias", ["0.5", True, 0.0, 0.0, 0.0, 0.0]),
+        ("bias", [0.5, None, 0.0, 0.0, 0.0, 0.0]),
+        ("bias", [[0.5]] * 6),
+        ("weights", [[1.0] * 6, [1.0] * 6, ["1"] * 6]),
+        ("weights", [1.0] * 18),
+    ], ids=["string-and-bool", "null", "nested", "string", "flat"])
+    def test_weights_and_biases_must_be_numbers(self, tmp_path, field,
+                                                value):
+        path = tmp_path / "m.json"
+        save_model(random_model(np.random.default_rng(36), (3, 6, 4)), path)
+        data = json.loads(path.read_text())
+        data["layers"][0][field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=f"malformed model file: "
+                           f"{field} must"):
+            load_model(path)
+
+    @pytest.mark.parametrize("literal", ["1" * 400, "-1e999"],
+                             ids=["huge-int", "minus-inf"])
+    def test_overflowing_weight_is_schema_error(self, tmp_path, literal):
+        path = tmp_path / "m.json"
+        save_model(random_model(np.random.default_rng(37), (3, 6, 4)), path)
+        data = json.loads(path.read_text())
+        data["layers"][1]["weights"][0][0] = 12345.678
+        path.write_text(json.dumps(data).replace("12345.678", literal))
+        with pytest.raises(SchemaError, match="weights must hold finite"):
+            load_model(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"version": 9, "layers": []}))

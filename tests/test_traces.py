@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -256,3 +257,123 @@ class TestExtract:
         _, records = extract(load_model(model_path), x, labels, 1)
         assert [r.true_label for r in records] == [0, 1, 2]
         assert all(type(r.true_label) is int for r in records)
+
+
+def integer_like(value):
+    """The oracle of ``as_int``: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) \
+        and not isinstance(value, (bool, np.bool_))
+
+
+# field values a caller may hand the writer: valid, numpy, and the kinds of
+# value a JSON reader would refuse
+FIELD_VALUES = [0, 1, 2, 3, -1, np.int64(2), np.int32(1), np.uint8(3), True,
+                False, np.True_, 2.0, 1.5, "2", None]
+
+
+class TestWriterRefusesWhatReaderRefuses:
+    @pytest.mark.parametrize("header", [
+        TraceHeader(0, 2, 1), TraceHeader(0, 0, 3), TraceHeader(True, 2, 3),
+        TraceHeader(0, 2.0, 3), TraceHeader(0, 2, "3"),
+    ], ids=["one-class", "zero-width", "bool-layer", "float-width",
+            "string-classes"])
+    def test_bad_header_not_written(self, tmp_path, header):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError):
+            write_traces(path, header, [])
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("label", [True, np.True_, 1.0, "1", None])
+    def test_non_integer_label_not_written(self, tmp_path, label):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = sample_records()
+        records[2].pred_label = label
+        with pytest.raises(ValueError, match="record 's2': label"):
+            write_traces(path, TraceHeader(1, 4, 3), records)
+        assert path.read_text() == "old contents\n"
+
+    def test_numpy_integers_written_as_ints(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = sample_records()
+        for record in records:
+            record.true_label = np.int64(record.true_label)
+            record.pred_label = np.uint8(record.pred_label)
+        write_traces(path, TraceHeader(np.int64(1), np.int32(4),
+                                       np.int64(3)), records)
+        header, loaded = read_traces(path)
+        assert header == TraceHeader(1, 4, 3)
+        assert [(r.true_label, r.pred_label) for r in loaded] \
+            == [(int(r.true_label), int(r.pred_label)) for r in records]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_or_refusal(self, tmp_path, seed):
+        # random record lists that mix valid records with bad ones: either
+        # the writer refuses (ValueError, old file kept), or the reader
+        # returns the same header and records; the oracle says which
+        rng = random.Random(seed)
+        path = tmp_path / "t.jsonl"
+        for case in range(100):
+            fields = [rng.choice(FIELD_VALUES) if rng.random() < 0.15
+                      else rng.randint(1, 3) for _ in range(3)]
+            header = TraceHeader(*fields)
+            valid = all(map(integer_like, fields)) \
+                and fields[1] >= 1 and fields[2] >= 2
+            records = []
+            for i in range(rng.randint(0, 4)):
+                width = fields[1] if integer_like(fields[1]) else 2
+                if rng.random() < 0.1:
+                    width = max(0, int(width) + rng.choice((-1, 1)))
+                acts = [rng.uniform(-2.0, 2.0) for _ in range(width)]
+                if acts and rng.random() < 0.1:
+                    acts[rng.randrange(width)] = rng.choice(
+                        (math.nan, math.inf, -math.inf))
+                labels = [rng.choice(FIELD_VALUES) if rng.random() < 0.1
+                          else rng.randint(0, 1) for _ in range(2)]
+                valid = valid and len(acts) == fields[1] \
+                    and all(map(math.isfinite, acts)) and all(
+                        integer_like(x) and 0 <= x < fields[2]
+                        for x in labels)
+                records.append(TraceRecord(f"s{i}", *labels, np.array(
+                    acts) if rng.random() < 0.5 else acts))
+            path.write_text("old contents\n")
+            try:
+                write_traces(path, header, records)
+            except ValueError:
+                assert not valid, (case, header, records)
+                assert path.read_text() == "old contents\n"
+                assert list(tmp_path.iterdir()) == [path]
+                continue
+            assert valid, (case, header, records)
+            loaded_header, loaded = read_traces(path)
+            assert loaded_header == TraceHeader(*map(int, fields))
+            assert len(loaded) == len(records)
+            for a, b in zip(records, loaded):
+                assert (b.id, b.true_label, b.pred_label) \
+                    == (a.id, int(a.true_label), int(a.pred_label))
+                assert type(b.true_label) is type(b.pred_label) is int
+                assert np.array_equal(b.activations, a.activations)
+
+
+class TestOverflowingLiteral:
+    def _write(self, path, activation):
+        path.write_text(f"{json.dumps(HEADER)}\n{json.dumps(RECORD)}\n"
+                        + json.dumps(RECORD).replace('"s0"', '"s1"').replace(
+                            "[1.0]", f"[{activation}]") + "\n")
+
+    def test_huge_integer_names_the_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        self._write(path, "1" * 400)
+        with pytest.raises(SchemaError, match="line 3: "):
+            read_traces(path)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" * 400 + ".0"],
+                             ids=["inf", "minus-inf", "huge-float"])
+    def test_overflowing_float_is_schema_error(self, tmp_path, literal):
+        path = tmp_path / "t.jsonl"
+        self._write(path, literal)
+        with pytest.raises(SchemaError,
+                           match="record 's1': non-finite activation"):
+            read_traces(path)
