@@ -59,7 +59,7 @@ print(f"monitor: {monitor.width} neurons of layer {LAYER}, "
       f"gamma {GAMMA}, classes {monitor.classes}")
 for c in monitor.classes:
     print(f"  class {c}: {monitor.store.sat_count(monitor.zones[c])} "
-          f"patterns in zone")
+          f"training (gamma-0) patterns in zone")
 
 print()
 x_eval, y_eval = make_blobs(seed=SEED + 5000, per_class=300)

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """How coarse should the monitor be?  Sweeping the Hamming budget.
 
-Zones built only from literally-seen patterns flag too eagerly; zones
-enlarged too far flag nothing.  This demo sweeps gamma, reading every
-level off each validation record's Hamming distance to the gamma-0 zone of
-its predicted class, and prints the two competing rates per level: how often
+Zones of literally-seen patterns flag too eagerly at gamma 0; too large a
+Hamming budget flags nothing.  This demo sweeps gamma, reading every level
+off each validation record's Hamming distance to the zone of its predicted
+class, and prints the two competing rates per level: how often
 the monitor warns, and how often its warnings coincide with an actual
 misclassification.  The stopping rule then picks the smallest gamma whose
 warnings are both rare and precise.

@@ -45,7 +45,7 @@ for name, selection in (("full layer", identity_selection(len(scores),
     monitor = build(records, selection, gamma=1, classes={WATCHED_CLASS})
     root = monitor.zones[WATCHED_CLASS]
     print(f"{name:<12} {selection.width:>2} vars, "
-          f"{monitor.store.sat_count(root):>6} zone patterns, "
+          f"{monitor.store.sat_count(root):>3} training (gamma-0) patterns, "
           f"{monitor.store.node_count(root):>4} BDD nodes")
 
 print("\nfewer monitored neurons make a coarser, cheaper zone; the "

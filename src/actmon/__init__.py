@@ -2,9 +2,9 @@
 
 The package builds per-class "comfort zones" from the on/off activation
 patterns a network produced on its correctly classified training data,
-stores each zone as a BDD, optionally enlarges zones by Hamming distance,
-and answers whether an operation-time input's pattern falls inside the
-zone of the predicted class.
+stores each zone as a BDD, and answers whether an operation-time input's
+pattern lies within Hamming distance ``gamma`` of the zone of the
+predicted class.
 """
 
 from types import ModuleType as _Module

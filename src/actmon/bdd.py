@@ -4,14 +4,15 @@ A :class:`BddStore` owns a hash-consed node table for one fixed variable
 order (variable ``i`` is bit ``i`` of a pattern, ``0 <= i < n_vars``).
 Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
-handful of operations the monitor construction needs: encoding a set of
-patterns in one pass, union, growth by Hamming distance 1, existential
-quantification over one variable, membership evaluation, the Hamming
-distance from a pattern to a set, exact model counting, small-width
-enumeration, and a deterministic plain-data form
-(:meth:`BddStore.to_dict`, :func:`from_dict`) that monitor files embed, in
-which a node's id is its position in the table; reading and writing files
-is the caller's job.
+handful of operations a monitor needs: encoding a set of patterns in one
+pass, membership evaluation, the capped Hamming distance from a pattern to
+a set (the monitor's query), exact model counting, small-width enumeration,
+and a deterministic plain-data form (:meth:`BddStore.to_dict`,
+:func:`from_dict`) that monitor files embed, in which a node's id is its
+position in the table; reading and writing files is the caller's job.
+Existential quantification over one variable (:meth:`BddStore.exists`) is
+the paper's construction of a distance-1 step; no monitor uses it, and the
+tests build their reference Hamming balls from it.
 
 There are no complement edges and no dynamic reordering; canonicity is
 plain Bryant-style reduction (no node with equal children, no duplicate
@@ -174,14 +175,8 @@ class BddStore:
 
         return BddRef(self, build(0, len(rows), 0))
 
-    def union(self, a: BddRef, b: BddRef) -> BddRef:
-        """Set union; canonical, commutative and idempotent."""
-        self._require_mutable()
-        return BddRef(self, self._or(self._check_ref(a), self._check_ref(b),
-                                     {}))
-
-    # union, exists and grow pass one memo down their recursion: (a, b)
-    # pairs key the or results, node ids the exists/grow results
+    # exists passes one memo down its recursion: (a, b) pairs key the or
+    # results, node ids the exists results
     def _or(self, a: int, b: int, memo: dict) -> int:
         if a == b or b == FALSE:
             return a
@@ -231,24 +226,6 @@ class BddStore:
             memo[a] = found
         return found
 
-    def grow(self, a: BddRef) -> BddRef:
-        """The set plus every pattern at Hamming distance 1 from a member,
-        in one pass; ``gamma`` applications give the radius-``gamma`` ball."""
-        self._require_mutable()
-        return BddRef(self, self._grow(self._check_ref(a), {}))
-
-    def _grow(self, a: int, memo: dict) -> int:
-        # flipping bit var crosses branches; skipped variables are don't-cares
-        if a <= TRUE:
-            return a
-        found = memo.get(a)
-        if found is None:
-            low, high = self._low[a], self._high[a]
-            found = memo[a] = self._mk(
-                self._var[a], self._or(self._grow(low, memo), high, memo),
-                self._or(self._grow(high, memo), low, memo))
-        return found
-
     # -- read operations (safe on frozen stores) ----------------------------
 
     def contains(self, a: BddRef, bits: Sequence[int]) -> bool:
@@ -274,13 +251,16 @@ class BddStore:
     def distance(self, a: BddRef, bits: Sequence[int], cap: int) -> int:
         """Least Hamming distance from ``bits`` to a member of ``a``, or
         ``cap`` (at least 1) if no member is closer; the empty set gives
-        ``cap``.  A depth-first search: the matching branch first, a flipped
-        branch only while it can still beat the best distance found, so at
-        ``cap`` 1 it is the :meth:`contains` walk."""
-        node = self._check_ref(a)
-        self._check_pattern(bits)
+        ``cap``.  At ``cap`` 1 this is the :meth:`contains` walk.  Above it,
+        a depth-first search: the matching branch first, a flipped branch
+        only while it can still beat the best distance found and is not the
+        empty set, so the cost grows with ``cap``."""
         if cap < 1:
             raise ValueError(f"distance cap must be >= 1, got {cap}")
+        if cap == 1:
+            return 0 if self.contains(a, bits) else 1
+        node = self._check_ref(a)
+        self._check_pattern(bits)
         var, low, high = self._var, self._low, self._high
         best = cap
         stack = [(node, 0)]
@@ -293,7 +273,7 @@ class BddStore:
                     node, other = high[node], low[node]
                 else:
                     node, other = low[node], high[node]
-                if used + 1 < best:
+                if other != FALSE and used + 1 < best:
                     stack.append((other, used + 1))
             if node == TRUE:
                 best = used

@@ -1,12 +1,12 @@
 """Warning-rate metrics, gamma sweeps and the stopping heuristic.
 
-On a labeled evaluation set we count, per enlargement level gamma, how
-often the monitor flags a sample (the pattern is outside the predicted
-class's zone) and how often flagged samples were actually misclassified.
-The first ratio is the warning rate a deployment would observe; the second
-estimates the precision of those warnings.  Sweeping gamma trades one
-against the other: every enlargement step can only shrink the set of
-flagged samples.
+On a labeled evaluation set we count, per query radius gamma, how often
+the monitor flags a sample (its pattern is farther than gamma from the
+predicted class's zone) and how often flagged samples were actually
+misclassified.  The first ratio is the warning rate a deployment would
+observe; the second estimates the precision of those warnings.  Sweeping
+gamma trades one against the other: a larger radius can only shrink the
+set of flagged samples.
 
 Note the precision figure transfers from the evaluation set to operation
 only under the assumption that the input distribution does not shift;
@@ -95,12 +95,12 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
                 gammas: Sequence[int],
                 classes: Iterable[int] | None = None) -> list[EvalRow]:
     """Report rows of the monitors :func:`~actmon.monitor.build` would make
-    at each of ``gammas``, growing no zone: the zones are nested, so a
-    record is outside the gamma zone iff its Hamming distance to the gamma-0
-    zone of its predicted class exceeds gamma.  Each eval record is
-    binarized and searched once in the frozen gamma-0 monitor, capped at
-    ``max(gammas) + 1``, so the cost does not grow with gamma; the warning
-    rate is non-increasing in it.  Gammas are integers as in ``build``.
+    at each of ``gammas``.  Those monitors differ only in ``gamma``, and
+    :func:`~actmon.monitor.query` flags a record when its Hamming distance
+    to the zone of its predicted class exceeds gamma, so one gamma-0 build
+    serves every level: each eval record is binarized and searched once,
+    capped at ``max(gammas) + 1``.  The warning rate is non-increasing in
+    gamma.  Gammas are integers as in ``build``.
     """
     gammas = [as_int(g, "gamma") for g in gammas]
     if not gammas or any(g < 0 for g in gammas):

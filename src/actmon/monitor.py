@@ -2,15 +2,15 @@
 
 A monitor is built after training from recorded traces: for every
 monitored class it stores, as one BDD root, the set of activation patterns
-produced by training samples that the network classified correctly.  The
-zone can then be enlarged ``gamma`` times; each round adds every pattern
-within Hamming distance 1 of the current zone (``BddStore.grow``).  At
-runtime, an input whose pattern is missing from the zone of the predicted
-class is flagged as outside the network's experience.  The zones are
-nested, so a pattern is outside the gamma zone exactly when its Hamming
-distance to the gamma-0 zone exceeds gamma; the gamma sweep builds the
-frozen gamma-0 monitor, reads every level off that one distance
-(``BddStore.distance``) and grows nothing.
+produced by training samples that the network classified correctly (the
+gamma-0 zone), plus the Hamming radius ``gamma``.  At runtime, an input is
+flagged as outside the network's experience when no pattern of the
+predicted class's zone lies within Hamming distance ``gamma`` of its own
+pattern: one capped search, ``BddStore.distance(zone, pattern, gamma + 1)``.
+Building makes only the gamma-0 zones, so its cost and the monitor file do
+not depend on gamma; the query's cost grows with it.  :func:`query`,
+:func:`~actmon.evaluation.evaluate` and
+:func:`~actmon.evaluation.gamma_sweep` share this one rule.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -32,7 +32,9 @@ from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
 MONITOR_FORMAT = "actmon-monitor"
-MONITOR_VERSION = 1
+# 2: zones are gamma 0; a version-1 zone of gamma > 0 was grown, and read
+# as gamma 0 it would answer for radius 2 * gamma
+MONITOR_VERSION = 2
 
 
 class Verdict(enum.Enum):
@@ -63,8 +65,8 @@ class Monitor:
 
 def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
           gamma: int, classes: Iterable[int] | None = None) -> Monitor:
-    """Build a monitor from training traces: the gamma-0 zones, grown
-    ``gamma`` times, in a frozen store.
+    """Build a monitor from training traces: the gamma-0 zones in a frozen
+    store, and ``gamma``, the query radius.
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
     ground-truth label *and* the network predicted ``c``; misclassified
@@ -98,14 +100,14 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
             warn(f"class {c}: no correctly classified training record; "
                  f"its zone is empty and will flag every query")
     zones = {c: store.encode_set(seen[c]) for c in class_list}
-    for _ in range(gamma):
-        zones = {c: store.grow(root) for c, root in zones.items()}
     store.freeze()
     return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
 
 
 def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
-    """Judge one runtime sample against the predicted class's zone.
+    """Judge one runtime sample against the predicted class's zone:
+    ``IN_ZONE`` when a zone pattern lies within Hamming distance
+    ``monitor.gamma`` of the sample's pattern.
 
     Only the predicted class is consulted; membership in another class's
     zone says nothing about this decision.  An unmonitored predicted class
@@ -115,7 +117,8 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
     root = monitor.zones.get(pred_label)
     if root is None:
         return Verdict.NO_ZONE
-    if monitor.store.contains(root, pattern):
+    gamma = monitor.gamma
+    if monitor.store.distance(root, pattern, gamma + 1) <= gamma:
         return Verdict.IN_ZONE
     return Verdict.OUT_OF_ZONE
 
@@ -160,7 +163,8 @@ def monitor_from_dict(data: Mapping) -> Monitor:
         raise SchemaError("not an actmon-monitor object")
     if data.get("version") != MONITOR_VERSION:
         raise FormatVersionError(
-            f"unsupported monitor version {data.get('version')!r}")
+            f"unsupported monitor version {data.get('version')!r}; rebuild "
+            f"the monitor with 'actmon build'")
     try:
         sel = data["selection"]
         selection = NeuronSelection(

@@ -78,10 +78,13 @@ def _check_header(header: TraceHeader) -> TraceHeader:
     return header
 
 
-def _check_record(header: TraceHeader, true_label: int, pred_label: int,
-                  activations: np.ndarray) -> None:
-    """The record rule of writer and reader: activations of the header's
-    width, both labels in ``0..classes-1``; else ``ValueError``."""
+def _check_record(header: TraceHeader, rid: str, true_label: int,
+                  pred_label: int, activations: np.ndarray) -> None:
+    """The record rule of writer and reader: a string id, activations of
+    the header's width, both labels in ``0..classes-1``; else
+    ``ValueError``."""
+    if not isinstance(rid, str):
+        raise ValueError(f"id {rid!r} is not a string")
     if activations.shape != (header.width,):
         raise ValueError(f"activation shape {activations.shape} does not "
                          f"match header width {header.width}")
@@ -97,7 +100,7 @@ def _writable(rid: str, true_label, pred_label, activations,
     try:
         fields = (as_int(true_label, "label"), as_int(pred_label, "label"),
                   np.asarray(activations, np.float64))
-        _check_record(header, *fields)
+        _check_record(header, rid, *fields)
     except ValueError as exc:
         raise ValueError(f"record {rid!r}: {exc}") from exc
     return fields
@@ -173,13 +176,13 @@ def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
     try:
         row = JSON_DECODER.decode(line)
         record = TraceRecord(
-            id=str(row["id"]),
+            id=row["id"],
             true_label=exact_int(row["true_label"], "true_label"),
             pred_label=exact_int(row["pred_label"], "pred_label"),
             activations=np.asarray(row["activations"], dtype=np.float64),
         )
-        _check_record(header, record.true_label, record.pred_label,
-                      record.activations)
+        _check_record(header, record.id, record.true_label,
+                      record.pred_label, record.activations)
     except (KeyError, TypeError, ValueError, OverflowError,
             SchemaError) as exc:
         raise SchemaError(f"line {line_no}: malformed trace record: {exc}") \

@@ -2,8 +2,11 @@
 
 Every semantic check is made against an explicit-set oracle: pattern sets
 are mirrored as Python sets of bit tuples, and the corresponding set
-operations (union, don't-care expansion on one bit) are computed by brute
-force, independently of the BDD code under test.
+operations (union, don't-care expansion on one bit, the Hamming ball) are
+computed by brute force, independently of the BDD code under test.  The
+union is the store's or-recursion, the merge inside ``exists``; it builds
+the reference sets that ``encode_set`` and the query's Hamming ball are
+compared with.
 """
 
 import copy
@@ -46,11 +49,17 @@ def reload(store, roots):
     return bdd.from_dict(json.loads(dump(store, roots)))
 
 
+def union(store, a, b):
+    """Set union of two roots of ``store``, by its or-recursion."""
+    return bdd.BddRef(
+        store, store._or(store._check_ref(a), store._check_ref(b), {}))
+
+
 def build_set(store, patterns):
     """Reference construction: a union fold of singleton sets."""
     acc = store.encode_set([])
     for p in patterns:
-        acc = store.union(acc, store.encode_set([p]))
+        acc = union(store, acc, store.encode_set([p]))
     return acc
 
 
@@ -58,7 +67,7 @@ def union_all(store, refs):
     """Union of arbitrarily many sets; empty input gives the empty set."""
     acc = store.encode_set([])
     for ref in refs:
-        acc = store.union(acc, ref)
+        acc = union(store, acc, ref)
     return acc
 
 
@@ -67,8 +76,15 @@ def enlarge_reference(store, zone):
     expansion on each variable in turn (K exists and K union calls)."""
     grown = zone
     for var in range(store.n_vars):
-        grown = store.union(grown, store.exists(var, zone))
+        grown = union(store, grown, store.exists(var, zone))
     return grown
+
+
+def query_ball(store, zone, gamma):
+    """The set a monitor query at radius ``gamma`` accepts: every pattern
+    whose distance to ``zone`` is at most ``gamma``."""
+    return store.encode_set(p for p in all_patterns(store.n_vars)
+                            if store.distance(zone, p, gamma + 1) <= gamma)
 
 
 def random_patterns(rng, n, count):
@@ -163,10 +179,12 @@ class TestEncodeSet:
 
 
 class TestUnion:
+    """The or-recursion that ``exists`` merges cofactors with."""
+
     def test_identity_element(self):
         store = bdd.BddStore(3)
         x = store.encode_set([tup("010")])
-        assert store.union(store.encode_set([]), x) == x
+        assert union(store, store.encode_set([]), x) == x
 
     def test_two_cubes(self):
         store = bdd.BddStore(3)
@@ -176,18 +194,18 @@ class TestUnion:
     def test_idempotent_same_node(self):
         store = bdd.BddStore(4)
         x = build_set(store, [tup("0011"), tup("1100")])
-        assert store.union(x, x) == x
+        assert union(store, x, x) == x
 
     def test_commutative_same_node(self):
         store = bdd.BddStore(4)
         a = build_set(store, [tup("0011"), tup("0111")])
         b = build_set(store, [tup("1100")])
-        assert store.union(a, b) == store.union(b, a)
+        assert union(store, a, b) == union(store, b, a)
 
     def test_cross_store_rejected(self):
         s1, s2 = bdd.BddStore(3), bdd.BddStore(3)
         with pytest.raises(ValueError, match="different store"):
-            s1.union(s1.encode_set([]), s2.encode_set([]))
+            union(s1, s1.encode_set([]), s2.encode_set([]))
 
 
 class TestExists:
@@ -223,7 +241,8 @@ class TestExists:
 
 
 class TestGrow:
-    """grow against the K-fold exists/union reference."""
+    """The zone grown to radius gamma as a query reads it, by distance,
+    against the K-fold exists/union reference applied gamma times."""
 
     def test_equals_reference_loop(self):
         rng = random.Random(1986)
@@ -237,24 +256,23 @@ class TestGrow:
                 # the set each root denotes
                 fast, slow = bdd.BddStore(n), bdd.BddStore(n)
                 a, b = fast.encode_set(with_dups), slow.encode_set(with_dups)
-                for _ in range(rng.randint(1, 3)):
-                    a, b = fast.grow(a), enlarge_reference(slow, b)
-                assert fast.to_dict({"0": a}) == slow.to_dict({"0": b})
+                gamma = rng.randint(1, 3)
+                for _ in range(gamma):
+                    b = enlarge_reference(slow, b)
+                assert fast.to_dict({"0": query_ball(fast, a, gamma)}) \
+                    == slow.to_dict({"0": b})
 
     def test_empty_set_stays_empty(self):
         store = bdd.BddStore(5)
-        assert store.grow(store.encode_set([])).node == bdd.FALSE
+        for gamma in range(1, 4):
+            assert query_ball(store, store.encode_set([]), gamma).node \
+                == bdd.FALSE
 
     def test_full_set_is_fixpoint(self):
         store = bdd.BddStore(5)
         full = store.encode_set(all_patterns(5))
         assert full.node == bdd.TRUE
-        assert store.grow(full) == full
-
-    def test_cross_store_rejected(self):
-        s1, s2 = bdd.BddStore(3), bdd.BddStore(3)
-        with pytest.raises(ValueError, match="different store"):
-            s1.grow(s2.encode_set([tup("001")]))
+        assert query_ball(store, full, 1) == full
 
 
 class TestContains:
@@ -292,9 +310,10 @@ class TestDistance:
                 with_dups = distinct + rng.choices(distinct, k=len(distinct))
                 rng.shuffle(with_dups)
                 store = bdd.BddStore(n)
+                if trial % 2:  # a Hamming ball skips variables
+                    with_dups = [p for p in all_patterns(n) if any(
+                        hamming(p, q) <= 1 for q in distinct)]
                 zone = store.encode_set(with_dups)
-                if trial % 2:  # a grown zone skips variables
-                    zone = store.grow(zone)
                 members = store.enumerate_patterns(zone)
                 for bits in list(random_patterns(rng, n, 20)) + distinct[:5]:
                     nearest = min((hamming(bits, q) for q in members),
@@ -454,7 +473,7 @@ class TestSetSemanticsOracle:
             sa = random_patterns(rng, n, rng.randint(0, 25))
             sb = random_patterns(rng, n, rng.randint(0, 25))
             store = bdd.BddStore(n)
-            merged = store.union(build_set(store, sa), build_set(store, sb))
+            merged = union(store, build_set(store, sa), build_set(store, sb))
             assert set(store.enumerate_patterns(merged)) == sa | sb
 
     def test_exists_matches_oracle(self):
@@ -526,8 +545,7 @@ class TestFreeze:
         assert store.sat_count(zone) == 2
         assert len(store.enumerate_patterns(zone)) == 2
 
-    @pytest.mark.parametrize(
-        "op", ["empty", "cube", "set", "union", "exists", "grow"])
+    @pytest.mark.parametrize("op", ["empty", "cube", "set", "exists"])
     def test_node_creation_rejected(self, op):
         store = bdd.BddStore(4)
         zone = build_set(store, [tup("0011")])
@@ -539,12 +557,8 @@ class TestFreeze:
                 store.encode_set([tup("1111")])
             elif op == "set":
                 store.encode_set([tup("1111"), tup("0000"), tup("1111")])
-            elif op == "union":
-                store.union(zone, zone)
-            elif op == "exists":
-                store.exists(0, zone)
             else:
-                store.grow(zone)
+                store.exists(0, zone)
 
 
 class TestNoCache:
@@ -556,27 +570,26 @@ class TestNoCache:
 
     def test_state_is_the_node_table(self):
         store = bdd.BddStore(6)
-        zone = store.grow(build_set(store, [tup("001100"), tup("110011")]))
+        zone = build_set(store, [tup("001100"), tup("110011")])
         store.exists(2, zone)
         assert set(vars(store)) == self.TABLE
         before = copy.deepcopy(vars(store))
         store.freeze()
         assert vars(store) == {**before, "frozen": True}
 
-    @pytest.mark.parametrize("op", ["union", "grow", "exists"])
+    @pytest.mark.parametrize("op", ["union", "exists"])
     def test_repeat_adds_no_node(self, op):
         rng = random.Random(77)
         store = bdd.BddStore(9)
         a = store.encode_set(random_patterns(rng, 9, 25))
         b = store.encode_set(random_patterns(rng, 9, 25))
-        run = {"union": lambda: store.union(a, b),
-               "grow": lambda: store.grow(store.grow(a)),
+        run = {"union": lambda: union(store, a, b),
                "exists": lambda: store.exists(4, b)}[op]
         first = run()
         size = len(store)
         assert run() == first and len(store) == size
         if op == "union":
-            assert store.union(b, a) == first and len(store) == size
+            assert union(store, b, a) == first and len(store) == size
 
 
 class TestVariableCap:
@@ -601,18 +614,18 @@ class TestVariableCap:
         try:
             with pytest.warns(UserWarning, match="impractical"):
                 store = bdd.BddStore(n)
-                both = store.union(store.encode_set([low]),
-                                   store.encode_set([high]))
+                both = union(store, store.encode_set([low]),
+                             store.encode_set([high]))
                 assert store.exists(n - 1, both) == both
                 assert store.sat_count(both) == 2
-                # each cube's 257-pattern ball holds the other cube
-                ball = store.grow(both)
-                assert store.sat_count(ball) == 2 * (n + 1) - 2
-                # two radius-2 balls whose centres differ in one bit
-                ball2 = store.grow(ball)
-                assert store.sat_count(ball2) == 2 + n * (n - 1)
-                loaded, roots = reload(store, {"0": both, "1": ball2})
-                assert loaded.sat_count(roots["1"]) == 2 + n * (n - 1)
+                # one, two and n - 1 bits away from the nearer cube
+                probes = {(1,) + low[1:]: 1, (1, 1) + high[2:]: 2,
+                          (1,) * n: 3}
+                for bits, expected in probes.items():
+                    assert store.distance(both, bits, 3) == expected
+                loaded, roots = reload(store, {"0": both})
+                for bits, expected in probes.items():
+                    assert loaded.distance(roots["0"], bits, 3) == expected
         finally:
             sys.setrecursionlimit(old_limit)
         assert loaded.sat_count(roots["0"]) == 2

@@ -173,22 +173,55 @@ class TestSelection:
 
 class TestSinglePatternMonitor:
     def test_gamma_one_zone_size_is_width_plus_one(self, tmp_path, capsys):
-        # one 5-bit pattern enlarged once: itself plus its 5 neighbours
+        # one 5-bit pattern at radius 1: itself plus its 5 neighbours
+        header = ('{"format":"actmon-trace","version":1,"layer":0,"width":5,'
+                  '"classes":2}\n')
+        pattern = [1, 0, 1, 0, 1]
         traces = tmp_path / "one.jsonl"
         traces.write_text(
-            '{"format":"actmon-trace","version":1,"layer":0,"width":5,'
-            '"classes":2}\n'
-            '{"id":"s0","true_label":1,"pred_label":1,'
+            header + '{"id":"s0","true_label":1,"pred_label":1,'
             '"activations":[1.0,0.0,2.0,0.0,0.5]}\n')
         mon = tmp_path / "m.json"
         assert main(["build", "--traces", str(traces), "--gamma", "1",
                      "--classes", "1", "--out", str(mon)]) == 0
         capsys.readouterr()
         assert main(["stats", "--monitor", str(mon)]) == 0
-        assert "class 1: sat_count 6" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "gamma: 1" in out and "class 1: sat_count 1," in out
+        # the pattern, each of its neighbours, then one at distance 2
+        probes = [pattern] + [[b ^ (i == j) for j, b in enumerate(pattern)]
+                              for i in range(5)] + [[0, 1, 1, 0, 1]]
+        probe_file = tmp_path / "probes.jsonl"
+        probe_file.write_text(header + "".join(json.dumps(
+            {"id": f"p{i}", "true_label": 1, "pred_label": 1,
+             "activations": [float(b) for b in bits]}) + "\n"
+            for i, bits in enumerate(probes)))
+        verdicts = tmp_path / "v.jsonl"
+        assert main(["query", "--monitor", str(mon), "--traces",
+                     str(probe_file), "--out", str(verdicts)]) == 0
+        assert [json.loads(line)["verdict"]
+                for line in verdicts.read_text().splitlines()] \
+            == ["InZone"] * 6 + ["OutOfZone"]
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command", ["stats", "query"])
+    def test_version_one_monitor(self, pipeline, tmp_path, capsys, command):
+        data = json.loads(pipeline["monitor"].read_text())
+        data["version"] = 1
+        old = tmp_path / "monitor.json"
+        old.write_text(json.dumps(data))
+        out = tmp_path / "v.jsonl"
+        argv = [command, "--monitor", str(old)]
+        if command == "query":
+            argv += ["--traces", str(pipeline["eval"]), "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: unsupported monitor version 1; "
+                                "rebuild the monitor with 'actmon build'\n")
+        assert not out.exists()
+
     def test_non_relu_layer(self, pipeline, tmp_path, capsys):
         code = main(["extract", "--model", str(pipeline["model"]),
                      "--layer", "2", "--out", str(tmp_path / "t.jsonl")])

@@ -29,7 +29,7 @@ def test_demo_runs(demo):
     done = run_python([str(ROOT / "demos" / f"{demo}.py")])
     if demo == "01_pattern_zones":
         assert any(line.startswith(
-            "one enlargement step         {000, 001, 011, 101}")
+            "distance to zone <= 1        {000, 001, 011, 101}")
             for line in done.stdout.splitlines())
 
 

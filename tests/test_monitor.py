@@ -1,8 +1,9 @@
-"""Tests for zone building, Hamming enlargement and runtime queries.
+"""Tests for zone building and runtime queries at Hamming radius gamma.
 
 The central oracle is a brute-force Hamming ball: over all 2^n patterns,
 keep those within distance gamma of some member of an explicit zone set.
-Enlargement in the BDD must match it exactly.
+The patterns a query accepts, those whose ``BddStore.distance`` to the
+gamma-0 zone is at most gamma, must match it exactly.
 """
 
 import dataclasses
@@ -40,6 +41,13 @@ def ball(zone, gamma, n):
             if min(hamming(p, z) for z in zone) <= gamma}
 
 
+def accepted(store, zone, gamma):
+    """The patterns a query at radius ``gamma`` accepts, in ascending
+    order: those whose distance to ``zone`` is at most ``gamma``."""
+    return [p for p in itertools.product((0, 1), repeat=store.n_vars)
+            if store.distance(zone, p, gamma + 1) <= gamma]
+
+
 def rec(true_label, pred_label, acts, rid="r"):
     return TraceRecord(id=rid, true_label=true_label, pred_label=pred_label,
                        activations=np.asarray(acts, dtype=float))
@@ -51,26 +59,23 @@ def pattern_trace(true_label, pred_label, bits, rid="r"):
 
 
 class TestEnlargeOnce:
-    """One enlargement step, ``BddStore.grow``, against the brute-force
-    Hamming ball."""
+    """The zone enlarged to radius gamma as a query reads it, against the
+    brute-force Hamming ball."""
 
     def test_empty_zone_stays_empty(self):
         store = BddStore(4)
-        grown = store.grow(store.encode_set([]))
-        assert store.sat_count(grown) == 0
+        assert accepted(store, store.encode_set([]), 1) == []
 
     def test_full_set_is_fixpoint(self):
         store = BddStore(4)
-        full = store.encode_set(itertools.product((0, 1), repeat=4))
-        assert store.grow(full) == full
+        everything = list(itertools.product((0, 1), repeat=4))
+        assert accepted(store, store.encode_set(everything), 1) == everything
 
     def test_singleton_grows_to_hamming_one_ball(self):
         store = BddStore(3)
         zone = store.encode_set([(0, 0, 1)])
-        grown = store.grow(zone)
-        assert store.enumerate_patterns(grown) == [
+        assert accepted(store, zone, 1) == [
             (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
-        assert store.sat_count(grown) == 4
 
     def test_matches_brute_force_ball(self):
         rng = random.Random(101)
@@ -79,8 +84,8 @@ class TestEnlargeOnce:
             explicit = {tuple(rng.randint(0, 1) for _ in range(n))
                         for _ in range(rng.randint(1, 20))}
             store = BddStore(n)
-            grown = store.grow(store.encode_set(explicit))
-            assert set(store.enumerate_patterns(grown)) == ball(explicit, 1, n)
+            zone = store.encode_set(explicit)
+            assert set(accepted(store, zone, 1)) == ball(explicit, 1, n)
 
     def test_repeated_application_is_gamma_ball(self):
         rng = random.Random(103)
@@ -91,40 +96,23 @@ class TestEnlargeOnce:
                         for _ in range(rng.randint(1, 8))}
             store = BddStore(n)
             zone = store.encode_set(explicit)
-            for _ in range(gamma):
-                zone = store.grow(zone)
-            assert set(store.enumerate_patterns(zone)) \
+            assert set(accepted(store, zone, gamma)) \
                 == ball(explicit, gamma, n)
 
     def test_monotone_chain(self):
         store = BddStore(6)
         zone = store.encode_set([(0, 1, 0, 1, 0, 1), (1, 1, 0, 0, 1, 1)])
-        counts = []
-        members = []
-        for _ in range(4):
-            counts.append(store.sat_count(zone))
-            members.append(set(store.enumerate_patterns(zone)))
-            zone = store.grow(zone)
+        members = [set(accepted(store, zone, gamma)) for gamma in range(4)]
+        counts = [len(m) for m in members]
         assert counts == sorted(counts)
         for smaller, larger in zip(members, members[1:]):
             assert smaller <= larger
 
     def test_gamma_ball_cardinality_from_single_seed(self):
-        import math
-
         store = BddStore(8)
         zone = store.encode_set([(1, 0, 1, 1, 0, 0, 1, 0)])
-        for _ in range(2):
-            zone = store.grow(zone)
         expected = sum(math.comb(8, k) for k in range(3))
-        assert store.sat_count(zone) == expected == 37
-
-    def test_frozen_store_rejected(self):
-        store = BddStore(3)
-        zone = store.encode_set([(0, 0, 1)])
-        store.freeze()
-        with pytest.raises(FrozenStoreError):
-            store.grow(zone)
+        assert len(accepted(store, zone, 2)) == expected == 37
 
 
 class TestBuild:
@@ -150,8 +138,11 @@ class TestBuild:
     def test_single_record_gamma_one(self):
         traces = [pattern_trace(0, 0, (0, 0, 1))]
         mon = build(traces, identity_selection(3), gamma=1)
-        assert mon.store.enumerate_patterns(mon.zones[0]) == [
-            (0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
+        assert mon.store.enumerate_patterns(mon.zones[0]) == [(0, 0, 1)]
+        assert mon.gamma == 1
+        assert [p for p in itertools.product((0, 1), repeat=3)
+                if query(mon, [float(b) for b in p], 0) is Verdict.IN_ZONE] \
+            == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
 
     def test_duplicate_patterns_idempotent(self):
         traces = [pattern_trace(0, 0, (0, 1, 0), rid=f"s{i}")
@@ -159,14 +150,15 @@ class TestBuild:
         mon = build(traces, identity_selection(3), gamma=0)
         assert mon.store.sat_count(mon.zones[0]) == 1
 
-    def test_gamma_zero_leaves_no_unreachable_node(self):
+    @pytest.mark.parametrize("gamma", [0, 1, 2, 3])
+    def test_leaves_no_unreachable_node(self, gamma):
         rng = random.Random(211)
         n = 12
         traces = [pattern_trace(c, rng.choice([c, c, c, (c + 1) % 3]),
                                 [rng.randint(0, 1) for _ in range(n)],
                                 rid=f"s{i}")
                   for i, c in enumerate(rng.choices(range(3), k=300))]
-        mon = build(traces, identity_selection(n), gamma=0)
+        mon = build(traces, identity_selection(n), gamma=gamma)
         table = mon.store.to_dict(
             {str(c): root for c, root in mon.zones.items()})
         # to_dict lists every node reachable from the roots exactly once
@@ -342,7 +334,8 @@ def reference_verdict(monitor, acts, pred_label):
 
 
 class TestQueryReference:
-    """query against :func:`reference_verdict` at K=64 of 128 neurons."""
+    """query at K=64 of 128 neurons against :func:`reference_verdict` and
+    against the least Hamming distance to the training patterns."""
 
     WIDTH, K = 128, 64
 
@@ -364,19 +357,30 @@ class TestQueryReference:
         return probes
 
     def test_grown_zone(self):
+        # the referee: the least Hamming distance to the seeds of the class
         rng = np.random.default_rng(31)
         selection = self._selection(rng)
         seeds = list(rng.normal(size=(30, self.WIDTH)))
         traces = [rec(i % 2, i % 2, acts, f"s{i}")
                   for i, acts in enumerate(seeds)]
-        mon = build(traces, selection, gamma=1)
-        seen = set()
-        for acts in self._probes(rng, seeds, selection):
-            for pred in (0, 1, 2):
-                verdict = query(mon, acts, pred)
-                assert verdict is reference_verdict(mon, acts, pred)
-                seen.add(verdict)
-        assert seen == set(Verdict)
+        signs = [acts[list(selection.indices)] > 0 for acts in seeds]
+        probes = self._probes(rng, seeds, selection)
+        for gamma in (0, 1, 2):
+            mon = build(traces, selection, gamma=gamma)
+            seen = set()
+            for acts in probes:
+                bits = acts[list(selection.indices)] > 0
+                for pred in (0, 1, 2):
+                    verdict = query(mon, acts, pred)
+                    nearest = min((int((bits != s).sum())
+                                   for i, s in enumerate(signs)
+                                   if i % 2 == pred), default=None)
+                    assert verdict is (
+                        Verdict.NO_ZONE if nearest is None
+                        else Verdict.IN_ZONE if nearest <= gamma
+                        else Verdict.OUT_OF_ZONE)
+                    seen.add(verdict)
+            assert seen == set(Verdict)
 
     def test_terminal_roots(self):
         rng = np.random.default_rng(37)
@@ -453,6 +457,20 @@ class TestPersistence:
         data["version"] = 99
         path.write_text(json.dumps(data))
         with pytest.raises(FormatVersionError):
+            load_monitor(path)
+
+    def test_version_one_is_refused(self, tmp_path):
+        # a version-1 zone of gamma > 0 was grown: read as gamma 0, a query
+        # at radius gamma would answer for radius 2 * gamma
+        path = tmp_path / "monitor.json"
+        save_monitor(self._monitor(), path)
+        data = json.loads(path.read_text())
+        assert data["version"] == 2
+        data["version"] = 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatVersionError, match=(
+                "unsupported monitor version 1; rebuild the monitor with "
+                "'actmon build'")):
             load_monitor(path)
 
     @pytest.mark.parametrize("path, value", [

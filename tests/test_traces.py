@@ -295,6 +295,27 @@ class TestWriterRefusesWhatReaderRefuses:
             write_traces(path, TraceHeader(1, 4, 3), records)
         assert path.read_text() == "old contents\n"
 
+    @pytest.mark.parametrize("rid", [5, None], ids=["int", "none"])
+    def test_id_is_a_string_on_both_sides(self, tmp_path, rid):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = sample_records()
+        records[2].id = rid
+        with pytest.raises(ValueError, match=f"record {rid!r}: id"):
+            write_traces(path, TraceHeader(1, 4, 3), records)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+        # the reader refuses the same id, naming its line
+        records[2].id = "s2"
+        write_traces(path, TraceHeader(1, 4, 3), records)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].replace('"s2"', json.dumps(rid))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=(
+                f"line 4: malformed trace record: id {rid!r} is not a "
+                f"string")):
+            read_traces(path)
+
     def test_numpy_integers_written_as_ints(self, tmp_path):
         path = tmp_path / "t.jsonl"
         records = sample_records()
