@@ -84,7 +84,7 @@ class ModelSpec:
 
 @dataclass
 class LayerTrace:
-    """Per-layer post-activation outputs for one input."""
+    """Per-layer post-activation outputs for one input row or a batch."""
 
     outputs: list[np.ndarray]  # outputs[l] is the output of layer l
 
@@ -93,32 +93,41 @@ class LayerTrace:
         return self.outputs[-1]
 
 
-def forward(model: ModelSpec, inputs) -> LayerTrace:
-    """Run one input through the network, recording every layer output."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise ValueError(
-            f"input width {x.shape} does not match model input "
-            f"dim {model.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite value in network input")
+def _run_layers(model: ModelSpec, x, first: int) -> list[np.ndarray]:
+    """Outputs of layers ``first``.. for their input ``x``, a (D,) row or an
+    (N, D) batch, each row bit-identical to a pass of it alone (a stacked
+    row product).  A bad shape or value raises ``ValueError``."""
+    x = np.asarray(x, dtype=np.float64)
+    width = model.layers[first].weights.shape[0]
+    if x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise ValueError(f"input shape {x.shape} does not match layer "
+                         f"{first} input width {width}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite value in layer {first} input")
     outputs = []
-    for i, layer in enumerate(model.layers):
-        x = x @ layer.weights + layer.bias
+    for i, layer in enumerate(model.layers[first:], start=first):
+        x = (x[..., None, :] @ layer.weights)[..., 0, :] + layer.bias
         if layer.activation == "relu":
             x = np.maximum(x, 0.0)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError(f"non-finite value in layer {i} output")
         outputs.append(x)
-    return LayerTrace(outputs)
+    return outputs
 
 
-def decide(output) -> int:
-    """Argmax class index; ties go to the lowest index."""
+def forward(model: ModelSpec, inputs) -> LayerTrace:
+    """Every layer's output for one (D,) input row or an (N, D) batch."""
+    return LayerTrace(_run_layers(model, inputs, 0))
+
+
+def decide(output) -> int | np.ndarray:
+    """Argmax along the last axis, ties to the lowest index: an ``int`` for
+    a score vector, an array of N labels for an (N, C) batch."""
     scores = np.asarray(output, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError("decide expects a 1-D score vector")
-    return int(np.argmax(scores))
+    if scores.ndim not in (1, 2):
+        raise ValueError("decide expects a score vector or a batch of them")
+    labels = np.argmax(scores, axis=-1)
+    return int(labels) if scores.ndim == 1 else labels
 
 
 def gradient_from_activations(
@@ -126,35 +135,25 @@ def gradient_from_activations(
         -> np.ndarray:
     """Gradient of output score ``class_index`` w.r.t. layer ``layer``'s
     post-ReLU outputs, by reverse-mode differentiation from a recorded
-    activation vector of that layer.
+    (W,) activation vector of that layer or an (N, W) batch, of that shape.
 
     The downstream layers fully determine this gradient, so a stored trace
     is as good as the original input.  The ReLU subgradient at exactly zero
     is taken as zero, consistent with zero activations counting as
-    suppressed.
+    suppressed.  A non-finite activation raises ``ValueError``.
     """
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
     if not 0 <= class_index < model.class_count:
         raise ValueError(f"class index {class_index} out of range")
-    acts = np.asarray(activations, dtype=np.float64)
-    if acts.shape != (model.layer_width(layer),):
-        raise ValueError(
-            f"activation width {acts.shape} does not match layer "
-            f"{layer} width {model.layer_width(layer)}")
-    # forward through the remaining layers, keeping pre-activations
-    pre = []
-    x = acts
-    for lyr in model.layers[layer + 1:]:
-        z = x @ lyr.weights + lyr.bias
-        pre.append(z)
-        x = np.maximum(z, 0.0) if lyr.activation == "relu" else z
-    grad = np.zeros(model.class_count)
-    grad[class_index] = 1.0
-    for lyr, z in zip(reversed(model.layers[layer + 1:]), reversed(pre)):
+    outputs = _run_layers(model, activations, layer + 1)
+    grad = np.zeros(outputs[-1].shape)
+    grad[..., class_index] = 1.0
+    for lyr, out in zip(reversed(model.layers[layer + 1:]), reversed(outputs)):
         if lyr.activation == "relu":
-            grad = grad * (z > 0.0)
-        grad = lyr.weights @ grad
+            # a ReLU output is positive exactly where its pre-activation is
+            grad = grad * (out > 0.0)
+        grad = (lyr.weights @ grad[..., None])[..., 0]
     return grad
 
 
@@ -255,12 +254,12 @@ def train_toy(inputs, labels, hidden: tuple[int, ...] = (16, 14),
 
 
 def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:
-    """Fraction of samples whose argmax decision matches the label."""
-    x = np.asarray(inputs, dtype=np.float64)
+    """Fraction of the (N, D) rows whose argmax decision matches the label."""
     y = np.asarray(labels, dtype=np.int64)
-    hits = sum(decide(forward(model, row).final) == int(label)
-               for row, label in zip(x, y))
-    return hits / len(y)
+    predicted = decide(forward(model, inputs).final)
+    if np.shape(predicted) != y.shape:
+        raise ValueError(f"{np.size(predicted)} inputs but {y.size} labels")
+    return np.count_nonzero(predicted == y) / len(y)
 
 
 # -- model files -------------------------------------------------------------

@@ -124,6 +124,8 @@ def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],
     respect to the layer's post-ReLU outputs, taken at the stored
     activations of the trace records of that class.  Records of other
     classes are ignored, and correctly classified ones are preferred.
+    Their gradients come from one batched ``gradient_from_activations``
+    call, so a non-finite activation among them raises ``ValueError``.
 
     When ``layer`` feeds straight into the linear output layer, the
     gradient is the connecting weight column, independent of any sample;
@@ -146,11 +148,9 @@ def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],
     correct = [r for r in of_class if r.pred_label == class_index]
     chosen = correct or of_class
 
-    total = np.zeros(model.layer_width(layer))
-    for record in chosen:
-        total += np.abs(gradient_from_activations(
-            model, record.activations, layer, class_index))
-    return total / len(chosen)
+    grads = gradient_from_activations(
+        model, [r.activations for r in chosen], layer, class_index)
+    return np.abs(grads).sum(axis=0) / len(chosen)
 
 
 def select_top_fraction(scores, fraction: float, layer: int = 0) \

@@ -50,7 +50,7 @@ class TraceRecord:
 
 def extract(model: ModelSpec, inputs, labels, layer: int) \
         -> tuple[TraceHeader, list[TraceRecord]]:
-    """Run each input through ``model`` and record layer ``layer``.
+    """Run the input rows through ``model`` at once, recording ``layer``.
 
     Record ``i`` is ``s{i}``: ``labels[i]`` is its true label and the
     model's decision its predicted label.  Returns the pair
@@ -62,12 +62,12 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
     header = TraceHeader(layer, model.layer_width(layer), model.class_count)
-    records = []
-    for i, (row, label) in enumerate(zip(inputs, labels, strict=True)):
-        trace = forward(model, row)
-        records.append(TraceRecord(f"s{i}", *_writable(
-            f"s{i}", label, decide(trace.final), trace.outputs[layer], header)))
-    return header, records
+    x = np.asarray(inputs, dtype=np.float64)
+    # rows of the model's input width; ``[]`` is a batch of zero rows
+    trace = forward(model, x.reshape(len(x), model.input_dim))
+    rows = zip(labels, decide(trace.final), trace.outputs[layer], strict=True)
+    return header, [TraceRecord(f"s{i}", *_writable(f"s{i}", *row, header))
+                    for i, row in enumerate(rows)]
 
 
 def _check_header(header: TraceHeader) -> TraceHeader:

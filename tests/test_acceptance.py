@@ -61,12 +61,18 @@ def query_ball(store, root, radius):
             if store.distance(root, to_bits(p, n), radius + 1) <= radius}
 
 
-def toy_pipeline(seed, per_class_train=500, per_class_eval=300, offset=0.0):
-    """Train on blobs(seed); return (model, train records, eval records)."""
+def toy_data(seed, per_class_train=500, per_class_eval=300, offset=0.0):
+    """Train on blobs(seed); return (model, (x, y), (x_eval, y_eval))."""
     x, y = make_blobs(seed=seed, per_class=per_class_train)
-    model = train_toy(x, y, seed=seed)
     xe, ye = make_blobs(seed=seed + 5000, per_class=per_class_eval,
                         offset=offset)
+    return train_toy(x, y, seed=seed), (x, y), (xe, ye)
+
+
+def toy_pipeline(seed, per_class_train=500, per_class_eval=300, offset=0.0):
+    """Train on blobs(seed); return (model, train records, eval records)."""
+    model, (x, y), (xe, ye) = toy_data(seed, per_class_train,
+                                       per_class_eval, offset)
     return (model,
             extract(model, x, y, MONITORED_LAYER)[1],
             extract(model, xe, ye, MONITORED_LAYER)[1])

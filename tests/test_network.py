@@ -37,6 +37,34 @@ def random_model(rng, dims):
     return ModelSpec(layers)
 
 
+def rowwise_outputs(model, row):
+    """Reference pass: every layer's output for one row, by plain row
+    products ``x @ W + b``."""
+    x, outputs = np.asarray(row, dtype=np.float64), []
+    for layer in model.layers:
+        x = x @ layer.weights + layer.bias
+        if layer.activation == "relu":
+            x = np.maximum(x, 0.0)
+        outputs.append(x)
+    return outputs
+
+
+def rowwise_gradient(model, acts, layer, class_index):
+    """Reference backward pass for one activation row, by plain products
+    that keep the pre-activations."""
+    pre, x = [], np.asarray(acts, dtype=np.float64)
+    for lyr in model.layers[layer + 1:]:
+        pre.append(x @ lyr.weights + lyr.bias)
+        x = np.maximum(pre[-1], 0.0) if lyr.activation == "relu" else pre[-1]
+    grad = np.zeros(model.class_count)
+    grad[class_index] = 1.0
+    for lyr, z in zip(reversed(model.layers[layer + 1:]), reversed(pre)):
+        if lyr.activation == "relu":
+            grad = grad * (z > 0.0)
+        grad = lyr.weights @ grad
+    return grad
+
+
 class TestForward:
     def test_relu_clamps_negative(self):
         model = ModelSpec([Layer(I2, np.zeros(2), "relu"),
@@ -103,12 +131,67 @@ class TestForward:
             assert binarize(acts, sel) == tuple((acts > 0).astype(int))
 
 
+class TestBatch:
+    """A row's outputs, gradient and decision do not depend on its batch."""
+
+    @pytest.fixture(scope="class", params=["toy", "40-256-128-10"])
+    def model_and_rows(self, request):
+        if request.param == "toy":
+            x, y = make_blobs(seed=7, per_class=100)
+            return train_toy(x, y, seed=7, epochs=5), x
+        rng = np.random.default_rng(40)
+        return (random_model(rng, (40, 256, 128, 10)),
+                rng.normal(size=(120, 40)))
+
+    def test_forward_rows_match_plain_row_products(self, model_and_rows):
+        model, x = model_and_rows
+        batch = forward(model, x).outputs
+        for i, row in enumerate(x):
+            single = forward(model, row).outputs
+            for layer, want in enumerate(rowwise_outputs(model, row)):
+                assert batch[layer][i].tobytes() == want.tobytes()
+                assert single[layer].tobytes() == want.tobytes()
+
+    def test_gradient_rows_match_single_rows(self, model_and_rows):
+        model, x = model_and_rows
+        acts = forward(model, x).outputs[0]
+        for c in range(model.class_count):
+            batch = gradient_from_activations(model, acts, 0, c)
+            assert batch.shape == acts.shape
+            for row, got in zip(acts, batch):
+                want = rowwise_gradient(model, row, 0, c)
+                assert got.tobytes() == want.tobytes()
+                assert gradient_from_activations(model, row, 0, c).tobytes() \
+                    == want.tobytes()
+
+    def test_decide_rows_match_single_rows(self, model_and_rows):
+        model, x = model_and_rows
+        scores = forward(model, x).final
+        assert decide(scores).tolist() == [decide(row) for row in scores]
+
+    def test_accuracy_needs_one_label_per_input(self, model_and_rows):
+        model, x = model_and_rows
+        with pytest.raises(ValueError, match=f"{len(x)} inputs but "
+                           f"{len(x) - 1} labels"):
+            evaluate_accuracy(model, x, np.zeros(len(x) - 1))
+
+
 class TestDecide:
     def test_plain_argmax(self):
         assert decide((0.1, 0.9, 0.3)) == 1
 
     def test_tie_breaks_low(self):
         assert decide((0.5, 0.5)) == 0
+
+    def test_batch_ties_break_low(self):
+        scores = [[1.0, 1.0, 0.0], [0.0, 2.0, 2.0], [3.0, 3.0, 3.0],
+                  [-1.0, -2.0, -0.5]]
+        assert decide(scores).tolist() == [0, 1, 0, 2]
+        assert [decide(row) for row in scores] == [0, 1, 0, 2]
+
+    def test_more_than_two_axes_rejected(self):
+        with pytest.raises(ValueError, match="score vector or a batch"):
+            decide(np.zeros((2, 2, 2)))
 
     def test_all_negative(self):
         assert decide((-1.0, -2.0)) == 0
@@ -166,6 +249,27 @@ class TestLayerGradient:
             oracle = fd_gradient(model, acts, 0, c)
             np.testing.assert_allclose(grad, oracle, rtol=1e-4, atol=1e-10)
             checked += 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
+    def test_non_finite_activation_rejected(self, value, batch):
+        rng = np.random.default_rng(27)
+        model = random_model(rng, (3, 5, 6, 4))
+        acts = np.abs(rng.normal(size=(2, 5)))
+        acts[1, 3] = value
+        with pytest.raises(ValueError,
+                           match="non-finite value in layer 1 input"):
+            gradient_from_activations(model, acts if batch else acts[1], 0, 2)
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_non_finite_output_names_model_layer(self, bad):
+        rng = np.random.default_rng(28)
+        model = random_model(rng, (3, 5, 6, 4, 3))
+        model.layers[bad].weights[0, 0] = np.nan
+        acts = np.abs(rng.normal(size=5))
+        with pytest.raises(ValueError,
+                           match=f"non-finite value in layer {bad} output"):
+            gradient_from_activations(model, acts, 0, 1)
 
     def test_invalid_layer_and_class(self):
         rng = np.random.default_rng(26)

@@ -330,6 +330,16 @@ class TestScoreNeurons:
         scores = score_neurons(model, records, layer=0, class_index=0)
         assert np.all(scores >= 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_activation_rejected(self, value):
+        rng = np.random.default_rng(43)
+        model = relu_chain(rng, (3, 4, 6, 3))  # layer 0 is interior
+        acts = np.abs(rng.normal(size=4)) + 0.5
+        acts[2] = value
+        records = [self._record(0, 0, np.ones(4)), self._record(0, 0, acts)]
+        with pytest.raises(ValueError, match="non-finite"):
+            score_neurons(model, records, layer=0, class_index=0)
+
     def test_no_samples_of_class_rejected(self):
         rng = np.random.default_rng(41)
         model = relu_chain(rng, (3, 4, 6, 3))

@@ -9,7 +9,8 @@ import pytest
 
 from actmon.cli import main
 from actmon.errors import FormatVersionError, SchemaError
-from actmon.network import load_model, make_blobs
+from actmon.network import (decide, evaluate_accuracy, forward, load_model,
+                            make_blobs)
 from actmon.traces import (TraceHeader, TraceRecord, extract, read_traces,
                            write_traces)
 
@@ -257,6 +258,49 @@ class TestExtract:
         _, records = extract(load_model(model_path), x, labels, 1)
         assert [r.true_label for r in records] == [0, 1, 2]
         assert all(type(r.true_label) is int for r in records)
+
+
+class TestBatchMatchesRows:
+    """``extract`` and ``evaluate_accuracy`` run the network once on the
+    whole batch; every row must come out as a pass of that row alone."""
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        from test_acceptance import toy_data
+        return toy_data(7, offset=2.0)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("split", ["train", "shifted"])
+    def test_records_match_per_row_forward(self, toy, layer, split):
+        model, train, shifted = toy
+        x, y = train if split == "train" else shifted
+        _, records = extract(model, x, y, layer)
+        assert len(records) == len(y)
+        for row, record in zip(x, records):
+            trace = forward(model, row)
+            assert record.activations.tobytes() \
+                == trace.outputs[layer].tobytes()
+            assert record.pred_label == decide(trace.final)
+
+    def test_accuracy_is_the_per_row_hit_count(self, toy):
+        model, *datasets = toy
+        for x, y in datasets:
+            hits = sum(decide(forward(model, row).final) == label
+                       for row, label in zip(x, y))
+            assert evaluate_accuracy(model, x, y) == hits / len(y)
+
+    @pytest.mark.parametrize("inputs", [[], np.zeros((0, 2))],
+                             ids=["list", "array"])
+    def test_no_inputs_give_no_records(self, toy, inputs):
+        header, records = extract(toy[0], inputs, [], 1)
+        assert header == TraceHeader(layer=1, width=14, classes=3)
+        assert records == []
+
+    @pytest.mark.parametrize("inputs", [[0.5, 1.0], np.zeros((4, 3))],
+                             ids=["one-row", "too-wide"])
+    def test_inputs_must_be_rows_of_input_width(self, toy, inputs):
+        with pytest.raises(ValueError):
+            extract(toy[0], inputs, [0] * len(inputs), 1)
 
 
 def integer_like(value):
