@@ -16,6 +16,7 @@ nothing here can validate that assumption.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,27 +56,22 @@ class GammaChoice:
     qualified: bool
 
 
-def evaluate(monitor: Monitor, eval_traces: Sequence[TraceRecord]) -> EvalRow:
-    """Compute one report row for a monitor on labeled traces."""
-    traces = list(eval_traces)
-    return _report_row(monitor.gamma, traces, [
-        query(monitor, r.activations, r.pred_label) for r in traces])
+def evaluate(monitor: Monitor, eval_traces: Iterable[TraceRecord]) -> EvalRow:
+    """One report row for a monitor, from one tally of the verdicts."""
+    return _report_row(monitor.gamma, Counter(
+        (query(monitor, r.activations, r.pred_label),
+         r.pred_label != r.true_label) for r in eval_traces))
 
 
-def _report_row(gamma: int, traces: list, verdicts: list) -> EvalRow:
-    """The report row of ``traces`` whose verdicts are ``verdicts``."""
-    if not traces:
+def _report_row(gamma: int, tally: Counter) -> EvalRow:
+    """The report row of records tallied by (verdict, misclassified)."""
+    n_total = sum(tally.values())
+    if not n_total:
         raise ValueError("cannot evaluate on an empty trace set")
-    n_out = n_out_mis = n_nozone = n_mis = 0
-    for record, verdict in zip(traces, verdicts):
-        misclassified = record.pred_label != record.true_label
-        n_mis += misclassified
-        if verdict is Verdict.NO_ZONE:
-            n_nozone += 1
-        elif verdict is Verdict.OUT_OF_ZONE:
-            n_out += 1
-            n_out_mis += misclassified
-    n_total = len(traces)
+    n_mis = sum(n for (_, misclassified), n in tally.items() if misclassified)
+    n_nozone = tally[Verdict.NO_ZONE, False] + tally[Verdict.NO_ZONE, True]
+    n_out_mis = tally[Verdict.OUT_OF_ZONE, True]
+    n_out = tally[Verdict.OUT_OF_ZONE, False] + n_out_mis
     n_judged = n_total - n_nozone
     return EvalRow(
         gamma=gamma,
@@ -98,9 +94,10 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
     at each of ``gammas``.  Those monitors differ only in ``gamma``, and
     :func:`~actmon.monitor.query` flags a record when its Hamming distance
     to the zone of its predicted class exceeds gamma, so one gamma-0 build
-    serves every level: each eval record is binarized and searched once,
-    capped at ``max(gammas) + 1``.  The warning rate is non-increasing in
-    gamma.  Gammas are integers as in ``build``.
+    serves every level: one binarize call, one search per eval record
+    capped at ``max(gammas) + 1``, and one tally of (distance,
+    misclassified) that gives every level's row.  The warning rate is
+    non-increasing in gamma.  Gammas are integers as in ``build``.
     """
     gammas = [as_int(g, "gamma") for g in gammas]
     if not gammas or any(g < 0 for g in gammas):
@@ -109,17 +106,23 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
         raise ValueError("gammas must be strictly ascending")
     zero = build(traces_train, selection, 0, classes)
     traces = list(traces_eval)
+    bits = patterns.binarize([r.activations for r in traces],
+                             selection) if traces else []
     cap = gammas[-1] + 1
-    dists = []
-    for record in traces:
-        pattern = patterns.binarize(record.activations, selection)
+    tally = Counter()  # (distance, or None without a zone; misclassified)
+    for record, pattern in zip(traces, bits):
         root = zero.zones.get(record.pred_label)
-        dists.append(None if root is None
-                     else zero.store.distance(root, pattern, cap))
-    return [_report_row(gamma, traces, [
-        Verdict.NO_ZONE if d is None
-        else Verdict.OUT_OF_ZONE if d > gamma else Verdict.IN_ZONE
-        for d in dists]) for gamma in gammas]
+        d = None if root is None else zero.store.distance(root, pattern, cap)
+        tally[d, record.pred_label != record.true_label] += 1
+    report = []
+    for gamma in gammas:
+        verdicts = Counter()
+        for (d, misclassified), n in tally.items():
+            verdicts[Verdict.NO_ZONE if d is None
+                     else Verdict.OUT_OF_ZONE if d > gamma
+                     else Verdict.IN_ZONE, misclassified] += n
+        report.append(_report_row(gamma, verdicts))
+    return report
 
 
 def choose_gamma(report: Sequence[EvalRow], min_precision: float = 0.3,

@@ -69,8 +69,8 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     store, and ``gamma``, the query radius.
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
-    ground-truth label *and* the network predicted ``c``; misclassified
-    records and records of unmonitored classes are skipped entirely.
+    ground-truth label *and* the network predicted ``c``; the kept records
+    are binarized in one call, and the others are never read.
 
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
@@ -91,10 +91,11 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
 
     store = BddStore(selection.width)
     seen: dict[int, list] = {c: [] for c in class_list}
-    for record in traces:
-        c = record.true_label
-        if c in seen and record.pred_label == c:
-            seen[c].append(binarize(record.activations, selection))
+    kept = [r for r in traces
+            if r.true_label in seen and r.pred_label == r.true_label]
+    bits = binarize([r.activations for r in kept], selection) if kept else []
+    for record, pattern in zip(kept, bits):
+        seen[record.true_label].append(pattern)
     for c in class_list:
         if not seen[c]:
             warn(f"class {c}: no correctly classified training record; "
@@ -111,11 +112,13 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
 
     Only the predicted class is consulted; membership in another class's
     zone says nothing about this decision.  An unmonitored predicted class
-    yields ``NO_ZONE`` rather than a warning.
+    yields ``NO_ZONE`` rather than a warning.  A batch raises ``ValueError``.
     """
     pattern = binarize(activations, monitor.selection)
     root = monitor.zones.get(pred_label)
     if root is None:
+        if type(pattern) is not tuple:  # refused here as distance refuses it
+            raise ValueError("query takes one activation row, not a batch")
         return Verdict.NO_ZONE
     gamma = monitor.gamma
     if monitor.store.distance(root, pattern, gamma + 1) <= gamma:

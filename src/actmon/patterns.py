@@ -89,23 +89,39 @@ def identity_selection(layer_width: int, layer: int = 0) -> NeuronSelection:
     )
 
 
-def binarize(activations, selection: NeuronSelection) -> Pattern:
-    """Project a full-width activation vector onto the monitored neurons
-    and threshold: bit ``i`` is 1 iff the selected neuron's output is
-    strictly positive.  An exact zero counts as suppressed.
+def binarize(activations, selection: NeuronSelection) -> Pattern | list:
+    """Project full-width activations onto the monitored neurons and
+    threshold: bit ``i`` is 1 iff the selected neuron's output is strictly
+    positive.  An exact zero counts as suppressed.
 
-    The whole layer must have the selection's ``layer_width`` and be
-    finite, monitored neuron or not.  The projection takes through the
-    selection's precomputed ``index_array``; the result is a tuple of
-    Python ints.
+    A (W,) row gives one pattern, a tuple of Python ints; an (N, W) batch
+    (an array or a sequence of rows) gives a list of N patterns from one
+    numpy pass, each its row's own.  W is the selection's ``layer_width``
+    and the whole layer must be finite, monitored neuron or not: another
+    shape, rows of different widths, NaN or infinity raise ``ValueError``.
     """
-    acts = np.asarray(activations, dtype=np.float64)
-    if acts.shape != (selection.layer_width,):
-        raise ValueError(
-            f"activation width {acts.shape} does not match monitored layer "
-            f"width {selection.layer_width}")
+    width = selection.layer_width
+    try:
+        acts = np.asarray(activations, dtype=np.float64)
+    except ValueError:  # rows of different widths: name the first misfit
+        shapes = [np.shape(row) for row in activations]
+        if len(set(shapes)) < 2:  # one shape: values that are no numbers
+            raise
+        misfit = next(s for s in shapes if s != (width,))
+        raise ValueError(f"activation width {misfit} does not match "
+                         f"monitored layer width {width}") from None
+    row = acts.shape == (width,)
+    if not row and (acts.ndim != 2 or acts.shape[1] != width):
+        raise ValueError(f"activation width {acts.shape} does not match "
+                         f"monitored layer width {width}")
     if not np.isfinite(acts).all():
         raise ValueError("non-finite activation value")
+    if not row:
+        acts = (acts.take(selection.index_array, axis=1) > 0.0).view(np.int8)
+        rows = acts.tolist()  # made after the float copy is gone
+        for i, bits in enumerate(rows):  # in place: one copy stays alive
+            rows[i] = tuple(bits)
+        return rows
     return tuple((acts.take(selection.index_array) > 0.0).view(np.int8).tolist())
 
 

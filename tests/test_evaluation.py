@@ -145,16 +145,37 @@ class TestGammaSweep:
     def test_each_eval_record_binarized_once(self, monkeypatch):
         train = self._traces(51, 40)
         evals = self._traces(52, 50)
-        seen = []
+        seen = []  # rows handed over per call: 1 for a row, N for a batch
 
         def counting(activations, selection):
-            seen.append(1)
+            acts = np.asarray(activations)
+            seen.append(1 if acts.ndim == 1 else len(acts))
             return binarize(activations, selection)
 
         # the sweep looks binarize up on the patterns module
         monkeypatch.setattr(patterns, "binarize", counting)
         rows = gamma_sweep(train, evals, identity_selection(8), [0, 1, 2, 3])
-        assert len(rows) == 4 and len(seen) == len(evals)
+        assert len(rows) == 4 and sum(seen) == len(evals)
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("pred", [0, 3])  # a zone, no zone
+    def test_non_finite_eval_record_rejected(self, pred):
+        evals = self._traces(42, 20)
+        evals.append(rec(0, pred, [np.nan] + [0.0] * 7, "bad"))
+        with pytest.raises(ValueError, match="^non-finite activation value$"):
+            gamma_sweep(self._traces(41, 40), evals, identity_selection(8),
+                        [0, 1])
+
+    def test_empty_eval_set_raises_after_build(self):
+        train = self._traces(43, 40)
+        with pytest.raises(ValueError, match="empty trace set"):
+            gamma_sweep(train, [], identity_selection(8), [0, 1])
+        with pytest.raises(ValueError, match="zero traces"):
+            gamma_sweep([], [], identity_selection(8), [0])
+        with pytest.warns(UserWarning, match="class 2"), \
+                pytest.raises(ValueError, match="empty trace set"):
+            gamma_sweep(train, [], identity_selection(8), [0],
+                        classes=[0, 1, 2])
 
     @pytest.mark.filterwarnings("ignore:class 2")
     def test_every_level_equals_a_built_monitor(self):

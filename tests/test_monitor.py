@@ -233,6 +233,24 @@ class TestBuild:
             build(traces, identity_selection(201), gamma=0)
         assert caught[0].filename == __file__
 
+    @pytest.mark.parametrize("acts", [(math.nan, 1.0), (1.0, 1.0, 1.0)])
+    def test_skipped_records_are_never_read(self, acts):
+        traces = [pattern_trace(0, 0, (0, 1), "a"),
+                  rec(0, 1, acts, "misclassified"),
+                  rec(2, 2, acts, "unmonitored")]
+        mon = build(traces, identity_selection(2), gamma=0, classes=[0])
+        assert mon.store.enumerate_patterns(mon.zones[0]) == [(0, 1)]
+
+    @pytest.mark.parametrize("acts, message", [
+        ((math.nan, 1.0), r"^non-finite activation value$"),
+        ((1.0, 1.0, 1.0),
+         r"^activation width \(3,\) does not match monitored layer width 2$"),
+    ])
+    def test_bad_kept_record_rejected(self, acts, message):
+        traces = [pattern_trace(0, 0, (0, 1), "a"), rec(1, 1, acts, "bad")]
+        with pytest.raises(ValueError, match=message):
+            build(traces, identity_selection(2), gamma=0)
+
     def test_projection_applies_before_enlargement(self):
         # monitor only neuron 2 and 0 of a width-4 layer
         selection = NeuronSelection(layer=0, layer_width=4,
@@ -268,6 +286,15 @@ class TestQuery:
         mon = self._monitor()
         with pytest.raises(ValueError, match="width"):
             query(mon, (1.0, 1.0), 0)
+
+    # N != W, N = W and N = 1 rows of width 3, for a class with and without
+    # a zone: binarize takes the batch, the query refuses it
+    @pytest.mark.parametrize("count", [2, 3, 1])
+    @pytest.mark.parametrize("pred", [0, 2])
+    def test_batch_refused(self, count, pred):
+        mon = self._monitor()
+        with pytest.raises(ValueError):
+            query(mon, np.ones((count, 3)), pred)
 
     def test_verdict_depends_only_on_sign_pattern(self):
         rng = np.random.default_rng(7)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from actmon.network import Layer, ModelSpec
+from actmon.network import Layer, ModelSpec, make_blobs, train_toy
 from actmon.patterns import (
     NeuronSelection,
     binarize,
@@ -69,6 +69,19 @@ def tail_preactivations(model, acts, layer):
     return np.concatenate(pre) if pre else np.array([])
 
 
+@pytest.fixture(scope="module")
+def toy_activations():
+    """Layer-0 and layer-1 activations of the acceptance toy model (seed 7)
+    on its training blobs and on blobs shifted by 2.0."""
+    x, y = make_blobs(seed=7, per_class=500)
+    model = train_toy(x, y, seed=7)
+    xe, ye = make_blobs(seed=7 + 5000, per_class=300, offset=2.0)
+    inputs, labels = np.vstack([x, xe]), np.concatenate([y, ye])
+    return {layer: np.array([r.activations for r in
+                             extract(model, inputs, labels, layer)[1]])
+            for layer in (0, 1)}
+
+
 class TestBinarize:
     def test_strictly_positive_is_one(self):
         sel = identity_selection(3)
@@ -87,10 +100,25 @@ class TestBinarize:
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width"):
             binarize((1.0, 2.0), identity_selection(3))
+        for acts in (np.ones((2, 2)),                     # short rows
+                     [np.ones(3), np.ones(2)],           # different widths
+                     [(1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 4.0)],
+                     [np.ones(3), np.ones((2, 3))],
+                     np.ones((2, 1, 3))):                # a 3-D array
+            with pytest.raises(ValueError, match=r"^activation width \(.*\) "
+                               r"does not match monitored layer width 3$"):
+                binarize(acts, identity_selection(3))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             binarize((1.0, np.nan), identity_selection(2))
+        for bad in (np.nan, np.inf, -np.inf):
+            for row in range(3):
+                acts = np.ones((3, 2))
+                acts[row, 1] = bad
+                with pytest.raises(ValueError,
+                                   match="^non-finite activation value$"):
+                    binarize(acts, identity_selection(2))
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -115,6 +143,32 @@ class TestBinarize:
             got = binarize(acts, sel)
             assert got == expected
             assert all(type(bit) is int for bit in got)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_batch_equals_rows_on_toy_traces(self, toy_activations, layer):
+        acts = toy_activations[layer]
+        assert (acts == 0.0).any() and (acts > 0.0).any()
+        scores = np.random.default_rng(layer).random(acts.shape[1])
+        for sel in (identity_selection(acts.shape[1]),
+                    select_top_fraction(scores, 0.5)):
+            rows = [binarize(row, sel) for row in acts]
+            assert binarize(acts, sel) == rows
+            assert binarize(list(acts), sel) == rows
+
+    def test_batch_equals_rows_on_projected_selections(self):
+        rng = np.random.default_rng(9)
+        for trial in range(100):
+            width, count = int(rng.integers(1, 40)), int(rng.integers(0, 20))
+            acts = rng.normal(size=(count, width))
+            acts[rng.random(acts.shape) < 0.3] = 0.0
+            acts[rng.random(acts.shape) < 0.1] = -0.0
+            sel = select_top_fraction(rng.random(width),
+                                      float(rng.uniform(0.05, 1.0)))
+            got = binarize(acts, sel)
+            assert got == [binarize(row, sel) for row in acts]
+            assert all(type(p) is tuple and all(type(b) is int for b in p)
+                       for p in got)
+            assert binarize(np.empty((0, width)), sel) == []
 
 
 class TestHamming:
