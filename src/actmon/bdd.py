@@ -162,16 +162,20 @@ class BddStore:
         every node created is part of the result."""
         self._require_mutable()
         rows = sorted({tuple(self._check_pattern(bits)) for bits in patterns})
+        mk = self._mk
 
         def build(lo: int, hi: int, var: int) -> int:
-            # rows[lo:hi] share bits < var, so bit var runs 0s then 1s
+            # rows[lo:hi] share bits < var, so bit var runs 0s then 1s; the
+            # rows are distinct, so at var == n_vars one row is left
             if lo == hi:
                 return FALSE
-            if var == self.n_vars:
-                return TRUE
+            if hi - lo == 1:  # a lone row: its chain, from the bottom up
+                node, row = TRUE, rows[lo]
+                for v in range(self.n_vars - 1, var - 1, -1):
+                    node = mk(v, FALSE, node) if row[v] else mk(v, node, FALSE)
+                return node
             mid = bisect_left(rows, 1, lo, hi, key=itemgetter(var))
-            return self._mk(var, build(lo, mid, var + 1),
-                            build(mid, hi, var + 1))
+            return mk(var, build(lo, mid, var + 1), build(mid, hi, var + 1))
 
         return BddRef(self, build(0, len(rows), 0))
 
@@ -230,7 +234,12 @@ class BddStore:
 
     def contains(self, a: BddRef, bits: Sequence[int]) -> bool:
         """Membership test; follows one root-to-terminal path."""
-        return self.contains_with_cost(a, bits)[0]
+        node = self._check_ref(a)
+        self._check_pattern(bits)
+        var, low, high = self._var, self._low, self._high
+        while node > TRUE:
+            node = high[node] if bits[var[node]] else low[node]
+        return node == TRUE
 
     def contains_with_cost(
             self, a: BddRef, bits: Sequence[int]) -> tuple[bool, int]:

@@ -8,14 +8,13 @@ codes: 0 success, 1 validation or schema problem, 2 I/O problem.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import evaluation, monitor as monitor_mod, network
-from .errors import (ActmonError, SchemaError, exact_int, finite_floats,
-                     read_json, replace_on_success)
+from .errors import (JSON_LINE, ActmonError, SchemaError, exact_int,
+                     finite_floats, read_json, replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
 from .traces import extract, read_traces, write_traces
 
@@ -130,9 +129,8 @@ def cmd_query(args) -> None:
     counts = {v: verdicts.count(v) for v in monitor_mod.Verdict}
     with replace_on_success(args.out) as fh:
         for record, verdict in zip(records, verdicts):
-            fh.write(json.dumps(
-                {"id": record.id, "verdict": verdict.value},
-                separators=(",", ":")) + "\n")
+            fh.write(JSON_LINE({"id": record.id, "verdict": verdict.value})
+                     + "\n")
     total = len(records)
     print(f"wrote {total} verdicts to {args.out}")
     for verdict in monitor_mod.Verdict:

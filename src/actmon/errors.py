@@ -7,13 +7,16 @@ bad data from bad environments.  Every artifact is parsed by the one
 strict decoder :data:`JSON_DECODER` (whole files through :func:`read_json`,
 trace files line by line), its integer fields are checked by
 :func:`exact_int` and the number arrays of files read whole by
-:func:`finite_floats`, and it is written through :func:`replace_on_success`.
-Integer arguments from library callers are checked by :func:`as_int`, and
-:func:`warn` points every warning at the caller's line.
+:func:`finite_floats`, and it is written through :func:`replace_on_success`
+(a JSON-lines file line by line through :data:`JSON_LINE`).
+:func:`all_finite` is the one finiteness rule for every float array the
+package checks.  Integer arguments from library callers are checked by
+:func:`as_int`, and :func:`warn` points every warning at the caller's line.
 """
 
 import contextlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -49,6 +52,15 @@ def exact_int(value, what: str) -> int:
     return value
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value of the float array ``values`` is finite; an
+    empty array is.  A NaN or infinity makes the one BLAS sum of squares
+    NaN or +inf, so only finite values whose squares overflow (``1e200``)
+    take the elementwise test."""
+    return math.isfinite(np.vdot(values, values)) \
+        or bool(np.isfinite(values).all())
+
+
 def finite_floats(value, what: str, ndim: int) -> np.ndarray:
     """``value``, JSON numbers nested ``ndim`` lists deep, as a finite
     float64 array, else a :class:`SchemaError` naming ``what``: a string,
@@ -63,7 +75,7 @@ def finite_floats(value, what: str, ndim: int) -> np.ndarray:
         floats = cells.astype(np.float64)
     except OverflowError:  # an int beyond the float64 range
         floats = np.array(np.inf)
-    if not np.isfinite(floats).all():
+    if not all_finite(floats):
         raise SchemaError(f"{what} must hold finite numbers")
     return floats
 
@@ -99,6 +111,10 @@ def _non_finite(token: str):
 # the writers refuse NaN and infinity (allow_nan=False), so the one reader
 # refuses the NaN, Infinity and -Infinity tokens that json.loads accepts
 JSON_DECODER = json.JSONDecoder(parse_constant=_non_finite)
+
+# the JSON-lines writers' one encoder (json.dumps makes one per call); it
+# refuses NaN and infinity with a ValueError
+JSON_LINE = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def read_json(path, what: str):

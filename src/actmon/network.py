@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FormatVersionError, SchemaError, finite_floats,
-                     read_json, replace_on_success)
+from .errors import (FormatVersionError, SchemaError, all_finite,
+                     finite_floats, read_json, replace_on_success)
 
 MODEL_VERSION = 1
 
@@ -95,23 +95,27 @@ class LayerTrace:
 
 def _run_layers(model: ModelSpec, x, first: int) -> list[np.ndarray]:
     """Outputs of layers ``first``.. for their input ``x``, a (D,) row or an
-    (N, D) batch, each row bit-identical to a pass of it alone (a stacked
-    row product).  A bad shape or value raises ``ValueError``."""
+    (N, D) batch.  A row is ``x @ W + b``; a batch is viewed as (N, 1, D),
+    so each of its rows is its own (1, D) product, bit-identical to a pass
+    of that row alone.  A bad shape or value raises ``ValueError``."""
     x = np.asarray(x, dtype=np.float64)
     width = model.layers[first].weights.shape[0]
     if x.ndim not in (1, 2) or x.shape[-1] != width:
         raise ValueError(f"input shape {x.shape} does not match layer "
                          f"{first} input width {width}")
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise ValueError(f"non-finite value in layer {first} input")
+    batch = x.ndim == 2
+    if batch:
+        x = x[:, None, :]
     outputs = []
     for i, layer in enumerate(model.layers[first:], start=first):
-        x = (x[..., None, :] @ layer.weights)[..., 0, :] + layer.bias
+        x = x @ layer.weights + layer.bias
         if layer.activation == "relu":
             x = np.maximum(x, 0.0)
-        if not np.isfinite(x).all():
+        if not all_finite(x):
             raise ValueError(f"non-finite value in layer {i} output")
-        outputs.append(x)
+        outputs.append(x[:, 0] if batch else x)
     return outputs
 
 
@@ -126,7 +130,7 @@ def decide(output) -> int | np.ndarray:
     scores = np.asarray(output, dtype=np.float64)
     if scores.ndim not in (1, 2):
         raise ValueError("decide expects a score vector or a batch of them")
-    labels = np.argmax(scores, axis=-1)
+    labels = scores.argmax(axis=-1)
     return int(labels) if scores.ndim == 1 else labels
 
 

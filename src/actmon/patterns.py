@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import as_int
+from .errors import all_finite, as_int
 from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
@@ -114,7 +114,7 @@ def binarize(activations, selection: NeuronSelection) -> Pattern | list:
     if not row and (acts.ndim != 2 or acts.shape[1] != width):
         raise ValueError(f"activation width {acts.shape} does not match "
                          f"monitored layer width {width}")
-    if not np.isfinite(acts).all():
+    if not all_finite(acts):
         raise ValueError("non-finite activation value")
     if not row:
         acts = (acts.take(selection.index_array, axis=1) > 0.0).view(np.int8)

@@ -18,13 +18,13 @@ so :func:`write_traces` refuses what :func:`read_traces` refuses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (JSON_DECODER, FormatVersionError, SchemaError, as_int,
-                     exact_int, replace_on_success)
+from .errors import (JSON_DECODER, JSON_LINE, FormatVersionError,
+                     SchemaError, all_finite, as_int, exact_int,
+                     replace_on_success)
 from .network import ModelSpec, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
@@ -113,17 +113,16 @@ def write_traces(path, header: TraceHeader, records) -> None:
         as_int(header.layer, "layer"), as_int(header.width, "width"),
         as_int(header.classes, "classes")))
     with replace_on_success(path) as fh:
-        fh.write(json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION,
-                             **vars(header)}, separators=(",", ":")) + "\n")
+        fh.write(JSON_LINE({"format": TRACE_FORMAT, "version": TRACE_VERSION,
+                            **vars(header)}) + "\n")
         for record in records:
             true_label, pred_label, acts = _writable(
                 record.id, record.true_label, record.pred_label,
                 record.activations, header)
             try:
-                text = json.dumps({"id": record.id, "true_label": true_label,
-                                   "pred_label": pred_label,
-                                   "activations": acts.tolist()},
-                                  separators=(",", ":"), allow_nan=False)
+                text = JSON_LINE({"id": record.id, "true_label": true_label,
+                                  "pred_label": pred_label,
+                                  "activations": acts.tolist()})
             except ValueError as exc:  # JSON has no NaN or infinity
                 raise ValueError(f"record {record.id!r}: non-finite "
                                  f"activation value") from exc
@@ -145,9 +144,9 @@ def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
         except UnicodeDecodeError as exc:
             raise SchemaError(f"trace file is not UTF-8 text: {exc}") from exc
     # JSON reads 1e999 as infinity; one check per file, not per record
-    if records and not np.isfinite(
-            np.concatenate([r.activations for r in records])).all():
-        bad = next(r for r in records if not np.isfinite(r.activations).all())
+    if records and not all_finite(
+            np.concatenate([r.activations for r in records])):
+        bad = next(r for r in records if not all_finite(r.activations))
         raise SchemaError(f"record {bad.id!r}: non-finite activation value")
     return header, records
 

@@ -55,6 +55,22 @@ def union(store, a, b):
         store, store._or(store._check_ref(a), store._check_ref(b), {}))
 
 
+def recursive_encode(store, patterns):
+    """Reference ``encode_set``: one recursive call per bit of every sorted
+    distinct row, split by the first bit where the rows differ; the root."""
+    rows = sorted(set(patterns))
+
+    def build(lo, hi, var):
+        if lo == hi:
+            return bdd.FALSE
+        if var == store.n_vars:
+            return bdd.TRUE
+        mid = next((i for i in range(lo, hi) if rows[i][var]), hi)
+        return store._mk(var, build(lo, mid, var + 1), build(mid, hi, var + 1))
+
+    return build(0, len(rows), 0)
+
+
 def build_set(store, patterns):
     """Reference construction: a union fold of singleton sets."""
     acc = store.encode_set([])
@@ -160,6 +176,19 @@ class TestEncodeSet:
             store = bdd.BddStore(n)
             assert store.enumerate_patterns(store.encode_set(patterns)) \
                 == sorted(set(patterns))
+
+    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
+    def test_table_equals_the_recursive_build(self):
+        """A lone row's chain is made in the order the recursion made it."""
+        rng = random.Random(3141)
+        for n in [1, 2, 5, 12, 64, bdd.MAX_VARS]:
+            for trial in range(8):
+                patterns = random_patterns(rng, n, rng.randint(0, 40))
+                store, ref = bdd.BddStore(n), bdd.BddStore(n)
+                got = store.encode_set(patterns).node
+                assert got == recursive_encode(ref, patterns)
+                assert (store._var, store._low, store._high) \
+                    == (ref._var, ref._low, ref._high)
 
     def test_empty_input_is_false_terminal(self):
         store = bdd.BddStore(4)
@@ -297,6 +326,19 @@ class TestContains:
         store = bdd.BddStore(3)
         with pytest.raises(ValueError, match="width"):
             store.contains(store.encode_set([]), tup("01"))
+
+    def test_walk_agrees_with_cost_and_distance(self):
+        rng = random.Random(577)
+        for trial in range(40):
+            n = rng.randint(1, 12)
+            members = random_patterns(rng, n, rng.randint(0, 30))
+            store = bdd.BddStore(n)
+            zone = store.encode_set(members)
+            for bits in list(random_patterns(rng, n, 20)) + list(members)[:5]:
+                found = store.contains(zone, bits)
+                assert found == (bits in members)
+                assert found == store.contains_with_cost(zone, bits)[0] \
+                    == (store.distance(zone, bits, 1) == 0)
 
 
 class TestDistance:

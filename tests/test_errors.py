@@ -1,15 +1,18 @@
 """Tests for the shared file layer: the replace-on-success writer, the
-strict JSON reader, and guards that no other code in the package opens a
-file for writing or parses JSON."""
+strict JSON reader, the one finiteness rule, and guards that no other code
+in the package opens a file for writing, parses JSON or tests finiteness."""
 
 import ast
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import actmon
-from actmon.errors import SchemaError, read_json, replace_on_success
+from actmon.errors import (SchemaError, all_finite, finite_floats, read_json,
+                           replace_on_success)
 
 SRC = Path(actmon.__file__).parent
 # a literal open() mode that writes, appends or creates
@@ -60,6 +63,33 @@ class TestReadJson:
         path.write_text('{"x": [1.0, -2, 1e300, "NaN"], "y": null}\n')
         assert read_json(path, "model") == {"x": [1.0, -2, 1e300, "NaN"],
                                             "y": None}
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("values", [
+        [], np.zeros((0, 3)), [0.0, -0.0], [1.0, -2.5],
+        [1e200, -1e200], [[1e200], [-1e200]], [np.finfo(float).max] * 3,
+        [5e-324], 1e200, np.arange(12.0).reshape(3, 4)[:, ::2] * 1e200,
+    ], ids=["empty", "empty-2d", "zeros", "plain", "squares-overflow",
+            "squares-overflow-2d", "max", "subnormal", "0-d", "strided"])
+    def test_finite(self, values):
+        assert all_finite(np.asarray(values, dtype=np.float64)) is True
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    @pytest.mark.parametrize("fill", [1.0, 1e200], ids=["plain", "big"])
+    def test_non_finite_anywhere(self, bad, at, fill):
+        values = np.full(5, fill)
+        values[at] = bad
+        assert all_finite(values) is False
+        assert all_finite(values.reshape(5, 1)) is False
+        assert all_finite(np.array(bad)) is False
+
+    def test_file_numbers_whose_squares_overflow_are_read(self):
+        assert finite_floats([[1e200, -1e200]], "weights", 2).tolist() \
+            == [[1e200, -1e200]]
+        with pytest.raises(SchemaError, match="bias must hold finite"):
+            finite_floats([1e200, 1e999], "bias", 1)
 
 
 def write_opens(tree):
@@ -131,3 +161,22 @@ def test_only_the_strict_decoder_parses_json():
                   if isinstance(node, ast.Assign)
                   and [t.id for t in node.targets] == ["JSON_DECODER"]]
     assert found == [("errors.py", decoder.lineno)], found
+
+
+def finiteness_tests(tree):
+    """The names of the functions in ``tree`` that call an ``isfinite``."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                for node in ast.walk(func)):
+            yield func.name
+
+
+def test_finiteness_is_tested_only_by_all_finite():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, name) for name in finiteness_tests(tree)]
+    # train_toy tests its scalar loss, not an array
+    assert found == [("errors.py", "all_finite"),
+                     ("network.py", "train_toy")], found

@@ -278,6 +278,20 @@ class TestQuery:
         # (1, 1, 0) is at Hamming distance 2 from every ball member
         assert query(mon, (1.0, 1.0, 0.0), 0) is Verdict.OUT_OF_ZONE
 
+    def test_gamma_zero_walks_through_contains(self, monkeypatch):
+        calls = []
+        walk = BddStore.contains
+
+        def counted(store, a, bits):
+            calls.append(tuple(bits))
+            return walk(store, a, bits)
+
+        monkeypatch.setattr(BddStore, "contains", counted)
+        mon = self._monitor()
+        assert query(mon, (0.0, 0.0, 2.5), 0) is Verdict.IN_ZONE
+        assert query(mon, (1.0, 1.0, 0.0), 0) is Verdict.OUT_OF_ZONE
+        assert calls == [(0, 0, 1), (1, 1, 0)]
+
     def test_unmonitored_class(self):
         mon = self._monitor()
         assert query(mon, (1.0, 1.0, 1.0), 2) is Verdict.NO_ZONE

@@ -106,6 +106,52 @@ class TestForward:
         with pytest.raises(ValueError, match="layer 1"):
             forward(model, (1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1)])
+    @pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
+    def test_non_finite_input_anywhere(self, bad, at, batch):
+        model = ModelSpec([Layer(I2, np.zeros(2), "relu"),
+                           Layer(I2, np.zeros(2), "none")])
+        x = np.ones((3, 2))
+        x[at] = bad
+        with pytest.raises(ValueError,
+                           match="^non-finite value in layer 0 input$"):
+            forward(model, x if batch else x[at[0]])
+
+    # 1e10 times 1e300 overflows to inf in the scaled layer only
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
+    def test_overflow_to_inf_names_its_layer(self, bad, batch):
+        model = ModelSpec([Layer(I2 * (1e300 if i == bad else 1.0),
+                                 np.zeros(2), "none" if i == 2 else "relu")
+                           for i in range(3)])
+        x = np.array([[1.0, 2.0], [1e10, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=f"^non-finite value in layer {bad} output$"):
+            forward(model, x if batch else x[1])
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
+    def test_values_whose_squares_overflow_pass(self, batch):
+        model = ModelSpec([Layer(I2, np.zeros(2), "relu"),
+                           Layer(I2, np.zeros(2), "none")])
+        x = np.array([[1e200, -1e200], [1.0, 2.0]])
+        outputs = forward(model, x if batch else x[0]).outputs
+        want = [[1e200, 0.0], [1.0, 2.0]] if batch else [1e200, 0.0]
+        assert outputs[0].tolist() == want
+        assert outputs[1].tolist() == want
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
+    def test_minus_inf_pre_activation_clamped_to_zero(self, batch):
+        # -1e10 * 1e300 is -inf before the ReLU and 0 after it
+        model = ModelSpec([Layer(I2 * 1e300, np.zeros(2), "relu"),
+                           Layer(I2, np.zeros(2), "none")])
+        x = np.array([[-1e10, 1.0], [-1e10, -1.0]])
+        with np.errstate(over="ignore"):
+            trace = forward(model, x if batch else x[0])
+        want = [[0.0, 1e300], [0.0, 0.0]] if batch else [0.0, 1e300]
+        assert trace.outputs[0].tolist() == want
+        assert trace.final.tolist() == want
+
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         model = random_model(rng, (4, 8, 3))
@@ -168,6 +214,27 @@ class TestBatch:
         model, x = model_and_rows
         scores = forward(model, x).final
         assert decide(scores).tolist() == [decide(row) for row in scores]
+
+    def test_output_shapes(self, model_and_rows):
+        model, x = model_and_rows
+        widths = [layer.weights.shape[1] for layer in model.layers]
+        for rows in (x, x[:1], x[:0]):
+            outputs = forward(model, rows).outputs
+            assert [out.shape for out in outputs] \
+                == [(len(rows), w) for w in widths]
+            assert all(out.flags.c_contiguous for out in outputs)
+        assert [out.shape for out in forward(model, x[0]).outputs] \
+            == [(w,) for w in widths]
+
+    def test_decide_types(self, model_and_rows):
+        model, x = model_and_rows
+        for rows in (x, x[:1], x[:0]):
+            labels = decide(forward(model, rows).final)
+            assert isinstance(labels, np.ndarray)
+            assert labels.shape == (len(rows),)
+            assert labels.dtype.kind == "i"
+        assert type(decide(forward(model, x[0]).final)) is int
+        assert decide(np.zeros((0, model.class_count))).shape == (0,)
 
     def test_accuracy_needs_one_label_per_input(self, model_and_rows):
         model, x = model_and_rows
@@ -260,6 +327,18 @@ class TestLayerGradient:
         with pytest.raises(ValueError,
                            match="non-finite value in layer 1 input"):
             gradient_from_activations(model, acts if batch else acts[1], 0, 2)
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["row", "batch"])
+    def test_activations_whose_squares_overflow_pass(self, batch):
+        rng = np.random.default_rng(29)
+        model = random_model(rng, (3, 2, 4, 3))
+        acts = np.array([[1e200, -1e200], [1e-3, 2.0]])
+        for c in range(3):
+            got = gradient_from_activations(model, acts if batch else acts[0],
+                                            0, c)
+            want = [rowwise_gradient(model, row, 0, c) for row in acts]
+            assert got.tolist() == ([w.tolist() for w in want] if batch
+                                    else want[0].tolist())
 
     @pytest.mark.parametrize("bad", [1, 2])
     def test_non_finite_output_names_model_layer(self, bad):

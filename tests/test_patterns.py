@@ -1,6 +1,7 @@
 """Tests for binarization, Hamming distance and neuron selection."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -113,12 +114,22 @@ class TestBinarize:
         with pytest.raises(ValueError, match="finite"):
             binarize((1.0, np.nan), identity_selection(2))
         for bad in (np.nan, np.inf, -np.inf):
-            for row in range(3):
-                acts = np.ones((3, 2))
+            with pytest.raises(ValueError,
+                               match="^non-finite activation value$"):
+                binarize((1e200, bad), identity_selection(2))
+            for row, fill in itertools.product(range(3), (1.0, 1e200)):
+                acts = np.full((3, 2), fill)
                 acts[row, 1] = bad
                 with pytest.raises(ValueError,
                                    match="^non-finite activation value$"):
                     binarize(acts, identity_selection(2))
+
+    def test_values_whose_squares_overflow_pass(self):
+        sel = identity_selection(2)
+        assert binarize((1e200, -1e200), sel) == (1, 0)
+        assert binarize([(1e200, -1e200), (-1e200, 1e200)], sel) \
+            == [(1, 0), (0, 1)]
+        assert binarize(np.zeros((0, 2)), sel) == []
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(3)

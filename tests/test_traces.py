@@ -428,6 +428,24 @@ class TestOverflowingLiteral:
                         + json.dumps(RECORD).replace('"s0"', '"s1"').replace(
                             "[1.0]", f"[{activation}]") + "\n")
 
+    def test_values_whose_squares_overflow_round_trip(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = [TraceRecord("s0", 0, 1, np.array([1e200, -1e200])),
+                   TraceRecord("s1", 1, 1, np.array([-0.0, 1e-300]))]
+        write_traces(path, TraceHeader(1, 2, 2), records)
+        _, loaded = read_traces(path)
+        assert [r.activations.tolist() for r in loaded] \
+            == [[1e200, -1e200], [-0.0, 1e-300]]
+
+    def test_bad_record_found_past_huge_values(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text(f"{json.dumps(HEADER)}\n" + "".join(
+            json.dumps(dict(RECORD, id=f"s{i}")).replace("[1.0]", f"[{v}]")
+            + "\n" for i, v in enumerate(["1e200", "-1e200", "1e999"])))
+        with pytest.raises(SchemaError,
+                           match="record 's2': non-finite activation"):
+            read_traces(path)
+
     def test_huge_integer_names_the_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         self._write(path, "1" * 400)
