@@ -157,11 +157,19 @@ class BddStore:
     # -- set construction --------------------------------------------------
 
     def encode_set(self, patterns: Iterable[Sequence[int]]) -> BddRef:
-        """The set of the given patterns; none give the empty set.  Built
-        bottom-up from the sorted distinct patterns, one bit per level, so
-        every node created is part of the result."""
+        """The set of the given patterns; none give the empty set.  Each
+        pattern is checked, then :meth:`_encode` builds the set of the
+        distinct ones."""
         self._require_mutable()
-        rows = sorted({tuple(self._check_pattern(bits)) for bits in patterns})
+        return BddRef(self, self._encode(
+            {tuple(self._check_pattern(bits)) for bits in patterns}))
+
+    def _encode(self, rows: Iterable[tuple[int, ...]]) -> int:
+        """The root of the set of ``rows``: distinct tuples of 0/1 ints of
+        width ``n_vars``, taken unchecked (``binarize`` output is such a
+        row).  Built bottom-up from the sorted rows, one bit per level, so
+        every node created is part of the result."""
+        rows = sorted(rows)
         mk = self._mk
 
         def build(lo: int, hi: int, var: int) -> int:
@@ -177,7 +185,7 @@ class BddStore:
             mid = bisect_left(rows, 1, lo, hi, key=itemgetter(var))
             return mk(var, build(lo, mid, var + 1), build(mid, hi, var + 1))
 
-        return BddRef(self, build(0, len(rows), 0))
+        return build(0, len(rows), 0)
 
     # exists passes one memo down its recursion: (a, b) pairs key the or
     # results, node ids the exists results
@@ -260,16 +268,23 @@ class BddStore:
     def distance(self, a: BddRef, bits: Sequence[int], cap: int) -> int:
         """Least Hamming distance from ``bits`` to a member of ``a``, or
         ``cap`` (at least 1) if no member is closer; the empty set gives
-        ``cap``.  At ``cap`` 1 this is the :meth:`contains` walk.  Above it,
-        a depth-first search: the matching branch first, a flipped branch
-        only while it can still beat the best distance found and is not the
-        empty set, so the cost grows with ``cap``."""
+        ``cap``.  At ``cap`` 1 this is the :meth:`contains` walk; above it,
+        the checked ref and pattern go to the search :meth:`_distance`."""
         if cap < 1:
             raise ValueError(f"distance cap must be >= 1, got {cap}")
         if cap == 1:
             return 0 if self.contains(a, bits) else 1
         node = self._check_ref(a)
         self._check_pattern(bits)
+        return self._distance(node, bits, cap)
+
+    def _distance(self, node: int, bits: Sequence[int], cap: int) -> int:
+        """:meth:`distance` from node id ``node`` at any ``cap`` >= 1, with
+        ``bits`` taken unchecked as a row of 0/1 ints of width ``n_vars``.
+        A depth-first search: the matching branch first, a flipped branch
+        only while it can still beat the best distance found and is not the
+        empty set, so the cost grows with ``cap``; at ``cap`` 1 no branch
+        is pushed and it is the membership walk."""
         var, low, high = self._var, self._low, self._high
         best = cap
         stack = [(node, 0)]

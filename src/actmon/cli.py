@@ -124,6 +124,9 @@ def cmd_query(args) -> None:
     if header.layer != mon.selection.layer:
         raise ValueError(f"trace layer {header.layer} does not match "
                          f"monitor layer {mon.selection.layer}")
+    if header.width != mon.selection.layer_width:
+        raise ValueError(f"trace width {header.width} does not match "
+                         f"monitor layer width {mon.selection.layer_width}")
     verdicts = [monitor_mod.query(mon, r.activations, r.pred_label)
                 for r in records]
     counts = {v: verdicts.count(v) for v in monitor_mod.Verdict}

@@ -94,10 +94,12 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
     at each of ``gammas``.  Those monitors differ only in ``gamma``, and
     :func:`~actmon.monitor.query` flags a record when its Hamming distance
     to the zone of its predicted class exceeds gamma, so one gamma-0 build
-    serves every level: one binarize call, one search per eval record
-    capped at ``max(gammas) + 1``, and one tally of (distance,
-    misclassified) that gives every level's row.  The warning rate is
-    non-increasing in gamma.  Gammas are integers as in ``build``.
+    serves every level.  One binarize call makes and checks every eval
+    pattern; the records are tallied once by (pattern, predicted class,
+    misclassified), and each such group gets one search capped at
+    ``max(gammas) + 1``.  One tally of (distance, misclassified) then gives
+    every level's row.  The warning rate is non-increasing in gamma.
+    Gammas are integers as in ``build``.
     """
     gammas = [as_int(g, "gamma") for g in gammas]
     if not gammas or any(g < 0 for g in gammas):
@@ -108,12 +110,15 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
     traces = list(traces_eval)
     bits = patterns.binarize([r.activations for r in traces],
                              selection) if traces else []
+    groups = Counter(zip(bits, [r.pred_label for r in traces],
+                         [r.pred_label != r.true_label for r in traces]))
     cap = gammas[-1] + 1
+    search = zero.store._distance  # on binarize's checked patterns
     tally = Counter()  # (distance, or None without a zone; misclassified)
-    for record, pattern in zip(traces, bits):
-        root = zero.zones.get(record.pred_label)
-        d = None if root is None else zero.store.distance(root, pattern, cap)
-        tally[d, record.pred_label != record.true_label] += 1
+    for (pattern, pred_label, misclassified), n in groups.items():
+        root = zero.zones.get(pred_label)
+        d = None if root is None else search(root.node, pattern, cap)
+        tally[d, misclassified] += n
     report = []
     for gamma in gammas:
         verdicts = Counter()

@@ -70,7 +70,9 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
     ground-truth label *and* the network predicted ``c``; the kept records
-    are binarized in one call, and the others are never read.
+    are binarized in one call, and the others are never read.  Each zone
+    is encoded from its distinct patterns, which ``binarize`` has already
+    checked, so the store checks none of them again.
 
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
@@ -90,17 +92,18 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
         raise ValueError("no classes to monitor")
 
     store = BddStore(selection.width)
-    seen: dict[int, list] = {c: [] for c in class_list}
+    seen: dict[int, set] = {c: set() for c in class_list}
     kept = [r for r in traces
             if r.true_label in seen and r.pred_label == r.true_label]
     bits = binarize([r.activations for r in kept], selection) if kept else []
     for record, pattern in zip(kept, bits):
-        seen[record.true_label].append(pattern)
+        seen[record.true_label].add(pattern)
     for c in class_list:
         if not seen[c]:
             warn(f"class {c}: no correctly classified training record; "
                  f"its zone is empty and will flag every query")
-    zones = {c: store.encode_set(seen[c]) for c in class_list}
+    # binarize made and checked every pattern, so the store takes them as is
+    zones = {c: BddRef(store, store._encode(seen[c])) for c in class_list}
     store.freeze()
     return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
 

@@ -38,9 +38,10 @@ class TraceHeader:
     classes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
-    """One sample's monitored-layer activations plus both labels."""
+    """One sample's monitored-layer activations plus both labels; slotted,
+    since a trace set holds one record per sample."""
 
     id: str
     true_label: int

@@ -9,10 +9,12 @@ the reference sets that ``encode_set`` and the query's Hamming ball are
 compared with.
 """
 
+import ast
 import copy
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -442,6 +444,98 @@ class TestPatternCheck:
         zone = store.encode_set([tup("011")])
         assert self.OPS[op](store, zone, bits) \
             == self.OPS[op](store, zone, tup("011"))
+
+
+class TestCores:
+    """encode_set and distance check, then delegate to _encode and
+    _distance, the unchecked cores that build and the sweep call on
+    binarize output."""
+
+    def test_distance_equals_its_core(self):
+        rng = random.Random(577)
+        for n in (1, 3, 8, 12):
+            store = bdd.BddStore(n)
+            zones = [store.encode_set(random_patterns(rng, n, count))
+                     for count in (0, 1, 6, 40)]
+            for zone in zones:
+                for bits in random_patterns(rng, n, 30):
+                    for cap in range(1, 5):
+                        assert store.distance(zone, bits, cap) \
+                            == store._distance(zone.node, bits, cap)
+
+    CHECKED = {
+        "encode_set": lambda store, zone, bits: store.encode_set([bits]),
+        "distance-1": lambda store, zone, bits: store.distance(zone, bits, 1),
+        "distance-3": lambda store, zone, bits: store.distance(zone, bits, 3),
+    }
+
+    @pytest.mark.parametrize("op", sorted(CHECKED))
+    @pytest.mark.parametrize("bits, message", [
+        ((0, 2, 1), "pattern bits must be 0 or 1"),
+        ((0, [1], 1), "pattern bits must be 0 or 1"),
+        ((0, 1), "pattern width 2 != store width 3"),
+        ((0, 1, 1, 0), "pattern width 4 != store width 3"),
+    ], ids=["two", "unhashable", "narrow", "wide"])
+    def test_public_ops_keep_their_checks(self, op, bits, message):
+        store = bdd.BddStore(3)
+        zone = store.encode_set([tup("011")])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.CHECKED[op](store, zone, bits)
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_distance_refuses_a_foreign_ref(self, cap):
+        store, other = bdd.BddStore(3), bdd.BddStore(3)
+        zone = other.encode_set([tup("011")])
+        with pytest.raises(ValueError,
+                           match="^BddRef belongs to a different store$"):
+            store.distance(zone, tup("011"), cap)
+
+
+SRC = Path(bdd.__file__).parent
+# the store's unchecked cores
+CORES = {"_encode", "_distance"}
+
+
+def core_uses(tree):
+    """(function, core) for every attribute ``_encode`` or ``_distance``
+    that ``tree`` reads, named by its innermost enclosing function (None at
+    module level)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            func = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Attribute) and node.attr in CORES:
+            found.append((func, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_core_guard_sees_each_form():
+    tree = ast.parse("x = s._encode(r)\n"
+                     "def query(m):\n"
+                     "    search = m.store._distance\n"
+                     "    f = lambda: m.store._encode([])\n"
+                     "    return search(1, (0,), 2)\n")
+    assert core_uses(tree) == [(None, "_encode"), ("query", "_distance"),
+                               ("<lambda>", "_encode")]
+
+
+def test_cores_are_reached_only_by_build_and_sweep():
+    """The cores skip the pattern checks, so only code that hands them
+    binarize output may call them."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "bdd.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, func, core)
+                      for func, core in core_uses(tree)]
+    assert sorted(found) == [("evaluation.py", "gamma_sweep", "_distance"),
+                             ("monitor.py", "build", "_encode")], found
 
 
 class TestSatCount:

@@ -287,6 +287,22 @@ class TestErrors:
                               "monitor layer 1")
         assert not out.exists()
 
+    def test_query_traces_of_another_width(self, pipeline, tmp_path,
+                                           capsys):
+        # a header-only file: no record's width can give the mismatch away
+        header = json.loads(pipeline["eval"].read_text().splitlines()[0])
+        header["width"] = 5
+        other = tmp_path / "narrow.jsonl"
+        other.write_text(json.dumps(header) + "\n")
+        out = tmp_path / "v.jsonl"
+        code = main(["query", "--monitor", str(pipeline["monitor"]),
+                     "--traces", str(other), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: trace width 5 does not match monitor layer "
+                       "width 14\n")
+        assert not out.exists()
+
     def test_sweep_eval_traces_from_another_layer(self, pipeline, tmp_path,
                                                   capsys):
         other = as_layer_zero(pipeline["eval"], tmp_path)

@@ -1,5 +1,7 @@
 """Tests for the metric computations, gamma sweeps and the stopping rule."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from actmon.bdd import BddStore
 from actmon.evaluation import (
     REPORT_COLUMNS,
     EvalRow,
+    _report_row,
     choose_gamma,
     evaluate,
     gamma_sweep,
     write_report_csv,
 )
-from actmon.monitor import build
+from actmon.monitor import Verdict, build
 from actmon.patterns import binarize, identity_selection
 from actmon.traces import TraceRecord
 
@@ -109,6 +112,29 @@ class TestEvaluate:
         assert row.n_out_of_pattern <= row.n_total
 
 
+def per_record_sweep(traces_train, traces_eval, selection, gammas,
+                     classes=None):
+    """Reference gamma_sweep: one public ``distance`` call per eval record,
+    as the sweep made before it grouped its records."""
+    zero = build(traces_train, selection, 0, classes)
+    bits = binarize([r.activations for r in traces_eval], selection)
+    cap = gammas[-1] + 1
+    tally = Counter()
+    for record, pattern in zip(traces_eval, bits):
+        root = zero.zones.get(record.pred_label)
+        d = None if root is None else zero.store.distance(root, pattern, cap)
+        tally[d, record.pred_label != record.true_label] += 1
+    report = []
+    for gamma in gammas:
+        verdicts = Counter()
+        for (d, misclassified), n in tally.items():
+            verdicts[Verdict.NO_ZONE if d is None
+                     else Verdict.OUT_OF_ZONE if d > gamma
+                     else Verdict.IN_ZONE, misclassified] += n
+        report.append(_report_row(gamma, verdicts))
+    return report
+
+
 class TestGammaSweep:
     def _traces(self, seed, count):
         rng = np.random.default_rng(seed)
@@ -157,6 +183,52 @@ class TestGammaSweep:
         rows = gamma_sweep(train, evals, identity_selection(8), [0, 1, 2, 3])
         assert len(rows) == 4 and sum(seen) == len(evals)
         assert len(seen) == 1
+
+    def _duplicated(self, seed, count):
+        """``count`` eval records predicted as classes 0-3, drawn from five
+        8-bit patterns, one of them both correct and misclassified."""
+        rng = np.random.default_rng(seed)
+        shared = (1, 0, 1, 1, 0, 0, 1, 0)
+        out = [rec(0, 0, shared, "c"), rec(1, 0, shared, "m")]
+        pool = [rng.integers(0, 2, 8) for _ in range(4)] + [shared]
+        for i in range(count - 2):
+            true, pred = (int(x) for x in rng.integers(0, 4, 2))
+            out.append(rec(true, pred if rng.random() < 0.3 else true,
+                           pool[int(rng.integers(0, 5))], f"e{i}"))
+        return out
+
+    def test_one_search_per_group(self, monkeypatch):
+        train = self._traces(91, 40)
+        evals = self._duplicated(92, 200)
+        sel = identity_selection(8)
+        calls = []
+        search = BddStore._distance
+
+        def counted(store, node, bits, cap):
+            calls.append((bits, cap))
+            return search(store, node, bits, cap)
+
+        monkeypatch.setattr(BddStore, "_distance", counted)
+        gamma_sweep(train, evals, sel, [0, 1, 2])
+        groups = {(p, r.pred_label, r.pred_label != r.true_label)
+                  for p, r in zip(binarize([r.activations for r in evals],
+                                           sel), evals)
+                  if r.pred_label in (0, 1)}  # classes 2 and 3: no zone
+        assert len(calls) == len(groups) < 40
+        assert {cap for _, cap in calls} == {3}
+
+    @pytest.mark.filterwarnings("ignore:class 2")
+    def test_grouped_rows_equal_the_per_record_reference(self):
+        # class 2 gets an empty zone, and records predicted as class 3 have
+        # no zone at all
+        train = self._traces(93, 60)
+        evals = self._duplicated(94, 300)
+        sel = identity_selection(8)
+        for gammas in ([0], [0, 1, 2, 3], [1, 3]):
+            rows = gamma_sweep(train, evals, sel, gammas, classes=[0, 1, 2])
+            assert rows == per_record_sweep(train, evals, sel, gammas,
+                                            classes=[0, 1, 2])
+        assert rows[0].n_nozone > 0 and rows[0].n_out_of_pattern > 0
 
     @pytest.mark.parametrize("pred", [0, 3])  # a zone, no zone
     def test_non_finite_eval_record_rejected(self, pred):

@@ -28,7 +28,8 @@ from actmon.monitor import (
     query,
     save_monitor,
 )
-from actmon.patterns import NeuronSelection, hamming, identity_selection
+from actmon.patterns import (NeuronSelection, binarize, hamming,
+                             identity_selection)
 from actmon.traces import TraceRecord
 
 
@@ -163,6 +164,32 @@ class TestBuild:
             {str(c): root for c, root in mon.zones.items()})
         # to_dict lists every node reachable from the roots exactly once
         assert len(mon.store) - 2 == len(table["nodes"])
+
+    @pytest.mark.filterwarnings("ignore:class")  # a class may go empty
+    def test_table_equals_encode_set(self):
+        """build encodes each class's distinct patterns unchecked, making
+        the table encode_set makes from the same patterns."""
+        rng = random.Random(223)
+        for trial in range(12):
+            k = 64 if trial == 0 else rng.randint(1, 64)
+            width = k + rng.randint(0, 3)
+            sel = NeuronSelection(0, width, rng.sample(range(width), k),
+                                  (0.0,) * k)
+            protos = [[rng.randint(0, 1) for _ in range(width)]
+                      for _ in range(rng.randint(1, 6))]
+            traces = [rec(c, rng.choice([c, c, c, 3 - c]),
+                          [rng.choice((-1.0, 0.0, 2.0)) if b else 0.0
+                           for b in rng.choice(protos)], f"s{i}")
+                      for i, c in enumerate(rng.choices(range(4), k=80))]
+            mon = build(traces, sel, gamma=0, classes=[0, 1, 2, 3])
+            ref = BddStore(k)
+            roots = {c: ref.encode_set(
+                binarize(r.activations, sel) for r in traces
+                if r.true_label == r.pred_label == c) for c in range(4)}
+            assert {c: z.node for c, z in mon.zones.items()} \
+                == {c: z.node for c, z in roots.items()}
+            assert (mon.store._var, mon.store._low, mon.store._high) \
+                == (ref._var, ref._low, ref._high)
 
     def test_store_frozen_after_build(self):
         mon = build([pattern_trace(0, 0, (0, 1))],

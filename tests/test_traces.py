@@ -61,6 +61,16 @@ class TestRoundTrip:
                          "layer": 2, "width": 4, "classes": 3}
 
 
+class TestRecord:
+    def test_slotted(self):
+        record = sample_records(count=1)[0]
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.score = 0.5
+        record.pred_label = 2  # its own fields stay writable
+        assert record.pred_label == 2
+
+
 class TestValidation:
     def _write_valid(self, path):
         write_traces(path, TraceHeader(1, 4, 3), sample_records())
