@@ -19,7 +19,6 @@ from .errors import (
 from .patterns import (
     NeuronSelection,
     binarize,
-    hamming,
     identity_selection,
     score_neurons,
     select_top_fraction,

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import patterns
 from .errors import as_int, replace_on_success
-from .monitor import Monitor, Verdict, build, query
+from .monitor import Monitor, build
 from .traces import TraceRecord
 
 
@@ -57,21 +57,45 @@ class GammaChoice:
 
 
 def evaluate(monitor: Monitor, eval_traces: Iterable[TraceRecord]) -> EvalRow:
-    """One report row for a monitor, from one tally of the verdicts."""
-    return _report_row(monitor.gamma, Counter(
-        (query(monitor, r.activations, r.pred_label),
-         r.pred_label != r.true_label) for r in eval_traces))
+    """One report row for a monitor: the sweep's distance tally, capped at
+    ``monitor.gamma + 1`` and read at ``monitor.gamma``."""
+    return _report_row(monitor.gamma,
+                       _tally(monitor, eval_traces, monitor.gamma + 1))
+
+
+def _tally(monitor: Monitor, records: Iterable[TraceRecord],
+           cap: int) -> Counter:
+    """Records counted by (distance, misclassified): the distance of a
+    record's pattern to the zone of its predicted class, capped at ``cap``,
+    or ``None`` when that class has no zone.  One binarize call makes and
+    checks every pattern, and each distinct (pattern, predicted class,
+    misclassified) group gets one search."""
+    records = list(records)
+    bits = patterns.binarize([r.activations for r in records],
+                             monitor.selection) if records else []
+    groups = Counter(zip(bits, [r.pred_label for r in records],
+                         [r.pred_label != r.true_label for r in records]))
+    search = monitor.store._distance  # on binarize's checked patterns
+    tally = Counter()
+    for (pattern, pred_label, misclassified), n in groups.items():
+        root = monitor.zones.get(pred_label)
+        d = None if root is None else search(root.node, pattern, cap)
+        tally[d, misclassified] += n
+    return tally
 
 
 def _report_row(gamma: int, tally: Counter) -> EvalRow:
-    """The report row of records tallied by (verdict, misclassified)."""
+    """The report row at ``gamma`` of a :func:`_tally`: a distance of
+    ``None`` is no zone, one above ``gamma`` is flagged."""
     n_total = sum(tally.values())
     if not n_total:
         raise ValueError("cannot evaluate on an empty trace set")
     n_mis = sum(n for (_, misclassified), n in tally.items() if misclassified)
-    n_nozone = tally[Verdict.NO_ZONE, False] + tally[Verdict.NO_ZONE, True]
-    n_out_mis = tally[Verdict.OUT_OF_ZONE, True]
-    n_out = tally[Verdict.OUT_OF_ZONE, False] + n_out_mis
+    n_nozone = tally[None, False] + tally[None, True]
+    flagged = [(misclassified, n) for (d, misclassified), n in tally.items()
+               if d is not None and d > gamma]
+    n_out = sum(n for _, n in flagged)
+    n_out_mis = sum(n for misclassified, n in flagged if misclassified)
     n_judged = n_total - n_nozone
     return EvalRow(
         gamma=gamma,
@@ -91,43 +115,22 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
                 gammas: Sequence[int],
                 classes: Iterable[int] | None = None) -> list[EvalRow]:
     """Report rows of the monitors :func:`~actmon.monitor.build` would make
-    at each of ``gammas``.  Those monitors differ only in ``gamma``, and
-    :func:`~actmon.monitor.query` flags a record when its Hamming distance
-    to the zone of its predicted class exceeds gamma, so one gamma-0 build
-    serves every level.  One binarize call makes and checks every eval
-    pattern; the records are tallied once by (pattern, predicted class,
-    misclassified), and each such group gets one search capped at
-    ``max(gammas) + 1``.  One tally of (distance, misclassified) then gives
-    every level's row.  The warning rate is non-increasing in gamma.
-    Gammas are integers as in ``build``.
+    at each of ``gammas``.  Those monitors differ only in ``gamma``, and a
+    record is flagged when its Hamming distance to the zone of its
+    predicted class exceeds gamma, so one gamma-0 build and one distance
+    tally capped at ``max(gammas) + 1`` serve every level: each row is
+    what :func:`evaluate` reads from the same tally at its own gamma.  The
+    warning rate is non-increasing in gamma.  Gammas are integers as in
+    ``build``.
     """
     gammas = [as_int(g, "gamma") for g in gammas]
     if not gammas or any(g < 0 for g in gammas):
         raise ValueError("gammas must be a nonempty list of levels >= 0")
     if sorted(set(gammas)) != gammas:
         raise ValueError("gammas must be strictly ascending")
-    zero = build(traces_train, selection, 0, classes)
-    traces = list(traces_eval)
-    bits = patterns.binarize([r.activations for r in traces],
-                             selection) if traces else []
-    groups = Counter(zip(bits, [r.pred_label for r in traces],
-                         [r.pred_label != r.true_label for r in traces]))
-    cap = gammas[-1] + 1
-    search = zero.store._distance  # on binarize's checked patterns
-    tally = Counter()  # (distance, or None without a zone; misclassified)
-    for (pattern, pred_label, misclassified), n in groups.items():
-        root = zero.zones.get(pred_label)
-        d = None if root is None else search(root.node, pattern, cap)
-        tally[d, misclassified] += n
-    report = []
-    for gamma in gammas:
-        verdicts = Counter()
-        for (d, misclassified), n in tally.items():
-            verdicts[Verdict.NO_ZONE if d is None
-                     else Verdict.OUT_OF_ZONE if d > gamma
-                     else Verdict.IN_ZONE, misclassified] += n
-        report.append(_report_row(gamma, verdicts))
-    return report
+    tally = _tally(build(traces_train, selection, 0, classes), traces_eval,
+                   gammas[-1] + 1)
+    return [_report_row(gamma, tally) for gamma in gammas]
 
 
 def choose_gamma(report: Sequence[EvalRow], min_precision: float = 0.3,

@@ -8,9 +8,11 @@ flagged as outside the network's experience when no pattern of the
 predicted class's zone lies within Hamming distance ``gamma`` of its own
 pattern: one capped search, ``BddStore.distance(zone, pattern, gamma + 1)``.
 Building makes only the gamma-0 zones, so its cost and the monitor file do
-not depend on gamma; the query's cost grows with it.  :func:`query`,
+not depend on gamma; the query's cost grows with it.  :func:`query`
+applies this rule to one runtime sample.  The report rows of
 :func:`~actmon.evaluation.evaluate` and
-:func:`~actmon.evaluation.gamma_sweep` share this one rule.
+:func:`~actmon.evaluation.gamma_sweep` apply it to one tally of such
+distances, one search per distinct pattern of a labeled set.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -118,10 +120,10 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
     yields ``NO_ZONE`` rather than a warning.  A batch raises ``ValueError``.
     """
     pattern = binarize(activations, monitor.selection)
+    if type(pattern) is not tuple:  # a batch binarizes to a list
+        raise ValueError("query takes one activation row, not a batch")
     root = monitor.zones.get(pred_label)
     if root is None:
-        if type(pattern) is not tuple:  # refused here as distance refuses it
-            raise ValueError("query takes one activation row, not a batch")
         return Verdict.NO_ZONE
     gamma = monitor.gamma
     if monitor.store.distance(root, pattern, gamma + 1) <= gamma:

@@ -1,4 +1,4 @@
-"""Activation patterns, Hamming distance and monitored-neuron selection.
+"""Activation patterns and monitored-neuron selection.
 
 A pattern is a fixed-width tuple of 0/1 ints: bit ``i`` says whether the
 ``i``-th *monitored* neuron produced a strictly positive output.  Which
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -123,13 +123,6 @@ def binarize(activations, selection: NeuronSelection) -> Pattern | list:
             rows[i] = tuple(bits)
         return rows
     return tuple((acts.take(selection.index_array) > 0.0).view(np.int8).tolist())
-
-
-def hamming(p: Sequence[int], q: Sequence[int]) -> int:
-    """Number of differing bit positions between equal-width patterns."""
-    if len(p) != len(q):
-        raise ValueError(f"pattern widths differ: {len(p)} vs {len(q)}")
-    return sum(a != b for a, b in zip(p, q))
 
 
 def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],

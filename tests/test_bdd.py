@@ -19,8 +19,12 @@ from pathlib import Path
 import pytest
 
 from actmon import bdd
-from actmon.patterns import hamming
 from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
+
+
+def hamming(p, q):
+    """Number of differing bit positions between equal-width patterns."""
+    return sum(a != b for a, b in zip(p, q))
 
 
 def tup(text):
@@ -534,7 +538,7 @@ def test_cores_are_reached_only_by_build_and_sweep():
             tree = ast.parse(path.read_text(encoding="utf-8"))
             found += [(path.name, func, core)
                       for func, core in core_uses(tree)]
-    assert sorted(found) == [("evaluation.py", "gamma_sweep", "_distance"),
+    assert sorted(found) == [("evaluation.py", "_tally", "_distance"),
                              ("monitor.py", "build", "_encode")], found
 
 

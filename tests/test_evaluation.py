@@ -16,7 +16,7 @@ from actmon.evaluation import (
     gamma_sweep,
     write_report_csv,
 )
-from actmon.monitor import Verdict, build
+from actmon.monitor import Verdict, build, query
 from actmon.patterns import binarize, identity_selection
 from actmon.traces import TraceRecord
 
@@ -99,6 +99,15 @@ class TestEvaluate:
         backward_row = evaluate(mon, list(reversed(traces)))
         assert forward_row == backward_row
 
+    @pytest.mark.filterwarnings("ignore:class 2")
+    @pytest.mark.parametrize("gamma", [0, 1, 2, 3])
+    def test_equals_per_record_queries(self, gamma):
+        train, evals = mixed_zone_traces()
+        mon = build(train, identity_selection(8), gamma, classes=[0, 1, 2])
+        row = evaluate(mon, evals)
+        assert row == per_record_query_row(mon, evals)
+        assert row.n_nozone > 0 and row.n_out_of_pattern > 0
+
     def test_counting_identity(self):
         rng = np.random.default_rng(5)
         mon = self._monitor()
@@ -124,15 +133,45 @@ def per_record_sweep(traces_train, traces_eval, selection, gammas,
         root = zero.zones.get(record.pred_label)
         d = None if root is None else zero.store.distance(root, pattern, cap)
         tally[d, record.pred_label != record.true_label] += 1
-    report = []
-    for gamma in gammas:
-        verdicts = Counter()
-        for (d, misclassified), n in tally.items():
-            verdicts[Verdict.NO_ZONE if d is None
-                     else Verdict.OUT_OF_ZONE if d > gamma
-                     else Verdict.IN_ZONE, misclassified] += n
-        report.append(_report_row(gamma, verdicts))
-    return report
+    return [_report_row(gamma, tally) for gamma in gammas]
+
+
+def per_record_query_row(monitor, records):
+    """Reference report row: one scalar ``query`` per record, its verdicts
+    counted here rather than by ``_report_row``."""
+    verdicts = Counter((query(monitor, r.activations, r.pred_label),
+                        r.pred_label != r.true_label) for r in records)
+    n_total = len(records)
+    n_out_mis = verdicts[Verdict.OUT_OF_ZONE, True]
+    n_out = verdicts[Verdict.OUT_OF_ZONE, False] + n_out_mis
+    n_nozone = (verdicts[Verdict.NO_ZONE, False]
+                + verdicts[Verdict.NO_ZONE, True])
+    n_judged = n_total - n_nozone
+    return EvalRow(
+        gamma=monitor.gamma,
+        n_total=n_total,
+        n_out_of_pattern=n_out,
+        out_rate=n_out / n_judged if n_judged else None,
+        n_out_misclassified=n_out_mis,
+        misclassified_within_out_rate=n_out_mis / n_out if n_out else None,
+        overall_misclassification_rate=sum(
+            r.pred_label != r.true_label for r in records) / n_total,
+        n_nozone=n_nozone,
+    )
+
+
+def mixed_zone_traces():
+    """8-bit training and eval records for classes [0, 1, 2]: class 2 has
+    no correctly classified training record (an empty zone), and eval
+    records predicted as class 3 have no zone at all."""
+    rng = np.random.default_rng(61)
+    train = [rec(t, t if t < 2 else 0,
+                 rng.integers(0, 2, 8).astype(float), f"t{i}")
+             for i, t in enumerate(rng.integers(0, 3, 50))]
+    evals = [rec(int(rng.integers(0, 4)), int(rng.integers(0, 4)),
+                 rng.integers(0, 2, 8).astype(float), f"e{i}")
+             for i in range(120)]
+    return train, evals
 
 
 class TestGammaSweep:
@@ -251,19 +290,11 @@ class TestGammaSweep:
 
     @pytest.mark.filterwarnings("ignore:class 2")
     def test_every_level_equals_a_built_monitor(self):
-        # class 2 has no correctly classified training record (empty zone),
-        # and eval records predicted as class 3 have no zone at all
-        rng = np.random.default_rng(61)
-        train = [rec(t, t if t < 2 else 0,
-                     rng.integers(0, 2, 8).astype(float), f"t{i}")
-                 for i, t in enumerate(rng.integers(0, 3, 50))]
-        evals = [rec(int(rng.integers(0, 4)), int(rng.integers(0, 4)),
-                     rng.integers(0, 2, 8).astype(float), f"e{i}")
-                 for i in range(120)]
+        train, evals = mixed_zone_traces()
         sel = identity_selection(8)
         rows = gamma_sweep(train, evals, sel, [0, 1, 2, 3], classes=[0, 1, 2])
-        assert rows == [evaluate(build(train, sel, g, classes=[0, 1, 2]),
-                                 evals) for g in range(4)]
+        assert rows == [per_record_query_row(
+            build(train, sel, g, classes=[0, 1, 2]), evals) for g in range(4)]
         assert rows[0].n_nozone > 0 and rows[-1].n_out_of_pattern > 0
 
     def test_grows_no_zone(self, monkeypatch):

@@ -28,9 +28,13 @@ from actmon.monitor import (
     query,
     save_monitor,
 )
-from actmon.patterns import (NeuronSelection, binarize, hamming,
-                             identity_selection)
+from actmon.patterns import NeuronSelection, binarize, identity_selection
 from actmon.traces import TraceRecord
+
+
+def hamming(p, q):
+    """Number of differing bit positions between equal-width patterns."""
+    return sum(a != b for a, b in zip(p, q))
 
 
 def ball(zone, gamma, n):
@@ -329,12 +333,13 @@ class TestQuery:
             query(mon, (1.0, 1.0), 0)
 
     # N != W, N = W and N = 1 rows of width 3, for a class with and without
-    # a zone: binarize takes the batch, the query refuses it
+    # a zone: binarize takes the batch, the query refuses it with one message
     @pytest.mark.parametrize("count", [2, 3, 1])
     @pytest.mark.parametrize("pred", [0, 2])
     def test_batch_refused(self, count, pred):
         mon = self._monitor()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^query takes one activation "
+                                             "row, not a batch$"):
             query(mon, np.ones((count, 3)), pred)
 
     def test_verdict_depends_only_on_sign_pattern(self):

@@ -1,4 +1,4 @@
-"""Tests for binarization, Hamming distance and neuron selection."""
+"""Tests for binarization and neuron selection."""
 
 import dataclasses
 import itertools
@@ -10,7 +10,6 @@ from actmon.network import Layer, ModelSpec, make_blobs, train_toy
 from actmon.patterns import (
     NeuronSelection,
     binarize,
-    hamming,
     identity_selection,
     score_neurons,
     select_top_fraction,
@@ -180,31 +179,6 @@ class TestBinarize:
             assert all(type(p) is tuple and all(type(b) is int for b in p)
                        for p in got)
             assert binarize(np.empty((0, width)), sel) == []
-
-
-class TestHamming:
-    def test_single_bit(self):
-        assert hamming((0, 0, 1), (1, 0, 1)) == 1
-
-    def test_zero_on_equal(self):
-        assert hamming((0, 1, 1), (0, 1, 1)) == 0
-
-    def test_all_bits(self):
-        assert hamming((0, 0, 0), (1, 1, 1)) == 3
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width"):
-            hamming((0, 1), (0, 1, 1))
-
-    def test_metric_properties(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            n = int(rng.integers(1, 12))
-            p, q, r = (tuple(int(b) for b in rng.integers(0, 2, n))
-                       for _ in range(3))
-            assert hamming(p, q) == hamming(q, p)
-            assert (hamming(p, q) == 0) == (p == q)
-            assert hamming(p, r) <= hamming(p, q) + hamming(q, r)
 
 
 class TestSelectTopFraction:
