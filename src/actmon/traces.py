@@ -13,11 +13,17 @@ Every following line is one record::
 of every activation vector), ``classes`` the number of classes.
 :func:`extract` makes the header and records by running a model over a
 dataset.  Writer and reader share one header rule and one record rule,
-so :func:`write_traces` refuses what :func:`read_traces` refuses.
+so :func:`write_traces` refuses what :func:`read_traces` refuses; the
+reader also refuses activations that are not a list of JSON numbers.
+
+A record line is the compact ``json`` encoding of the record's dict.
+The writer makes those bytes a block of records at a time, formatting
+each distinct activation value of the block once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,10 @@ from .network import ModelSpec, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
 TRACE_VERSION = 1
+# records the writer formats at once; one block's arrays are alive at once
+_BLOCK = 1024
+# the types JSON numbers load as
+_NUMBERS = frozenset((int, float))
 
 
 @dataclass
@@ -109,25 +119,64 @@ def _writable(rid: str, true_label, pred_label, activations,
 
 def write_traces(path, header: TraceHeader, records) -> None:
     """Write a trace file, refusing with ``ValueError`` (the old file kept)
-    what :func:`read_traces` refuses; integers go through ``as_int``."""
+    what :func:`read_traces` refuses; integers go through ``as_int``.
+
+    The bytes are those of ``JSON_LINE`` on each record's dict, with the
+    activations as a list of Python floats.  Records go in blocks of
+    ``_BLOCK`` rows, and each distinct value of a block (by bit pattern,
+    so ``-0.0`` stays apart from ``0.0``) is formatted once, by the
+    ``float.__repr__`` the ``json`` encoder uses.  A refusal names the
+    first bad record of the file.
+    """
     header = _check_header(TraceHeader(
         as_int(header.layer, "layer"), as_int(header.width, "width"),
         as_int(header.classes, "classes")))
+    records = iter(records)
     with replace_on_success(path) as fh:
         fh.write(JSON_LINE({"format": TRACE_FORMAT, "version": TRACE_VERSION,
                             **vars(header)}) + "\n")
-        for record in records:
-            true_label, pred_label, acts = _writable(
+        while rows := _next_block(records, header):
+            fh.writelines(_block_lines(rows))
+
+
+def _next_block(records, header: TraceHeader) -> list[tuple]:
+    """The next ``_BLOCK`` records of the iterator ``records`` under the
+    record rule, as (id, true label, predicted label, activations) rows."""
+    rows = []
+    try:
+        for record in itertools.islice(records, _BLOCK):
+            rows.append((record.id, *_writable(
                 record.id, record.true_label, record.pred_label,
-                record.activations, header)
-            try:
-                text = JSON_LINE({"id": record.id, "true_label": true_label,
-                                  "pred_label": pred_label,
-                                  "activations": acts.tolist()})
-            except ValueError as exc:  # JSON has no NaN or infinity
-                raise ValueError(f"record {record.id!r}: non-finite "
-                                 f"activation value") from exc
-            fh.write(text + "\n")
+                record.activations, header)))
+    except Exception:
+        # a non-finite record before the failing one comes first in the file
+        _check_finite(rows)
+        raise
+    return rows
+
+
+def _block_lines(rows: list[tuple]) -> list[str]:
+    """The lines of a block of rows, each distinct value formatted once."""
+    values = np.array([acts for *_, acts in rows])
+    if not all_finite(values):
+        _check_finite(rows)
+    patterns, inverse = np.unique(values.view(np.uint64).ravel(),
+                                  return_inverse=True)
+    texts = np.array([float.__repr__(v)
+                      for v in patterns.view(np.float64).tolist()],
+                     dtype=object)
+    cells = texts.take(inverse).reshape(values.shape).tolist()
+    return [f'{{"id":{JSON_LINE(rid)},"true_label":{true_label},'
+            f'"pred_label":{pred_label},"activations":[{",".join(row)}]}}\n'
+            for (rid, true_label, pred_label, _), row in zip(rows, cells)]
+
+
+def _check_finite(rows: list[tuple]) -> None:
+    """A ``ValueError`` naming the first row that holds a NaN or infinity,
+    which JSON cannot write."""
+    for rid, _, _, acts in rows:
+        if not all_finite(acts):
+            raise ValueError(f"record {rid!r}: non-finite activation value")
 
 
 def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
@@ -179,7 +228,8 @@ def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
             id=row["id"],
             true_label=exact_int(row["true_label"], "true_label"),
             pred_label=exact_int(row["pred_label"], "pred_label"),
-            activations=np.asarray(row["activations"], dtype=np.float64),
+            activations=np.asarray(_numbers(row["activations"]),
+                                   dtype=np.float64),
         )
         _check_record(header, record.id, record.true_label,
                       record.pred_label, record.activations)
@@ -188,3 +238,15 @@ def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
         raise SchemaError(f"line {line_no}: malformed trace record: {exc}") \
             from exc
     return record
+
+
+def _numbers(value) -> list:
+    """``value`` if it is a list of JSON numbers, else a
+    :class:`SchemaError` naming its first non-number: ``np.asarray`` would
+    read the string ``"0.5"`` and the bool ``true`` as floats."""
+    if type(value) is not list:
+        raise SchemaError(f"activations must hold numbers, got {value!r}")
+    if not _NUMBERS.issuperset(map(type, value)):
+        bad = next(v for v in value if type(v) not in _NUMBERS)
+        raise SchemaError(f"activations must hold numbers, got {bad!r}")
+    return value

@@ -7,8 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from actmon import traces
 from actmon.cli import main
-from actmon.errors import FormatVersionError, SchemaError
+from actmon.errors import JSON_LINE, FormatVersionError, SchemaError
 from actmon.network import (decide, evaluate_accuracy, forward, load_model,
                             make_blobs)
 from actmon.traces import (TraceHeader, TraceRecord, extract, read_traces,
@@ -59,6 +60,154 @@ class TestRoundTrip:
         first = json.loads(path.read_text().splitlines()[0])
         assert first == {"format": "actmon-trace", "version": 1,
                          "layer": 2, "width": 4, "classes": 3}
+
+
+BLOCK = traces._BLOCK
+# ids the JSON encoder escapes: a quote, a backslash, a non-ASCII letter,
+# a newline and a line separator
+ODD_IDS = ['q"', "b\\", "\u00e9", "n\n", "\u2028"]
+# values with the float reprs that differ most: signed zeros, the least
+# subnormal, exponent forms, values whose squares overflow
+ODD_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1e+16, 1e200, -1e200, 2.0, 0.1]
+
+
+def odd_records(count, width=6, kind="float64", seed=0):
+    """``count`` records over 3 classes whose values repeat, whose ids need
+    escaping, and whose labels are Python or numpy integers; the first
+    block holds ``0.0`` and ``-0.0``, and every row has its own id."""
+    rng = np.random.default_rng(seed)
+    acts = np.where(rng.random((count, width)) < 0.6,
+                    rng.choice(ODD_VALUES, (count, width)),
+                    rng.normal(size=(count, width)))
+    if count:
+        acts[0, :2] = 0.0, -0.0
+    labels = rng.integers(0, 3, (count, 2))
+    records = []
+    for i, (row, (true_label, pred_label)) in enumerate(zip(acts, labels)):
+        if kind == "float32":
+            # float32 has no 1e200
+            row = np.where(abs(row) < 1e30, row, 3.5).astype(np.float32)
+        records.append(TraceRecord(
+            f"{ODD_IDS[i % len(ODD_IDS)]}{i}",
+            int(true_label) if i % 2 else np.int64(true_label),
+            np.uint8(pred_label) if i % 3 else int(pred_label),
+            row.tolist() if kind == "list" else row))
+    return records
+
+
+def per_record_bytes(header, records) -> bytes:
+    """A trace file as one ``JSON_LINE`` call per record's dict: the
+    reference the block-wise writer must equal, in its bytes and in what
+    it raises."""
+    lines = [JSON_LINE({"format": "actmon-trace", "version": 1,
+                        **vars(header)})]
+    for record in records:
+        true_label, pred_label, acts = traces._writable(
+            record.id, record.true_label, record.pred_label,
+            record.activations, header)
+        try:
+            lines.append(JSON_LINE({"id": record.id, "true_label": true_label,
+                                    "pred_label": pred_label,
+                                    "activations": acts.tolist()}))
+        except ValueError:
+            raise ValueError(f"record {record.id!r}: non-finite activation "
+                             f"value") from None
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestBlockWriter:
+    """``write_traces`` formats each distinct value once per block; its
+    bytes and refusals are those of the per-record rule."""
+
+    HEADER = TraceHeader(layer=1, width=6, classes=3)
+
+    @pytest.mark.parametrize("kind", ["float64", "float32", "list"])
+    @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                       2 * BLOCK + 1])
+    def test_bytes_equal_the_per_record_rule(self, tmp_path, count, kind):
+        path = tmp_path / "t.jsonl"
+        records = odd_records(count, kind=kind)
+        write_traces(path, self.HEADER, records)
+        assert path.read_bytes() == per_record_bytes(self.HEADER, records)
+        header, loaded = read_traces(path)
+        assert header == self.HEADER
+        assert [(r.id, r.true_label, r.pred_label) for r in loaded] \
+            == [(r.id, int(r.true_label), int(r.pred_label))
+                for r in records]
+        want = np.array([np.asarray(r.activations, np.float64)
+                         for r in records]).reshape(count, 6)
+        got = np.array([r.activations for r in loaded]).reshape(count, 6)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_each_value_has_its_json_text(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = [TraceRecord("s0", 0, 0, np.array(ODD_VALUES[:6])),
+                   TraceRecord("s1", 1, 1, np.array(ODD_VALUES[3:]))]
+        write_traces(path, self.HEADER, records)
+        assert path.read_text().splitlines()[1:] == [
+            '{"id":"s0","true_label":0,"pred_label":0,"activations":'
+            '[0.0,-0.0,5e-324,1e-05,1e+16,1e+200]}',
+            '{"id":"s1","true_label":1,"pred_label":1,"activations":'
+            '[1e-05,1e+16,1e+200,-1e+200,2.0,0.1]}']
+
+    def test_one_shot_generator_written_in_full(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = odd_records(2 * BLOCK + 1)
+        write_traces(path, self.HEADER, (r for r in records))
+        assert path.read_bytes() == per_record_bytes(self.HEADER, records)
+
+    @pytest.mark.parametrize("k, j", [
+        (5, 9), (9, 5), (BLOCK - 1, BLOCK), (BLOCK, BLOCK - 1),
+        (3, BLOCK + 3), (BLOCK + 3, 3), (7, 7)])
+    @pytest.mark.parametrize("fault", ["label", "width", "type"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_first_fault_in_the_file_is_named(self, tmp_path, k, j, fault,
+                                              value):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = odd_records(BLOCK + 10)
+        records[k].activations[2] = value
+        if fault == "label":
+            records[j].pred_label = 3
+        elif fault == "width":
+            records[j].activations = records[j].activations[:5]
+        else:
+            records[j].true_label = True
+        with pytest.raises(ValueError) as want:
+            per_record_bytes(self.HEADER, records)
+        first = records[min(k, j)].id
+        assert str(want.value).startswith(f"record {first!r}: ")
+        with pytest.raises(ValueError) as got:
+            write_traces(path, self.HEADER, records)
+        assert str(got.value) == str(want.value)
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("nan_at", [None, 3])
+    @pytest.mark.parametrize("failure", ["source", "not-a-record"])
+    def test_other_failures_come_after_earlier_faults(self, tmp_path,
+                                                      nan_at, failure):
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = odd_records(10)
+        if nan_at is not None:
+            records[nan_at].activations[0] = math.nan
+
+        def source():
+            yield from records[:7]
+            if failure == "source":
+                raise RuntimeError("the source failed")
+            yield "not a record"
+            yield from records[7:]
+
+        with pytest.raises(Exception) as want:
+            per_record_bytes(self.HEADER, source())
+        assert (want.type is ValueError) == (nan_at is not None)
+        with pytest.raises(Exception) as got:
+            write_traces(path, self.HEADER, source())
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestRecord:
@@ -185,6 +334,32 @@ class TestValidation:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(SchemaError, match="not UTF-8"):
             read_traces(path)
+
+    @pytest.mark.parametrize("activations, bad", [
+        (["0.5", True], "'0.5'"), ([0.5, True], "True"),
+        ([False, 0.5], "False"), ([None, 1.0], "None"),
+        ([[1.0], 2.0], r"\[1\.0\]"), (1.0, r"1\.0"), ("0.5", "'0.5'"),
+        ({"a": 1.0}, r"\{'a': 1\.0\}"),
+    ], ids=["string", "true", "false", "null", "nested", "scalar",
+            "string-value", "object"])
+    def test_activations_must_be_a_list_of_numbers(self, tmp_path,
+                                                   activations, bad):
+        path = tmp_path / "t.jsonl"
+        record = dict(RECORD, activations=activations)
+        path.write_text(f"{json.dumps(dict(HEADER, width=2))}\n"
+                        f"{json.dumps(record)}\n")
+        with pytest.raises(SchemaError, match=(
+                f"^line 2: malformed trace record: activations must hold "
+                f"numbers, got {bad}$")):
+            read_traces(path)
+
+    def test_integer_activations_read_as_floats(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        record = dict(RECORD, activations=[0, 2, 1.5])
+        path.write_text(f"{json.dumps(dict(HEADER, width=3))}\n"
+                        f"{json.dumps(record)}\n")
+        acts = read_traces(path)[1][0].activations
+        assert acts.dtype == np.float64 and acts.tolist() == [0.0, 2.0, 1.5]
 
     @pytest.mark.parametrize("part, field, value", [
         ("header", "layer", 1.9),
