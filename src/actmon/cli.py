@@ -127,8 +127,10 @@ def cmd_query(args) -> None:
     if header.width != mon.selection.layer_width:
         raise ValueError(f"trace width {header.width} does not match "
                          f"monitor layer width {mon.selection.layer_width}")
-    verdicts = [monitor_mod.query(mon, r.activations, r.pred_label)
-                for r in records]
+    gamma, kind = mon.gamma, monitor_mod.Verdict  # query's rule, batched
+    verdicts = [kind.NO_ZONE if d is None else kind.IN_ZONE if d <= gamma
+                else kind.OUT_OF_ZONE
+                for d in monitor_mod._batch_distances(mon, records, gamma + 1)]
     counts = {v: verdicts.count(v) for v in monitor_mod.Verdict}
     with replace_on_success(args.out) as fh:
         for record, verdict in zip(records, verdicts):

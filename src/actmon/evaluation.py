@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import patterns
 from .errors import as_int, replace_on_success
-from .monitor import Monitor, build
+from .monitor import Monitor, _batch_distances, build
 from .traces import TraceRecord
 
 
@@ -67,21 +67,11 @@ def _tally(monitor: Monitor, records: Iterable[TraceRecord],
            cap: int) -> Counter:
     """Records counted by (distance, misclassified): the distance of a
     record's pattern to the zone of its predicted class, capped at ``cap``,
-    or ``None`` when that class has no zone.  One binarize call makes and
-    checks every pattern, and each distinct (pattern, predicted class,
-    misclassified) group gets one search."""
+    or ``None`` when that class has no zone, all from one batch pass,
+    :func:`~actmon.monitor._batch_distances`."""
     records = list(records)
-    bits = patterns.binarize([r.activations for r in records],
-                             monitor.selection) if records else []
-    groups = Counter(zip(bits, [r.pred_label for r in records],
-                         [r.pred_label != r.true_label for r in records]))
-    search = monitor.store._distance  # on binarize's checked patterns
-    tally = Counter()
-    for (pattern, pred_label, misclassified), n in groups.items():
-        root = monitor.zones.get(pred_label)
-        d = None if root is None else search(root.node, pattern, cap)
-        tally[d, misclassified] += n
-    return tally
+    return Counter(zip(_batch_distances(monitor, records, cap),
+                       [r.pred_label != r.true_label for r in records]))
 
 
 def _report_row(gamma: int, tally: Counter) -> EvalRow:

@@ -9,10 +9,10 @@ predicted class's zone lies within Hamming distance ``gamma`` of its own
 pattern: one capped search, ``BddStore.distance(zone, pattern, gamma + 1)``.
 Building makes only the gamma-0 zones, so its cost and the monitor file do
 not depend on gamma; the query's cost grows with it.  :func:`query`
-applies this rule to one runtime sample.  The report rows of
-:func:`~actmon.evaluation.evaluate` and
-:func:`~actmon.evaluation.gamma_sweep` apply it to one tally of such
-distances, one search per distinct pattern of a labeled set.
+applies this rule to one runtime sample; the batch path
+:func:`_batch_distances`, one lockstep walk per distinct (pattern, zone)
+and a search only where it misses, applies it to the record sets of
+``actmon query`` and of :mod:`~actmon.evaluation`'s report rows.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -26,10 +26,12 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import bdd
-from .bdd import BddRef, BddStore
+import numpy as np
+
+from . import bdd, patterns
+from .bdd import TRUE, BddRef, BddStore
 from .errors import (FormatVersionError, SchemaError, as_int, exact_int,
-                     finite_floats, read_json, replace_on_success, warn)
+                     read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -131,6 +133,39 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
     return Verdict.OUT_OF_ZONE
 
 
+def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
+                     cap: int) -> list[int | None]:
+    """Each record's :func:`query` distance to the zone of its predicted
+    class, capped at ``cap``, or ``None`` without a zone.  One checked
+    threshold pass makes every pattern, each distinct (pattern, zone)
+    walks its zone, all at once, and only the misses are searched."""
+    if not records:
+        return []
+    bits = patterns._threshold([r.activations for r in records],
+                               monitor.selection)
+    node_of = {c: zone.node for c, zone in monitor.zones.items()}
+    roots = np.array([node_of.get(r.pred_label, -1) for r in records])
+    keys = np.hstack([np.packbits(bits, axis=1),
+                      roots[:, None].view(np.uint8)])
+    _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                  return_index=True, return_inverse=True)
+    bits, roots, store = bits[first], roots[first], monitor.store
+    var = np.array(store._var, dtype=np.intp)
+    kids = np.array([store._low, store._high], dtype=np.intp).T.ravel()
+    ends, flat, width = roots.copy(), bits.ravel(), bits.shape[1]
+    walking = np.flatnonzero(ends > TRUE)  # a root of -1: no zone
+    while walking.size:  # kids[2n + bit] is node n's child at that bit
+        nodes = ends[walking]
+        ends[walking] = nodes = kids[
+            2 * nodes + flat[walking * width + var[nodes]]]
+        walking = walking[nodes > TRUE]
+    search = store._distance  # on _threshold's checked bits
+    found = [None if root < 0 else 0 if end == TRUE else cap if cap == 1
+             else search(root, bits[g].tolist(), cap) for g, (root, end)
+             in enumerate(zip(roots.tolist(), ends.tolist()))]
+    return np.array(found, dtype=object)[inverse].tolist()
+
+
 # -- persistence --------------------------------------------------------------
 
 
@@ -177,9 +212,7 @@ def monitor_from_dict(data: Mapping) -> Monitor:
         sel = data["selection"]
         selection = NeuronSelection(
             layer=sel["layer"], layer_width=sel["layer_width"],
-            indices=sel["indices"],
-            scores=tuple(finite_floats(sel["scores"], "scores", 1).tolist()),
-        )
+            indices=sel["indices"], scores=sel["scores"])
         gamma = exact_int(data["gamma"], "gamma")
         layer = exact_int(data["layer"], "layer")
         classes = [exact_int(c, "class") for c in data["classes"]]

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import all_finite, as_int
+from .errors import SchemaError, all_finite, as_int, finite_floats
 from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
@@ -44,7 +44,8 @@ class NeuronSelection:
     ``layer``, ``layer_width`` and each index may be Python or numpy
     integers (say from ``np.argsort``) and are stored as Python ints, so
     the selection saves as JSON; a bool, float or string raises
-    ``ValueError``.
+    ``ValueError``.  Scores are stored as floats; one that is not a
+    finite number (a bool, a string, NaN) raises ``ValueError``.
     """
 
     layer: int
@@ -69,6 +70,12 @@ class NeuronSelection:
             raise ValueError("neuron index outside the monitored layer")
         if len(self.scores) != len(self.indices):
             raise ValueError("scores and indices must align")
+        try:  # the file rule, so that every selection saves and loads
+            scores = finite_floats([s.item() if isinstance(s, np.generic)
+                                    else s for s in self.scores], "scores", 1)
+        except SchemaError as exc:
+            raise ValueError(str(exc)) from None
+        object.__setattr__(self, "scores", tuple(scores.tolist()))
         index_array = np.array(self.indices, dtype=np.intp)
         index_array.flags.writeable = False
         object.__setattr__(self, "index_array", index_array)
@@ -100,6 +107,17 @@ def binarize(activations, selection: NeuronSelection) -> Pattern | list:
     and the whole layer must be finite, monitored neuron or not: another
     shape, rows of different widths, NaN or infinity raise ``ValueError``.
     """
+    bits = _threshold(activations, selection)
+    if bits.ndim == 1:
+        return tuple(bits.tolist())
+    rows = bits.tolist()  # made after the float copy is gone
+    for i, row in enumerate(rows):  # in place: one copy stays alive
+        rows[i] = tuple(row)
+    return rows
+
+
+def _threshold(activations, selection: NeuronSelection) -> np.ndarray:
+    """:func:`binarize`'s checked pass, as a (K,) or (N, K) 0/1 array."""
     width = selection.layer_width
     try:
         acts = np.asarray(activations, dtype=np.float64)
@@ -110,19 +128,12 @@ def binarize(activations, selection: NeuronSelection) -> Pattern | list:
         misfit = next(s for s in shapes if s != (width,))
         raise ValueError(f"activation width {misfit} does not match "
                          f"monitored layer width {width}") from None
-    row = acts.shape == (width,)
-    if not row and (acts.ndim != 2 or acts.shape[1] != width):
+    if acts.shape != (width,) and (acts.ndim != 2 or acts.shape[1] != width):
         raise ValueError(f"activation width {acts.shape} does not match "
                          f"monitored layer width {width}")
     if not all_finite(acts):
         raise ValueError("non-finite activation value")
-    if not row:
-        acts = (acts.take(selection.index_array, axis=1) > 0.0).view(np.int8)
-        rows = acts.tolist()  # made after the float copy is gone
-        for i, bits in enumerate(rows):  # in place: one copy stays alive
-            rows[i] = tuple(bits)
-        return rows
-    return tuple((acts.take(selection.index_array) > 0.0).view(np.int8).tolist())
+    return (acts.take(selection.index_array, axis=-1) > 0.0).view(np.int8)
 
 
 def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],
@@ -173,6 +184,8 @@ def select_top_fraction(scores, fraction: float, layer: int = 0) \
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a nonempty vector")
+    if not all_finite(scores):  # NaN would rank by its position
+        raise ValueError("scores must hold finite numbers")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     # the epsilon undoes binary rounding of fractions like 2/3 so that

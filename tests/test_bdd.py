@@ -531,14 +531,14 @@ def test_core_guard_sees_each_form():
 
 def test_cores_are_reached_only_by_build_and_sweep():
     """The cores skip the pattern checks, so only code that hands them
-    binarize output may call them."""
+    the checked threshold pass's output may call them."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name != "bdd.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             found += [(path.name, func, core)
                       for func, core in core_uses(tree)]
-    assert sorted(found) == [("evaluation.py", "_tally", "_distance"),
+    assert sorted(found) == [("monitor.py", "_batch_distances", "_distance"),
                              ("monitor.py", "build", "_encode")], found
 
 

@@ -8,10 +8,17 @@ checkout needs no external data.
 import csv
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
+from actmon import cli
 from actmon.cli import main
+from actmon.errors import ActmonError
+from actmon.monitor import build, load_monitor, query, save_monitor
+from actmon.patterns import identity_selection
+from actmon.traces import TraceHeader, TraceRecord, read_traces, write_traces
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +101,45 @@ class TestPipeline:
               "--out", str(pipeline["verdicts"].with_suffix(".eval.jsonl"))])
         out = capsys.readouterr().out
         assert "InZone" in out and "OutOfZone" in out and "NoZone" in out
+
+
+class TestQueryVerdicts:
+    """``actmon query`` judges a trace file in one batch pass; its lines
+    must be the scalar ``query`` verdicts, record by record."""
+
+    @pytest.mark.parametrize("gamma", [0, 1, 2])
+    def test_verdict_lines_equal_scalar_query(self, pipeline, tmp_path,
+                                              gamma):
+        shifted, built = tmp_path / "shifted.jsonl", tmp_path / "m.json"
+        out = tmp_path / "v.jsonl"
+        assert main(["extract", "--model", str(pipeline["model"]),
+                     "--layer", "1", "--seed", "5", "--per-class", "80",
+                     "--shift", "2.0", "--out", str(shifted)]) == 0
+        assert main(["build", "--traces", str(pipeline["train"]),
+                     "--gamma", str(gamma), "--classes", "0,1",
+                     "--out", str(built)]) == 0
+        assert main(["query", "--monitor", str(built), "--traces",
+                     str(shifted), "--out", str(out)]) == 0
+        mon = load_monitor(built)
+        _, records = read_traces(shifted)
+        expected = [{"id": r.id,
+                     "verdict": query(mon, r.activations, r.pred_label).value}
+                    for r in records]
+        assert [json.loads(line) for line in out.read_text().splitlines()] \
+            == expected
+        assert {v["verdict"] for v in expected} \
+            == {"InZone", "OutOfZone", "NoZone"}
+
+    def test_header_only_trace_file(self, pipeline, tmp_path, capsys):
+        traces, out = tmp_path / "empty.jsonl", tmp_path / "v.jsonl"
+        traces.write_text(pipeline["train"].read_text().splitlines()[0]
+                          + "\n")
+        assert main(["query", "--monitor", str(pipeline["monitor"]),
+                     "--traces", str(traces), "--out", str(out)]) == 0
+        assert out.read_text() == ""
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote 0 verdicts to {out}", "InZone: 0", "OutOfZone: 0",
+            "NoZone: 0"]
 
 
 class TestTrainToyCommand:
@@ -479,3 +525,113 @@ def test_selection_flags_shared(command, capsys):
             ("--select-frac", "fraction of neurons to monitor, in (0, 1]"),
             ("--classes", "comma-separated class indices")]:
         assert f"{flag} " in text and help_text in text
+
+
+# values a probe mutation puts in place of a field: every JSON type, edge
+# numbers, and the NaN and infinity that json.dumps writes as bare tokens
+ODD_VALUES = (None, True, False, 0, -1, 1, 2, 7, 2 ** 70, -(2 ** 70), 0.5,
+              -0.0, 1e308, math.nan, math.inf, "", "x", "0", [], {}, [0],
+              [[]], {"id": 0})
+
+
+def value_paths(value, prefix=()):
+    """The key path of every value nested in ``value``, its own first."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) \
+        else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from value_paths(child, prefix + (key,))
+
+
+def mutated(value, rng):
+    """A copy of the JSON value ``value`` with one structural change at a
+    random place: a value replaced, a key or element deleted or repeated,
+    or an integer moved by one."""
+    value = json.loads(json.dumps(value))
+    path = rng.choice(list(value_paths(value)))
+    if not path:
+        return rng.choice(ODD_VALUES)
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    key, op = path[-1], rng.choice(("replace", "delete", "repeat", "nudge"))
+    target = parent[key]
+    if op == "delete":
+        del parent[key]
+    elif op == "repeat" and isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(target)))
+    elif op == "nudge" and type(target) is int:
+        parent[key] = target + rng.choice((-1, 1))
+    else:
+        parent[key] = rng.choice(ODD_VALUES)
+    return value
+
+
+class TestReaderProbe:
+    """A bounded, seeded probe of the readers' failure side: 300 random
+    structural mutations each of a saved monitor and of a trace file
+    either load or raise ``ActmonError``, and ``actmon query`` on each
+    ends with a known exit code, no traceback and no temporary file."""
+
+    ROUNDS = 300
+
+    @pytest.fixture(autouse=True)
+    def one_parser(self, monkeypatch):
+        # main builds its argparse parser per call, most of a round's time
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("probe")
+        rng = np.random.default_rng(5)
+        header = TraceHeader(layer=1, width=6, classes=3)
+        records = [TraceRecord(f"s{i}", i % 3, (i + i // 7) % 3,
+                               rng.normal(size=6).round(3))
+                   for i in range(16)]
+        traces, monitor = root / "traces.jsonl", root / "monitor.json"
+        write_traces(traces, header, records)
+        save_monitor(build(records, identity_selection(6, layer=1), 1,
+                           classes=[0, 1]), monitor)
+        return traces, monitor
+
+    def _query(self, monitor, traces, out, capsys):
+        code = main(["query", "--monitor", str(monitor), "--traces",
+                     str(traces), "--out", str(out)])
+        printed = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in printed.out + printed.err
+        assert not out.with_name(out.name + ".tmp").exists()
+        return code
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_mutated_monitor_files(self, originals, tmp_path, capsys):
+        traces, monitor = originals
+        rng, data = random.Random(11), json.loads(monitor.read_text())
+        path, out, codes = tmp_path / "m.json", tmp_path / "v.jsonl", set()
+        for _ in range(self.ROUNDS):
+            path.write_text(json.dumps(mutated(data, rng)))
+            try:
+                load_monitor(path)
+            except ActmonError:
+                pass
+            codes.add(self._query(path, traces, out, capsys))
+        assert codes == {0, 1}
+
+    def test_mutated_trace_files(self, originals, tmp_path, capsys):
+        traces, monitor = originals
+        rng = random.Random(13)
+        lines = [json.loads(line) for line in traces.read_text().splitlines()]
+        path, out, codes = tmp_path / "t.jsonl", tmp_path / "v.jsonl", set()
+        for _ in range(self.ROUNDS):
+            changed = mutated(lines, rng)
+            path.write_text("".join(
+                json.dumps(line) + "\n"
+                for line in (changed if isinstance(changed, list)
+                             else [changed])))
+            try:
+                read_traces(path)
+            except ActmonError:
+                pass
+            codes.add(self._query(monitor, path, out, capsys))
+        assert codes == {0, 1}

@@ -210,18 +210,21 @@ class TestGammaSweep:
     def test_each_eval_record_binarized_once(self, monkeypatch):
         train = self._traces(51, 40)
         evals = self._traces(52, 50)
-        seen = []  # rows handed over per call: 1 for a row, N for a batch
+        seen = []  # the rows handed to each call of the checked rule
+        threshold = patterns._threshold
 
         def counting(activations, selection):
-            acts = np.asarray(activations)
-            seen.append(1 if acts.ndim == 1 else len(acts))
-            return binarize(activations, selection)
+            seen.append(np.asarray(activations))
+            return threshold(activations, selection)
 
-        # the sweep looks binarize up on the patterns module
-        monkeypatch.setattr(patterns, "binarize", counting)
+        # binarize and the batch path look the rule up on the patterns module
+        monkeypatch.setattr(patterns, "_threshold", counting)
         rows = gamma_sweep(train, evals, identity_selection(8), [0, 1, 2, 3])
-        assert len(rows) == 4 and sum(seen) == len(evals)
-        assert len(seen) == 1
+        kept = [r.activations for r in train if r.pred_label == r.true_label]
+        # build's call on its kept training rows, then one for every eval row
+        assert len(rows) == 4 and len(seen) == 2
+        assert np.array_equal(seen[0], kept)
+        assert np.array_equal(seen[1], [r.activations for r in evals])
 
     def _duplicated(self, seed, count):
         """``count`` eval records predicted as classes 0-3, drawn from five
@@ -236,25 +239,42 @@ class TestGammaSweep:
                            pool[int(rng.integers(0, 5))], f"e{i}"))
         return out
 
-    def test_one_search_per_group(self, monkeypatch):
+    def _searches(self, monkeypatch, gammas):
+        """The sweep's ``_distance`` calls as (pattern, zone node, cap),
+        and the gamma-0 monitor the sweep builds, on records that repeat
+        five patterns plus ten replays of zone patterns."""
         train = self._traces(91, 40)
-        evals = self._duplicated(92, 200)
+        evals = self._duplicated(92, 200) + [
+            r for r in train if r.pred_label == r.true_label][:10]
         sel = identity_selection(8)
         calls = []
         search = BddStore._distance
 
         def counted(store, node, bits, cap):
-            calls.append((bits, cap))
+            calls.append((tuple(bits), node, cap))
             return search(store, node, bits, cap)
 
         monkeypatch.setattr(BddStore, "_distance", counted)
-        gamma_sweep(train, evals, sel, [0, 1, 2])
-        groups = {(p, r.pred_label, r.pred_label != r.true_label)
-                  for p, r in zip(binarize([r.activations for r in evals],
-                                           sel), evals)
+        gamma_sweep(train, evals, sel, gammas)
+        patterns_of = binarize([r.activations for r in evals], sel)
+        return calls, build(train, sel, 0), list(zip(patterns_of, evals))
+
+    def test_one_search_per_group(self, monkeypatch):
+        calls, zero, records = self._searches(monkeypatch, [0, 1, 2])
+        groups = {(p, r.pred_label) for p, r in records
                   if r.pred_label in (0, 1)}  # classes 2 and 3: no zone
-        assert len(calls) == len(groups) < 40
-        assert {cap for _, cap in calls} == {3}
+        missed = {(p, zero.zones[c].node) for p, c in groups
+                  if not zero.store.contains(zero.zones[c], p)}
+        assert 0 < len(missed) < len(groups)
+        assert len(calls) == len(missed)
+        assert {(p, node) for p, node, _ in calls} == missed
+        assert {cap for *_, cap in calls} == {3}
+
+    def test_no_search_at_gamma_zero(self, monkeypatch):
+        calls, zero, records = self._searches(monkeypatch, [0])
+        assert calls == []
+        assert any(not zero.store.contains(zero.zones[r.pred_label], p)
+                   for p, r in records if r.pred_label in (0, 1))
 
     @pytest.mark.filterwarnings("ignore:class 2")
     def test_grouped_rows_equal_the_per_record_reference(self):

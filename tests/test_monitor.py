@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
 from actmon.monitor import (
     Monitor,
     Verdict,
+    _batch_distances,
     build,
     load_monitor,
     monitor_from_dict,
@@ -586,14 +588,27 @@ class TestPersistence:
 
     def test_non_finite_score_not_saved(self, tmp_path):
         mon = self._monitor()
-        mon.selection = dataclasses.replace(
-            mon.selection, scores=(math.nan,) + mon.selection.scores[1:])
+        scores = (math.nan,) + mon.selection.scores[1:]
+        with pytest.raises(ValueError,
+                           match="^scores must hold finite numbers$"):
+            dataclasses.replace(mon.selection, scores=scores)
+        # the writer refuses it too, should a selection be made to hold it
+        object.__setattr__(mon.selection, "scores", scores)
         path = tmp_path / "m.json"
         path.write_text("old contents\n")
         with pytest.raises(ValueError, match="JSON"):
             save_monitor(mon, path)
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_integer_scores_save_and_load(self, tmp_path):
+        # the selection stores them as floats, which the reader accepts
+        selection = NeuronSelection(0, 3, (2, 0, 1), (3, np.int64(2), 1.5))
+        mon = build([rec(0, 0, (1.0, -1.0, 2.0))], selection, gamma=0)
+        path = tmp_path / "m.json"
+        save_monitor(mon, path)
+        assert '"scores":[3.0,2.0,1.5]' in path.read_text()
+        assert load_monitor(path).selection == selection
 
     def test_numpy_selection_saves_and_loads(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -647,3 +662,95 @@ class TestPersistence:
         path = tmp_path / "monitor.json"
         save_monitor(mon, path)
         assert load_monitor(path).store.frozen
+
+
+class TestBatchDistances:
+    """The batch path of the report rows and ``actmon query`` against one
+    public ``distance`` call per record."""
+
+    @staticmethod
+    def _acts(rng, selection, bits):
+        """A full-layer row whose monitored signs are ``bits``: unmonitored
+        neurons are random, a 0 bit is negative or an exact zero."""
+        row = rng.normal(size=selection.layer_width)
+        on = rng.uniform(0.1, 2.0, len(bits))
+        off = np.where(rng.random(len(bits)) < 0.2, 0.0, -on)
+        row[list(selection.indices)] = np.where(np.asarray(bits) > 0, on, off)
+        return row
+
+    def _case(self, k, seed):
+        """A monitor over ``k`` of ``k + 3`` neurons for classes 0-2 (class
+        2's zone is empty), and eval records predicted as classes 0-3 near
+        and far from the zones, some repeated."""
+        rng = np.random.default_rng(seed)
+        width = k + 3
+        selection = NeuronSelection(
+            0, width, tuple(int(i) for i in rng.permutation(width)[:k]),
+            tuple(rng.random(k).tolist()))
+        seeds = rng.integers(0, 2, (12, k))
+        train = [rec(i % 2, i % 2, self._acts(rng, selection, bits), f"t{i}")
+                 for i, bits in enumerate(seeds)]
+        evals = []
+        for i in range(120):
+            bits = seeds[int(rng.integers(0, 12))].copy()
+            flips = rng.choice(k, min(k, int(rng.integers(0, 6))),
+                               replace=False)
+            bits[flips] ^= 1
+            if rng.random() < 0.2:
+                bits = rng.integers(0, 2, k)
+            evals.append(rec(int(rng.integers(0, 4)), int(rng.integers(0, 4)),
+                             self._acts(rng, selection, bits), f"e{i}"))
+        evals += evals[:30]  # repeated records
+        mon = build(train, selection, 0, classes=[0, 1, 2])
+        return mon, evals
+
+    @staticmethod
+    def _reference(mon, records, cap):
+        return [None if r.pred_label not in mon.zones
+                else mon.store.distance(mon.zones[r.pred_label],
+                                        binarize(r.activations, mon.selection),
+                                        cap)
+                for r in records]
+
+    @pytest.mark.filterwarnings("ignore:class 2")
+    @pytest.mark.filterwarnings("ignore:256 BDD variables")
+    @pytest.mark.parametrize("k", [1, 8, 64, 256])
+    def test_each_distance_equals_the_scalar_search(self, k):
+        mon, evals = self._case(k, 400 + k)
+        seen = set()
+        for cap in (1, 2, 3, 4):
+            got = _batch_distances(mon, evals, cap)
+            assert got == self._reference(mon, evals, cap)
+            assert all(type(d) is int for d in got if d is not None)
+            seen.update(got)
+            assert _batch_distances(mon, [], cap) == []
+        # hits, misses and unmonitored classes all occur
+        assert {None, 0, 1} <= seen and (k == 1 or 2 in seen)
+
+    def test_terminal_roots(self):
+        rng = np.random.default_rng(41)
+        selection = identity_selection(5)
+        store = BddStore(5)
+        zones = {0: store.encode_set([]), 1: BddRef(store, bdd.TRUE)}
+        store.freeze()
+        mon = Monitor(selection=selection, gamma=0, store=store, zones=zones)
+        evals = [rec(0, int(p), rng.normal(size=5)) for p in (0, 1, 2) * 4]
+        for cap in (1, 3):
+            assert _batch_distances(mon, evals, cap) \
+                == [cap, 0, None] * 4 == self._reference(mon, evals, cap)
+
+    @pytest.mark.parametrize("bad", [
+        [math.nan] * 4, [0.5, math.inf, 0.0, 1.0], [0.5] * 3, [0.5] * 5])
+    @pytest.mark.parametrize("pred", [0, 3])  # a zone, no zone
+    def test_bad_record_raises_what_binarize_raises(self, bad, pred):
+        mon = build([pattern_trace(0, 0, (1, 0, 1, 1))], identity_selection(4),
+                    gamma=1)
+        records = [pattern_trace(0, 0, (1, 0, 0, 1), "a"),
+                   TraceRecord("bad", 0, pred, np.asarray(bad)),
+                   pattern_trace(1, 1, (0, 0, 0, 1), "b")]
+        for batch in (records, records[1:2]):
+            with pytest.raises(ValueError) as expected:
+                binarize([r.activations for r in batch], mon.selection)
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(expected.value))}$"):
+                _batch_distances(mon, batch, 2)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +184,17 @@ class TestBinarize:
 
 
 class TestSelectTopFraction:
+    @pytest.mark.parametrize("scores", [
+        [0.5, math.nan, 0.9, 0.1],  # kept (0, 1) by NaN's position
+        [math.nan, 0.5, 0.9, 0.1],  # kept (0, 2) by NaN's position
+        [0.5, 0.9, math.inf, 0.1],
+        [-math.inf, 0.5, 0.9, 0.1],
+    ])
+    def test_non_finite_scores_refused_before_ranking(self, scores):
+        with pytest.raises(ValueError,
+                           match="^scores must hold finite numbers$"):
+            select_top_fraction(scores, 0.5)
+
     def test_quarter_of_84(self):
         scores = np.linspace(1.0, 2.0, 84)
         sel = select_top_fraction(scores, 0.25)
@@ -229,6 +242,26 @@ class TestNeuronSelection:
     def test_scores_must_align(self):
         with pytest.raises(ValueError, match="align"):
             NeuronSelection(0, 4, (0, 1), (0.0,))
+
+    @pytest.mark.parametrize("scores, message", [
+        (("a", "b"), "scores must hold numbers, got 'a'"),
+        ((True, 2), "scores must hold numbers, got True"),
+        ((0.5, np.True_), "scores must hold numbers, got True"),
+        ((1.0, None), "scores must hold numbers, got None"),
+        ((0.5, math.nan), "scores must hold finite numbers"),
+        ((math.inf, 0.5), "scores must hold finite numbers"),
+        ((10 ** 400, 0.5), "scores must hold finite numbers"),
+    ])
+    def test_scores_that_a_file_could_not_hold_rejected(self, scores,
+                                                        message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NeuronSelection(0, 2, (0, 1), scores)
+
+    def test_scores_stored_as_python_floats(self):
+        sel = NeuronSelection(0, 4, (3, 0, 1),
+                              (2, np.float32(0.5), np.int64(-1)))
+        assert sel.scores == (2.0, 0.5, -1.0)
+        assert all(type(s) is float for s in sel.scores)
 
     def test_identity(self):
         sel = identity_selection(5, layer=2)
