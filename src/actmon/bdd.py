@@ -4,15 +4,14 @@ A :class:`BddStore` owns a hash-consed node table for one fixed variable
 order (variable ``i`` is bit ``i`` of a pattern, ``0 <= i < n_vars``).
 Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
-handful of operations a monitor needs: encoding a set of patterns in one
-pass, membership evaluation, the capped Hamming distance from a pattern to
+handful of operations a monitor needs: encoding sets of patterns level by
+level, membership evaluation, the capped Hamming distance from a pattern to
 a set (the monitor's query), exact model counting, small-width enumeration,
 and a deterministic plain-data form (:meth:`BddStore.to_dict`,
 :func:`from_dict`) that monitor files embed, in which a node's id is its
 position in the table; reading and writing files is the caller's job.
 Existential quantification over one variable (:meth:`BddStore.exists`) is
-the paper's construction of a distance-1 step; no monitor uses it, and the
-tests build their reference Hamming balls from it.
+the paper's distance-1 step; no monitor uses it, the tests' Hamming balls do.
 
 There are no complement edges and no dynamic reordering; canonicity is
 plain Bryant-style reduction (no node with equal children, no duplicate
@@ -29,9 +28,9 @@ holds the node table and no cache: every memo lives for one call.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import FormatVersionError, FrozenStoreError, SchemaError, warn
 
@@ -120,6 +119,8 @@ class BddStore:
         if low == high:
             return low
         key = (var, low, high)
+        if len(self._unique) + TRUE + 1 < len(self._var):
+            self._register()  # the nodes _encode appended
         found = self._unique.get(key)
         if found is not None:
             return found
@@ -158,34 +159,73 @@ class BddStore:
 
     def encode_set(self, patterns: Iterable[Sequence[int]]) -> BddRef:
         """The set of the given patterns; none give the empty set.  Each
-        pattern is checked, then :meth:`_encode` builds the set of the
-        distinct ones."""
+        pattern is checked, then :meth:`_encode` builds one group."""
         self._require_mutable()
-        return BddRef(self, self._encode(
-            {tuple(self._check_pattern(bits)) for bits in patterns}))
+        rows = [self._check_pattern(bits) for bits in patterns]
+        bits = np.array(rows, dtype=np.int8).reshape(len(rows), self.n_vars)
+        roots = self._encode(bits, np.zeros(len(rows), dtype=np.intp))
+        return BddRef(self, roots.get(0, FALSE))
 
-    def _encode(self, rows: Iterable[tuple[int, ...]]) -> int:
-        """The root of the set of ``rows``: distinct tuples of 0/1 ints of
-        width ``n_vars``, taken unchecked (``binarize`` output is such a
-        row).  Built bottom-up from the sorted rows, one bit per level, so
-        every node created is part of the result."""
-        rows = sorted(rows)
-        mk = self._mk
+    def _encode(self, bits: np.ndarray, groups: np.ndarray) -> dict[int, int]:
+        """The root of each group's set, by label, from an (N, ``n_vars``)
+        0/1 array taken unchecked and one label >= 0 per row.  One pass, a
+        few numpy calls per level from bit ``n_vars - 1`` up, appends the
+        nodes in the order of encoding each group in turn recursively."""
+        if not len(bits):
+            return {}
+        packed = np.concatenate((groups.astype(">u4")[:, None].view(np.uint8),
+                                 np.packbits(bits, axis=1)), axis=1)
+        _, first = np.unique(packed.view(f"V{packed.shape[1]}").ravel(),
+                             return_index=True)
+        rows, labels = bits[first], groups[first]
+        # split[i]: the first bit where the rows i and i + 1 differ, or -1
+        split = np.concatenate(((rows[1:] != rows[:-1]).argmax(axis=1), [-1]))
+        split[:-1][labels[1:] != labels[:-1]] = -1
+        # id << shift[var][row]: the id's half of the key low << 32 | high
+        shift = np.ascontiguousarray(rows.T ^ 1) << 5
+        self._register()  # to hash-cons with the nodes of earlier calls
+        base = count = len(self._var)
+        # each segment of rows at this depth: its node (TRUE first), last row
+        ids, ends, made = np.ones_like(split), np.arange(len(rows)), []
+        joins, distinct = set(split.tolist()), len(rows) == 1
+        for var in range(self.n_vars - 1, -1, -1):
+            key = ids << shift[var][ends]
+            if var in joins:  # a 0-segment and the 1-segment after it
+                join = split[ends] == var
+                key[1:] |= key[:-1] * join[:-1]
+                key, ends = key[~join], ends[~join]
+            at, slot = ends, None
+            if not distinct:  # distinct nodes give distinct keys from here
+                key, at, slot = np.unique(key, return_index=True,
+                                          return_inverse=True)
+                at, distinct = ends[at], len(key) == len(slot)
+            ids = np.arange(count, count + len(key))
+            if slot is not None and var in joins:  # equal children: no node
+                ids = np.where(key >> 32 == key % 2**32, key >> 32, ids)
+            if base > TRUE + 1:  # a key may name an earlier call's node
+                ids = np.array([self._unique.get((var, k >> 32, k % 2**32), i)
+                                for k, i in zip(key.tolist(), ids.tolist())])
+            made.append((np.intp(var).repeat(len(key)), ids, key, at))
+            count += len(key)
+            ids = ids if slot is None else ids[slot]
+        # a key that kept its own id (from base up, in the order made) is a
+        # new node; the table takes them by the row that first needs them
+        var, tmp, key, end = map(np.concatenate, zip(*made))
+        new = (tmp == np.arange(base, count)).nonzero()[0]
+        new = new[end[new].argsort(kind="stable")]
+        final = np.arange(count)
+        final[base + new] = np.arange(base, base + len(new))
+        self._var += var[new].tolist()
+        self._low += final[key[new] >> 32].tolist()
+        self._high += final[key[new] % 2**32].tolist()
+        return dict(zip(labels[ends].tolist(), final[ids].tolist()))
 
-        def build(lo: int, hi: int, var: int) -> int:
-            # rows[lo:hi] share bits < var, so bit var runs 0s then 1s; the
-            # rows are distinct, so at var == n_vars one row is left
-            if lo == hi:
-                return FALSE
-            if hi - lo == 1:  # a lone row: its chain, from the bottom up
-                node, row = TRUE, rows[lo]
-                for v in range(self.n_vars - 1, var - 1, -1):
-                    node = mk(v, FALSE, node) if row[v] else mk(v, node, FALSE)
-                return node
-            mid = bisect_left(rows, 1, lo, hi, key=itemgetter(var))
-            return mk(var, build(lo, mid, var + 1), build(mid, hi, var + 1))
-
-        return build(0, len(rows), 0)
+    def _register(self) -> None:
+        """Hash-cons the nodes that :meth:`_encode` appended."""
+        start = len(self._unique) + TRUE + 1
+        self._unique.update(zip(
+            zip(self._var[start:], self._low[start:], self._high[start:]),
+            range(start, len(self._var))))
 
     # exists passes one memo down its recursion: (a, b) pairs key the or
     # results, node ids the exists results
@@ -434,8 +474,8 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
         raise SchemaError("terminal ids must be 0 (false) and 1 (true)")
 
     store = BddStore(n_vars)
-    # _mk's id objects by position: as in a built store, children share them
-    # and the query walk reads no ints scattered by the JSON parse
+    # _mk's id objects by position: children share them, and the query walk
+    # reads no ints scattered by the JSON parse
     made = [FALSE, TRUE]
     for entry in data["nodes"]:
         try:

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import bdd, patterns
-from .bdd import TRUE, BddRef, BddStore
+from .bdd import FALSE, TRUE, BddRef, BddStore
 from .errors import (FormatVersionError, SchemaError, as_int, exact_int,
                      read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
@@ -73,10 +73,9 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     store, and ``gamma``, the query radius.
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
-    ground-truth label *and* the network predicted ``c``; the kept records
-    are binarized in one call, and the others are never read.  Each zone
-    is encoded from its distinct patterns, which ``binarize`` has already
-    checked, so the store checks none of them again.
+    ground-truth label *and* the network predicted ``c``.  One checked
+    threshold pass makes the kept records' patterns, and one encode builds
+    every zone from them unchecked; the other records are never read.
 
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
@@ -95,19 +94,20 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     if not class_list:
         raise ValueError("no classes to monitor")
 
-    store = BddStore(selection.width)
-    seen: dict[int, set] = {c: set() for c in class_list}
+    group = {c: i for i, c in enumerate(class_list)}
     kept = [r for r in traces
-            if r.true_label in seen and r.pred_label == r.true_label]
-    bits = binarize([r.activations for r in kept], selection) if kept else []
-    for record, pattern in zip(kept, bits):
-        seen[record.true_label].add(pattern)
-    for c in class_list:
-        if not seen[c]:
+            if r.true_label in group and r.pred_label == r.true_label]
+    store = BddStore(selection.width)
+    roots = store._encode(
+        patterns._threshold([r.activations for r in kept], selection),
+        np.array([group[r.true_label] for r in kept], dtype=np.intp)) \
+        if kept else {}
+    for i, c in enumerate(class_list):
+        if i not in roots:
             warn(f"class {c}: no correctly classified training record; "
                  f"its zone is empty and will flag every query")
-    # binarize made and checked every pattern, so the store takes them as is
-    zones = {c: BddRef(store, store._encode(seen[c])) for c in class_list}
+    zones = {c: BddRef(store, roots.get(i, FALSE))
+             for i, c in enumerate(class_list)}
     store.freeze()
     return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
 

@@ -16,6 +16,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from actmon import bdd
@@ -211,6 +212,169 @@ class TestEncodeSet:
         store = bdd.BddStore(4)
         with pytest.raises(ValueError):
             store.encode_set(patterns)
+
+
+def encode_groups(store, sets, labels=None, rng=None):
+    """``store._encode`` of ``sets``, one group each, labeled 0, 1, ... or
+    by ``labels``; ``rng`` shuffles the rows across the groups."""
+    labels = range(len(sets)) if labels is None else labels
+    rows = [(label, p) for label, patterns in zip(labels, sets)
+            for p in patterns]
+    if rng is not None:
+        rng.shuffle(rows)
+    bits = np.array([p for _, p in rows], dtype=np.int8)
+    return store._encode(bits.reshape(len(rows), store.n_vars),
+                         np.array([label for label, _ in rows], dtype=np.intp))
+
+
+def recursive_groups(store, sets, labels=None):
+    """The reference: ``recursive_encode`` of each nonempty set in label
+    order, into one store; the roots by label."""
+    labels = range(len(sets)) if labels is None else labels
+    return {label: recursive_encode(store, patterns)
+            for label, patterns in sorted(zip(labels, sets)) if patterns}
+
+
+def random_groups(rng, n, count):
+    """``count`` sets of n-bit patterns: some empty, some with duplicate
+    rows, some sharing sub-diagrams with an earlier set (the same set,
+    a subset, or its patterns with the first bit flipped)."""
+    sets = []
+    for _ in range(count):
+        kind = rng.choice(["random", "random", "empty", "dups", "shared"])
+        if kind == "empty":
+            sets.append([])
+        elif kind == "shared" and sets:
+            base = list(rng.choice(sets))
+            sets.append(rng.choice([
+                base, base[:len(base) // 2],
+                [(1 - p[0],) + p[1:] for p in base]]))
+        else:
+            patterns = list(random_patterns(rng, n, rng.randint(1, 30)))
+            if kind == "dups":
+                patterns += rng.choices(patterns, k=len(patterns))
+            sets.append(patterns)
+    return sets
+
+
+class TestLevelEncode:
+    """The level-wise ``_encode`` against ``recursive_encode``: one call
+    for many groups makes the raw table and the roots that encoding each
+    group's set in label order, one recursion after another, makes."""
+
+    WIDTHS = list(range(1, 13)) + [64, bdd.MAX_VARS]
+
+    @staticmethod
+    def assert_same_table(store, ref):
+        assert (store._var, store._low, store._high) \
+            == (ref._var, ref._low, ref._high)
+
+    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
+    def test_groups_equal_the_recursion(self):
+        rng = random.Random(4242)
+        for n in self.WIDTHS:
+            for trial in range(6 if n <= 12 else 2):
+                sets = random_groups(rng, n, rng.randint(1, 5))
+                labels = sorted(rng.sample(range(20), len(sets)))
+                rng.shuffle(labels)  # the table follows the label order
+                store, ref = bdd.BddStore(n), bdd.BddStore(n)
+                assert encode_groups(store, sets, labels, rng) \
+                    == recursive_groups(ref, sets, labels)
+                self.assert_same_table(store, ref)
+
+    def test_no_rows_and_groups_without_rows(self):
+        store = bdd.BddStore(5)
+        assert encode_groups(store, []) == {}
+        assert encode_groups(store, [[], []]) == {}
+        assert len(store) == 2 and store._unique == {}
+        ref = bdd.BddStore(5)
+        sets = [[], [tup("01101")], [], [tup("01101"), tup("11111")]]
+        assert encode_groups(store, sets) == recursive_groups(ref, sets)
+        self.assert_same_table(store, ref)
+
+    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
+    def test_into_a_store_that_holds_nodes(self):
+        """Earlier nodes, both registered (a union) and not (an encode),
+        are hash-consed with, never made again."""
+        rng = random.Random(5151)
+        for n in self.WIDTHS:
+            for trial in range(4 if n <= 12 else 1):
+                earlier = random_groups(rng, n, 3)
+                store, ref = bdd.BddStore(n), bdd.BddStore(n)
+                old = [store.encode_set(p) for p in earlier]
+                old_ref = [bdd.BddRef(ref, recursive_encode(ref, p))
+                           for p in earlier]
+                assert union(store, old[0], old[1]).node \
+                    == union(ref, old_ref[0], old_ref[1]).node
+                store.encode_set(earlier[2])
+                recursive_encode(ref, earlier[2])
+                sets = random_groups(rng, n, 3) + earlier[:2]
+                rng.shuffle(sets)
+                assert encode_groups(store, sets, rng=rng) \
+                    == recursive_groups(ref, sets)
+                self.assert_same_table(store, ref)
+
+    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
+    def test_same_sets_twice_add_no_node(self):
+        rng = random.Random(6262)
+        for n in self.WIDTHS:
+            sets = random_groups(rng, n, 4)
+            store = bdd.BddStore(n)
+            first = encode_groups(store, sets)
+            size = len(store)
+            assert encode_groups(store, sets, rng=rng) == first
+            assert len(store) == size
+            for patterns in sets:
+                assert store.encode_set(patterns).node \
+                    == (first[sets.index(patterns)] if patterns else bdd.FALSE)
+                assert len(store) == size
+
+
+class TestLazyUniqueTable:
+    """An encode appends its nodes without entering them in the unique
+    table; the first node-creating call that misses enters them, so the
+    store stays canonical."""
+
+    def test_encode_leaves_the_unique_table_empty(self):
+        rng = random.Random(7373)
+        store = bdd.BddStore(8)
+        zone = store.encode_set(random_patterns(rng, 8, 20))
+        assert store._unique == {} and len(store) > 2
+        store.exists(3, zone)
+        assert len(store._unique) == len(store) - 2
+        assert all(store._unique[store._var[node], store._low[node],
+                                 store._high[node]] == node
+                   for node in range(2, len(store)))
+
+    def test_exists_and_union_match_a_recursive_store(self):
+        rng = random.Random(8484)
+        for n in (3, 6, 9, 12):
+            for trial in range(5):
+                sets = [random_patterns(rng, n, rng.randint(0, 30))
+                        for _ in range(3)]
+                store, ref = bdd.BddStore(n), bdd.BddStore(n)
+                got = [store.encode_set(p) for p in sets]
+                want = [bdd.BddRef(ref, recursive_encode(ref, p))
+                        for p in sets]
+                for var in rng.sample(range(n), min(n, 3)):
+                    assert store.exists(var, got[0]).node \
+                        == ref.exists(var, want[0]).node
+                    assert len(store) == len(ref)
+                assert union(store, got[1], got[2]).node \
+                    == union(ref, want[1], want[2]).node
+                assert len(store) == len(ref)
+                assert store.encode_set(sets[1]) == got[1]
+                assert (store._var, store._low, store._high) \
+                    == (ref._var, ref._low, ref._high)
+
+    def test_round_trip_of_an_unregistered_table(self):
+        rng = random.Random(9595)
+        store = bdd.BddStore(10)
+        roots = {str(c): store.encode_set(random_patterns(rng, 10, 30))
+                 for c in range(3)}
+        loaded, loaded_roots = reload(store, roots)
+        assert len(loaded._unique) == len(loaded) - 2 == len(store) - 2
+        assert dump(loaded, loaded_roots) == dump(store, roots)
 
 
 class TestUnion:
@@ -452,8 +616,8 @@ class TestPatternCheck:
 
 class TestCores:
     """encode_set and distance check, then delegate to _encode and
-    _distance, the unchecked cores that build and the sweep call on
-    binarize output."""
+    _distance, the unchecked cores that build and the sweep call on the
+    output of the checked threshold pass."""
 
     def test_distance_equals_its_core(self):
         rng = random.Random(577)
@@ -857,7 +1021,8 @@ class TestSerialization:
             ],
             "false_id": 0, "true_id": 1, "roots": {"0": 3},
         }
-        with pytest.raises(SchemaError, match="duplicate"):
+        with pytest.raises(SchemaError, match=r"^node 3: children are equal "
+                           r"or \(var, low, high\) is a duplicate$"):
             bdd.from_dict(data)
 
     @staticmethod

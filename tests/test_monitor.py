@@ -12,6 +12,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -196,6 +197,45 @@ class TestBuild:
                 == {c: z.node for c, z in roots.items()}
             assert (mon.store._var, mon.store._low, mon.store._high) \
                 == (ref._var, ref._low, ref._high)
+
+    def test_makes_no_mk_call_and_no_unique_entry(self, monkeypatch):
+        """build makes every node in one level-wise encode: no per-node
+        _mk call, and no unique-table entry until a later node-creating
+        call needs one."""
+        made = []
+        mk = BddStore._mk
+        monkeypatch.setattr(BddStore, "_mk", lambda store, *triple: (
+            made.append(triple), mk(store, *triple))[1])
+        rng = random.Random(227)
+        traces = [pattern_trace(c, c, [rng.randint(0, 1) for _ in range(64)],
+                                f"s{i}")
+                  for i, c in enumerate(rng.choices(range(4), k=400))]
+        mon = build(traces, identity_selection(64), gamma=1)
+        assert made == [] and mon.store._unique == {}
+        assert len(mon.store) > 400  # 64-bit patterns share few nodes
+
+    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
+    def test_does_not_recurse_at_max_vars(self):
+        """Patterns that first differ at the last bit, which a recursion
+        over the bits would follow MAX_VARS calls deep, build with 32
+        frames to spare."""
+        n = bdd.MAX_VARS
+        low = (0,) * n
+        traces = [pattern_trace(0, 0, low, "a"),
+                  pattern_trace(0, 0, low[:-1] + (1,), "b"),
+                  pattern_trace(1, 1, (1,) + low[1:], "c")]
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 32)
+        try:
+            mon = build(traces, identity_selection(n), gamma=0)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert mon.store.sat_count(mon.zones[0]) == 2
+        assert mon.store.contains(mon.zones[0], low[:-1] + (1,))
+        assert mon.store.contains(mon.zones[1], (1,) + low[1:])
 
     def test_store_frozen_after_build(self):
         mon = build([pattern_trace(0, 0, (0, 1))],
