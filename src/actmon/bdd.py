@@ -23,7 +23,8 @@ After :meth:`BddStore.freeze` all node-creating operations raise
 :class:`~actmon.errors.FrozenStoreError`; the read operations
 (``contains``, ``distance``, ``sat_count``, ``enumerate_patterns``) never
 mutate the store and may run concurrently on a frozen store.  The store
-holds the node table and no cache: every memo lives for one call.
+holds the node table and no cache: every memo lives for one call, and so
+does the unique table (:meth:`BddStore._index`) a node-creating call makes.
 """
 
 from __future__ import annotations
@@ -96,8 +97,6 @@ class BddStore:
         self._var: list[int] = [n_vars, n_vars]
         self._low: list[int] = [FALSE, TRUE]
         self._high: list[int] = [FALSE, TRUE]
-        # (var, low, high) -> id
-        self._unique: dict[tuple[int, int, int], int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -115,21 +114,26 @@ class BddStore:
 
     # -- node construction -------------------------------------------------
 
-    def _mk(self, var: int, low: int, high: int) -> int:
+    def _index(self) -> dict[tuple[int, int, int], int]:
+        """``(var, low, high) -> id`` of every node: the unique table of
+        one node-creating call, which drops it on return."""
+        start = TRUE + 1
+        return dict(zip(zip(self._var[start:], self._low[start:],
+                            self._high[start:]), range(start, len(self._var))))
+
+    def _mk(self, var: int, low: int, high: int, unique: dict) -> int:
+        """``low`` if the children are equal, else the node that the calling
+        operation's index ``unique`` names, else a new one it then names."""
         if low == high:
             return low
         key = (var, low, high)
-        if len(self._unique) + TRUE + 1 < len(self._var):
-            self._register()  # the nodes _encode appended
-        found = self._unique.get(key)
-        if found is not None:
-            return found
-        node = len(self._var)
-        self._var.append(var)
-        self._low.append(low)
-        self._high.append(high)
-        self._unique[key] = node
-        return node
+        found = unique.get(key)
+        if found is None:
+            found = unique[key] = len(self._var)
+            self._var.append(var)
+            self._low.append(low)
+            self._high.append(high)
+        return found
 
     def _check_ref(self, ref: BddRef) -> int:
         if not isinstance(ref, BddRef):
@@ -170,7 +174,8 @@ class BddStore:
         """The root of each group's set, by label, from an (N, ``n_vars``)
         0/1 array taken unchecked and one label >= 0 per row.  One pass, a
         few numpy calls per level from bit ``n_vars - 1`` up, appends the
-        nodes in the order of encoding each group in turn recursively."""
+        nodes in the order of encoding each group in turn recursively.  A
+        store that holds nodes is indexed once, so keys name earlier nodes."""
         if not len(bits):
             return {}
         packed = np.concatenate((groups.astype(">u4")[:, None].view(np.uint8),
@@ -183,8 +188,8 @@ class BddStore:
         split[:-1][labels[1:] != labels[:-1]] = -1
         # id << shift[var][row]: the id's half of the key low << 32 | high
         shift = np.ascontiguousarray(rows.T ^ 1) << 5
-        self._register()  # to hash-cons with the nodes of earlier calls
         base = count = len(self._var)
+        unique = self._index() if base > TRUE + 1 else None
         # each segment of rows at this depth: its node (TRUE first), last row
         ids, ends, made = np.ones_like(split), np.arange(len(rows)), []
         joins, distinct = set(split.tolist()), len(rows) == 1
@@ -202,8 +207,8 @@ class BddStore:
             ids = np.arange(count, count + len(key))
             if slot is not None and var in joins:  # equal children: no node
                 ids = np.where(key >> 32 == key % 2**32, key >> 32, ids)
-            if base > TRUE + 1:  # a key may name an earlier call's node
-                ids = np.array([self._unique.get((var, k >> 32, k % 2**32), i)
+            if unique:  # a key may name an earlier call's node
+                ids = np.array([unique.get((var, k >> 32, k % 2**32), i)
                                 for k, i in zip(key.tolist(), ids.tolist())])
             made.append((np.intp(var).repeat(len(key)), ids, key, at))
             count += len(key)
@@ -220,15 +225,9 @@ class BddStore:
         self._high += final[key[new] % 2**32].tolist()
         return dict(zip(labels[ends].tolist(), final[ids].tolist()))
 
-    def _register(self) -> None:
-        """Hash-cons the nodes that :meth:`_encode` appended."""
-        start = len(self._unique) + TRUE + 1
-        self._unique.update(zip(
-            zip(self._var[start:], self._low[start:], self._high[start:]),
-            range(start, len(self._var))))
-
-    # exists passes one memo down its recursion: (a, b) pairs key the or
-    # results, node ids the exists results
+    # exists passes one memo down its recursion, seeded with the index:
+    # (var, low, high) triples key the nodes, (a, b) pairs the or results,
+    # node ids the exists results
     def _or(self, a: int, b: int, memo: dict) -> int:
         if a == b or b == FALSE:
             return a
@@ -247,7 +246,7 @@ class BddStore:
         a0, a1 = (self._low[a], self._high[a]) if va == var else (a, a)
         b0, b1 = (self._low[b], self._high[b]) if vb == var else (b, b)
         found = memo[key] = self._mk(
-            var, self._or(a0, b0, memo), self._or(a1, b1, memo))
+            var, self._or(a0, b0, memo), self._or(a1, b1, memo), memo)
         return found
 
     def exists(self, var: int, a: BddRef) -> BddRef:
@@ -261,7 +260,8 @@ class BddStore:
         if not 0 <= var < self.n_vars:
             raise ValueError(
                 f"variable index {var} out of range 0..{self.n_vars - 1}")
-        return BddRef(self, self._exists(var, self._check_ref(a), {}))
+        node = self._check_ref(a)
+        return BddRef(self, self._exists(var, node, self._index()))
 
     def _exists(self, var: int, a: int, memo: dict) -> int:
         if a <= TRUE or self._var[a] > var:
@@ -274,7 +274,7 @@ class BddStore:
                 found = self._or(low, high, memo)
             else:
                 found = self._mk(self._var[a], self._exists(var, low, memo),
-                                 self._exists(var, high, memo))
+                                 self._exists(var, high, memo), memo)
             memo[a] = found
         return found
 
@@ -476,7 +476,7 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
     store = BddStore(n_vars)
     # _mk's id objects by position: children share them, and the query walk
     # reads no ints scattered by the JSON parse
-    made = [FALSE, TRUE]
+    made, unique = [FALSE, TRUE], {}
     for entry in data["nodes"]:
         try:
             node, var = entry["id"], entry["var"]
@@ -497,7 +497,7 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
         if var >= store._var[low] or var >= store._var[high]:
             raise SchemaError(f"node {node}: variable ordering violation")
         # a reduced table has no node that _mk would not create anew
-        made.append(store._mk(var, made[low], made[high]))
+        made.append(store._mk(var, made[low], made[high], unique))
         if made[-1] != node:
             raise SchemaError(f"node {node}: children are equal or "
                               f"(var, low, high) is a duplicate")

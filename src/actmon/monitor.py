@@ -122,8 +122,6 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
     yields ``NO_ZONE`` rather than a warning.  A batch raises ``ValueError``.
     """
     pattern = binarize(activations, monitor.selection)
-    if type(pattern) is not tuple:  # a batch binarizes to a list
-        raise ValueError("query takes one activation row, not a batch")
     root = monitor.zones.get(pred_label)
     if root is None:
         return Verdict.NO_ZONE

@@ -96,28 +96,26 @@ def identity_selection(layer_width: int, layer: int = 0) -> NeuronSelection:
     )
 
 
-def binarize(activations, selection: NeuronSelection) -> Pattern | list:
-    """Project full-width activations onto the monitored neurons and
+def binarize(activations, selection: NeuronSelection) -> Pattern:
+    """Project one (W,) activation row onto the monitored neurons and
     threshold: bit ``i`` is 1 iff the selected neuron's output is strictly
     positive.  An exact zero counts as suppressed.
 
-    A (W,) row gives one pattern, a tuple of Python ints; an (N, W) batch
-    (an array or a sequence of rows) gives a list of N patterns from one
-    numpy pass, each its row's own.  W is the selection's ``layer_width``
-    and the whole layer must be finite, monitored neuron or not: another
-    shape, rows of different widths, NaN or infinity raise ``ValueError``.
+    The pattern is a tuple of Python ints.  W is the selection's
+    ``layer_width`` and the whole layer must be finite, monitored neuron or
+    not: another shape, NaN or infinity raise ``ValueError``, and so does
+    an (N, W) batch, which :func:`_threshold` takes instead.
     """
     bits = _threshold(activations, selection)
-    if bits.ndim == 1:
-        return tuple(bits.tolist())
-    rows = bits.tolist()  # made after the float copy is gone
-    for i, row in enumerate(rows):  # in place: one copy stays alive
-        rows[i] = tuple(row)
-    return rows
+    if bits.ndim != 1:
+        raise ValueError("expected one activation row, not a batch")
+    return tuple(bits.tolist())
 
 
 def _threshold(activations, selection: NeuronSelection) -> np.ndarray:
-    """:func:`binarize`'s checked pass, as a (K,) or (N, K) 0/1 array."""
+    """:func:`binarize`'s checked pass, as a (K,) 0/1 array from a (W,) row
+    or an (N, K) one from an (N, W) batch (an array or a sequence of rows),
+    in one numpy pass: a batch row's bits are the row's own."""
     width = selection.layer_width
     try:
         acts = np.asarray(activations, dtype=np.float64)

@@ -96,7 +96,8 @@ def test_c01_bdd_oracle_equivalence():
         ra, rb = store.encode_set(sa), store.encode_set(sb)
         assert set(store.enumerate_patterns(ra)) == sa
         assert set(store.enumerate_patterns(rb)) == sb
-        union = bdd.BddRef(store, store._or(ra.node, rb.node, {}))
+        union = bdd.BddRef(store, store._or(ra.node, rb.node,
+                                            store._index()))
         assert set(store.enumerate_patterns(union)) == sa | sb
         j = rng.randrange(n)
         grown = store.exists(j, ra)

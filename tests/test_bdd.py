@@ -19,8 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from actmon import bdd
+from actmon import bdd, monitor
 from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
+from actmon.patterns import identity_selection
+from actmon.traces import TraceRecord
 
 
 def hamming(p, q):
@@ -57,15 +59,18 @@ def reload(store, roots):
 
 
 def union(store, a, b):
-    """Set union of two roots of ``store``, by its or-recursion."""
-    return bdd.BddRef(
-        store, store._or(store._check_ref(a), store._check_ref(b), {}))
+    """Set union of two roots of ``store``, by its or-recursion, with a
+    memo seeded by the store's index as ``exists`` seeds its own."""
+    return bdd.BddRef(store, store._or(store._check_ref(a),
+                                       store._check_ref(b), store._index()))
 
 
 def recursive_encode(store, patterns):
     """Reference ``encode_set``: one recursive call per bit of every sorted
-    distinct row, split by the first bit where the rows differ; the root."""
+    distinct row, split by the first bit where the rows differ; the root.
+    One node-creating call: the store is indexed once, before the first."""
     rows = sorted(set(patterns))
+    unique = store._index()
 
     def build(lo, hi, var):
         if lo == hi:
@@ -73,7 +78,8 @@ def recursive_encode(store, patterns):
         if var == store.n_vars:
             return bdd.TRUE
         mid = next((i for i in range(lo, hi) if rows[i][var]), hi)
-        return store._mk(var, build(lo, mid, var + 1), build(mid, hi, var + 1))
+        return store._mk(var, build(lo, mid, var + 1),
+                         build(mid, hi, var + 1), unique)
 
     return build(0, len(rows), 0)
 
@@ -286,7 +292,7 @@ class TestLevelEncode:
         store = bdd.BddStore(5)
         assert encode_groups(store, []) == {}
         assert encode_groups(store, [[], []]) == {}
-        assert len(store) == 2 and store._unique == {}
+        assert len(store) == 2
         ref = bdd.BddStore(5)
         sets = [[], [tup("01101")], [], [tup("01101"), tup("11111")]]
         assert encode_groups(store, sets) == recursive_groups(ref, sets)
@@ -294,8 +300,8 @@ class TestLevelEncode:
 
     @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
     def test_into_a_store_that_holds_nodes(self):
-        """Earlier nodes, both registered (a union) and not (an encode),
-        are hash-consed with, never made again."""
+        """Earlier nodes, made by a union or by an encode, are
+        hash-consed with, never made again."""
         rng = random.Random(5151)
         for n in self.WIDTHS:
             for trial in range(4 if n <= 12 else 1):
@@ -330,21 +336,30 @@ class TestLevelEncode:
                 assert len(store) == size
 
 
-class TestLazyUniqueTable:
-    """An encode appends its nodes without entering them in the unique
-    table; the first node-creating call that misses enters them, so the
-    store stays canonical."""
+def assert_reduced(store):
+    """No node has equal children and no two nodes share a triple."""
+    triples = list(zip(store._var, store._low, store._high))[2:]
+    assert all(low != high for _, low, high in triples)
+    assert len(set(triples)) == len(triples)
 
-    def test_encode_leaves_the_unique_table_empty(self):
+
+class TestLazyUniqueTable:
+    """No store keeps a unique table: each node-creating call indexes the
+    table when it needs to and drops the index on return, and the table
+    stays canonical from one call to the next."""
+
+    def test_encode_and_exists_keep_the_table_reduced(self):
         rng = random.Random(7373)
         store = bdd.BddStore(8)
         zone = store.encode_set(random_patterns(rng, 8, 20))
-        assert store._unique == {} and len(store) > 2
-        store.exists(3, zone)
-        assert len(store._unique) == len(store) - 2
-        assert all(store._unique[store._var[node], store._low[node],
-                                 store._high[node]] == node
-                   for node in range(2, len(store)))
+        assert len(store) > 2
+        assert_reduced(store)
+        for var in range(8):
+            grown = store.exists(var, zone)
+            assert_reduced(store)
+            size = len(store)
+            assert store.exists(var, zone) == grown and len(store) == size
+            assert_reduced(store)
 
     def test_exists_and_union_match_a_recursive_store(self):
         rng = random.Random(8484)
@@ -367,13 +382,36 @@ class TestLazyUniqueTable:
                 assert (store._var, store._low, store._high) \
                     == (ref._var, ref._low, ref._high)
 
+    def test_a_loaded_store_stays_canonical(self):
+        """An unfrozen loaded table takes new nodes as the store that wrote
+        it would: re-encoding a zone gives its loaded root, and ``exists``
+        gives a fresh store's set, without a copy of a loaded node."""
+        rng = random.Random(6060)
+        for n in (3, 8, 12):
+            sets = {str(c): random_patterns(rng, n, rng.randint(1, 30))
+                    for c in range(3)}
+            store = bdd.BddStore(n)
+            roots = {c: store.encode_set(p) for c, p in sets.items()}
+            loaded, loaded_roots = reload(store, roots)
+            assert not loaded.frozen
+            for c, patterns in sets.items():
+                assert loaded.encode_set(patterns) == loaded_roots[c]
+                assert len(loaded) == len(store)
+            for c, patterns in sets.items():
+                var = rng.randrange(n)
+                fresh = bdd.BddStore(n)
+                want = fresh.exists(var, fresh.encode_set(patterns))
+                got = loaded.exists(var, loaded_roots[c])
+                assert dump(loaded, {"0": got}) == dump(fresh, {"0": want})
+                assert_reduced(loaded)
+
     def test_round_trip_of_an_unregistered_table(self):
         rng = random.Random(9595)
         store = bdd.BddStore(10)
         roots = {str(c): store.encode_set(random_patterns(rng, 10, 30))
                  for c in range(3)}
         loaded, loaded_roots = reload(store, roots)
-        assert len(loaded._unique) == len(loaded) - 2 == len(store) - 2
+        assert len(loaded) == len(store)
         assert dump(loaded, loaded_roots) == dump(store, roots)
 
 
@@ -870,16 +908,32 @@ class TestNoCache:
     call, and hash-consing alone makes a repeated operation free of new
     nodes."""
 
-    TABLE = {"n_vars", "frozen", "_var", "_low", "_high", "_unique"}
+    TABLE = {"n_vars", "frozen", "_var", "_low", "_high"}
 
-    def test_state_is_the_node_table(self):
+    def test_state_is_the_node_table(self, tmp_path):
+        """No operation leaves anything but the table behind, an index
+        least of all: not an encode, an exists, a load, a monitor's build
+        (an ``_encode``) or a monitor's load."""
         store = bdd.BddStore(6)
-        zone = build_set(store, [tup("001100"), tup("110011")])
-        store.exists(2, zone)
+        zone = store.encode_set([tup("001100"), tup("110011")])
         assert set(vars(store)) == self.TABLE
+        zone = store.exists(2, zone)
+        assert set(vars(store)) == self.TABLE
+        store.encode_set([tup("001100"), tup("111111")])
+        assert set(vars(store)) == self.TABLE
+        loaded, roots = reload(store, {"0": zone})
+        assert set(vars(loaded)) == self.TABLE
         before = copy.deepcopy(vars(store))
         store.freeze()
         assert vars(store) == {**before, "frozen": True}
+        traces = [TraceRecord(f"s{i}", c, c, np.array(bits, dtype=float))
+                  for i, (c, bits) in enumerate([
+                      (0, (1, 0, 1)), (0, (1, 1, 0)), (1, (0, 0, 1))])]
+        mon = monitor.build(traces, identity_selection(3), gamma=1)
+        assert set(vars(mon.store)) == self.TABLE
+        monitor.save_monitor(mon, tmp_path / "monitor.json")
+        mon = monitor.load_monitor(tmp_path / "monitor.json")
+        assert set(vars(mon.store)) == self.TABLE
 
     @pytest.mark.parametrize("op", ["union", "exists"])
     def test_repeat_adds_no_node(self, op):

@@ -1,6 +1,7 @@
 """Tests for the shared file layer: the replace-on-success writer, the
 strict JSON reader, the one finiteness rule, and guards that no other code
-in the package opens a file for writing, parses JSON or tests finiteness."""
+in the package opens a file for writing, parses JSON or tests finiteness,
+and that only the BDD store's node makers grow its node table."""
 
 import ast
 import math
@@ -180,3 +181,72 @@ def test_finiteness_is_tested_only_by_all_finite():
     # train_toy tests its scalar loss, not an array
     assert found == [("errors.py", "all_finite"),
                      ("network.py", "train_toy")], found
+
+
+# the BDD node table's columns, and the list methods that would grow them
+TABLE_COLUMNS = {"_var", "_low", "_high"}
+LIST_GROWERS = {"append", "extend", "insert"}
+
+
+def table_writes(tree):
+    """(function, column) for every write in ``tree`` to an attribute
+    ``_var``, ``_low`` or ``_high``: an assignment to it or to an item of
+    it, plain, annotated, augmented or unpacked, or an ``append``,
+    ``extend`` or ``insert`` call on it; named by the innermost enclosing
+    function (None at module level)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            func = getattr(node, "name", "<lambda>")
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in LIST_GROWERS:
+            targets = [node.func.value]
+        while targets:
+            target = targets.pop()
+            if isinstance(target, (ast.Tuple, ast.List)):
+                targets += target.elts
+            elif isinstance(target, (ast.Subscript, ast.Starred)):
+                targets.append(target.value)
+            elif isinstance(target, ast.Attribute) \
+                    and target.attr in TABLE_COLUMNS:
+                found.append((func, target.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_table_write_guard_sees_each_form():
+    tree = ast.parse("s._var.append(1)\n"
+                     "def grow(s):\n"
+                     "    s._low.extend([1])\n"
+                     "    s._high += [1]\n"
+                     "    s._var[2], n = 3, 4\n"
+                     "    s._low: list = []\n"
+                     "    f = lambda: s._high.insert(0, 1)\n"
+                     "    var, low = s._var, s._low\n"
+                     "    return s._var[0] + len(s._high)\n")
+    assert table_writes(tree) == [
+        (None, "_var"), ("grow", "_low"), ("grow", "_high"),
+        ("grow", "_var"), ("grow", "_low"), ("<lambda>", "_high")]
+
+
+def test_only_the_node_makers_grow_the_bdd_table():
+    """Node creation has one rule (``_mk``) and one level-wise batch form
+    (``_encode``); a second writer could append a node the table already
+    holds."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, func) for func, _ in table_writes(tree)}
+    assert found == {("bdd.py", "__init__"), ("bdd.py", "_mk"),
+                     ("bdd.py", "_encode")}, found

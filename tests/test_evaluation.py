@@ -126,7 +126,7 @@ def per_record_sweep(traces_train, traces_eval, selection, gammas,
     """Reference gamma_sweep: one public ``distance`` call per eval record,
     as the sweep made before it grouped its records."""
     zero = build(traces_train, selection, 0, classes)
-    bits = binarize([r.activations for r in traces_eval], selection)
+    bits = [binarize(r.activations, selection) for r in traces_eval]
     cap = gammas[-1] + 1
     tally = Counter()
     for record, pattern in zip(traces_eval, bits):
@@ -256,7 +256,7 @@ class TestGammaSweep:
 
         monkeypatch.setattr(BddStore, "_distance", counted)
         gamma_sweep(train, evals, sel, gammas)
-        patterns_of = binarize([r.activations for r in evals], sel)
+        patterns_of = [binarize(r.activations, sel) for r in evals]
         return calls, build(train, sel, 0), list(zip(patterns_of, evals))
 
     def test_one_search_per_group(self, monkeypatch):

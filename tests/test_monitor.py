@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from actmon import bdd
+from actmon import bdd, patterns
 from actmon.bdd import BddRef, BddStore
 from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
 from actmon.monitor import (
@@ -200,8 +200,8 @@ class TestBuild:
 
     def test_makes_no_mk_call_and_no_unique_entry(self, monkeypatch):
         """build makes every node in one level-wise encode: no per-node
-        _mk call, and no unique-table entry until a later node-creating
-        call needs one."""
+        _mk call, and it leaves no unique table behind (no store keeps
+        one; see tests/test_bdd.py::TestNoCache)."""
         made = []
         mk = BddStore._mk
         monkeypatch.setattr(BddStore, "_mk", lambda store, *triple: (
@@ -211,7 +211,9 @@ class TestBuild:
                                 f"s{i}")
                   for i, c in enumerate(rng.choices(range(4), k=400))]
         mon = build(traces, identity_selection(64), gamma=1)
-        assert made == [] and mon.store._unique == {}
+        assert made == []
+        assert set(vars(mon.store)) == {"n_vars", "frozen", "_var", "_low",
+                                        "_high"}
         assert len(mon.store) > 400  # 64-bit patterns share few nodes
 
     @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
@@ -375,12 +377,12 @@ class TestQuery:
             query(mon, (1.0, 1.0), 0)
 
     # N != W, N = W and N = 1 rows of width 3, for a class with and without
-    # a zone: binarize takes the batch, the query refuses it with one message
+    # a zone: binarize refuses the batch with one message
     @pytest.mark.parametrize("count", [2, 3, 1])
     @pytest.mark.parametrize("pred", [0, 2])
     def test_batch_refused(self, count, pred):
         mon = self._monitor()
-        with pytest.raises(ValueError, match="^query takes one activation "
+        with pytest.raises(ValueError, match="^expected one activation "
                                              "row, not a batch$"):
             query(mon, np.ones((count, 3)), pred)
 
@@ -790,7 +792,8 @@ class TestBatchDistances:
                    pattern_trace(1, 1, (0, 0, 0, 1), "b")]
         for batch in (records, records[1:2]):
             with pytest.raises(ValueError) as expected:
-                binarize([r.activations for r in batch], mon.selection)
+                patterns._threshold([r.activations for r in batch],
+                                    mon.selection)
             with pytest.raises(ValueError,
                                match=f"^{re.escape(str(expected.value))}$"):
                 _batch_distances(mon, batch, 2)

@@ -11,6 +11,7 @@ import pytest
 from actmon.network import Layer, ModelSpec, make_blobs, train_toy
 from actmon.patterns import (
     NeuronSelection,
+    _threshold,
     binarize,
     identity_selection,
     score_neurons,
@@ -123,14 +124,23 @@ class TestBinarize:
                 acts[row, 1] = bad
                 with pytest.raises(ValueError,
                                    match="^non-finite activation value$"):
-                    binarize(acts, identity_selection(2))
+                    _threshold(acts, identity_selection(2))
 
     def test_values_whose_squares_overflow_pass(self):
         sel = identity_selection(2)
         assert binarize((1e200, -1e200), sel) == (1, 0)
-        assert binarize([(1e200, -1e200), (-1e200, 1e200)], sel) \
-            == [(1, 0), (0, 1)]
-        assert binarize(np.zeros((0, 2)), sel) == []
+        assert _threshold([(1e200, -1e200), (-1e200, 1e200)], sel).tolist() \
+            == [[1, 0], [0, 1]]
+        assert _threshold(np.zeros((0, 2)), sel).shape == (0, 2)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_batch_refused(self, count):
+        """binarize takes one row; a batch of the layer's width, even of
+        one row, goes to _threshold."""
+        for acts in (np.ones((count, 3)), [(1.0, 0.0, 2.0)] * count):
+            with pytest.raises(ValueError, match="^expected one activation "
+                                                 "row, not a batch$"):
+                binarize(acts, identity_selection(3))
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -163,9 +173,9 @@ class TestBinarize:
         scores = np.random.default_rng(layer).random(acts.shape[1])
         for sel in (identity_selection(acts.shape[1]),
                     select_top_fraction(scores, 0.5)):
-            rows = [binarize(row, sel) for row in acts]
-            assert binarize(acts, sel) == rows
-            assert binarize(list(acts), sel) == rows
+            rows = [list(binarize(row, sel)) for row in acts]
+            assert _threshold(acts, sel).tolist() == rows
+            assert _threshold(list(acts), sel).tolist() == rows
 
     def test_batch_equals_rows_on_projected_selections(self):
         rng = np.random.default_rng(9)
@@ -176,11 +186,11 @@ class TestBinarize:
             acts[rng.random(acts.shape) < 0.1] = -0.0
             sel = select_top_fraction(rng.random(width),
                                       float(rng.uniform(0.05, 1.0)))
-            got = binarize(acts, sel)
-            assert got == [binarize(row, sel) for row in acts]
-            assert all(type(p) is tuple and all(type(b) is int for b in p)
-                       for p in got)
-            assert binarize(np.empty((0, width)), sel) == []
+            got = _threshold(acts, sel)
+            assert got.dtype == np.int8 and got.shape == (count, sel.width)
+            assert got.tolist() == [list(binarize(row, sel)) for row in acts]
+            assert _threshold(np.empty((0, width)), sel).shape \
+                == (0, sel.width)
 
 
 class TestSelectTopFraction:
