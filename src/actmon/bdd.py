@@ -29,6 +29,7 @@ does the unique table (:meth:`BddStore._index`) a node-creating call makes.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -410,6 +411,56 @@ class BddStore:
 
     # -- serialization -------------------------------------------------------
 
+    def _serial(self, roots: Mapping[str, BddRef]) -> tuple[dict, tuple]:
+        """:meth:`to_dict`'s object with an empty node list, and the
+        ``var``, ``low`` and ``high`` columns of its nodes (ids 2, 3, ...).
+
+        One iterative walk lists the nodes under ``roots`` in canonical
+        order: children before parents, low subtree first, roots in sorted
+        key order.  When that order is the table's own, as in every store
+        that ``_encode`` fills from empty and every loaded file, the
+        columns are the table's; else the nodes are relabeled densely from
+        2 in that order.
+        """
+        keys = sorted(roots, key=_root_sort_key)
+        tops = [self._check_ref(roots[key]) for key in keys]
+        var, low, high = self._var, self._low, self._high
+        seen = bytearray(len(var))
+        seen[FALSE] = seen[TRUE] = 1
+        order: list[int] = []
+        for top in tops:
+            stack = [top]
+            while stack:
+                node = stack[-1]
+                if seen[node]:
+                    stack.pop()
+                elif not seen[low[node]]:
+                    stack.append(low[node])
+                elif not seen[high[node]]:
+                    stack.append(high[node])
+                else:
+                    seen[node] = 1
+                    order.append(stack.pop())
+        start = TRUE + 1
+        if order == list(range(start, len(var))):
+            columns = var[start:], low[start:], high[start:]
+        else:
+            new = list(range(len(var)))
+            for i, node in enumerate(order, start):
+                new[node] = i
+            columns = ([var[node] for node in order],
+                       [new[low[node]] for node in order],
+                       [new[high[node]] for node in order])
+            tops = [new[top] for top in tops]
+        return {
+            "version": SERIAL_VERSION,
+            "n_vars": self.n_vars,
+            "nodes": [],
+            "false_id": FALSE,
+            "true_id": TRUE,
+            "roots": dict(zip(keys, tops)),
+        }, columns
+
     def to_dict(self, roots: Mapping[str, BddRef]) -> dict:
         """Serializable form of the subgraphs under ``roots``.
 
@@ -418,33 +469,23 @@ class BddStore:
         semantically equal inputs produce identical output regardless of the
         order in which this store happened to create nodes.
         """
-        order = sorted(roots, key=_root_sort_key)
-        relabel: dict[int, int] = {FALSE: 0, TRUE: 1}
-        nodes: list[dict] = []
+        data, columns = self._serial(roots)
+        data["nodes"] = [{"id": node, "var": var, "low": low, "high": high}
+                         for node, (var, low, high)
+                         in enumerate(zip(*columns), TRUE + 1)]
+        return data
 
-        def visit(node: int) -> None:
-            if node in relabel:
-                return
-            visit(self._low[node])
-            visit(self._high[node])
-            relabel[node] = len(relabel)
-            nodes.append({
-                "id": relabel[node],
-                "var": self._var[node],
-                "low": relabel[self._low[node]],
-                "high": relabel[self._high[node]],
-            })
 
-        for key in order:
-            visit(self._check_ref(roots[key]))
-        return {
-            "version": SERIAL_VERSION,
-            "n_vars": self.n_vars,
-            "nodes": nodes,
-            "false_id": FALSE,
-            "true_id": TRUE,
-            "roots": {key: relabel[roots[key].node] for key in order},
-        }
+# one entry of to_dict's node list, as compact JSON spells it
+_NODE_JSON = '{"id":%d,"var":%d,"low":%d,"high":%d}'
+
+
+def _nodes_json(columns: tuple) -> str:
+    """The node list of :meth:`BddStore.to_dict` as compact JSON text,
+    from the columns that :meth:`BddStore._serial` gives: one template
+    fill per node, no dict."""
+    return "[" + ",".join(map(_NODE_JSON.__mod__,
+                              zip(count(TRUE + 1), *columns))) + "]"
 
 
 def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:

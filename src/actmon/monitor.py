@@ -168,6 +168,15 @@ def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
 
 
 def monitor_to_dict(monitor: Monitor) -> dict:
+    return _with_table(monitor, monitor.store.to_dict(_zone_roots(monitor)))
+
+
+def _zone_roots(monitor: Monitor) -> dict[str, BddRef]:
+    return {str(c): root for c, root in monitor.zones.items()}
+
+
+def _with_table(monitor: Monitor, table: dict) -> dict:
+    """The monitor file's object around the BDD serialization ``table``."""
     return {
         "format": MONITOR_FORMAT,
         "version": MONITOR_VERSION,
@@ -180,23 +189,27 @@ def monitor_to_dict(monitor: Monitor) -> dict:
             "indices": list(monitor.selection.indices),
             "scores": list(monitor.selection.scores),
         },
-        "bdd": monitor.store.to_dict(
-            {str(c): root for c, root in monitor.zones.items()}),
+        "bdd": table,
     }
 
 
 def save_monitor(monitor: Monitor, path) -> None:
-    """Write the monitor as deterministic versioned JSON.
+    """Write the monitor as deterministic versioned JSON: the compact
+    ``json`` encoding of :func:`monitor_to_dict`, with the node list
+    written from the table's columns rather than one dict per node.
 
     Requires a frozen monitor; repeated saves of the same monitor are
     byte-identical.
     """
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")
+    table, columns = monitor.store._serial(_zone_roots(monitor))
+    text = json.dumps(_with_table(monitor, table), separators=(",", ":"),
+                      allow_nan=False)
+    # only numbers and fixed keys come before the empty node list
+    head, tail = text.split('"nodes":[]', 1)
     with replace_on_success(path) as fh:
-        fh.write(json.dumps(monitor_to_dict(monitor), separators=(",", ":"),
-                            allow_nan=False))
-        fh.write("\n")
+        fh.write(f'{head}"nodes":{bdd._nodes_json(columns)}{tail}\n')
 
 
 def monitor_from_dict(data: Mapping) -> Monitor:

@@ -1126,3 +1126,57 @@ class TestSerialization:
             for key in roots:
                 assert loaded.contains(loaded_roots[key], p) \
                     == store.contains(roots[key], p)
+
+
+def reference_to_dict(store, roots):
+    """The recursive visit that ``to_dict`` replaced: children before
+    parents, low subtree first, roots in sorted key order, ids dense from
+    2 as each node is first finished.  A reference for the iterative walk."""
+    order = sorted(roots, key=bdd._root_sort_key)
+    relabel = {bdd.FALSE: 0, bdd.TRUE: 1}
+    nodes = []
+
+    def visit(node):
+        if node in relabel:
+            return
+        visit(store._low[node])
+        visit(store._high[node])
+        relabel[node] = len(relabel)
+        nodes.append({"id": relabel[node], "var": store._var[node],
+                      "low": relabel[store._low[node]],
+                      "high": relabel[store._high[node]]})
+
+    for key in order:
+        visit(roots[key].node)
+    return {"version": bdd.SERIAL_VERSION, "n_vars": store.n_vars,
+            "nodes": nodes, "false_id": bdd.FALSE, "true_id": bdd.TRUE,
+            "roots": {key: relabel[roots[key].node] for key in order}}
+
+
+class TestCanonicalWalk:
+    """``to_dict``'s iterative walk lists what the recursive visit lists,
+    on tables in canonical order and on tables it must relabel."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_recursive_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        store = bdd.BddStore(n)
+        # separate encodes, an exists and terminal roots: the table's own
+        # order is not the canonical one
+        roots = {str(k): store.encode_set(random_patterns(rng, n, 30))
+                 for k in rng.sample(range(12), 4)}
+        roots["x"] = store.exists(rng.randrange(n), roots[min(roots)])
+        roots["10"] = store.encode_set([])
+        roots["9"] = store.encode_set(all_patterns(n))
+        for keys in (list(roots), rng.sample(list(roots), 2)):
+            chosen = {key: roots[key] for key in keys}
+            assert store.to_dict(chosen) == reference_to_dict(store, chosen)
+
+    def test_a_built_table_is_listed_as_it_is(self):
+        store = bdd.BddStore(6)
+        roots = {"0": store.encode_set([(0, 1, 1, 0, 1, 0),
+                                        (1, 1, 0, 0, 0, 1)])}
+        _, columns = store._serial(roots)
+        assert columns == (store._var[2:], store._low[2:], store._high[2:])
+        assert store.to_dict(roots) == reference_to_dict(store, roots)

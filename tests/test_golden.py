@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from actmon.evaluation import gamma_sweep, write_report_csv
-from actmon.monitor import build, save_monitor
+from actmon.monitor import build, load_monitor, save_monitor
 from actmon.patterns import identity_selection
 from actmon.traces import TraceHeader, TraceRecord, read_traces, write_traces
 
@@ -63,6 +63,20 @@ def write_golden(out: Path) -> None:
 def test_files_are_unchanged(tmp_path, name):
     write_golden(tmp_path)
     assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_loaded_monitor_saves_to_the_same_bytes(tmp_path):
+    """A loaded store is already in the canonical order that the writer
+    lists, so a load and a save change no byte."""
+    loaded = load_monitor(GOLDEN / "monitor.json")
+    save_monitor(loaded, tmp_path / "monitor.json")
+    assert (tmp_path / "monitor.json").read_bytes() \
+        == (GOLDEN / "monitor.json").read_bytes()
+    # plain ints, not numpy scalars, for the query walk and the writer
+    store = loaded.store
+    assert {type(value) for column in (store._var, store._low, store._high)
+            for value in column} == {int}
+    assert {type(zone.node) for zone in loaded.zones.values()} == {int}
 
 
 def test_trace_file_holds_the_odd_values():

@@ -31,8 +31,9 @@ from actmon.monitor import (
     query,
     save_monitor,
 )
+from actmon.network import make_blobs, train_toy
 from actmon.patterns import NeuronSelection, binarize, identity_selection
-from actmon.traces import TraceRecord
+from actmon.traces import TraceRecord, extract
 
 
 def hamming(p, q):
@@ -797,3 +798,82 @@ class TestBatchDistances:
             with pytest.raises(ValueError,
                                match=f"^{re.escape(str(expected.value))}$"):
                 _batch_distances(mon, batch, 2)
+
+
+def synthetic_monitor(width, n_classes, count, seed, **kwargs):
+    """A monitor of ``count`` records near one random 0/1 prototype for
+    each of ``n_classes`` classes, each bit flipped with probability 0.05."""
+    rng = np.random.default_rng(seed)
+    prototypes = rng.random((n_classes, width)) < 0.5
+    labels = rng.integers(0, n_classes, count)
+    bits = prototypes[labels] ^ (rng.random((count, width)) < 0.05)
+    traces = [pattern_trace(int(c), int(c), tuple(map(int, row)), f"s{i}")
+              for i, (c, row) in enumerate(zip(labels, bits))]
+    return build(traces, identity_selection(width), gamma=1, **kwargs)
+
+
+class TestSavedBytes:
+    """``save_monitor`` writes the node list from the table's columns; its
+    bytes equal the compact encoding of ``monitor_to_dict``."""
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        x, y = make_blobs(seed=7, per_class=200)
+        records = extract(train_toy(x, y, seed=7, epochs=30), x, y, 1)[1]
+        return build(records, identity_selection(len(records[0].activations),
+                                                 layer=1), gamma=1)
+
+    def _check(self, monitor, tmp_path):
+        path = tmp_path / "m.json"
+        save_monitor(monitor, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            monitor_to_dict(monitor), separators=(",", ":"),
+            allow_nan=False) + "\n"
+        # a loaded store is in canonical order: saved again, the same bytes
+        save_monitor(load_monitor(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_toy(self, toy, tmp_path):
+        assert len(toy.store) > 10
+        self._check(toy, tmp_path)
+
+    def test_128_neurons(self, tmp_path):
+        monitor = synthetic_monitor(128, 4, 600, seed=3)
+        assert len(monitor.store) > 1000
+        self._check(monitor, tmp_path)
+
+    @pytest.mark.parametrize("classes", [[2, 0], [3]])
+    def test_chosen_classes(self, classes, tmp_path):
+        monitor = synthetic_monitor(12, 4, 80, seed=5, classes=classes)
+        assert monitor.classes == sorted(classes)
+        self._check(monitor, tmp_path)
+
+    @pytest.mark.filterwarnings("ignore:class")
+    def test_empty_and_full_zones(self, tmp_path):
+        monitor = build([pattern_trace(0, 0, (0,)), pattern_trace(0, 0, (1,)),
+                         pattern_trace(1, 0, (1,))], identity_selection(1),
+                        gamma=0)
+        assert [z.node for z in monitor.zones.values()] == [bdd.TRUE,
+                                                            bdd.FALSE]
+        self._check(monitor, tmp_path)
+
+    def test_a_table_out_of_canonical_order_is_relabeled(self, tmp_path):
+        # zone 1 made before zone 0: not the order that to_dict lists
+        store = BddStore(5)
+        one = store.encode_set([(1, 0, 1, 1, 0), (1, 1, 1, 0, 0)])
+        zero = store.encode_set([(0, 0, 1, 1, 0), (0, 1, 1, 1, 1),
+                                 (1, 1, 1, 0, 0)])
+        store.freeze()
+        monitor = Monitor(selection=identity_selection(5), gamma=0,
+                          store=store, zones={0: zero, 1: one})
+        _, columns = store._serial({"0": monitor.zones[0],
+                                    "1": monitor.zones[1]})
+        # the relabeling branch runs: the columns are not the table's
+        assert list(map(list, columns)) != [store._var[2:], store._low[2:],
+                                            store._high[2:]]
+        self._check(monitor, tmp_path)
+        loaded = load_monitor(tmp_path / "m.json")
+        for bits in itertools.product((0, 1), repeat=5):
+            for c in (0, 1):
+                assert loaded.store.contains(loaded.zones[c], bits) \
+                    == store.contains(monitor.zones[c], bits)
