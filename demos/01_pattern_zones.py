@@ -16,7 +16,8 @@ def text(bits):
 
 
 def show(store, label, ref):
-    members = [text(p) for p in store.enumerate_patterns(ref)]
+    members = [text(p) for p in product((0, 1), repeat=store.n_vars)
+               if store.contains(ref, p)]
     print(f"{label:<28} {{{', '.join(members)}}}  "
           f"(count {store.sat_count(ref)}, {store.node_count(ref)} nodes)")
 

@@ -9,7 +9,7 @@ predicted class.
 
 from types import ModuleType as _Module
 
-from .bdd import BddRef, BddStore
+from .bdd import BddStore
 from .errors import (
     ActmonError,
     FormatVersionError,

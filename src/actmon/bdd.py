@@ -6,10 +6,11 @@ Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
 handful of operations a monitor needs: encoding sets of patterns level by
 level, membership evaluation, the capped Hamming distance from a pattern to
-a set (the monitor's query), exact model counting, small-width enumeration,
-and a deterministic plain-data form (:meth:`BddStore.to_dict`,
-:func:`from_dict`) that monitor files embed, in which a node's id is its
-position in the table; reading and writing files is the caller's job.
+a set (the monitor's query), exact model counting, and a deterministic
+plain-data form (:meth:`BddStore.to_dict`, :func:`from_dict`) that monitor
+files embed; reading and writing files is the caller's job.  A node's id is
+its position in the table, and a set (a monitor's zone) is the plain
+``int`` id of its root, which only the store that holds it can read.
 Existential quantification over one variable (:meth:`BddStore.exists`) is
 the paper's distance-1 step; no monitor uses it, the tests' Hamming balls do.
 
@@ -21,8 +22,8 @@ root to terminal).
 Lifecycle: a store is created mutable ("build phase", single writer).
 After :meth:`BddStore.freeze` all node-creating operations raise
 :class:`~actmon.errors.FrozenStoreError`; the read operations
-(``contains``, ``distance``, ``sat_count``, ``enumerate_patterns``) never
-mutate the store and may run concurrently on a frozen store.  The store
+(``contains``, ``distance``, ``sat_count``, ``node_count``) never mutate
+the store and may run concurrently on a frozen store.  The store
 holds the node table and no cache: every memo lives for one call, and so
 does the unique table (:meth:`BddStore._index`) a node-creating call makes.
 """
@@ -48,36 +49,8 @@ SERIAL_VERSION = 1
 MAX_VARS = 256
 VAR_WARN_THRESHOLD = 200
 
-# enumerate_patterns is a test/diagnostics oracle, not a production path
-ENUMERATE_WIDTH_GUARD = 20
-
 # the values a pattern bit may equal
 _BITS = frozenset((0, 1))
-
-
-class BddRef:
-    """Reference to one node of a specific :class:`BddStore`.
-
-    Refs are value objects: equal iff they name the same node of the same
-    store. Canonicity makes this semantic equality of the denoted sets.
-    """
-
-    __slots__ = ("store", "node")
-
-    def __init__(self, store: "BddStore", node: int):
-        self.store = store
-        self.node = node
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BddRef):
-            return NotImplemented
-        return self.store is other.store and self.node == other.node
-
-    def __hash__(self) -> int:
-        return hash((id(self.store), self.node))
-
-    def __repr__(self) -> str:
-        return f"BddRef(node={self.node})"
 
 
 class BddStore:
@@ -136,14 +109,13 @@ class BddStore:
             self._high.append(high)
         return found
 
-    def _check_ref(self, ref: BddRef) -> int:
-        if not isinstance(ref, BddRef):
-            raise TypeError(f"expected BddRef, got {type(ref).__name__}")
-        if ref.store is not self:
-            raise ValueError("BddRef belongs to a different store")
-        if not 0 <= ref.node < len(self._var):
-            raise ValueError(f"invalid node id {ref.node}")
-        return ref.node
+    def _check_node(self, node: int) -> int:
+        """``node`` itself if it is an exact int naming a node of the table;
+        a bool, float or numpy int raises ``ValueError`` as an id out of
+        range does.  An id of another store's node is not detected."""
+        if type(node) is not int or not 0 <= node < len(self._var):
+            raise ValueError(f"invalid node id {node!r}")
+        return node
 
     def _check_pattern(self, bits: Sequence[int]) -> Sequence[int]:
         """``bits`` itself, once its width is ``n_vars`` and one set test
@@ -162,14 +134,14 @@ class BddStore:
 
     # -- set construction --------------------------------------------------
 
-    def encode_set(self, patterns: Iterable[Sequence[int]]) -> BddRef:
+    def encode_set(self, patterns: Iterable[Sequence[int]]) -> int:
         """The set of the given patterns; none give the empty set.  Each
         pattern is checked, then :meth:`_encode` builds one group."""
         self._require_mutable()
         rows = [self._check_pattern(bits) for bits in patterns]
         bits = np.array(rows, dtype=np.int8).reshape(len(rows), self.n_vars)
         roots = self._encode(bits, np.zeros(len(rows), dtype=np.intp))
-        return BddRef(self, roots.get(0, FALSE))
+        return roots.get(0, FALSE)
 
     def _encode(self, bits: np.ndarray, groups: np.ndarray) -> dict[int, int]:
         """The root of each group's set, by label, from an (N, ``n_vars``)
@@ -250,7 +222,7 @@ class BddStore:
             var, self._or(a0, b0, memo), self._or(a1, b1, memo), memo)
         return found
 
-    def exists(self, var: int, a: BddRef) -> BddRef:
+    def exists(self, var: int, a: int) -> int:
         """Existentially quantify variable ``var`` (0-based) out of ``a``.
 
         The result denotes every pattern that is in ``a`` after forcing bit
@@ -261,8 +233,7 @@ class BddStore:
         if not 0 <= var < self.n_vars:
             raise ValueError(
                 f"variable index {var} out of range 0..{self.n_vars - 1}")
-        node = self._check_ref(a)
-        return BddRef(self, self._exists(var, node, self._index()))
+        return self._exists(var, self._check_node(a), self._index())
 
     def _exists(self, var: int, a: int, memo: dict) -> int:
         if a <= TRUE or self._var[a] > var:
@@ -281,9 +252,9 @@ class BddStore:
 
     # -- read operations (safe on frozen stores) ----------------------------
 
-    def contains(self, a: BddRef, bits: Sequence[int]) -> bool:
+    def contains(self, a: int, bits: Sequence[int]) -> bool:
         """Membership test; follows one root-to-terminal path."""
-        node = self._check_ref(a)
+        node = self._check_node(a)
         self._check_pattern(bits)
         var, low, high = self._var, self._low, self._high
         while node > TRUE:
@@ -291,13 +262,13 @@ class BddStore:
         return node == TRUE
 
     def contains_with_cost(
-            self, a: BddRef, bits: Sequence[int]) -> tuple[bool, int]:
+            self, a: int, bits: Sequence[int]) -> tuple[bool, int]:
         """Membership test plus the number of non-terminal nodes visited.
 
         The visit count is at most ``n_vars`` because variable indices
         strictly increase along every path.
         """
-        node = self._check_ref(a)
+        node = self._check_node(a)
         self._check_pattern(bits)
         var, low, high = self._var, self._low, self._high
         visits = 0
@@ -306,16 +277,16 @@ class BddStore:
             node = high[node] if bits[var[node]] else low[node]
         return node == TRUE, visits
 
-    def distance(self, a: BddRef, bits: Sequence[int], cap: int) -> int:
+    def distance(self, a: int, bits: Sequence[int], cap: int) -> int:
         """Least Hamming distance from ``bits`` to a member of ``a``, or
         ``cap`` (at least 1) if no member is closer; the empty set gives
         ``cap``.  At ``cap`` 1 this is the :meth:`contains` walk; above it,
-        the checked ref and pattern go to the search :meth:`_distance`."""
+        the checked node and pattern go to the search :meth:`_distance`."""
         if cap < 1:
             raise ValueError(f"distance cap must be >= 1, got {cap}")
         if cap == 1:
             return 0 if self.contains(a, bits) else 1
-        node = self._check_ref(a)
+        node = self._check_node(a)
         self._check_pattern(bits)
         return self._distance(node, bits, cap)
 
@@ -344,9 +315,9 @@ class BddStore:
                 best = used
         return best
 
-    def sat_count(self, a: BddRef) -> int:
+    def sat_count(self, a: int) -> int:
         """Exact number of ``n_vars``-bit patterns in the denoted set."""
-        root = self._check_ref(a)
+        root = self._check_node(a)
         # memo is per call so frozen stores stay read-only under concurrency
         memo: dict[int, int] = {FALSE: 0, TRUE: 1}
 
@@ -364,40 +335,9 @@ class BddStore:
         return count(root) << self._var[root] if root > TRUE \
             else (1 << self.n_vars if root == TRUE else 0)
 
-    def enumerate_patterns(self, a: BddRef) -> list[tuple[int, ...]]:
-        """All member patterns in ascending (lexicographic) order.
-
-        Guarded to widths <= 20; wider sets can be astronomically large.
-        """
-        if self.n_vars > ENUMERATE_WIDTH_GUARD:
-            raise ValueError(
-                f"enumerate_patterns is limited to width "
-                f"{ENUMERATE_WIDTH_GUARD}, store has {self.n_vars}")
-        root = self._check_ref(a)
-        out: list[tuple[int, ...]] = []
-        prefix: list[int] = []
-
-        def walk(node: int, var: int) -> None:
-            if node == FALSE:
-                return
-            if var == self.n_vars:
-                out.append(tuple(prefix))
-                return
-            if node > TRUE and self._var[node] == var:
-                branches = ((0, self._low[node]), (1, self._high[node]))
-            else:
-                branches = ((0, node), (1, node))  # var absent: don't care
-            for bit, child in branches:
-                prefix.append(bit)
-                walk(child, var + 1)
-                prefix.pop()
-
-        walk(root, 0)
-        return out
-
-    def node_count(self, a: BddRef) -> int:
+    def node_count(self, a: int) -> int:
         """Number of non-terminal nodes reachable from ``a``."""
-        root = self._check_ref(a)
+        root = self._check_node(a)
         seen: set[int] = set()
         stack = [root]
         while stack:
@@ -411,7 +351,7 @@ class BddStore:
 
     # -- serialization -------------------------------------------------------
 
-    def _serial(self, roots: Mapping[str, BddRef]) -> tuple[dict, tuple]:
+    def _serial(self, roots: Mapping[str, int]) -> tuple[dict, tuple]:
         """:meth:`to_dict`'s object with an empty node list, and the
         ``var``, ``low`` and ``high`` columns of its nodes (ids 2, 3, ...).
 
@@ -423,7 +363,7 @@ class BddStore:
         2 in that order.
         """
         keys = sorted(roots, key=_root_sort_key)
-        tops = [self._check_ref(roots[key]) for key in keys]
+        tops = [self._check_node(roots[key]) for key in keys]
         var, low, high = self._var, self._low, self._high
         seen = bytearray(len(var))
         seen[FALSE] = seen[TRUE] = 1
@@ -461,7 +401,7 @@ class BddStore:
             "roots": dict(zip(keys, tops)),
         }, columns
 
-    def to_dict(self, roots: Mapping[str, BddRef]) -> dict:
+    def to_dict(self, roots: Mapping[str, int]) -> dict:
         """Serializable form of the subgraphs under ``roots``.
 
         Node ids are relabeled densely from 2 in a canonical order (children
@@ -488,20 +428,22 @@ def _nodes_json(columns: tuple) -> str:
                               zip(count(TRUE + 1), *columns))) + "]"
 
 
-def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
-    """Rebuild a store and its roots from :meth:`BddStore.to_dict` output.
+def from_dict(data: dict) -> tuple[BddStore, dict[str, int]]:
+    """Rebuild a store and its roots, the node id under each key, from
+    :meth:`BddStore.to_dict` output.
 
     A node's id is its position in the table, as ``to_dict`` writes it:
     dense from 2, each child before its parent, so a loaded node keeps its
-    id and a root is a position.  Raises :class:`FormatVersionError` on an
-    unknown version and :class:`SchemaError` on a malformed table: wrong
-    field types, an id that is not its position, dangling children, equal
-    children, duplicate triples, ordering violations, too many variables.
+    id and a root is a position.  Raises :class:`FormatVersionError` on a
+    version other than the int 1 and :class:`SchemaError` on a malformed
+    table: wrong field types, terminal ids other than the ints 0 and 1, an
+    id that is not its position, dangling children, equal children,
+    duplicate triples, ordering violations, too many variables.
     """
     if not isinstance(data, dict):
         raise SchemaError("BDD serialization must be a JSON object")
     version = data.get("version")
-    if version != SERIAL_VERSION:
+    if type(version) is not int or version != SERIAL_VERSION:
         raise FormatVersionError(
             f"unsupported BDD serialization version {version!r}")
     for field, kind in (("n_vars", int), ("nodes", list), ("roots", dict)):
@@ -511,7 +453,9 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
     n_vars = data["n_vars"]
     if type(n_vars) is not int or not 1 <= n_vars <= MAX_VARS:
         raise SchemaError(f"invalid n_vars {n_vars!r} (cap {MAX_VARS})")
-    if data.get("false_id", FALSE) != FALSE or data.get("true_id", TRUE) != TRUE:
+    false_id, true_id = data.get("false_id", FALSE), data.get("true_id", TRUE)
+    if not (type(false_id) is type(true_id) is int
+            and (false_id, true_id) == (FALSE, TRUE)):
         raise SchemaError("terminal ids must be 0 (false) and 1 (true)")
 
     store = BddStore(n_vars)
@@ -542,12 +486,10 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, BddRef]]:
         if made[-1] != node:
             raise SchemaError(f"node {node}: children are equal or "
                               f"(var, low, high) is a duplicate")
-    roots: dict[str, BddRef] = {}
     for key, node in data["roots"].items():
         if type(node) is not int or not 0 <= node < len(store):
             raise SchemaError(f"root {key!r}: dangling node id {node!r}")
-        roots[key] = BddRef(store, node)
-    return store, roots
+    return store, dict(data["roots"])
 
 
 def _root_sort_key(key: str):

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import bdd, patterns
-from .bdd import FALSE, TRUE, BddRef, BddStore
+from .bdd import FALSE, TRUE, BddStore
 from .errors import (FormatVersionError, SchemaError, as_int, exact_int,
                      read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
@@ -51,12 +51,13 @@ class Verdict(enum.Enum):
 
 @dataclass
 class Monitor:
-    """Per-class zone roots plus everything needed to query them."""
+    """Per-class zone roots plus everything needed to query them: each
+    zone is the node id of its root in ``store``."""
 
     selection: NeuronSelection
     gamma: int
     store: BddStore
-    zones: dict[int, BddRef]
+    zones: dict[int, int]
 
     @property
     def classes(self) -> list[int]:
@@ -106,8 +107,7 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
         if i not in roots:
             warn(f"class {c}: no correctly classified training record; "
                  f"its zone is empty and will flag every query")
-    zones = {c: BddRef(store, roots.get(i, FALSE))
-             for i, c in enumerate(class_list)}
+    zones = {c: roots.get(i, FALSE) for i, c in enumerate(class_list)}
     store.freeze()
     return Monitor(selection=selection, gamma=gamma, store=store, zones=zones)
 
@@ -141,8 +141,7 @@ def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
         return []
     bits = patterns._threshold([r.activations for r in records],
                                monitor.selection)
-    node_of = {c: zone.node for c, zone in monitor.zones.items()}
-    roots = np.array([node_of.get(r.pred_label, -1) for r in records])
+    roots = np.array([monitor.zones.get(r.pred_label, -1) for r in records])
     keys = np.hstack([np.packbits(bits, axis=1),
                       roots[:, None].view(np.uint8)])
     _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
@@ -171,7 +170,7 @@ def monitor_to_dict(monitor: Monitor) -> dict:
     return _with_table(monitor, monitor.store.to_dict(_zone_roots(monitor)))
 
 
-def _zone_roots(monitor: Monitor) -> dict[str, BddRef]:
+def _zone_roots(monitor: Monitor) -> dict[str, int]:
     return {str(c): root for c, root in monitor.zones.items()}
 
 
@@ -215,10 +214,10 @@ def save_monitor(monitor: Monitor, path) -> None:
 def monitor_from_dict(data: Mapping) -> Monitor:
     if not isinstance(data, Mapping) or data.get("format") != MONITOR_FORMAT:
         raise SchemaError("not an actmon-monitor object")
-    if data.get("version") != MONITOR_VERSION:
-        raise FormatVersionError(
-            f"unsupported monitor version {data.get('version')!r}; rebuild "
-            f"the monitor with 'actmon build'")
+    version = data.get("version")
+    if type(version) is not int or version != MONITOR_VERSION:
+        raise FormatVersionError(f"unsupported monitor version {version!r}; "
+                                 f"rebuild the monitor with 'actmon build'")
     try:
         sel = data["selection"]
         selection = NeuronSelection(

@@ -293,7 +293,7 @@ def load_model(path) -> ModelSpec:
     if not isinstance(payload, dict):
         raise SchemaError("model file must hold a JSON object")
     version = payload.get("version")
-    if version != MODEL_VERSION:
+    if type(version) is not int or version != MODEL_VERSION:
         raise FormatVersionError(f"unsupported model version {version!r}")
     if "layers" not in payload or not isinstance(payload["layers"], list):
         raise SchemaError("model file is missing the layers list")

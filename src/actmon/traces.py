@@ -208,9 +208,9 @@ def _parse_header(line: str) -> TraceHeader:
         raise SchemaError(f"trace header is not valid JSON: {exc}") from exc
     if not isinstance(head, dict) or head.get("format") != TRACE_FORMAT:
         raise SchemaError("first line must be an actmon-trace header")
-    if head.get("version") != TRACE_VERSION:
-        raise FormatVersionError(
-            f"unsupported trace version {head.get('version')!r}")
+    version = head.get("version")
+    if type(version) is not int or version != TRACE_VERSION:
+        raise FormatVersionError(f"unsupported trace version {version!r}")
     try:
         return _check_header(TraceHeader(
             layer=exact_int(head["layer"], "layer"),

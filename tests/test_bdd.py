@@ -14,6 +14,7 @@ import copy
 import json
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +59,18 @@ def reload(store, roots):
     return bdd.from_dict(json.loads(dump(store, roots)))
 
 
+def members(store, node):
+    """The patterns of the set ``node`` in ascending (lexicographic) order,
+    by a membership test of every ``n_vars``-bit pattern."""
+    return [p for p in product((0, 1), repeat=store.n_vars)
+            if store.contains(node, p)]
+
+
 def union(store, a, b):
     """Set union of two roots of ``store``, by its or-recursion, with a
     memo seeded by the store's index as ``exists`` seeds its own."""
-    return bdd.BddRef(store, store._or(store._check_ref(a),
-                                       store._check_ref(b), store._index()))
+    return store._or(store._check_node(a), store._check_node(b),
+                     store._index())
 
 
 def recursive_encode(store, patterns):
@@ -123,7 +131,7 @@ def random_patterns(rng, n, count):
 class TestEmptySet:
     def test_enumerates_to_nothing(self):
         store = bdd.BddStore(5)
-        assert store.enumerate_patterns(store.encode_set([])) == []
+        assert members(store, store.encode_set([])) == []
 
     def test_contains_nothing(self):
         store = bdd.BddStore(5)
@@ -142,7 +150,7 @@ class TestEncodeCube:
     def test_singleton_001(self):
         store = bdd.BddStore(3)
         cube = store.encode_set([tup("001")])
-        assert store.enumerate_patterns(cube) == [tup("001")]
+        assert members(store, cube) == [tup("001")]
 
     def test_sat_count_one(self):
         store = bdd.BddStore(3)
@@ -187,7 +195,7 @@ class TestEncodeSet:
             patterns = [tuple(rng.randint(0, 1) for _ in range(n))
                         for _ in range(rng.randint(0, 30))]
             store = bdd.BddStore(n)
-            assert store.enumerate_patterns(store.encode_set(patterns)) \
+            assert members(store, store.encode_set(patterns)) \
                 == sorted(set(patterns))
 
     @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
@@ -198,15 +206,15 @@ class TestEncodeSet:
             for trial in range(8):
                 patterns = random_patterns(rng, n, rng.randint(0, 40))
                 store, ref = bdd.BddStore(n), bdd.BddStore(n)
-                got = store.encode_set(patterns).node
+                got = store.encode_set(patterns)
                 assert got == recursive_encode(ref, patterns)
                 assert (store._var, store._low, store._high) \
                     == (ref._var, ref._low, ref._high)
 
     def test_empty_input_is_false_terminal(self):
         store = bdd.BddStore(4)
-        assert store.encode_set([]).node == bdd.FALSE
-        assert store.encode_set(iter(())).node == bdd.FALSE
+        assert store.encode_set([]) == bdd.FALSE
+        assert store.encode_set(iter(())) == bdd.FALSE
 
     @pytest.mark.parametrize("patterns", [
         [tup("0011"), tup("001")],
@@ -308,10 +316,9 @@ class TestLevelEncode:
                 earlier = random_groups(rng, n, 3)
                 store, ref = bdd.BddStore(n), bdd.BddStore(n)
                 old = [store.encode_set(p) for p in earlier]
-                old_ref = [bdd.BddRef(ref, recursive_encode(ref, p))
-                           for p in earlier]
-                assert union(store, old[0], old[1]).node \
-                    == union(ref, old_ref[0], old_ref[1]).node
+                old_ref = [recursive_encode(ref, p) for p in earlier]
+                assert union(store, old[0], old[1]) \
+                    == union(ref, old_ref[0], old_ref[1])
                 store.encode_set(earlier[2])
                 recursive_encode(ref, earlier[2])
                 sets = random_groups(rng, n, 3) + earlier[:2]
@@ -331,7 +338,7 @@ class TestLevelEncode:
             assert encode_groups(store, sets, rng=rng) == first
             assert len(store) == size
             for patterns in sets:
-                assert store.encode_set(patterns).node \
+                assert store.encode_set(patterns) \
                     == (first[sets.index(patterns)] if patterns else bdd.FALSE)
                 assert len(store) == size
 
@@ -369,14 +376,13 @@ class TestLazyUniqueTable:
                         for _ in range(3)]
                 store, ref = bdd.BddStore(n), bdd.BddStore(n)
                 got = [store.encode_set(p) for p in sets]
-                want = [bdd.BddRef(ref, recursive_encode(ref, p))
-                        for p in sets]
+                want = [recursive_encode(ref, p) for p in sets]
                 for var in rng.sample(range(n), min(n, 3)):
-                    assert store.exists(var, got[0]).node \
-                        == ref.exists(var, want[0]).node
+                    assert store.exists(var, got[0]) \
+                        == ref.exists(var, want[0])
                     assert len(store) == len(ref)
-                assert union(store, got[1], got[2]).node \
-                    == union(ref, want[1], want[2]).node
+                assert union(store, got[1], got[2]) \
+                    == union(ref, want[1], want[2])
                 assert len(store) == len(ref)
                 assert store.encode_set(sets[1]) == got[1]
                 assert (store._var, store._low, store._high) \
@@ -426,7 +432,7 @@ class TestUnion:
     def test_two_cubes(self):
         store = bdd.BddStore(3)
         merged = build_set(store, [tup("001"), tup("101")])
-        assert store.enumerate_patterns(merged) == [tup("001"), tup("101")]
+        assert members(store, merged) == [tup("001"), tup("101")]
 
     def test_idempotent_same_node(self):
         store = bdd.BddStore(4)
@@ -439,18 +445,13 @@ class TestUnion:
         b = build_set(store, [tup("1100")])
         assert union(store, a, b) == union(store, b, a)
 
-    def test_cross_store_rejected(self):
-        s1, s2 = bdd.BddStore(3), bdd.BddStore(3)
-        with pytest.raises(ValueError, match="different store"):
-            union(s1, s1.encode_set([]), s2.encode_set([]))
-
 
 class TestExists:
     def test_dont_care_on_first_bit(self):
         store = bdd.BddStore(3)
         zone = store.encode_set([tup("001")])
         grown = store.exists(0, zone)
-        assert store.enumerate_patterns(grown) == [tup("001"), tup("101")]
+        assert members(store, grown) == [tup("001"), tup("101")]
 
     def test_on_empty_set(self):
         store = bdd.BddStore(3)
@@ -502,13 +503,13 @@ class TestGrow:
     def test_empty_set_stays_empty(self):
         store = bdd.BddStore(5)
         for gamma in range(1, 4):
-            assert query_ball(store, store.encode_set([]), gamma).node \
+            assert query_ball(store, store.encode_set([]), gamma) \
                 == bdd.FALSE
 
     def test_full_set_is_fixpoint(self):
         store = bdd.BddStore(5)
         full = store.encode_set(all_patterns(5))
-        assert full.node == bdd.TRUE
+        assert full == bdd.TRUE
         assert query_ball(store, full, 1) == full
 
 
@@ -564,9 +565,8 @@ class TestDistance:
                     with_dups = [p for p in all_patterns(n) if any(
                         hamming(p, q) <= 1 for q in distinct)]
                 zone = store.encode_set(with_dups)
-                members = store.enumerate_patterns(zone)
                 for bits in list(random_patterns(rng, n, 20)) + distinct[:5]:
-                    nearest = min((hamming(bits, q) for q in members),
+                    nearest = min((hamming(bits, q) for q in with_dups),
                                   default=float("inf"))
                     for cap in range(1, 5):
                         assert store.distance(zone, bits, cap) \
@@ -589,14 +589,9 @@ class TestDistance:
         store = bdd.BddStore(4)
         true = store.encode_set(all_patterns(4))
         false = store.encode_set([])
-        assert true.node == bdd.TRUE and false.node == bdd.FALSE
+        assert true == bdd.TRUE and false == bdd.FALSE
         assert store.distance(true, tup("1010"), 3) == 0
         assert store.distance(false, tup("1010"), 3) == 3
-
-    def test_cross_store_rejected(self):
-        s1, s2 = bdd.BddStore(3), bdd.BddStore(3)
-        with pytest.raises(ValueError, match="different store"):
-            s1.distance(s2.encode_set([tup("001")]), tup("001"), 2)
 
     @pytest.mark.parametrize("cap", [0, -1, -5])
     def test_cap_below_one_rejected(self, cap):
@@ -652,6 +647,36 @@ class TestPatternCheck:
             == self.OPS[op](store, zone, tup("011"))
 
 
+class TestNodeCheck:
+    """Every op that takes a set checks its node id the same way: an exact
+    int naming a node of the store, else ``ValueError``."""
+
+    OPS = {
+        "contains": lambda store, node: store.contains(node, tup("011")),
+        "contains_with_cost":
+            lambda store, node: store.contains_with_cost(node, tup("011")),
+        "distance-1": lambda store, node: store.distance(node, tup("011"), 1),
+        "distance-3": lambda store, node: store.distance(node, tup("011"), 3),
+        "sat_count": lambda store, node: store.sat_count(node),
+        "node_count": lambda store, node: store.node_count(node),
+        "exists": lambda store, node: store.exists(0, node),
+        "to_dict": lambda store, node: store.to_dict({"0": node}),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("node", [True, 2.0, np.int64(2), -1, "len"],
+                             ids=["bool", "float", "numpy-int", "negative",
+                                  "past-the-table"])
+    def test_invalid_node_id_rejected(self, op, node):
+        store = bdd.BddStore(3)
+        zone = store.encode_set([tup("011"), tup("100")])
+        assert 2 < len(store)  # the int 2 names a node; 2.0 is no int
+        node = len(store) if isinstance(node, str) else node
+        with pytest.raises(ValueError, match="^invalid node id "):
+            self.OPS[op](store, node)
+        self.OPS[op](store, zone)  # the same op on a valid id
+
+
 class TestCores:
     """encode_set and distance check, then delegate to _encode and
     _distance, the unchecked cores that build and the sweep call on the
@@ -667,7 +692,7 @@ class TestCores:
                 for bits in random_patterns(rng, n, 30):
                     for cap in range(1, 5):
                         assert store.distance(zone, bits, cap) \
-                            == store._distance(zone.node, bits, cap)
+                            == store._distance(zone, bits, cap)
 
     CHECKED = {
         "encode_set": lambda store, zone, bits: store.encode_set([bits]),
@@ -687,14 +712,6 @@ class TestCores:
         zone = store.encode_set([tup("011")])
         with pytest.raises(ValueError, match=f"^{message}$"):
             self.CHECKED[op](store, zone, bits)
-
-    @pytest.mark.parametrize("cap", [1, 3])
-    def test_distance_refuses_a_foreign_ref(self, cap):
-        store, other = bdd.BddStore(3), bdd.BddStore(3)
-        zone = other.encode_set([tup("011")])
-        with pytest.raises(ValueError,
-                           match="^BddRef belongs to a different store$"):
-            store.distance(zone, tup("011"), cap)
 
 
 SRC = Path(bdd.__file__).parent
@@ -765,7 +782,7 @@ class TestSatCount:
         grown = union_all(
             store, [store.exists(j, zone) for j in range(8)])
         assert store.sat_count(grown) == 9
-        assert set(store.enumerate_patterns(grown)) == ball
+        assert set(members(store, grown)) == ball
 
     def test_full_set(self):
         store = bdd.BddStore(6)
@@ -779,20 +796,15 @@ class TestEnumerate:
     def test_sorted_output(self):
         store = bdd.BddStore(3)
         merged = build_set(store, [tup("101"), tup("001")])
-        assert store.enumerate_patterns(merged) == [tup("001"), tup("101")]
+        assert members(store, merged) == [tup("001"), tup("101")]
 
     def test_ball_of_001(self):
         store = bdd.BddStore(3)
         zone = store.encode_set([tup("001")])
         grown = union_all(
             store, [store.exists(j, zone) for j in range(3)])
-        assert store.enumerate_patterns(grown) == [
+        assert members(store, grown) == [
             tup("000"), tup("001"), tup("011"), tup("101")]
-
-    def test_width_guard(self):
-        store = bdd.BddStore(21)
-        with pytest.raises(ValueError, match="limited to width"):
-            store.enumerate_patterns(store.encode_set([]))
 
 
 class TestSetSemanticsOracle:
@@ -805,7 +817,7 @@ class TestSetSemanticsOracle:
             explicit = random_patterns(rng, n, rng.randint(0, 40))
             store = bdd.BddStore(n)
             ref = build_set(store, explicit)
-            assert set(store.enumerate_patterns(ref)) == explicit
+            assert set(members(store, ref)) == explicit
             assert store.sat_count(ref) == len(explicit)
 
     def test_union_matches_set_union(self):
@@ -816,7 +828,7 @@ class TestSetSemanticsOracle:
             sb = random_patterns(rng, n, rng.randint(0, 25))
             store = bdd.BddStore(n)
             merged = union(store, build_set(store, sa), build_set(store, sb))
-            assert set(store.enumerate_patterns(merged)) == sa | sb
+            assert set(members(store, merged)) == sa | sb
 
     def test_exists_matches_oracle(self):
         rng = random.Random(13)
@@ -826,7 +838,7 @@ class TestSetSemanticsOracle:
             j = rng.randrange(n)
             store = bdd.BddStore(n)
             grown = store.exists(j, build_set(store, explicit))
-            assert set(store.enumerate_patterns(grown)) \
+            assert set(members(store, grown)) \
                 == exists_oracle(explicit, j)
 
     def test_exists_is_monotone(self):
@@ -839,8 +851,7 @@ class TestSetSemanticsOracle:
             j = rng.randrange(n)
             grown = store.exists(j, ref)
             assert store.sat_count(ref) <= store.sat_count(grown)
-            members = set(store.enumerate_patterns(grown))
-            assert set(store.enumerate_patterns(ref)) <= members
+            assert set(members(store, ref)) <= set(members(store, grown))
 
     def test_exists_order_exchange(self):
         rng = random.Random(5)
@@ -885,7 +896,7 @@ class TestFreeze:
         store.freeze()
         assert store.contains(zone, tup("0011"))
         assert store.sat_count(zone) == 2
-        assert len(store.enumerate_patterns(zone)) == 2
+        assert len(members(store, zone)) == 2
 
     @pytest.mark.parametrize("op", ["empty", "cube", "set", "exists"])
     def test_node_creation_rejected(self, op):
@@ -1007,8 +1018,8 @@ class TestSerialization:
         store, roots = self._sample()
         loaded, loaded_roots = reload(store, roots)
         for key in roots:
-            assert loaded.enumerate_patterns(loaded_roots[key]) \
-                == store.enumerate_patterns(roots[key])
+            assert members(loaded, loaded_roots[key]) \
+                == members(store, roots[key])
 
     def test_byte_determinism(self):
         store, roots = self._sample()
@@ -1110,8 +1121,16 @@ class TestSerialization:
         lambda d: d["nodes"][-1].update(high=True),
         lambda d: d["roots"].update({"0": [2]}),
         lambda d: d.update(n_vars=bdd.MAX_VARS + 1),
+        # JSON true and 1.0 equal 1, and false and 0.0 equal 0
+        lambda d: d.update(version=True),
+        lambda d: d.update(version=1.0),
+        lambda d: d.update(false_id=False),
+        lambda d: d.update(false_id=0.0),
+        lambda d: d.update(true_id=True),
     ], ids=["roots-list", "nodes-int", "id-unhashable", "low-unhashable",
-            "high-float", "high-bool", "root-unhashable", "n-vars-above-cap"])
+            "high-float", "high-bool", "root-unhashable", "n-vars-above-cap",
+            "version-bool", "version-float", "false-id-bool",
+            "false-id-float", "true-id-bool"])
     def test_malformed_table_is_schema_error(self, corrupt):
         store, roots = self._sample()
         data = store.to_dict(roots)
@@ -1147,10 +1166,10 @@ def reference_to_dict(store, roots):
                       "high": relabel[store._high[node]]})
 
     for key in order:
-        visit(roots[key].node)
+        visit(roots[key])
     return {"version": bdd.SERIAL_VERSION, "n_vars": store.n_vars,
             "nodes": nodes, "false_id": bdd.FALSE, "true_id": bdd.TRUE,
-            "roots": {key: relabel[roots[key].node] for key in order}}
+            "roots": {key: relabel[roots[key]] for key in order}}
 
 
 class TestCanonicalWalk:

@@ -308,6 +308,18 @@ class TestErrors:
         assert err.startswith("error: ") and "gamma must be an integer" in err
         assert "Traceback" not in err
 
+    def test_inexact_terminal_id_in_monitor_file(self, pipeline, tmp_path,
+                                                 capsys):
+        data = json.loads(pipeline["monitor"].read_text())
+        data["bdd"]["true_id"] = True  # equal to 1, but no integer
+        bad = tmp_path / "bad_monitor.json"
+        bad.write_text(json.dumps(data))
+        code = main(["stats", "--monitor", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: terminal ids must be 0 (false) and "
+                                "1 (true)\n")
+
     def test_width_mismatch_between_build_inputs(self, pipeline, tmp_path,
                                                  capsys):
         # eval traces from a different layer have a different width

@@ -263,7 +263,7 @@ class TestGammaSweep:
         calls, zero, records = self._searches(monkeypatch, [0, 1, 2])
         groups = {(p, r.pred_label) for p, r in records
                   if r.pred_label in (0, 1)}  # classes 2 and 3: no zone
-        missed = {(p, zero.zones[c].node) for p, c in groups
+        missed = {(p, zero.zones[c]) for p, c in groups
                   if not zero.store.contains(zero.zones[c], p)}
         assert 0 < len(missed) < len(groups)
         assert len(calls) == len(missed)

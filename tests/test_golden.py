@@ -76,7 +76,7 @@ def test_loaded_monitor_saves_to_the_same_bytes(tmp_path):
     store = loaded.store
     assert {type(value) for column in (store._var, store._low, store._high)
             for value in column} == {int}
-    assert {type(zone.node) for zone in loaded.zones.values()} == {int}
+    assert {type(zone) for zone in loaded.zones.values()} == {int}
 
 
 def test_trace_file_holds_the_odd_values():

@@ -518,6 +518,17 @@ class TestModelFiles:
         with pytest.raises(FormatVersionError):
             load_model(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_exact_int(self, tmp_path, version):
+        path = tmp_path / "m.json"
+        save_model(random_model(np.random.default_rng(38), (3, 6, 4)), path)
+        data = json.loads(path.read_text())
+        data["version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(FormatVersionError,
+                           match=f"^unsupported model version {version}$"):
+            load_model(path)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"version": 1}')

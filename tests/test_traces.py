@@ -283,6 +283,15 @@ class TestValidation:
         with pytest.raises(FormatVersionError):
             read_traces(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_exact_int(self, tmp_path, version):
+        path = tmp_path / "t.jsonl"
+        path.write_text(f"{json.dumps({**HEADER, 'version': version})}\n"
+                        f"{json.dumps(RECORD)}\n")
+        with pytest.raises(FormatVersionError,
+                           match=f"^unsupported trace version {version}$"):
+            read_traces(path)
+
     def test_record_width_mismatch(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text(
