@@ -6,9 +6,10 @@ Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
 handful of operations a monitor needs: encoding sets of patterns level by
 level, membership evaluation, the capped Hamming distance from a pattern to
-a set (the monitor's query), exact model counting, and a deterministic
-plain-data form (:meth:`BddStore.to_dict`, :func:`from_dict`) that monitor
-files embed; reading and writing files is the caller's job.  A node's id is
+a set (the monitor's query), exact model counting, and the table's one
+file format: :meth:`BddStore.to_json` writes it as the deterministic JSON
+text that monitor files embed, and :func:`from_dict` reads its parsed
+object back; opening files is the caller's job.  A node's id is
 its position in the table, and a set (a monitor's zone) is the plain
 ``int`` id of its root, which only the store that holds it can read.
 Existential quantification over one variable (:meth:`BddStore.exists`) is
@@ -35,7 +36,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatVersionError, FrozenStoreError, SchemaError, warn
+from .errors import (FormatVersionError, FrozenStoreError, SchemaError,
+                     as_int, warn)
 
 FALSE = 0
 TRUE = 1
@@ -227,9 +229,11 @@ class BddStore:
 
         The result denotes every pattern that is in ``a`` after forcing bit
         ``var`` to either value, i.e. the don't-care expansion on that bit;
-        it is always a superset of ``a``.
+        it is always a superset of ``a``.  ``var`` is a Python or numpy
+        integer; a bool or float raises ``ValueError``.
         """
         self._require_mutable()
+        var = as_int(var, "variable index")
         if not 0 <= var < self.n_vars:
             raise ValueError(
                 f"variable index {var} out of range 0..{self.n_vars - 1}")
@@ -281,7 +285,10 @@ class BddStore:
         """Least Hamming distance from ``bits`` to a member of ``a``, or
         ``cap`` (at least 1) if no member is closer; the empty set gives
         ``cap``.  At ``cap`` 1 this is the :meth:`contains` walk; above it,
-        the checked node and pattern go to the search :meth:`_distance`."""
+        the checked node and pattern go to the search :meth:`_distance`.
+        ``cap`` is a Python or numpy integer; a bool or float raises
+        ``ValueError``."""
+        cap = as_int(cap, "distance cap")
         if cap < 1:
             raise ValueError(f"distance cap must be >= 1, got {cap}")
         if cap == 1:
@@ -351,19 +358,23 @@ class BddStore:
 
     # -- serialization -------------------------------------------------------
 
-    def _serial(self, roots: Mapping[str, int]) -> tuple[dict, tuple]:
-        """:meth:`to_dict`'s object with an empty node list, and the
-        ``var``, ``low`` and ``high`` columns of its nodes (ids 2, 3, ...).
+    def to_json(self, zones: Mapping[int, int]) -> str:
+        """The subgraphs under ``zones``, a root id per class, as the
+        compact JSON text of the monitor file's table::
 
-        One iterative walk lists the nodes under ``roots`` in canonical
-        order: children before parents, low subtree first, roots in sorted
-        key order.  When that order is the table's own, as in every store
-        that ``_encode`` fills from empty and every loaded file, the
-        columns are the table's; else the nodes are relabeled densely from
-        2 in that order.
+            {"version":1,"n_vars":K,"nodes":[{"id":2,"var":..,"low":..,
+            "high":..},...],"false_id":0,"true_id":1,"roots":{"0":..,...}}
+
+        One iterative walk lists the nodes in canonical order: children
+        before parents, low subtree first, zones in ascending class order.
+        When that order is the table's own, as in every store that
+        ``_encode`` fills from empty and every loaded file, the ids are the
+        table's; else the nodes are relabeled densely from 2 in that order,
+        so semantically equal inputs give the same text regardless of the
+        order in which this store made its nodes.
         """
-        keys = sorted(roots, key=_root_sort_key)
-        tops = [self._check_node(roots[key]) for key in keys]
+        classes = sorted(zones)
+        tops = [self._check_node(zones[c]) for c in classes]
         var, low, high = self._var, self._low, self._high
         seen = bytearray(len(var))
         seen[FALSE] = seen[TRUE] = 1
@@ -392,47 +403,20 @@ class BddStore:
                        [new[low[node]] for node in order],
                        [new[high[node]] for node in order])
             tops = [new[top] for top in tops]
-        return {
-            "version": SERIAL_VERSION,
-            "n_vars": self.n_vars,
-            "nodes": [],
-            "false_id": FALSE,
-            "true_id": TRUE,
-            "roots": dict(zip(keys, tops)),
-        }, columns
-
-    def to_dict(self, roots: Mapping[str, int]) -> dict:
-        """Serializable form of the subgraphs under ``roots``.
-
-        Node ids are relabeled densely from 2 in a canonical order (children
-        before parents, low subtree first, roots in sorted key order), so
-        semantically equal inputs produce identical output regardless of the
-        order in which this store happened to create nodes.
-        """
-        data, columns = self._serial(roots)
-        data["nodes"] = [{"id": node, "var": var, "low": low, "high": high}
-                         for node, (var, low, high)
-                         in enumerate(zip(*columns), TRUE + 1)]
-        return data
-
-
-# one entry of to_dict's node list, as compact JSON spells it
-_NODE_JSON = '{"id":%d,"var":%d,"low":%d,"high":%d}'
-
-
-def _nodes_json(columns: tuple) -> str:
-    """The node list of :meth:`BddStore.to_dict` as compact JSON text,
-    from the columns that :meth:`BddStore._serial` gives: one template
-    fill per node, no dict."""
-    return "[" + ",".join(map(_NODE_JSON.__mod__,
-                              zip(count(TRUE + 1), *columns))) + "]"
+        # one template fill per node, no dict
+        nodes = ",".join(map('{"id":%d,"var":%d,"low":%d,"high":%d}'.__mod__,
+                             zip(count(start), *columns)))
+        roots = ",".join(map('"%d":%d'.__mod__, zip(classes, tops)))
+        return (f'{{"version":{SERIAL_VERSION},"n_vars":{self.n_vars},'
+                f'"nodes":[{nodes}],"false_id":{FALSE},"true_id":{TRUE},'
+                f'"roots":{{{roots}}}}}')
 
 
 def from_dict(data: dict) -> tuple[BddStore, dict[str, int]]:
     """Rebuild a store and its roots, the node id under each key, from
-    :meth:`BddStore.to_dict` output.
+    the parsed text of :meth:`BddStore.to_json`.
 
-    A node's id is its position in the table, as ``to_dict`` writes it:
+    A node's id is its position in the table, as ``to_json`` writes it:
     dense from 2, each child before its parent, so a loaded node keeps its
     id and a root is a position.  Raises :class:`FormatVersionError` on a
     version other than the int 1 and :class:`SchemaError` on a malformed
@@ -490,11 +474,3 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, int]]:
         if type(node) is not int or not 0 <= node < len(store):
             raise SchemaError(f"root {key!r}: dangling node id {node!r}")
     return store, dict(data["roots"])
-
-
-def _root_sort_key(key: str):
-    # numeric keys (class indices) sort numerically, anything else lexically
-    try:
-        return (0, int(key), key)
-    except ValueError:
-        return (1, 0, key)

@@ -166,49 +166,27 @@ def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
 # -- persistence --------------------------------------------------------------
 
 
-def monitor_to_dict(monitor: Monitor) -> dict:
-    return _with_table(monitor, monitor.store.to_dict(_zone_roots(monitor)))
-
-
-def _zone_roots(monitor: Monitor) -> dict[str, int]:
-    return {str(c): root for c, root in monitor.zones.items()}
-
-
-def _with_table(monitor: Monitor, table: dict) -> dict:
-    """The monitor file's object around the BDD serialization ``table``."""
-    return {
-        "format": MONITOR_FORMAT,
-        "version": MONITOR_VERSION,
-        "gamma": monitor.gamma,
-        "layer": monitor.selection.layer,
-        "classes": monitor.classes,
-        "selection": {
-            "layer": monitor.selection.layer,
-            "layer_width": monitor.selection.layer_width,
-            "indices": list(monitor.selection.indices),
-            "scores": list(monitor.selection.scores),
-        },
-        "bdd": table,
-    }
-
-
 def save_monitor(monitor: Monitor, path) -> None:
-    """Write the monitor as deterministic versioned JSON: the compact
-    ``json`` encoding of :func:`monitor_to_dict`, with the node list
-    written from the table's columns rather than one dict per node.
+    """Write the monitor as deterministic versioned JSON: its own fields,
+    then its table, :meth:`~actmon.bdd.BddStore.to_json`'s text, as the
+    last key ``bdd``.
 
     Requires a frozen monitor; repeated saves of the same monitor are
     byte-identical.
     """
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")
-    table, columns = monitor.store._serial(_zone_roots(monitor))
-    text = json.dumps(_with_table(monitor, table), separators=(",", ":"),
-                      allow_nan=False)
-    # only numbers and fixed keys come before the empty node list
-    head, tail = text.split('"nodes":[]', 1)
+    sel = monitor.selection
+    head = json.dumps({
+        "format": MONITOR_FORMAT, "version": MONITOR_VERSION,
+        "gamma": monitor.gamma, "layer": sel.layer, "classes": monitor.classes,
+        "selection": {
+            "layer": sel.layer, "layer_width": sel.layer_width,
+            "indices": list(sel.indices), "scores": list(sel.scores)},
+    }, separators=(",", ":"), allow_nan=False)
+    table = monitor.store.to_json(monitor.zones)
     with replace_on_success(path) as fh:
-        fh.write(f'{head}"nodes":{bdd._nodes_json(columns)}{tail}\n')
+        fh.write(f'{head[:-1]},"bdd":{table}}}\n')
 
 
 def monitor_from_dict(data: Mapping) -> Monitor:

@@ -1,6 +1,8 @@
-"""The package's public names: a change to the exports shows in this list."""
+"""The package's public names: a change to the exports or to the BDD
+store's methods shows in these lists."""
 
 import actmon
+from actmon import BddStore
 
 
 def test_exported_names():
@@ -17,3 +19,11 @@ def test_exported_names():
     ]
     for name in actmon.__all__:
         assert hasattr(actmon, name)
+
+
+def test_store_method_names():
+    assert sorted(name for name, value in vars(BddStore).items()
+                  if callable(value) and not name.startswith("_")) == [
+        "contains", "contains_with_cost", "distance", "encode_set", "exists",
+        "freeze", "node_count", "sat_count", "to_json",
+    ]

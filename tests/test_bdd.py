@@ -49,14 +49,16 @@ def exists_oracle(patterns, j):
     return out
 
 
-def dump(store, roots):
-    """The table as a monitor file spells it: compact JSON of to_dict."""
-    return json.dumps(store.to_dict(roots), separators=(",", ":"))
+def table(store, roots):
+    """The table as from_dict reads it: the parsed text of to_json."""
+    return json.loads(store.to_json(roots))
 
 
 def reload(store, roots):
-    """A new store and roots read back from the table's JSON text."""
-    return bdd.from_dict(json.loads(dump(store, roots)))
+    """A new store and its roots, keyed by int class, read back from the
+    table's JSON text."""
+    loaded, roots = bdd.from_dict(table(store, roots))
+    return loaded, {int(key): node for key, node in roots.items()}
 
 
 def members(store, node):
@@ -394,7 +396,7 @@ class TestLazyUniqueTable:
         gives a fresh store's set, without a copy of a loaded node."""
         rng = random.Random(6060)
         for n in (3, 8, 12):
-            sets = {str(c): random_patterns(rng, n, rng.randint(1, 30))
+            sets = {c: random_patterns(rng, n, rng.randint(1, 30))
                     for c in range(3)}
             store = bdd.BddStore(n)
             roots = {c: store.encode_set(p) for c, p in sets.items()}
@@ -408,17 +410,17 @@ class TestLazyUniqueTable:
                 fresh = bdd.BddStore(n)
                 want = fresh.exists(var, fresh.encode_set(patterns))
                 got = loaded.exists(var, loaded_roots[c])
-                assert dump(loaded, {"0": got}) == dump(fresh, {"0": want})
+                assert loaded.to_json({0: got}) == fresh.to_json({0: want})
                 assert_reduced(loaded)
 
     def test_round_trip_of_an_unregistered_table(self):
         rng = random.Random(9595)
         store = bdd.BddStore(10)
-        roots = {str(c): store.encode_set(random_patterns(rng, 10, 30))
+        roots = {c: store.encode_set(random_patterns(rng, 10, 30))
                  for c in range(3)}
         loaded, loaded_roots = reload(store, roots)
         assert len(loaded) == len(store)
-        assert dump(loaded, loaded_roots) == dump(store, roots)
+        assert loaded.to_json(loaded_roots) == store.to_json(roots)
 
 
 class TestUnion:
@@ -477,6 +479,21 @@ class TestExists:
         with pytest.raises(ValueError, match="out of range"):
             store.exists(3, store.encode_set([]))
 
+    @pytest.mark.parametrize("var", [True, 1.0, 1.5],
+                             ids=["bool", "float", "fraction"])
+    def test_inexact_index_rejected(self, var):
+        # True and 1.0 would read as variable 1; 1.5 names no variable
+        store = bdd.BddStore(3)
+        zone = store.encode_set([tup("001")])
+        with pytest.raises(ValueError,
+                           match="^variable index .* is not an integer$"):
+            store.exists(var, zone)
+
+    def test_numpy_index_accepted(self):
+        store = bdd.BddStore(3)
+        zone = store.encode_set([tup("001")])
+        assert store.exists(np.int64(1), zone) == store.exists(1, zone)
+
 
 class TestGrow:
     """The zone grown to radius gamma as a query reads it, by distance,
@@ -497,8 +514,8 @@ class TestGrow:
                 gamma = rng.randint(1, 3)
                 for _ in range(gamma):
                     b = enlarge_reference(slow, b)
-                assert fast.to_dict({"0": query_ball(fast, a, gamma)}) \
-                    == slow.to_dict({"0": b})
+                assert fast.to_json({0: query_ball(fast, a, gamma)}) \
+                    == slow.to_json({0: b})
 
     def test_empty_set_stays_empty(self):
         store = bdd.BddStore(5)
@@ -601,6 +618,24 @@ class TestDistance:
         with pytest.raises(ValueError, match="cap must be >= 1"):
             store.distance(zone, tup("110"), cap)
 
+    @pytest.mark.parametrize("cap", [True, 2.0, 2.5],
+                             ids=["bool", "float", "fraction"])
+    def test_inexact_cap_rejected(self, cap):
+        # True would read as membership, and the empty set gives the cap
+        store = bdd.BddStore(3)
+        for zone in (store.encode_set([]), store.encode_set([tup("001")])):
+            with pytest.raises(ValueError,
+                               match="^distance cap .* is not an integer$"):
+                store.distance(zone, tup("110"), cap)
+
+    def test_numpy_cap_accepted(self):
+        store = bdd.BddStore(3)
+        for zone in (store.encode_set([]), store.encode_set([tup("001")])):
+            for cap in (1, 2, 3, 4):
+                got = store.distance(zone, tup("110"), np.int64(cap))
+                assert type(got) is int
+                assert got == store.distance(zone, tup("110"), cap)
+
     @pytest.mark.parametrize("bits", [tup("01"), tup("0111"), (0, 2, 1)])
     def test_malformed_pattern_rejected(self, bits):
         store = bdd.BddStore(3)
@@ -660,7 +695,7 @@ class TestNodeCheck:
         "sat_count": lambda store, node: store.sat_count(node),
         "node_count": lambda store, node: store.node_count(node),
         "exists": lambda store, node: store.exists(0, node),
-        "to_dict": lambda store, node: store.to_dict({"0": node}),
+        "to_dict": lambda store, node: table(store, {0: node}),
     }
 
     @pytest.mark.parametrize("op", sorted(OPS))
@@ -932,7 +967,7 @@ class TestNoCache:
         assert set(vars(store)) == self.TABLE
         store.encode_set([tup("001100"), tup("111111")])
         assert set(vars(store)) == self.TABLE
-        loaded, roots = reload(store, {"0": zone})
+        loaded, roots = reload(store, {0: zone})
         assert set(vars(loaded)) == self.TABLE
         before = copy.deepcopy(vars(store))
         store.freeze()
@@ -992,13 +1027,13 @@ class TestVariableCap:
                           (1,) * n: 3}
                 for bits, expected in probes.items():
                     assert store.distance(both, bits, 3) == expected
-                loaded, roots = reload(store, {"0": both})
+                loaded, roots = reload(store, {0: both})
                 for bits, expected in probes.items():
-                    assert loaded.distance(roots["0"], bits, 3) == expected
+                    assert loaded.distance(roots[0], bits, 3) == expected
         finally:
             sys.setrecursionlimit(old_limit)
-        assert loaded.sat_count(roots["0"]) == 2
-        assert loaded.contains(roots["0"], high)
+        assert loaded.sat_count(roots[0]) == 2
+        assert loaded.contains(roots[0], high)
 
     def test_warning_above_200(self):
         with pytest.warns(UserWarning, match="impractical"):
@@ -1009,8 +1044,8 @@ class TestSerialization:
     def _sample(self):
         store = bdd.BddStore(4)
         roots = {
-            "0": build_set(store, [tup("0011"), tup("0111")]),
-            "1": build_set(store, [tup("1100")]),
+            0: build_set(store, [tup("0011"), tup("0111")]),
+            1: build_set(store, [tup("1100")]),
         }
         return store, roots
 
@@ -1023,19 +1058,19 @@ class TestSerialization:
 
     def test_byte_determinism(self):
         store, roots = self._sample()
-        assert dump(store, roots) == dump(store, roots)
+        assert store.to_json(roots) == store.to_json(roots)
 
     def test_insertion_order_does_not_change_bytes(self):
         patterns = [tup("0011"), tup("0111"), tup("1110")]
         s1 = bdd.BddStore(4)
-        blob1 = dump(s1, {"0": build_set(s1, patterns)})
+        blob1 = s1.to_json({0: build_set(s1, patterns)})
         s2 = bdd.BddStore(4)
-        blob2 = dump(s2, {"0": build_set(s2, list(reversed(patterns)))})
+        blob2 = s2.to_json({0: build_set(s2, list(reversed(patterns)))})
         assert blob1 == blob2
 
     def test_nodes_listed_children_first_with_dense_ids(self):
         store, roots = self._sample()
-        data = store.to_dict(roots)
+        data = table(store, roots)
         seen = {0, 1}
         for i, node in enumerate(data["nodes"]):
             assert node["id"] == i + 2
@@ -1044,14 +1079,14 @@ class TestSerialization:
 
     def test_version_mismatch(self):
         store, roots = self._sample()
-        data = store.to_dict(roots)
+        data = table(store, roots)
         data["version"] = 99
         with pytest.raises(FormatVersionError):
             bdd.from_dict(data)
 
     def test_corrupted_low_pointer(self):
         store, roots = self._sample()
-        data = store.to_dict(roots)
+        data = table(store, roots)
         data["nodes"][-1]["low"] = 999  # dangling id
         with pytest.raises(SchemaError, match="dangling"):
             bdd.from_dict(data)
@@ -1093,7 +1128,7 @@ class TestSerialization:
     @staticmethod
     def _scale_ids(data):
         """Every id, child and root times 10: a consistent relabeling that
-        to_dict never writes."""
+        to_json never writes."""
         scale = {0: 0, 1: 1}
         scale.update((node["id"], node["id"] * 10) for node in data["nodes"])
         for node in data["nodes"]:
@@ -1107,7 +1142,7 @@ class TestSerialization:
     ], ids=["ids-times-ten", "parents-first", "gap"])
     def test_ids_must_be_positions(self, corrupt):
         store, roots = self._sample()
-        data = store.to_dict(roots)
+        data = table(store, roots)
         corrupt(data)
         with pytest.raises(SchemaError, match="is not its position"):
             bdd.from_dict(data)
@@ -1133,7 +1168,7 @@ class TestSerialization:
             "false-id-float", "true-id-bool"])
     def test_malformed_table_is_schema_error(self, corrupt):
         store, roots = self._sample()
-        data = store.to_dict(roots)
+        data = table(store, roots)
         corrupt(data)
         with pytest.raises(SchemaError):
             bdd.from_dict(data)
@@ -1148,10 +1183,12 @@ class TestSerialization:
 
 
 def reference_to_dict(store, roots):
-    """The recursive visit that ``to_dict`` replaced: children before
-    parents, low subtree first, roots in sorted key order, ids dense from
-    2 as each node is first finished.  A reference for the iterative walk."""
-    order = sorted(roots, key=bdd._root_sort_key)
+    """The table under ``roots``, a root id per int class, by the
+    recursive visit that ``to_json``'s walk replaced: children before
+    parents, low subtree first, roots in ascending class order, ids dense
+    from 2 as each node is first finished.  A reference for the iterative
+    walk, as the parsed object of its text."""
+    order = sorted(roots)
     relabel = {bdd.FALSE: 0, bdd.TRUE: 1}
     nodes = []
 
@@ -1169,11 +1206,11 @@ def reference_to_dict(store, roots):
         visit(roots[key])
     return {"version": bdd.SERIAL_VERSION, "n_vars": store.n_vars,
             "nodes": nodes, "false_id": bdd.FALSE, "true_id": bdd.TRUE,
-            "roots": {key: relabel[roots[key]] for key in order}}
+            "roots": {str(key): relabel[roots[key]] for key in order}}
 
 
 class TestCanonicalWalk:
-    """``to_dict``'s iterative walk lists what the recursive visit lists,
+    """``to_json``'s iterative walk lists what the recursive visit lists,
     on tables in canonical order and on tables it must relabel."""
 
     @pytest.mark.parametrize("seed", range(6))
@@ -1183,19 +1220,22 @@ class TestCanonicalWalk:
         store = bdd.BddStore(n)
         # separate encodes, an exists and terminal roots: the table's own
         # order is not the canonical one
-        roots = {str(k): store.encode_set(random_patterns(rng, n, 30))
+        roots = {k: store.encode_set(random_patterns(rng, n, 30))
                  for k in rng.sample(range(12), 4)}
-        roots["x"] = store.exists(rng.randrange(n), roots[min(roots)])
-        roots["10"] = store.encode_set([])
-        roots["9"] = store.encode_set(all_patterns(n))
+        roots[12] = store.exists(rng.randrange(n), roots[min(roots)])
+        roots[10] = store.encode_set([])
+        roots[9] = store.encode_set(all_patterns(n))
         for keys in (list(roots), rng.sample(list(roots), 2)):
             chosen = {key: roots[key] for key in keys}
-            assert store.to_dict(chosen) == reference_to_dict(store, chosen)
+            assert table(store, chosen) == reference_to_dict(store, chosen)
 
     def test_a_built_table_is_listed_as_it_is(self):
         store = bdd.BddStore(6)
-        roots = {"0": store.encode_set([(0, 1, 1, 0, 1, 0),
-                                        (1, 1, 0, 0, 0, 1)])}
-        _, columns = store._serial(roots)
-        assert columns == (store._var[2:], store._low[2:], store._high[2:])
-        assert store.to_dict(roots) == reference_to_dict(store, roots)
+        roots = {0: store.encode_set([(0, 1, 1, 0, 1, 0),
+                                      (1, 1, 0, 0, 0, 1)])}
+        data = table(store, roots)
+        assert [(node["id"], node["var"], node["low"], node["high"])
+                for node in data["nodes"]] == list(zip(
+                    range(2, len(store)), store._var[2:], store._low[2:],
+                    store._high[2:]))
+        assert data == reference_to_dict(store, roots)

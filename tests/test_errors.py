@@ -1,7 +1,8 @@
 """Tests for the shared file layer: the replace-on-success writer, the
 strict JSON reader, the one finiteness rule, and guards that no other code
 in the package opens a file for writing, parses JSON or tests finiteness,
-and that only the BDD store's node makers grow its node table."""
+that only the BDD store's node makers grow its node table, and that only
+the BDD module spells the table's keys."""
 
 import ast
 import math
@@ -250,3 +251,45 @@ def test_only_the_node_makers_grow_the_bdd_table():
         found |= {(path.name, func) for func, _ in table_writes(tree)}
     assert found == {("bdd.py", "__init__"), ("bdd.py", "_mk"),
                      ("bdd.py", "_encode")}, found
+
+
+# keys of the BDD table that only its writer and its reader name
+TABLE_KEYS = ("nodes", "false_id", "true_id")
+
+
+def table_key_spellings(tree):
+    """The line of every string constant in ``tree``, docstrings aside,
+    that spells a key of the BDD table as JSON: one that is the key, as
+    in ``data["nodes"]``, or holds it in double quotes, as ``'"nodes":'``
+    does, in an f-string too."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in docs \
+                and any(node.value == key or f'"{key}"' in node.value
+                        for key in TABLE_KEYS):
+            yield node.lineno
+
+
+def test_table_key_guard_sees_each_form():
+    tree = ast.parse('"""The "nodes" list and true_id."""\n'
+                     'def save(data, text, n):\n'
+                     '    """Splits on \'"nodes":[]\'."""\n'
+                     '    head, tail = text.split(\'"nodes":[]\', 1)\n'
+                     '    data["false_id"] = f\'{head}"true_id":{n}\'\n'
+                     '    return f"store nodes: {n}", "node_ids"\n')
+    assert sorted(table_key_spellings(tree)) == [4, 5, 5]
+
+
+def test_only_the_bdd_module_spells_the_table_keys():
+    """The table's format lives in ``bdd.py``: ``BddStore.to_json``
+    writes it and ``from_dict`` reads it; a monitor embeds its text."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "bdd.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, line) for line in table_key_spellings(tree)]
+    assert found == [], found

@@ -27,13 +27,13 @@ from actmon.monitor import (
     build,
     load_monitor,
     monitor_from_dict,
-    monitor_to_dict,
     query,
     save_monitor,
 )
 from actmon.network import make_blobs, train_toy
 from actmon.patterns import NeuronSelection, binarize, identity_selection
 from actmon.traces import TraceRecord, extract
+from test_bdd import reference_to_dict
 
 
 def hamming(p, q):
@@ -167,9 +167,8 @@ class TestBuild:
                                 rid=f"s{i}")
                   for i, c in enumerate(rng.choices(range(3), k=300))]
         mon = build(traces, identity_selection(n), gamma=gamma)
-        table = mon.store.to_dict(
-            {str(c): root for c, root in mon.zones.items()})
-        # to_dict lists every node reachable from the roots exactly once
+        table = json.loads(mon.store.to_json(mon.zones))
+        # to_json lists every node reachable from the roots exactly once
         assert len(mon.store) - 2 == len(table["nodes"])
 
     @pytest.mark.filterwarnings("ignore:class")  # a class may go empty
@@ -441,9 +440,9 @@ def reference_verdict(monitor, acts, pred_label):
     if root is None:
         return Verdict.NO_ZONE
     bits = [1 if acts[i] > 0.0 else 0 for i in monitor.selection.indices]
-    table = monitor.store.to_dict({"zone": root})
+    table = json.loads(monitor.store.to_json({pred_label: root}))
     nodes = {n["id"]: n for n in table["nodes"]}
-    node = table["roots"]["zone"]
+    node = table["roots"][str(pred_label)]
     while node in nodes:
         node = nodes[node]["high" if bits[nodes[node]["var"]] else "low"]
     return Verdict.IN_ZONE if node == table["true_id"] else Verdict.OUT_OF_ZONE
@@ -613,8 +612,9 @@ class TestPersistence:
         ("bdd.true_id", True),
         ("bdd.false_id", 0.0),
     ])
-    def test_inexact_or_contradicting_field(self, path, value):
-        data = monitor_to_dict(self._monitor())
+    def test_inexact_or_contradicting_field(self, path, value, tmp_path):
+        save_monitor(self._monitor(), tmp_path / "monitor.json")
+        data = json.loads((tmp_path / "monitor.json").read_text("utf-8"))
         assert data["classes"] == [0, 1] and data["layer"] == 0
         monitor_from_dict(data)  # the unedited dict is valid
         *parents, field = path.split(".")
@@ -816,8 +816,9 @@ def synthetic_monitor(width, n_classes, count, seed, **kwargs):
 
 
 class TestSavedBytes:
-    """``save_monitor`` writes the node list from the table's columns; its
-    bytes equal the compact encoding of ``monitor_to_dict``."""
+    """``save_monitor`` writes the compact ``json`` encoding of the object
+    that its file holds, a table that the recursive reference visit lists
+    as well, and a loaded monitor saved again gives the same bytes."""
 
     @pytest.fixture(scope="class")
     def toy(self):
@@ -829,9 +830,13 @@ class TestSavedBytes:
     def _check(self, monitor, tmp_path):
         path = tmp_path / "m.json"
         save_monitor(monitor, path)
-        assert path.read_text(encoding="utf-8") == json.dumps(
-            monitor_to_dict(monitor), separators=(",", ":"),
-            allow_nan=False) + "\n"
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert text == json.dumps(data, separators=(",", ":"),
+                                  allow_nan=False) + "\n"
+        assert list(data) == ["format", "version", "gamma", "layer",
+                              "classes", "selection", "bdd"]
+        assert data["bdd"] == reference_to_dict(monitor.store, monitor.zones)
         # a loaded store is in canonical order: saved again, the same bytes
         save_monitor(load_monitor(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
@@ -860,7 +865,7 @@ class TestSavedBytes:
         self._check(monitor, tmp_path)
 
     def test_a_table_out_of_canonical_order_is_relabeled(self, tmp_path):
-        # zone 1 made before zone 0: not the order that to_dict lists
+        # zone 1 made before zone 0: not the order that to_json lists
         store = BddStore(5)
         one = store.encode_set([(1, 0, 1, 1, 0), (1, 1, 1, 0, 0)])
         zero = store.encode_set([(0, 0, 1, 1, 0), (0, 1, 1, 1, 1),
@@ -868,11 +873,10 @@ class TestSavedBytes:
         store.freeze()
         monitor = Monitor(selection=identity_selection(5), gamma=0,
                           store=store, zones={0: zero, 1: one})
-        _, columns = store._serial({"0": monitor.zones[0],
-                                    "1": monitor.zones[1]})
-        # the relabeling branch runs: the columns are not the table's
-        assert list(map(list, columns)) != [store._var[2:], store._low[2:],
-                                            store._high[2:]]
+        nodes = json.loads(store.to_json(monitor.zones))["nodes"]
+        # the relabeling branch runs: the listed nodes are not the table's
+        assert [(node["var"], node["low"], node["high"]) for node in nodes] \
+            != list(zip(store._var[2:], store._low[2:], store._high[2:]))
         self._check(monitor, tmp_path)
         loaded = load_monitor(tmp_path / "m.json")
         for bits in itertools.product((0, 1), repeat=5):
