@@ -7,11 +7,14 @@ so semantically equal sets always share one root.  The store supports the
 handful of operations a monitor needs: encoding sets of patterns level by
 level, membership evaluation, the capped Hamming distance from a pattern to
 a set (the monitor's query), exact model counting, and the table's one
-file format: :meth:`BddStore.to_json` writes it as the deterministic JSON
-text that monitor files embed, and :func:`from_dict` reads its parsed
-object back; opening files is the caller's job.  A node's id is
-its position in the table, and a set (a monitor's zone) is the plain
-``int`` id of its root, which only the store that holds it can read.
+file format: :meth:`BddStore.to_json` writes the whole table in table
+order as the deterministic JSON text that monitor files embed, and
+:func:`from_dict` reads its parsed object back; opening files is the
+caller's job.  A node's id is its position in the table, and a set (a
+monitor's zone) is the plain ``int`` id of its root, which only the store
+that holds it can read.  A table encoded in one call into an empty store,
+as each monitor's is, lists its nodes in canonical order, so equal sets
+give equal files.
 Existential quantification over one variable (:meth:`BddStore.exists`) is
 the paper's distance-1 step; no monitor uses it, the tests' Hamming balls do.
 
@@ -59,6 +62,7 @@ class BddStore:
     """Hash-consed ROBDD node table over ``n_vars`` pattern bits."""
 
     def __init__(self, n_vars: int):
+        n_vars = as_int(n_vars, "n_vars")
         if n_vars < 1:
             raise ValueError(f"n_vars must be >= 1, got {n_vars}")
         if n_vars > MAX_VARS:
@@ -359,53 +363,26 @@ class BddStore:
     # -- serialization -------------------------------------------------------
 
     def to_json(self, zones: Mapping[int, int]) -> str:
-        """The subgraphs under ``zones``, a root id per class, as the
-        compact JSON text of the monitor file's table::
+        """The whole table in table order and the checked root id of each
+        class in ``zones``, ascending, as the compact JSON text of the
+        monitor file's table::
 
             {"version":1,"n_vars":K,"nodes":[{"id":2,"var":..,"low":..,
             "high":..},...],"false_id":0,"true_id":1,"roots":{"0":..,...}}
 
-        One iterative walk lists the nodes in canonical order: children
-        before parents, low subtree first, zones in ascending class order.
-        When that order is the table's own, as in every store that
-        ``_encode`` fills from empty and every loaded file, the ids are the
-        table's; else the nodes are relabeled densely from 2 in that order,
-        so semantically equal inputs give the same text regardless of the
-        order in which this store made its nodes.
+        Every id is the table's own.  A table that ``_encode`` filled from
+        empty, as ``build`` fills each monitor's, is in canonical order
+        (children before parents, low subtree first, zones by class), so
+        its text is canonical too; any other table, unreachable nodes
+        included, is written as it is.
         """
         classes = sorted(zones)
         tops = [self._check_node(zones[c]) for c in classes]
-        var, low, high = self._var, self._low, self._high
-        seen = bytearray(len(var))
-        seen[FALSE] = seen[TRUE] = 1
-        order: list[int] = []
-        for top in tops:
-            stack = [top]
-            while stack:
-                node = stack[-1]
-                if seen[node]:
-                    stack.pop()
-                elif not seen[low[node]]:
-                    stack.append(low[node])
-                elif not seen[high[node]]:
-                    stack.append(high[node])
-                else:
-                    seen[node] = 1
-                    order.append(stack.pop())
         start = TRUE + 1
-        if order == list(range(start, len(var))):
-            columns = var[start:], low[start:], high[start:]
-        else:
-            new = list(range(len(var)))
-            for i, node in enumerate(order, start):
-                new[node] = i
-            columns = ([var[node] for node in order],
-                       [new[low[node]] for node in order],
-                       [new[high[node]] for node in order])
-            tops = [new[top] for top in tops]
         # one template fill per node, no dict
         nodes = ",".join(map('{"id":%d,"var":%d,"low":%d,"high":%d}'.__mod__,
-                             zip(count(start), *columns)))
+                             zip(count(start), self._var[start:],
+                                 self._low[start:], self._high[start:])))
         roots = ",".join(map('"%d":%d'.__mod__, zip(classes, tops)))
         return (f'{{"version":{SERIAL_VERSION},"n_vars":{self.n_vars},'
                 f'"nodes":[{nodes}],"false_id":{FALSE},"true_id":{TRUE},'
@@ -418,11 +395,13 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, int]]:
 
     A node's id is its position in the table, as ``to_json`` writes it:
     dense from 2, each child before its parent, so a loaded node keeps its
-    id and a root is a position.  Raises :class:`FormatVersionError` on a
-    version other than the int 1 and :class:`SchemaError` on a malformed
-    table: wrong field types, terminal ids other than the ints 0 and 1, an
-    id that is not its position, dangling children, equal children,
-    duplicate triples, ordering violations, too many variables.
+    id, a root is a position, and the loaded table saves back the node
+    list it was read from, canonical or not.  Raises
+    :class:`FormatVersionError` on a version other than the int 1 and
+    :class:`SchemaError` on a malformed table: wrong field types, terminal
+    ids other than the ints 0 and 1, an id that is not its position,
+    dangling children, equal children, duplicate triples, ordering
+    violations, too many variables.
     """
     if not isinstance(data, dict):
         raise SchemaError("BDD serialization must be a JSON object")

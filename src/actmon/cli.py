@@ -2,7 +2,8 @@
 build/query, gamma sweeps and monitor statistics.
 
 Every command is deterministic given identical inputs and seeds.  Exit
-codes: 0 success, 1 validation or schema problem, 2 I/O problem.
+codes: 0 success, 1 validation or schema problem or lack of memory, 2 I/O
+problem.
 """
 
 from __future__ import annotations
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
         args.func(args)
     except (ValueError, ActmonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

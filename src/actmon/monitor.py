@@ -171,8 +171,9 @@ def save_monitor(monitor: Monitor, path) -> None:
     then its table, :meth:`~actmon.bdd.BddStore.to_json`'s text, as the
     last key ``bdd``.
 
-    Requires a frozen monitor; repeated saves of the same monitor are
-    byte-identical.
+    Requires a frozen monitor, so the table written is the one ``build``
+    made, in canonical order, or the one ``load_monitor`` read; repeated
+    saves of the same monitor are byte-identical.
     """
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")

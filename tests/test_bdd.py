@@ -54,6 +54,35 @@ def table(store, roots):
     return json.loads(store.to_json(roots))
 
 
+def reference_to_dict(store, roots):
+    """The canonical table under ``roots``, a root id per int class, as
+    the parsed object of ``to_json``'s text, by a recursive visit: only
+    the nodes the roots reach, children before parents, low subtree first,
+    roots in ascending class order, ids dense from 2 as each node is first
+    finished.  Equal sets give equal forms whatever order a store made its
+    nodes in; a table that one ``_encode`` call fills from empty is listed
+    in this order by ``to_json`` itself."""
+    order = sorted(roots)
+    relabel = {bdd.FALSE: 0, bdd.TRUE: 1}
+    nodes = []
+
+    def visit(node):
+        if node in relabel:
+            return
+        visit(store._low[node])
+        visit(store._high[node])
+        relabel[node] = len(relabel)
+        nodes.append({"id": relabel[node], "var": store._var[node],
+                      "low": relabel[store._low[node]],
+                      "high": relabel[store._high[node]]})
+
+    for key in order:
+        visit(roots[key])
+    return {"version": bdd.SERIAL_VERSION, "n_vars": store.n_vars,
+            "nodes": nodes, "false_id": bdd.FALSE, "true_id": bdd.TRUE,
+            "roots": {str(key): relabel[roots[key]] for key in order}}
+
+
 def reload(store, roots):
     """A new store and its roots, keyed by int class, read back from the
     table's JSON text."""
@@ -410,7 +439,8 @@ class TestLazyUniqueTable:
                 fresh = bdd.BddStore(n)
                 want = fresh.exists(var, fresh.encode_set(patterns))
                 got = loaded.exists(var, loaded_roots[c])
-                assert loaded.to_json({0: got}) == fresh.to_json({0: want})
+                assert reference_to_dict(loaded, {0: got}) \
+                    == reference_to_dict(fresh, {0: want})
                 assert_reduced(loaded)
 
     def test_round_trip_of_an_unregistered_table(self):
@@ -507,15 +537,16 @@ class TestGrow:
                 # duplicates, in arbitrary order
                 with_dups = distinct + rng.choices(distinct, k=len(distinct))
                 rng.shuffle(with_dups)
-                # separate stores: the saved tables must match, not only
-                # the set each root denotes
+                # separate stores: the canonical tables must match, not
+                # only the set each root denotes
                 fast, slow = bdd.BddStore(n), bdd.BddStore(n)
                 a, b = fast.encode_set(with_dups), slow.encode_set(with_dups)
                 gamma = rng.randint(1, 3)
                 for _ in range(gamma):
                     b = enlarge_reference(slow, b)
-                assert fast.to_json({0: query_ball(fast, a, gamma)}) \
-                    == slow.to_json({0: b})
+                grown = query_ball(fast, a, gamma)
+                assert reference_to_dict(fast, {0: grown}) \
+                    == reference_to_dict(slow, {0: b})
 
     def test_empty_set_stays_empty(self):
         store = bdd.BddStore(5)
@@ -1039,6 +1070,19 @@ class TestVariableCap:
         with pytest.warns(UserWarning, match="impractical"):
             bdd.BddStore(201)
 
+    @pytest.mark.parametrize("n_vars", [True, 2.5, "3", np.int64(3)],
+                             ids=["bool", "float", "string", "numpy"])
+    def test_width_is_an_exact_integer(self, n_vars):
+        # True would make a 1-bit store, 2.5 a float width
+        if isinstance(n_vars, np.integer):
+            store = bdd.BddStore(n_vars)
+            assert type(store.n_vars) is int and store.n_vars == 3
+            assert store.contains(store.encode_set([(1, 0, 1)]), (1, 0, 1))
+        else:
+            with pytest.raises(ValueError,
+                               match="^n_vars .* is not an integer$"):
+                bdd.BddStore(n_vars)
+
 
 class TestSerialization:
     def _sample(self):
@@ -1062,11 +1106,18 @@ class TestSerialization:
 
     def test_insertion_order_does_not_change_bytes(self):
         patterns = [tup("0011"), tup("0111"), tup("1110")]
-        s1 = bdd.BddStore(4)
-        blob1 = s1.to_json({0: build_set(s1, patterns)})
-        s2 = bdd.BddStore(4)
-        blob2 = s2.to_json({0: build_set(s2, list(reversed(patterns)))})
-        assert blob1 == blob2
+        forms, blobs = [], []
+        for order in (patterns, patterns[::-1]):
+            # union folds make their nodes in insertion order: the
+            # canonical tables match
+            store = bdd.BddStore(4)
+            forms.append(reference_to_dict(store,
+                                           {0: build_set(store, order)}))
+            # one encode_set into a fresh store: the written text matches
+            store = bdd.BddStore(4)
+            blobs.append(store.to_json({0: store.encode_set(order)}))
+        assert forms[0] == forms[1]
+        assert blobs[0] == blobs[1]
 
     def test_nodes_listed_children_first_with_dense_ids(self):
         store, roots = self._sample()
@@ -1182,52 +1233,29 @@ class TestSerialization:
                     == store.contains(roots[key], p)
 
 
-def reference_to_dict(store, roots):
-    """The table under ``roots``, a root id per int class, by the
-    recursive visit that ``to_json``'s walk replaced: children before
-    parents, low subtree first, roots in ascending class order, ids dense
-    from 2 as each node is first finished.  A reference for the iterative
-    walk, as the parsed object of its text."""
-    order = sorted(roots)
-    relabel = {bdd.FALSE: 0, bdd.TRUE: 1}
-    nodes = []
-
-    def visit(node):
-        if node in relabel:
-            return
-        visit(store._low[node])
-        visit(store._high[node])
-        relabel[node] = len(relabel)
-        nodes.append({"id": relabel[node], "var": store._var[node],
-                      "low": relabel[store._low[node]],
-                      "high": relabel[store._high[node]]})
-
-    for key in order:
-        visit(roots[key])
-    return {"version": bdd.SERIAL_VERSION, "n_vars": store.n_vars,
-            "nodes": nodes, "false_id": bdd.FALSE, "true_id": bdd.TRUE,
-            "roots": {str(key): relabel[roots[key]] for key in order}}
-
-
 class TestCanonicalWalk:
-    """``to_json``'s iterative walk lists what the recursive visit lists,
-    on tables in canonical order and on tables it must relabel."""
+    """A table that one ``_encode`` call fills from empty, as ``build``
+    fills each monitor's, is in the canonical walk's order, so ``to_json``
+    writes what :func:`reference_to_dict` lists."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_the_recursive_reference(self, seed):
         rng = random.Random(seed)
         n = rng.randint(3, 9)
+        # rows of four classes and one holding every pattern (a TRUE root)
+        # in shuffled order; a class with no rows has the FALSE root, as
+        # build gives it
+        sets = {k: random_patterns(rng, n, 30)
+                for k in rng.sample(range(3, 12), 4)}
+        sets[rng.randrange(3)] = all_patterns(n)
+        rows = [(k, p) for k, patterns in sets.items() for p in patterns]
+        rng.shuffle(rows)
         store = bdd.BddStore(n)
-        # separate encodes, an exists and terminal roots: the table's own
-        # order is not the canonical one
-        roots = {k: store.encode_set(random_patterns(rng, n, 30))
-                 for k in rng.sample(range(12), 4)}
-        roots[12] = store.exists(rng.randrange(n), roots[min(roots)])
-        roots[10] = store.encode_set([])
-        roots[9] = store.encode_set(all_patterns(n))
-        for keys in (list(roots), rng.sample(list(roots), 2)):
-            chosen = {key: roots[key] for key in keys}
-            assert table(store, chosen) == reference_to_dict(store, chosen)
+        roots = store._encode(np.array([p for _, p in rows], dtype=np.int8),
+                              np.array([k for k, _ in rows], dtype=np.intp))
+        assert bdd.TRUE in roots.values()
+        roots[12] = bdd.FALSE
+        assert table(store, roots) == reference_to_dict(store, roots)
 
     def test_a_built_table_is_listed_as_it_is(self):
         store = bdd.BddStore(6)
@@ -1239,3 +1267,57 @@ class TestCanonicalWalk:
                     range(2, len(store)), store._var[2:], store._low[2:],
                     store._high[2:]))
         assert data == reference_to_dict(store, roots)
+
+
+def separate_encodes(rng, n):
+    store = bdd.BddStore(n)
+    later = store.encode_set(random_patterns(rng, n, 20))
+    return store, {0: store.encode_set(random_patterns(rng, n, 20)),
+                   1: later}
+
+
+def an_exists(rng, n):
+    store = bdd.BddStore(n)
+    zone = store.encode_set(random_patterns(rng, n, 20))
+    return store, {0: store.exists(rng.randrange(n), zone)}
+
+
+def terminal_roots(rng, n):
+    store, roots = separate_encodes(rng, n)
+    return store, {**roots, 2: store.encode_set([]),
+                   3: store.encode_set(all_patterns(n))}
+
+
+def a_subset_of_the_roots(rng, n):
+    store = bdd.BddStore(n)
+    roots = [store.encode_set(random_patterns(rng, n, 20)) for _ in range(3)]
+    return store, {1: roots[1]}
+
+
+def an_unreachable_node(rng, n):
+    # the union fold keeps each singleton's nodes, which its root does
+    # not reach
+    store = bdd.BddStore(n)
+    return store, {0: build_set(store, random_patterns(rng, n, 6))}
+
+
+class TestTableOrder:
+    """``to_json`` writes the whole table in table order, whatever call
+    made it: ``from_dict`` reads back the same columns and root ids, and
+    the loaded store writes the same text."""
+
+    @pytest.mark.parametrize("make", [
+        separate_encodes, an_exists, terminal_roots, a_subset_of_the_roots,
+        an_unreachable_node], ids=lambda make: make.__name__)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_load_gives_back_the_table(self, make, seed):
+        store, roots = make(random.Random(seed), 8)
+        text = store.to_json(roots)
+        # not the canonical order: the table is written as it is
+        assert json.loads(text) != reference_to_dict(store, roots)
+        loaded, loaded_roots = bdd.from_dict(json.loads(text))
+        assert (loaded._var, loaded._low, loaded._high) \
+            == (store._var, store._low, store._high)
+        assert loaded_roots == {str(c): node for c, node in roots.items()}
+        assert loaded.to_json({int(c): node for c, node
+                               in loaded_roots.items()}) == text

@@ -413,6 +413,27 @@ class TestErrors:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["build", "query"])
+    def test_out_of_memory_is_one_error_line(self, pipeline, tmp_path,
+                                             capsys, monkeypatch, command):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        out = tmp_path / "out.json"
+        if command == "build":
+            monkeypatch.setattr(cli.monitor_mod, "build", exhausted)
+            argv = ["build", "--traces", str(pipeline["train"]),
+                    "--gamma", "0", "--out", str(out)]
+        else:  # raised while the verdicts are written to <out>.tmp
+            monkeypatch.setattr(cli, "JSON_LINE", exhausted)
+            argv = ["query", "--monitor", str(pipeline["monitor"]),
+                    "--traces", str(pipeline["eval"]), "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDatasetFile:
     def test_extract_from_json_dataset(self, pipeline, tmp_path):

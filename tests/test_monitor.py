@@ -167,9 +167,9 @@ class TestBuild:
                                 rid=f"s{i}")
                   for i, c in enumerate(rng.choices(range(3), k=300))]
         mon = build(traces, identity_selection(n), gamma=gamma)
-        table = json.loads(mon.store.to_json(mon.zones))
-        # to_json lists every node reachable from the roots exactly once
-        assert len(mon.store) - 2 == len(table["nodes"])
+        # the canonical walk lists every node reachable from the roots once
+        assert len(mon.store) - 2 \
+            == len(reference_to_dict(mon.store, mon.zones)["nodes"])
 
     @pytest.mark.filterwarnings("ignore:class")  # a class may go empty
     def test_table_equals_encode_set(self):
@@ -817,8 +817,9 @@ def synthetic_monitor(width, n_classes, count, seed, **kwargs):
 
 class TestSavedBytes:
     """``save_monitor`` writes the compact ``json`` encoding of the object
-    that its file holds, a table that the recursive reference visit lists
-    as well, and a loaded monitor saved again gives the same bytes."""
+    that its file holds, the store's table as it is, and a loaded monitor
+    saved again gives the same bytes.  A table ``build`` made is in the
+    canonical order that the recursive reference visit lists."""
 
     @pytest.fixture(scope="class")
     def toy(self):
@@ -836,8 +837,9 @@ class TestSavedBytes:
                                   allow_nan=False) + "\n"
         assert list(data) == ["format", "version", "gamma", "layer",
                               "classes", "selection", "bdd"]
+        # build's _encode makes the nodes in the canonical walk's order
         assert data["bdd"] == reference_to_dict(monitor.store, monitor.zones)
-        # a loaded store is in canonical order: saved again, the same bytes
+        # a loaded store writes the table it read: the same bytes
         save_monitor(load_monitor(path), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -864,8 +866,9 @@ class TestSavedBytes:
         assert list(monitor.zones.values()) == [bdd.TRUE, bdd.FALSE]
         self._check(monitor, tmp_path)
 
-    def test_a_table_out_of_canonical_order_is_relabeled(self, tmp_path):
-        # zone 1 made before zone 0: not the order that to_json lists
+    def test_a_table_out_of_canonical_order_is_written_as_it_is(
+            self, tmp_path):
+        # zone 1 made before zone 0: not the canonical order
         store = BddStore(5)
         one = store.encode_set([(1, 0, 1, 1, 0), (1, 1, 1, 0, 0)])
         zero = store.encode_set([(0, 0, 1, 1, 0), (0, 1, 1, 1, 1),
@@ -873,13 +876,18 @@ class TestSavedBytes:
         store.freeze()
         monitor = Monitor(selection=identity_selection(5), gamma=0,
                           store=store, zones={0: zero, 1: one})
-        nodes = json.loads(store.to_json(monitor.zones))["nodes"]
-        # the relabeling branch runs: the listed nodes are not the table's
-        assert [(node["var"], node["low"], node["high"]) for node in nodes] \
-            != list(zip(store._var[2:], store._low[2:], store._high[2:]))
-        self._check(monitor, tmp_path)
-        loaded = load_monitor(tmp_path / "m.json")
+        path = tmp_path / "m.json"
+        save_monitor(monitor, path)
+        data = json.loads(path.read_text(encoding="utf-8"))["bdd"]
+        assert data != reference_to_dict(store, monitor.zones)
+        assert [(node["id"], node["var"], node["low"], node["high"])
+                for node in data["nodes"]] == list(zip(
+                    range(2, len(store)), store._var[2:], store._low[2:],
+                    store._high[2:]))
+        loaded = load_monitor(path)
         for bits in itertools.product((0, 1), repeat=5):
             for c in (0, 1):
                 assert loaded.store.contains(loaded.zones[c], bits) \
                     == store.contains(monitor.zones[c], bits)
+        save_monitor(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
