@@ -34,25 +34,23 @@ does the unique table (:meth:`BddStore._index`) a node-creating call makes.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (FormatVersionError, FrozenStoreError, SchemaError,
-                     as_int, warn)
+from .errors import FormatVersionError, FrozenStoreError, SchemaError, as_int
 
 FALSE = 0
 TRUE = 1
 
 SERIAL_VERSION = 1
 
-# bdd packages get impractical somewhere in the low hundreds of variables;
-# each recursive call goes one variable deeper, so at this cap an operation
+# the file format's cap on the width; the store's one recursion, exists
+# (_exists with _or), goes one variable deeper per call, so at this cap it
 # needs at most 259 frames beyond its caller's, well inside Python's default
 # recursion limit of 1000
 MAX_VARS = 256
-VAR_WARN_THRESHOLD = 200
 
 # the values a pattern bit may equal
 _BITS = frozenset((0, 1))
@@ -68,9 +66,6 @@ class BddStore:
         if n_vars > MAX_VARS:
             raise ValueError(
                 f"n_vars {n_vars} exceeds the variable cap {MAX_VARS}")
-        if n_vars > VAR_WARN_THRESHOLD:
-            warn(f"{n_vars} BDD variables; operations may become "
-                 f"impractical above {VAR_WARN_THRESHOLD}")
         self.n_vars = n_vars
         self.frozen = False
         # ids 0 and 1 are the terminals; real nodes start at 2
@@ -326,39 +321,35 @@ class BddStore:
                 best = used
         return best
 
+    def _cone(self, root: int) -> list[bool]:
+        """Whether ``root`` reaches each id up to it.  Every child's id is
+        below its parent's, so one pass down the ids, from the root to 2,
+        marks them all."""
+        low, high = self._low, self._high
+        marked = [False] * root + [True]
+        for node in range(root, TRUE, -1):
+            if marked[node]:
+                marked[low[node]] = marked[high[node]] = True
+        return marked
+
     def sat_count(self, a: int) -> int:
-        """Exact number of ``n_vars``-bit patterns in the denoted set."""
+        """Exact number of ``n_vars``-bit patterns in the denoted set, by one
+        pass up the ids :meth:`_cone` marks, each node counting the bits
+        from its own variable on (a terminal's variable is ``n_vars``)."""
         root = self._check_node(a)
-        # memo is per call so frozen stores stay read-only under concurrency
-        memo: dict[int, int] = {FALSE: 0, TRUE: 1}
-
-        def count(node: int) -> int:
-            found = memo.get(node)
-            if found is not None:
-                return found
-            low, high = self._low[node], self._high[node]
-            var = self._var[node]
-            total = (count(low) << (self._var[low] - var - 1)) \
-                + (count(high) << (self._var[high] - var - 1))
-            memo[node] = total
-            return total
-
-        return count(root) << self._var[root] if root > TRUE \
-            else (1 << self.n_vars if root == TRUE else 0)
+        var, low, high = self._var, self._low, self._high
+        counts = [0, 1] + [0] * (root - TRUE)
+        for node in compress(range(TRUE + 1, root + 1),
+                             self._cone(root)[TRUE + 1:]):
+            lo, hi, v = low[node], high[node], var[node] + 1
+            counts[node] = (counts[lo] << (var[lo] - v)) \
+                + (counts[hi] << (var[hi] - v))
+        return counts[root] << var[root]
 
     def node_count(self, a: int) -> int:
-        """Number of non-terminal nodes reachable from ``a``."""
-        root = self._check_node(a)
-        seen: set[int] = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node <= TRUE or node in seen:
-                continue
-            seen.add(node)
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return len(seen)
+        """Number of non-terminal nodes reachable from ``a``: the ids that
+        one :meth:`_cone` pass down the table marks."""
+        return self._cone(self._check_node(a))[TRUE + 1:].count(True)
 
     # -- serialization -------------------------------------------------------
 

@@ -119,9 +119,12 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
 
     Only the predicted class is consulted; membership in another class's
     zone says nothing about this decision.  An unmonitored predicted class
-    yields ``NO_ZONE`` rather than a warning.  A batch raises ``ValueError``.
+    yields ``NO_ZONE`` rather than a warning.  A batch, or a bool, float or
+    string ``pred_label``, raises ``ValueError``; a numpy integer is read.
     """
     pattern = binarize(activations, monitor.selection)
+    if type(pred_label) is not int:  # the exact-int fast path
+        pred_label = as_int(pred_label, "predicted label")
     root = monitor.zones.get(pred_label)
     if root is None:
         return Verdict.NO_ZONE

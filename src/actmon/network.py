@@ -19,16 +19,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FormatVersionError, SchemaError, all_finite,
+from .errors import (FormatVersionError, SchemaError, all_finite, as_int,
                      finite_floats, read_json, replace_on_success)
 
 MODEL_VERSION = 1
 
 ACTIVATIONS = ("relu", "none")
 
-# geometry of the built-in blobs dataset
+# the built-in blobs dataset, and the toy classifier's layers and training
+BLOB_CLASSES = 3
 BLOB_STD = 1.0
 BLOB_RADIUS = 5.0
+TOY_HIDDEN = (16, 14)
+TOY_LEARNING_RATE = 0.1
+TOY_BATCH_SIZE = 32
 
 
 @dataclass
@@ -164,9 +168,10 @@ def gradient_from_activations(
 # -- toy training -----------------------------------------------------------
 
 
-def make_blobs(n_classes: int = 3, per_class: int = 500, seed: int = 0,
+def make_blobs(per_class: int = 500, seed: int = 0,
                offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic Gaussian blobs in the plane, one blob per class.
+    """Isotropic Gaussian blobs in the plane: ``per_class`` samples, a
+    Python or numpy integer >= 0, of each of ``BLOB_CLASSES`` classes.
 
     Class means sit on a circle of radius ``BLOB_RADIUS`` with standard
     deviation ``BLOB_STD``, so the classes are linearly separable by
@@ -174,28 +179,30 @@ def make_blobs(n_classes: int = 3, per_class: int = 500, seed: int = 0,
     along the diagonal, which is how the shifted evaluation sets used in
     the distribution-shift experiments are produced.
     """
+    per_class = as_int(per_class, "per_class")
+    if per_class < 0:
+        raise ValueError(f"per_class must be >= 0, got {per_class}")
     rng = np.random.default_rng(seed)
-    angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
+    angles = 2.0 * np.pi * np.arange(BLOB_CLASSES) / BLOB_CLASSES
     means = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    xs, ys = [], []
-    for c in range(n_classes):
-        xs.append(means[c] + BLOB_STD * rng.standard_normal((per_class, 2)))
-        ys.append(np.full(per_class, c, dtype=np.int64))
-    x = np.concatenate(xs)
+    y = np.repeat(np.arange(BLOB_CLASSES, dtype=np.int64), per_class)
+    x = means[y] + BLOB_STD * rng.standard_normal((len(y), 2))
     if offset:
         x = x + offset * np.array([1.0, 1.0]) / np.sqrt(2.0)
-    return x, np.concatenate(ys)
+    return x, y
 
 
-def train_toy(inputs, labels, hidden: tuple[int, ...] = (16, 14),
-              seed: int = 0, epochs: int = 40, learning_rate: float = 0.1,
-              batch_size: int = 32) -> ModelSpec:
+def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     """Train a small ReLU classifier with plain minibatch SGD.
 
     Deterministic for a given seed: initialization and shuffling share one
     generator.  With ``epochs=0`` the freshly initialized model is returned
-    untouched.  Raises ``ValueError`` if the loss diverges to NaN/inf.
+    untouched.  ``epochs`` is a Python or numpy integer >= 0.  Raises
+    ``ValueError`` otherwise or if the loss diverges to NaN/inf.
     """
+    epochs = as_int(epochs, "epochs")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != y.shape[0]:
@@ -205,7 +212,7 @@ def train_toy(inputs, labels, hidden: tuple[int, ...] = (16, 14),
         raise ValueError("need at least 2 classes")
 
     rng = np.random.default_rng(seed)
-    dims = (x.shape[1],) + tuple(hidden) + (n_classes,)
+    dims = (x.shape[1],) + TOY_HIDDEN + (n_classes,)
     weights = [rng.normal(0.0, np.sqrt(2.0 / dims[i]), (dims[i], dims[i + 1]))
                for i in range(len(dims) - 1)]
     biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
@@ -213,8 +220,8 @@ def train_toy(inputs, labels, hidden: tuple[int, ...] = (16, 14),
     n = x.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
+        for start in range(0, n, TOY_BATCH_SIZE):
+            idx = order[start:start + TOY_BATCH_SIZE]
             xb, yb = x[idx], y[idx]
             # divergence shows up as non-finite loss below, so the
             # intermediate overflow warnings carry no extra information
@@ -241,20 +248,15 @@ def train_toy(inputs, labels, hidden: tuple[int, ...] = (16, 14),
                     grad_b = delta.sum(axis=0)
                     if i > 0:
                         delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
-                    weights[i] -= learning_rate * grad_w
-                    biases[i] -= learning_rate * grad_b
+                    weights[i] -= TOY_LEARNING_RATE * grad_w
+                    biases[i] -= TOY_LEARNING_RATE * grad_b
 
     layers = [Layer(w, b, "relu") for w, b in zip(weights[:-1], biases[:-1])]
     layers.append(Layer(weights[-1], biases[-1], "none"))
-    metadata = {
-        "trainer": "minibatch-sgd",
-        "seed": seed,
-        "epochs": epochs,
-        "learning_rate": learning_rate,
-        "batch_size": batch_size,
-        "hidden": list(hidden),
-    }
-    return ModelSpec(layers, metadata)
+    return ModelSpec(layers, {
+        "trainer": "minibatch-sgd", "seed": seed, "epochs": epochs,
+        "learning_rate": TOY_LEARNING_RATE, "batch_size": TOY_BATCH_SIZE,
+        "hidden": list(TOY_HIDDEN)})
 
 
 def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:

@@ -65,17 +65,20 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
 
     Record ``i`` is ``s{i}``: ``labels[i]`` is its true label and the
     model's decision its predicted label.  Returns the pair
-    :func:`read_traces` returns for the written file.  Inputs and labels
-    of different lengths raise ``ValueError``, and so does a label that
-    :func:`write_traces` would refuse.
+    :func:`read_traces` returns for the written file.  Inputs not an (N,
+    input width) batch or ``[]``, inputs and labels of different lengths,
+    and a label that :func:`write_traces` refuses raise ``ValueError``.
     """
     layer = as_int(layer, "layer")
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
     header = TraceHeader(layer, model.layer_width(layer), model.class_count)
     x = np.asarray(inputs, dtype=np.float64)
-    # rows of the model's input width; ``[]`` is a batch of zero rows
-    trace = forward(model, x.reshape(len(x), model.input_dim))
+    if x.shape == (0,):  # ``[]`` is a batch of zero rows
+        x = x.reshape(0, model.input_dim)
+    if x.ndim != 2:
+        raise ValueError(f"inputs must be a 2-D batch, got shape {x.shape}")
+    trace = forward(model, x)
     rows = zip(labels, decide(trace.final), trace.outputs[layer], strict=True)
     return header, [TraceRecord(f"s{i}", *_writable(f"s{i}", *row, header))
                     for i, row in enumerate(rows)]

@@ -14,6 +14,7 @@ import copy
 import json
 import random
 import sys
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -206,7 +207,6 @@ class TestEncodeCube:
 class TestEncodeSet:
     """encode_set against the union fold of singletons and the explicit set."""
 
-    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
     def test_equals_union_of_singletons(self):
         rng = random.Random(2718)
         for n in list(range(1, 13)) + [bdd.MAX_VARS]:
@@ -229,7 +229,6 @@ class TestEncodeSet:
             assert members(store, store.encode_set(patterns)) \
                 == sorted(set(patterns))
 
-    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
     def test_table_equals_the_recursive_build(self):
         """A lone row's chain is made in the order the recursion made it."""
         rng = random.Random(3141)
@@ -314,7 +313,6 @@ class TestLevelEncode:
         assert (store._var, store._low, store._high) \
             == (ref._var, ref._low, ref._high)
 
-    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
     def test_groups_equal_the_recursion(self):
         rng = random.Random(4242)
         for n in self.WIDTHS:
@@ -337,7 +335,6 @@ class TestLevelEncode:
         assert encode_groups(store, sets) == recursive_groups(ref, sets)
         self.assert_same_table(store, ref)
 
-    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
     def test_into_a_store_that_holds_nodes(self):
         """Earlier nodes, made by a union or by an encode, are
         hash-consed with, never made again."""
@@ -358,7 +355,6 @@ class TestLevelEncode:
                     == recursive_groups(ref, sets)
                 self.assert_same_table(store, ref)
 
-    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
     def test_same_sets_twice_add_no_node(self):
         rng = random.Random(6262)
         for n in self.WIDTHS:
@@ -675,8 +671,7 @@ class TestDistance:
 
     def test_frozen_store_at_max_vars(self):
         n = bdd.MAX_VARS
-        with pytest.warns(UserWarning, match="impractical"):
-            store = bdd.BddStore(n)
+        store = bdd.BddStore(n)
         zone = store.encode_set([(0,) * n, (1,) * n])
         store.freeze()
         for ones in (0, 1, 3, 5, n - 2, n):
@@ -1047,28 +1042,46 @@ class TestVariableCap:
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + n + 16)
         try:
-            with pytest.warns(UserWarning, match="impractical"):
-                store = bdd.BddStore(n)
-                both = union(store, store.encode_set([low]),
-                             store.encode_set([high]))
-                assert store.exists(n - 1, both) == both
-                assert store.sat_count(both) == 2
-                # one, two and n - 1 bits away from the nearer cube
-                probes = {(1,) + low[1:]: 1, (1, 1) + high[2:]: 2,
-                          (1,) * n: 3}
-                for bits, expected in probes.items():
-                    assert store.distance(both, bits, 3) == expected
-                loaded, roots = reload(store, {0: both})
-                for bits, expected in probes.items():
-                    assert loaded.distance(roots[0], bits, 3) == expected
+            store = bdd.BddStore(n)
+            both = union(store, store.encode_set([low]),
+                         store.encode_set([high]))
+            assert store.exists(n - 1, both) == both
+            assert store.sat_count(both) == 2
+            # one, two and n - 1 bits away from the nearer cube
+            probes = {(1,) + low[1:]: 1, (1, 1) + high[2:]: 2,
+                      (1,) * n: 3}
+            for bits, expected in probes.items():
+                assert store.distance(both, bits, 3) == expected
+            loaded, roots = reload(store, {0: both})
+            for bits, expected in probes.items():
+                assert loaded.distance(roots[0], bits, 3) == expected
         finally:
             sys.setrecursionlimit(old_limit)
         assert loaded.sat_count(roots[0]) == 2
         assert loaded.contains(roots[0], high)
 
-    def test_warning_above_200(self):
-        with pytest.warns(UserWarning, match="impractical"):
-            bdd.BddStore(201)
+    def test_counts_do_not_recurse_at_max_vars(self):
+        """sat_count and node_count pass over the ids, so the patterns
+        that a recursion would follow MAX_VARS calls deep, two that differ
+        only in the last bit, are counted with 16 frames to spare."""
+        n = bdd.MAX_VARS
+        store = bdd.BddStore(n)
+        zone = store.encode_set([(0,) * n, (0,) * (n - 1) + (1,)])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 16)
+        try:
+            counts = store.sat_count(zone), store.node_count(zone)
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert counts == (2, n - 1)
+
+    def test_no_warning_at_max_vars(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bdd.BddStore(bdd.MAX_VARS)
 
     @pytest.mark.parametrize("n_vars", [True, 2.5, "3", np.int64(3)],
                              ids=["bool", "float", "string", "numpy"])
@@ -1321,3 +1334,80 @@ class TestTableOrder:
         assert loaded_roots == {str(c): node for c, node in roots.items()}
         assert loaded.to_json({int(c): node for c, node
                                in loaded_roots.items()}) == text
+
+
+def one_build(rng, n):
+    traces = [TraceRecord(f"r{i}", c, c, np.array(p, dtype=np.float64))
+              for c in range(3)
+              for i, p in enumerate(random_patterns(rng, n, 20))]
+    mon = monitor.build(traces, identity_selection(n), gamma=0)
+    return mon.store, mon.zones
+
+
+def a_written_table(rng, n):
+    """A table that no store call made, loaded by from_dict: random
+    reduced nodes, each listed after its children, the last one a root."""
+    var, nodes, triples = [n, n], [], set()
+    for _ in range(60):
+        v = rng.randrange(n)
+        below = [node for node, w in enumerate(var) if w > v]
+        low, high = rng.choice(below), rng.choice(below)
+        if low != high and (v, low, high) not in triples:
+            triples.add((v, low, high))
+            nodes.append({"id": len(var), "var": v, "low": low, "high": high})
+            var.append(v)
+    store, roots = bdd.from_dict({
+        "version": bdd.SERIAL_VERSION, "n_vars": n, "nodes": nodes,
+        "roots": {"0": len(var) - 1, "1": bdd.TRUE + 1}})
+    roots = {int(c): node for c, node in roots.items()}
+    assert table(store, roots) != reference_to_dict(store, roots)
+    return store, roots
+
+
+def reference_sat_count(store, root):
+    """``sat_count`` as the recursion from the root it replaced, with a
+    memo per call."""
+    memo = {bdd.FALSE: 0, bdd.TRUE: 1}
+    var, low, high = store._var, store._low, store._high
+
+    def count(node):
+        if node not in memo:
+            memo[node] = \
+                (count(low[node]) << (var[low[node]] - var[node] - 1)) \
+                + (count(high[node]) << (var[high[node]] - var[node] - 1))
+        return memo[node]
+
+    return count(root) << var[root]
+
+
+def reference_node_count(store, root):
+    """``node_count`` as the stack walk with a seen-set it replaced."""
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node > bdd.TRUE and node not in seen:
+            seen.add(node)
+            stack += [store._low[node], store._high[node]]
+    return len(seen)
+
+
+class TestCountsInIdOrder:
+    """sat_count and node_count, one pass over the ids each, equal the
+    recursion and the stack walk they replaced on every kind of table:
+    one build's, separate encodes', one with the unreachable nodes that
+    exists leaves and one loaded out of canonical order; on each, at the
+    roots, at both terminals and at a sample of the other ids."""
+
+    @pytest.mark.parametrize("make", [
+        one_build, separate_encodes, an_exists, a_written_table],
+        ids=lambda make: make.__name__)
+    @pytest.mark.parametrize("n", [1, 3, 8, 12, 64, bdd.MAX_VARS])
+    def test_equal_the_walks_they_replaced(self, make, n):
+        rng = random.Random(n)
+        store, roots = make(rng, n)
+        nodes = set(roots.values()) | {bdd.FALSE, bdd.TRUE} \
+            | set(rng.sample(range(len(store)), min(len(store), 30)))
+        for node in sorted(nodes):
+            assert (store.sat_count(node), store.node_count(node)) \
+                == (reference_sat_count(store, node),
+                    reference_node_count(store, node))

@@ -150,6 +150,17 @@ class TestTrainToyCommand:
         assert out.exists()
         assert "training accuracy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--epochs", "epochs must be >= 0, got -3"),
+        ("--per-class", "per_class must be >= 0, got -3"),
+    ])
+    def test_negative_count_writes_no_model(self, tmp_path, capsys, flag,
+                                            message):
+        out = tmp_path / "model.json"
+        assert main(["train-toy", flag, "-3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, tmp_path):
@@ -448,6 +459,19 @@ class TestDatasetFile:
                      "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 4  # header + 3 records
+
+    def test_inputs_of_another_width(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"inputs": [[0.0, 1.0, 2.0]] * 2,
+                                    "labels": [0, 1]}))
+        out = tmp_path / "traces.jsonl"
+        code = main(["extract", "--model", str(pipeline["model"]),
+                     "--layer", "1", "--data", str(data), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: input shape (2, 3) does not match layer 0 input "
+            "width 2\n")
+        assert not out.exists()
 
     def test_malformed_dataset(self, pipeline, tmp_path, capsys):
         data = tmp_path / "data.json"

@@ -253,6 +253,66 @@ def test_only_the_node_makers_grow_the_bdd_table():
                      ("bdd.py", "_encode")}, found
 
 
+def self_calls(tree):
+    """The dotted name of every function in ``tree`` that calls itself:
+    a method through ``self.``, any other function by its bare name.  A
+    call through another object, such as ``warnings.warn`` in ``warn``,
+    is not one, nor is a method's call of the builtin it is named after."""
+    found = []
+
+    def visit(node, scope, in_class):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                if isinstance(call, ast.Call) and (
+                        isinstance(func, ast.Attribute) and in_class
+                        and func.attr == node.name
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == "self"
+                        or isinstance(func, ast.Name) and not in_class
+                        and func.id == node.name):
+                    found.append(scope + node.name)
+                    break
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = f"{scope}{node.name}."
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, isinstance(node, ast.ClassDef))
+
+    visit(tree, "", False)
+    return found
+
+
+def test_self_call_guard_sees_each_form():
+    tree = ast.parse("import warnings\n"
+                     "def warn(m):\n"
+                     "    warnings.warn(m)\n"
+                     "def fact(n):\n"
+                     "    return n * fact(n - 1)\n"
+                     "class S:\n"
+                     "    def walk(self, n):\n"
+                     "        return self.walk(n) or other.walk(n)\n"
+                     "    def count(self, n):\n"
+                     "        def count(m):\n"
+                     "            return count(m - 1)\n"
+                     "        return count(n)\n"
+                     "    def len(self):\n"
+                     "        return len(self.items)\n")
+    assert self_calls(tree) == ["fact", "S.walk", "S.count.count"]
+
+
+def test_only_exists_recurses():
+    """``exists`` and its or-recursion go one variable deeper per call, at
+    most MAX_VARS + 3 frames; every other operation is a loop, so no width
+    raises ``RecursionError``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, name) for name in self_calls(tree)]
+    assert found == [("bdd.py", "BddStore._or"),
+                     ("bdd.py", "BddStore._exists")], found
+
+
 # keys of the BDD table that only its writer and its reader name
 TABLE_KEYS = ("nodes", "false_id", "true_id")
 

@@ -214,7 +214,6 @@ class TestBuild:
                                         "_high"}
         assert len(mon.store) > 400  # 64-bit patterns share few nodes
 
-    @pytest.mark.filterwarnings("ignore:.*impractical")  # MAX_VARS width
     def test_does_not_recurse_at_max_vars(self):
         """Patterns that first differ at the last bit, which a recursion
         over the bits would follow MAX_VARS calls deep, build with 32
@@ -300,12 +299,6 @@ class TestBuild:
             build(traces, identity_selection(2), gamma=0)
         assert caught[0].filename == __file__
 
-    def test_width_warning_points_at_caller(self):
-        traces = [pattern_trace(0, 0, (1,) * 201)]
-        with pytest.warns(UserWarning, match="impractical") as caught:
-            build(traces, identity_selection(201), gamma=0)
-        assert caught[0].filename == __file__
-
     @pytest.mark.parametrize("acts", [(math.nan, 1.0), (1.0, 1.0, 1.0)])
     def test_skipped_records_are_never_read(self, acts):
         traces = [pattern_trace(0, 0, (0, 1), "a"),
@@ -368,6 +361,19 @@ class TestQuery:
     def test_unmonitored_class(self):
         mon = self._monitor()
         assert query(mon, (1.0, 1.0, 1.0), 2) is Verdict.NO_ZONE
+
+    @pytest.mark.parametrize("label", [False, 0.0, "0"],
+                             ids=["bool", "float", "string"])
+    def test_predicted_label_is_an_integer(self, label):
+        # False and 0.0 equal 0, whose zone holds the pattern; "0" is no key
+        with pytest.raises(ValueError,
+                           match="^predicted label .* is not an integer$"):
+            query(self._monitor(), (0.0, 0.0, 2.5), label)
+
+    def test_numpy_predicted_label_accepted(self):
+        mon = self._monitor()
+        assert query(mon, (0.0, 0.0, 2.5), np.int64(0)) is Verdict.IN_ZONE
+        assert query(mon, (0.0, 0.0, 2.5), np.uint8(2)) is Verdict.NO_ZONE
 
     def test_width_mismatch(self):
         mon = self._monitor()
@@ -681,15 +687,6 @@ class TestPersistence:
                                      f'"scores":[{token},', 1))
         with pytest.raises(SchemaError, match="monitor file .*non-finite"):
             load_monitor(path)
-
-    def test_width_warning_on_load_points_at_caller(self, tmp_path):
-        path = tmp_path / "m.json"
-        with pytest.warns(UserWarning, match="impractical"):
-            save_monitor(build([pattern_trace(0, 0, (1,) * 201)],
-                               identity_selection(201), gamma=0), path)
-        with pytest.warns(UserWarning, match="impractical") as caught:
-            load_monitor(path)
-        assert caught[0].filename == __file__
 
     @pytest.mark.parametrize("literal", ["1" * 400, "1e999", "-1e999"],
                              ids=["huge-int", "inf", "minus-inf"])

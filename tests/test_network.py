@@ -379,7 +379,7 @@ class TestModelSpec:
 
 class TestMakeBlobs:
     def test_shapes_and_labels(self):
-        x, y = make_blobs(n_classes=3, per_class=100, seed=1)
+        x, y = make_blobs(per_class=100, seed=1)
         assert x.shape == (300, 2)
         assert sorted(set(y.tolist())) == [0, 1, 2]
 
@@ -395,10 +395,23 @@ class TestMakeBlobs:
         shifts = np.linalg.norm(moved - base, axis=1)
         np.testing.assert_allclose(shifts, 2.0)
 
+    @pytest.mark.parametrize("per_class, message", [
+        (-2, "^per_class must be >= 0, got -2$"),
+        (2.5, "^per_class 2.5 is not an integer$"),
+        (True, "^per_class True is not an integer$"),
+    ], ids=["negative", "float", "bool"])
+    def test_per_class_is_a_count(self, per_class, message):
+        with pytest.raises(ValueError, match=message):
+            make_blobs(per_class=per_class)
+
+    def test_numpy_per_class_accepted(self):
+        x, y = make_blobs(per_class=np.int64(4), seed=5)
+        assert x.tobytes() == make_blobs(per_class=4, seed=5)[0].tobytes()
+
 
 class TestTrainToy:
     def test_separable_blobs_reach_90_percent(self):
-        x, y = make_blobs(n_classes=3, per_class=500, seed=7)
+        x, y = make_blobs(per_class=500, seed=7)
         model = train_toy(x, y, seed=7)
         assert evaluate_accuracy(model, x, y) >= 0.90
 
@@ -418,7 +431,7 @@ class TestTrainToy:
     def test_divergence_raises(self):
         x, y = make_blobs(per_class=50, seed=2)
         with pytest.raises(ValueError, match="diverged"):
-            train_toy(x, y, seed=2, epochs=50, learning_rate=1e12)
+            train_toy(x * 1e300, y, seed=2, epochs=50)
 
     def test_hyperparameters_recorded(self):
         x, y = make_blobs(per_class=50, seed=2)
@@ -426,6 +439,22 @@ class TestTrainToy:
         assert model.metadata["seed"] == 2
         assert model.metadata["epochs"] == 1
         assert "learning_rate" in model.metadata
+
+    @pytest.mark.parametrize("epochs, message", [
+        (-3, "^epochs must be >= 0, got -3$"),
+        (2.5, "^epochs 2.5 is not an integer$"),
+        ("2", "^epochs '2' is not an integer$"),
+    ], ids=["negative", "float", "string"])
+    def test_epochs_is_a_count(self, epochs, message):
+        x, y = make_blobs(per_class=10, seed=2)
+        with pytest.raises(ValueError, match=message):
+            train_toy(x, y, epochs=epochs)
+
+    def test_numpy_epochs_recorded_as_int(self):
+        x, y = make_blobs(per_class=10, seed=2)
+        model = train_toy(x, y, seed=2, epochs=np.int64(1))
+        assert type(model.metadata["epochs"]) is int
+        assert model.metadata == train_toy(x, y, seed=2, epochs=1).metadata
 
 
 class TestModelFiles:

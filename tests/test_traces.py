@@ -416,6 +416,23 @@ class TestExtract:
         with pytest.raises(ValueError, match="layer 2 is not a ReLU layer"):
             extract(load_model(model_path), x, y, 2)
 
+    def test_no_rows(self, model_path):
+        header, records = extract(load_model(model_path), [], [], 1)
+        assert records == [] and header.width == 14
+
+    @pytest.mark.parametrize("inputs, message", [
+        (np.ones((2, 3)), r"^input shape \(2, 3\) does not match layer 0 "
+                          r"input width 2$"),
+        (np.ones((3, 1, 2)), r"^inputs must be a 2-D batch, got shape "
+                             r"\(3, 1, 2\)$"),
+        (np.ones(4), r"^inputs must be a 2-D batch, got shape \(4,\)$"),
+    ], ids=["wide-rows", "3-D", "flat"])
+    def test_inputs_must_be_rows_of_the_input_width(self, model_path, inputs,
+                                                     message):
+        with pytest.raises(ValueError, match=message):
+            extract(load_model(model_path), inputs, list(range(len(inputs))),
+                    1)
+
     @pytest.mark.parametrize("drop", ["inputs", "labels"])
     def test_length_mismatch_rejected(self, model_path, drop):
         x, y = make_blobs(seed=5, per_class=2)
