@@ -55,7 +55,7 @@ print(f"training accuracy: {correct / len(train_records):.1%}")
 
 selection = identity_selection(model.layer_width(LAYER), layer=LAYER)
 monitor = build(train_records, selection, gamma=GAMMA)
-print(f"monitor: {monitor.width} neurons of layer {LAYER}, "
+print(f"monitor: {monitor.selection.width} neurons of layer {LAYER}, "
       f"gamma {GAMMA}, classes {monitor.classes}")
 for c in monitor.classes:
     print(f"  class {c}: {monitor.store.sat_count(monitor.zones[c])} "

@@ -60,9 +60,7 @@ class BddStore:
     """Hash-consed ROBDD node table over ``n_vars`` pattern bits."""
 
     def __init__(self, n_vars: int):
-        n_vars = as_int(n_vars, "n_vars")
-        if n_vars < 1:
-            raise ValueError(f"n_vars must be >= 1, got {n_vars}")
+        n_vars = as_int(n_vars, "n_vars", 1)
         if n_vars > MAX_VARS:
             raise ValueError(
                 f"n_vars {n_vars} exceeds the variable cap {MAX_VARS}")
@@ -148,8 +146,8 @@ class BddStore:
         """The root of each group's set, by label, from an (N, ``n_vars``)
         0/1 array taken unchecked and one label >= 0 per row.  One pass, a
         few numpy calls per level from bit ``n_vars - 1`` up, appends the
-        nodes in the order of encoding each group in turn recursively.  A
-        store that holds nodes is indexed once, so keys name earlier nodes."""
+        nodes in the order of encoding each group in turn recursively.  The
+        store is indexed once, so keys name earlier calls' nodes."""
         if not len(bits):
             return {}
         packed = np.concatenate((groups.astype(">u4")[:, None].view(np.uint8),
@@ -163,23 +161,22 @@ class BddStore:
         # id << shift[var][row]: the id's half of the key low << 32 | high
         shift = np.ascontiguousarray(rows.T ^ 1) << 5
         base = count = len(self._var)
-        unique = self._index() if base > TRUE + 1 else None
+        unique = self._index()
         # each segment of rows at this depth: its node (TRUE first), last row
         ids, ends, made = np.ones_like(split), np.arange(len(rows)), []
-        joins, distinct = set(split.tolist()), len(rows) == 1
+        distinct = len(rows) == 1
         for var in range(self.n_vars - 1, -1, -1):
             key = ids << shift[var][ends]
-            if var in joins:  # a 0-segment and the 1-segment after it
-                join = split[ends] == var
-                key[1:] |= key[:-1] * join[:-1]
-                key, ends = key[~join], ends[~join]
+            join = split[ends] == var  # a 0-segment and the 1-segment after it
+            key[1:] |= key[:-1] * join[:-1]
+            key, ends = key[~join], ends[~join]
             at, slot = ends, None
             if not distinct:  # distinct nodes give distinct keys from here
                 key, at, slot = np.unique(key, return_index=True,
                                           return_inverse=True)
                 at, distinct = ends[at], len(key) == len(slot)
             ids = np.arange(count, count + len(key))
-            if slot is not None and var in joins:  # equal children: no node
+            if slot is not None:  # equal children: no node
                 ids = np.where(key >> 32 == key % 2**32, key >> 32, ids)
             if unique:  # a key may name an earlier call's node
                 ids = np.array([unique.get((var, k >> 32, k % 2**32), i)
@@ -287,9 +284,7 @@ class BddStore:
         the checked node and pattern go to the search :meth:`_distance`.
         ``cap`` is a Python or numpy integer; a bool or float raises
         ``ValueError``."""
-        cap = as_int(cap, "distance cap")
-        if cap < 1:
-            raise ValueError(f"distance cap must be >= 1, got {cap}")
+        cap = as_int(cap, "distance cap", 1)
         if cap == 1:
             return 0 if self.contains(a, bits) else 1
         node = self._check_node(a)
@@ -320,6 +315,32 @@ class BddStore:
             if node == TRUE:
                 best = used
         return best
+
+    def _distances(self, bits: np.ndarray, roots: np.ndarray,
+                   cap: int) -> list[int | None]:
+        """:meth:`distance` from each row of the unchecked (N, ``n_vars``) 0/1
+        array ``bits`` to its id in ``roots``, or ``None`` for an id of -1.
+        Each distinct (pattern, root) walks its root, all in lockstep, and
+        only the misses go to :meth:`_distance`."""
+        keys = np.hstack([np.packbits(bits, axis=1),
+                          roots[:, None].view(np.uint8)])
+        _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                      return_index=True, return_inverse=True)
+        bits, roots = bits[first], roots[first]
+        var = np.array(self._var, dtype=np.intp)
+        kids = np.array([self._low, self._high], dtype=np.intp).T.ravel()
+        ends, flat, width = roots.copy(), bits.ravel(), bits.shape[1]
+        walking = np.flatnonzero(ends > TRUE)  # a root of -1: no set
+        while walking.size:  # kids[2n + bit] is node n's child at that bit
+            nodes = ends[walking]
+            ends[walking] = nodes = kids[
+                2 * nodes + flat[walking * width + var[nodes]]]
+            walking = walking[nodes > TRUE]
+        search = self._distance
+        found = [None if root < 0 else 0 if end == TRUE else cap if cap == 1
+                 else search(root, bits[g].tolist(), cap) for g, (root, end)
+                 in enumerate(zip(roots.tolist(), ends.tolist()))]
+        return np.array(found, dtype=object)[inverse].tolist()
 
     def _cone(self, root: int) -> list[bool]:
         """Whether ``root`` reaches each id up to it.  Every child's id is

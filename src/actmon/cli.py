@@ -116,7 +116,7 @@ def cmd_build(args) -> None:
     monitor_mod.save_monitor(built, args.out)
     print(f"wrote monitor to {args.out} "
           f"(classes {built.classes}, gamma {built.gamma}, "
-          f"{built.width} monitored neurons)")
+          f"{built.selection.width} monitored neurons)")
 
 
 def cmd_query(args) -> None:
@@ -175,8 +175,8 @@ def cmd_stats(args) -> None:
     mon = monitor_mod.load_monitor(args.monitor)
     print(f"gamma: {mon.gamma}")
     print(f"monitored layer: {mon.selection.layer}")
-    print(f"monitored neurons ({mon.width} of {mon.selection.layer_width}): "
-          f"{list(mon.selection.indices)}")
+    print(f"monitored neurons ({mon.selection.width} of "
+          f"{mon.selection.layer_width}): {list(mon.selection.indices)}")
     print(f"store nodes: {len(mon.store)}")
     for c in mon.classes:
         root = mon.zones[c]

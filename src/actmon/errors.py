@@ -80,15 +80,17 @@ def finite_floats(value, what: str, ndim: int) -> np.ndarray:
     return floats
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as an int if it is a Python or numpy integer, else a
-    ``ValueError``: a bool, float or string is no integer argument, and
-    ``int()`` would truncate ``1.9`` or read ``"1"``."""
-    if type(value) is int:  # the common case, tested first
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return int(value)
+def as_int(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int if it is a Python or numpy integer of at least
+    ``least`` (if given), else a ``ValueError``: a bool, float or string
+    is no integer argument; ``int()`` would truncate 1.9 or read "1"."""
+    if type(value) is not int:  # an exact int, the common case, skips this
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{what} {value!r} is not an integer")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 # sibling modules' code objects carry file names of the form of __file__

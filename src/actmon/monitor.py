@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import bdd, patterns
-from .bdd import FALSE, TRUE, BddStore
+from .bdd import FALSE, BddStore
 from .errors import (FormatVersionError, SchemaError, as_int, exact_int,
                      read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
@@ -63,10 +63,6 @@ class Monitor:
     def classes(self) -> list[int]:
         return sorted(self.zones)
 
-    @property
-    def width(self) -> int:
-        return self.selection.width
-
 
 def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
           gamma: int, classes: Iterable[int] | None = None) -> Monitor:
@@ -84,9 +80,7 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     and the classes are Python or numpy integers (a bool, float or string
     raises ``ValueError``), stored as ints.
     """
-    gamma = as_int(gamma, "gamma")
-    if gamma < 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    gamma = as_int(gamma, "gamma", 0)
     traces = list(traces)
     if not traces:
         raise ValueError("cannot build a monitor from zero traces")
@@ -137,33 +131,15 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
 def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
                      cap: int) -> list[int | None]:
     """Each record's :func:`query` distance to the zone of its predicted
-    class, capped at ``cap``, or ``None`` without a zone.  One checked
-    threshold pass makes every pattern, each distinct (pattern, zone)
-    walks its zone, all at once, and only the misses are searched."""
+    class, capped at ``cap``, or ``None`` without a zone: one checked
+    threshold pass makes every pattern, and the store's batch walk
+    :meth:`~actmon.bdd.BddStore._distances` judges them all."""
     if not records:
         return []
     bits = patterns._threshold([r.activations for r in records],
                                monitor.selection)
     roots = np.array([monitor.zones.get(r.pred_label, -1) for r in records])
-    keys = np.hstack([np.packbits(bits, axis=1),
-                      roots[:, None].view(np.uint8)])
-    _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
-                                  return_index=True, return_inverse=True)
-    bits, roots, store = bits[first], roots[first], monitor.store
-    var = np.array(store._var, dtype=np.intp)
-    kids = np.array([store._low, store._high], dtype=np.intp).T.ravel()
-    ends, flat, width = roots.copy(), bits.ravel(), bits.shape[1]
-    walking = np.flatnonzero(ends > TRUE)  # a root of -1: no zone
-    while walking.size:  # kids[2n + bit] is node n's child at that bit
-        nodes = ends[walking]
-        ends[walking] = nodes = kids[
-            2 * nodes + flat[walking * width + var[nodes]]]
-        walking = walking[nodes > TRUE]
-    search = store._distance  # on _threshold's checked bits
-    found = [None if root < 0 else 0 if end == TRUE else cap if cap == 1
-             else search(root, bits[g].tolist(), cap) for g, (root, end)
-             in enumerate(zip(roots.tolist(), ends.tolist()))]
-    return np.array(found, dtype=object)[inverse].tolist()
+    return monitor.store._distances(bits, roots, cap)
 
 
 # -- persistence --------------------------------------------------------------

@@ -179,9 +179,7 @@ def make_blobs(per_class: int = 500, seed: int = 0,
     along the diagonal, which is how the shifted evaluation sets used in
     the distribution-shift experiments are produced.
     """
-    per_class = as_int(per_class, "per_class")
-    if per_class < 0:
-        raise ValueError(f"per_class must be >= 0, got {per_class}")
+    per_class = as_int(per_class, "per_class", 0)
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * np.arange(BLOB_CLASSES) / BLOB_CLASSES
     means = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -200,9 +198,7 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     untouched.  ``epochs`` is a Python or numpy integer >= 0.  Raises
     ``ValueError`` otherwise or if the loss diverges to NaN/inf.
     """
-    epochs = as_int(epochs, "epochs")
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    epochs = as_int(epochs, "epochs", 0)
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != y.shape[0]:

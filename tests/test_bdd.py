@@ -777,20 +777,22 @@ class TestCores:
 
 SRC = Path(bdd.__file__).parent
 # the store's unchecked cores
-CORES = {"_encode", "_distance"}
+CORES = {"_encode", "_distance", "_distances"}
+# the node table's columns
+COLUMNS = {"_var", "_low", "_high"}
 
 
-def core_uses(tree):
-    """(function, core) for every attribute ``_encode`` or ``_distance``
-    that ``tree`` reads, named by its innermost enclosing function (None at
-    module level)."""
+def attribute_reads(tree, names):
+    """(function, name) for every attribute in ``names`` that ``tree``
+    reads, named by its innermost enclosing function (None at module
+    level)."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.Lambda)):
             func = getattr(node, "name", "<lambda>")
-        if isinstance(node, ast.Attribute) and node.attr in CORES:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.append((func, node.attr))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -799,27 +801,42 @@ def core_uses(tree):
     return found
 
 
+def reads_outside_bdd(names):
+    """(module, function, name) for every read of an attribute in
+    ``names`` in the package's modules other than ``bdd.py``, sorted."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "bdd.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, func, name)
+                      for func, name in attribute_reads(tree, names)]
+    return sorted(found)
+
+
 def test_core_guard_sees_each_form():
     tree = ast.parse("x = s._encode(r)\n"
                      "def query(m):\n"
                      "    search = m.store._distance\n"
                      "    f = lambda: m.store._encode([])\n"
+                     "    g = m.store._var[2]\n"
                      "    return search(1, (0,), 2)\n")
-    assert core_uses(tree) == [(None, "_encode"), ("query", "_distance"),
-                               ("<lambda>", "_encode")]
+    assert attribute_reads(tree, CORES) == [
+        (None, "_encode"), ("query", "_distance"), ("<lambda>", "_encode")]
+    assert attribute_reads(tree, COLUMNS) == [("query", "_var")]
 
 
 def test_cores_are_reached_only_by_build_and_sweep():
     """The cores skip the pattern checks, so only code that hands them
     the checked threshold pass's output may call them."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "bdd.py":
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            found += [(path.name, func, core)
-                      for func, core in core_uses(tree)]
-    assert sorted(found) == [("monitor.py", "_batch_distances", "_distance"),
-                             ("monitor.py", "build", "_encode")], found
+    found = reads_outside_bdd(CORES)
+    assert found == [("monitor.py", "_batch_distances", "_distances"),
+                     ("monitor.py", "build", "_encode")], found
+
+
+def test_only_bdd_reads_the_node_table():
+    """The columns ``_var``, ``_low`` and ``_high`` are the store's own
+    layout: every walk over them lives in ``bdd.py``."""
+    assert reads_outside_bdd(COLUMNS) == []
 
 
 class TestSatCount:
