@@ -6,15 +6,16 @@ Every function over patterns is represented by a single canonical node id,
 so semantically equal sets always share one root.  The store supports the
 handful of operations a monitor needs: encoding sets of patterns level by
 level, membership evaluation, the capped Hamming distance from a pattern to
-a set (the monitor's query), exact model counting, and the table's one
-file format: :meth:`BddStore.to_json` writes the whole table in table
-order as the deterministic JSON text that monitor files embed, and
-:func:`from_dict` reads its parsed object back; opening files is the
-caller's job.  A node's id is its position in the table, and a set (a
+a set (the monitor's query) and from a batch of patterns to their sets at
+once (:meth:`BddStore._distances`, the batch judge), exact model counting,
+and the table's one file format: :meth:`BddStore.to_json` writes the whole
+table in table order as the deterministic JSON text that monitor files
+embed, and :func:`from_dict` reads its parsed object back; opening files
+is the caller's job.  A node's id is its position in the table, and a set (a
 monitor's zone) is the plain ``int`` id of its root, which only the store
 that holds it can read.  A table encoded in one call into an empty store,
 as each monitor's is, lists its nodes in canonical order, so equal sets
-give equal files.
+give equal files.  No other module reads the node table.
 Existential quantification over one variable (:meth:`BddStore.exists`) is
 the paper's distance-1 step; no monitor uses it, the tests' Hamming balls do.
 

@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # an overflow to inf or NaN is refused by name where it is checked,
+        # so numpy's warning would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            args.func(args)
     except (ValueError, ActmonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,9 +10,10 @@ pattern: one capped search, ``BddStore.distance(zone, pattern, gamma + 1)``.
 Building makes only the gamma-0 zones, so its cost and the monitor file do
 not depend on gamma; the query's cost grows with it.  :func:`query`
 applies this rule to one runtime sample; the batch path
-:func:`_batch_distances`, one lockstep walk per distinct (pattern, zone)
-and a search only where it misses, applies it to the record sets of
-``actmon query`` and of :mod:`~actmon.evaluation`'s report rows.
+:func:`_batch_distances`, one threshold pass handed to the store's batch
+walk, applies it to the record sets of ``actmon query`` and of
+:mod:`~actmon.evaluation`'s report rows.  This module reads no node
+table: every walk over one is the store's.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different

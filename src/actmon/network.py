@@ -148,8 +148,12 @@ def gradient_from_activations(
     The downstream layers fully determine this gradient, so a stored trace
     is as good as the original input.  The ReLU subgradient at exactly zero
     is taken as zero, consistent with zero activations counting as
-    suppressed.  A non-finite activation raises ``ValueError``.
+    suppressed.  ``layer`` and ``class_index`` are Python or numpy
+    integers; a bool, float or string raises ``ValueError``, and so does a
+    non-finite activation.
     """
+    layer = as_int(layer, "layer")
+    class_index = as_int(class_index, "class index")
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
     if not 0 <= class_index < model.class_count:
@@ -195,9 +199,11 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
 
     Deterministic for a given seed: initialization and shuffling share one
     generator.  With ``epochs=0`` the freshly initialized model is returned
-    untouched.  ``epochs`` is a Python or numpy integer >= 0.  Raises
-    ``ValueError`` otherwise or if the loss diverges to NaN/inf.
+    untouched.  ``seed`` and ``epochs`` are Python or numpy integers >= 0,
+    recorded as ints.  Raises ``ValueError`` otherwise or if the loss
+    diverges to NaN/inf.
     """
+    seed = as_int(seed, "seed", 0)
     epochs = as_int(epochs, "epochs", 0)
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -256,11 +262,14 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
 
 
 def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:
-    """Fraction of the (N, D) rows whose argmax decision matches the label."""
+    """Fraction of the (N, D) rows, N >= 1, whose argmax decision matches
+    the label."""
     y = np.asarray(labels, dtype=np.int64)
     predicted = decide(forward(model, inputs).final)
     if np.shape(predicted) != y.shape:
         raise ValueError(f"{np.size(predicted)} inputs but {y.size} labels")
+    if not y.size:
+        raise ValueError("cannot measure accuracy on zero rows")
     return np.count_nonzero(predicted == y) / len(y)
 
 

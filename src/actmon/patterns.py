@@ -147,8 +147,12 @@ def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],
 
     When ``layer`` feeds straight into the linear output layer, the
     gradient is the connecting weight column, independent of any sample;
-    that exact value is returned.
+    that exact value is returned.  ``layer`` and ``class_index`` are
+    Python or numpy integers; a bool, float or string raises
+    ``ValueError``.
     """
+    layer = as_int(layer, "layer")
+    class_index = as_int(class_index, "class index")
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
     if not 0 <= class_index < model.class_count:

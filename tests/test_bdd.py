@@ -1046,6 +1046,13 @@ class TestVariableCap:
         with pytest.raises(ValueError, match="cap"):
             bdd.BddStore(bdd.MAX_VARS + 1)
 
+    @pytest.mark.parametrize("n_vars", [0, -2, np.int64(0)],
+                             ids=["zero", "negative", "numpy-zero"])
+    def test_width_below_one(self, n_vars):
+        with pytest.raises(ValueError,
+                           match=f"^n_vars must be >= 1, got {n_vars}$"):
+            bdd.BddStore(n_vars)
+
     def test_recursion_safe_at_max_vars(self):
         # each recursive call goes one variable deeper, so an operation needs
         # MAX_VARS frames plus a few; run them with only 16 frames to spare.

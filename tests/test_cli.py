@@ -9,6 +9,7 @@ import csv
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,52 @@ class TestErrors:
         assert out.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [out]
 
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    def test_class_list_of_no_integers(self, pipeline, tmp_path, capsys,
+                                       command):
+        args = {"build": ["--gamma", "0"],
+                "sweep": ["--eval", str(pipeline["eval"]), "--gamma", "1"]}
+        out = tmp_path / "out"
+        code = main([command, "--traces", str(pipeline["train"]),
+                     *args[command], "--classes", "1,x", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: expected comma-separated integers, "
+                                "got '1,x'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    def test_model_layer_of_another_width(self, pipeline, tmp_path, capsys,
+                                          command):
+        # layer 0 of the toy model is a ReLU layer 16 wide, the traces 14
+        train = as_layer_zero(pipeline["train"], tmp_path)
+        args = {"build": ["--gamma", "0"],
+                "sweep": ["--eval", str(train), "--gamma", "1"]}
+        out = tmp_path / "out"
+        code = main([command, "--traces", str(train), *args[command],
+                     "--model", str(pipeline["model"]), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: model layer 0 does not match the "
+                                "trace header\n")
+        assert not out.exists()
+
+    def test_overflow_in_the_forward_pass_is_one_error_line(
+            self, pipeline, tmp_path, capsys):
+        data = json.loads(pipeline["model"].read_text())
+        data["layers"][0]["weights"][0][0] = 1e308
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(data))
+        out = tmp_path / "t.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's would raise here
+            code = main(["extract", "--model", str(model), "--layer", "1",
+                         "--per-class", "2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: non-finite value in layer 0 output\n"
+        assert list(tmp_path.iterdir()) == [model]
+
     def test_non_finite_activation_writes_no_verdicts(self, pipeline,
                                                       tmp_path, capsys):
         lines = pipeline["train"].read_text().splitlines()
@@ -471,6 +518,19 @@ class TestDatasetFile:
         assert capsys.readouterr().err == (
             "error: input shape (2, 3) does not match layer 0 input "
             "width 2\n")
+        assert not out.exists()
+
+    def test_inputs_and_labels_of_other_lengths(self, pipeline, tmp_path,
+                                                capsys):
+        data = tmp_path / "data.json"
+        data.write_text(json.dumps({"inputs": [[0.0, 1.0], [5.0, 5.0]],
+                                    "labels": [0, 1, 2]}))
+        out = tmp_path / "traces.jsonl"
+        code = main(["extract", "--model", str(pipeline["model"]),
+                     "--layer", "1", "--data", str(data), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: dataset inputs/labels shapes disagree\n")
         assert not out.exists()
 
     def test_malformed_dataset(self, pipeline, tmp_path, capsys):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import actmon
-from actmon.errors import (SchemaError, all_finite, finite_floats, read_json,
-                           replace_on_success)
+from actmon.errors import (SchemaError, all_finite, as_int, finite_floats,
+                           read_json, replace_on_success)
 
 SRC = Path(actmon.__file__).parent
 # a literal open() mode that writes, appends or creates
@@ -49,6 +49,25 @@ class TestReplaceOnSuccess:
             fh.write("new")
         assert real.read_text() == "old"
         assert not link.is_symlink() and link.read_text() == "new"
+
+
+class TestAsInt:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    @pytest.mark.parametrize("least", [None, 0, 3])
+    def test_integer_at_least_the_bound_is_an_int(self, value, least):
+        got = as_int(value, "count", least)
+        assert type(got) is int and got == 3
+
+    @pytest.mark.parametrize("value, least, message", [
+        (-2, 0, "^count must be >= 0, got -2$"),
+        (np.int64(0), 1, "^count must be >= 1, got 0$"),
+        (True, 0, "^count True is not an integer$"),
+        (2.0, 0, "^count 2.0 is not an integer$"),
+        ("2", None, "^count '2' is not an integer$"),
+    ], ids=["below", "numpy-below", "bool", "float", "string"])
+    def test_refusals_name_the_argument(self, value, least, message):
+        with pytest.raises(ValueError, match=message):
+            as_int(value, "count", least)
 
 
 class TestReadJson:

@@ -617,6 +617,9 @@ class TestPersistence:
         ("bdd.version", True),
         ("bdd.true_id", True),
         ("bdd.false_id", 0.0),
+        # values of the right type that the reader still refuses
+        ("gamma", -1),
+        ("bdd.n_vars", 7),  # wider than the selection
     ])
     def test_inexact_or_contradicting_field(self, path, value, tmp_path):
         save_monitor(self._monitor(), tmp_path / "monitor.json")

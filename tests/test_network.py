@@ -242,6 +242,12 @@ class TestBatch:
                            f"{len(x) - 1} labels"):
             evaluate_accuracy(model, x, np.zeros(len(x) - 1))
 
+    def test_accuracy_needs_a_row(self, model_and_rows):
+        model, x = model_and_rows
+        with pytest.raises(ValueError,
+                           match="^cannot measure accuracy on zero rows$"):
+            evaluate_accuracy(model, x[:0], np.zeros(0))
+
 
 class TestDecide:
     def test_plain_argmax(self):
@@ -359,6 +365,25 @@ class TestLayerGradient:
         with pytest.raises(ValueError, match="class"):
             gradient_from_activations(model, acts[0], 0, 2)
 
+    @pytest.mark.parametrize("layer, class_index, message", [
+        (True, 0, "^layer True is not an integer$"),
+        (0.0, 0, "^layer 0.0 is not an integer$"),
+        (0, True, "^class index True is not an integer$"),
+        (0, 1.0, "^class index 1.0 is not an integer$"),
+        (0, "1", "^class index '1' is not an integer$"),
+    ], ids=["bool-layer", "float-layer", "bool-class", "float-class",
+            "string-class"])
+    def test_layer_and_class_are_integers(self, layer, class_index,
+                                          message):
+        rng = np.random.default_rng(26)
+        model = random_model(rng, (3, 5, 4, 2))
+        acts = forward(model, np.ones(3)).outputs[0]
+        with pytest.raises(ValueError, match=message):
+            gradient_from_activations(model, acts, layer, class_index)
+        got = gradient_from_activations(model, acts, np.int64(0), np.int8(1))
+        assert got.tobytes() \
+            == gradient_from_activations(model, acts, 0, 1).tobytes()
+
 
 class TestModelSpec:
     def test_dimension_mismatch_rejected(self):
@@ -375,6 +400,17 @@ class TestModelSpec:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError, match="classes"):
             ModelSpec([Layer(np.ones((2, 1)), np.zeros(1), "none")])
+
+    @pytest.mark.parametrize("layers, message", [
+        ([], "^model needs at least one layer$"),
+        ([Layer(np.ones((2, 3)), np.zeros(2), "none")],
+         "^layer 0: weight/bias shapes disagree$"),
+        ([Layer(I2, np.zeros(2), "tanh"), Layer(I2, np.zeros(2), "none")],
+         "^layer 0: unknown activation 'tanh'$"),
+    ], ids=["no-layers", "bias-width", "activation"])
+    def test_malformed_layers_rejected(self, layers, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(layers)
 
 
 class TestMakeBlobs:
@@ -449,6 +485,35 @@ class TestTrainToy:
         x, y = make_blobs(per_class=10, seed=2)
         with pytest.raises(ValueError, match=message):
             train_toy(x, y, epochs=epochs)
+
+    @pytest.mark.parametrize("x, y, message", [
+        (np.zeros((0, 2)), np.zeros(0),
+         "^dataset must be nonempty with matching labels$"),
+        (np.ones((4, 2)), np.zeros(4), "^need at least 2 classes$"),
+    ], ids=["empty", "one-class"])
+    def test_dataset_needs_rows_of_two_classes(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            train_toy(x, y, epochs=1)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "^seed must be >= 0, got -1$"),
+        (True, "^seed True is not an integer$"),
+        (2.5, "^seed 2.5 is not an integer$"),
+        ("3", "^seed '3' is not an integer$"),
+    ], ids=["negative", "bool", "float", "string"])
+    def test_seed_is_a_count(self, seed, message):
+        x, y = make_blobs(per_class=10, seed=2)
+        with pytest.raises(ValueError, match=message):
+            train_toy(x, y, seed=seed, epochs=1)
+
+    def test_numpy_seed_saved_as_int(self, tmp_path):
+        x, y = make_blobs(per_class=10, seed=2)
+        save_model(train_toy(x, y, seed=np.int64(3), epochs=1),
+                   tmp_path / "numpy.json")
+        save_model(train_toy(x, y, seed=3, epochs=1), tmp_path / "int.json")
+        saved = (tmp_path / "numpy.json").read_bytes()
+        assert json.loads(saved)["metadata"]["seed"] == 3
+        assert saved == (tmp_path / "int.json").read_bytes()
 
     def test_numpy_epochs_recorded_as_int(self):
         x, y = make_blobs(per_class=10, seed=2)
@@ -562,6 +627,14 @@ class TestModelFiles:
         path = tmp_path / "m.json"
         path.write_text('{"version": 1}')
         with pytest.raises(SchemaError):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[]", "3", '"model"', "null"])
+    def test_not_an_object(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError,
+                           match="^model file must hold a JSON object$"):
             load_model(path)
 
     def test_not_json(self, tmp_path):

@@ -112,6 +112,11 @@ class TestBinarize:
                                r"does not match monitored layer width 3$"):
                 binarize(acts, identity_selection(3))
 
+    def test_rows_of_one_shape_that_are_no_numbers(self):
+        with pytest.raises(ValueError, match="could not convert string"):
+            _threshold([("a", "b", "c"), ("d", "e", "f")],
+                       identity_selection(3))
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             binarize((1.0, np.nan), identity_selection(2))
@@ -205,6 +210,13 @@ class TestSelectTopFraction:
                            match="^scores must hold finite numbers$"):
             select_top_fraction(scores, 0.5)
 
+    @pytest.mark.parametrize("scores", [[], [[0.5, 0.9]]],
+                             ids=["empty", "matrix"])
+    def test_scores_must_be_a_nonempty_vector(self, scores):
+        with pytest.raises(ValueError,
+                           match="^scores must be a nonempty vector$"):
+            select_top_fraction(scores, 0.5)
+
     def test_quarter_of_84(self):
         scores = np.linspace(1.0, 2.0, 84)
         sel = select_top_fraction(scores, 0.25)
@@ -248,6 +260,15 @@ class TestNeuronSelection:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             NeuronSelection(0, 4, (0, 4), (0.0, 0.0))
+
+    @pytest.mark.parametrize("layer_width, indices, message", [
+        (0, (0,), "^layer width must be >= 1$"),
+        (4, (), "^selection must keep at least one neuron$"),
+    ], ids=["width-0", "no-indices"])
+    def test_empty_layer_or_selection_rejected(self, layer_width, indices,
+                                               message):
+        with pytest.raises(ValueError, match=message):
+            NeuronSelection(0, layer_width, indices, (0.0,) * len(indices))
 
     def test_scores_must_align(self):
         with pytest.raises(ValueError, match="align"):
@@ -384,6 +405,29 @@ class TestScoreNeurons:
         records = layer0_records(model, [np.zeros(3)], 0)
         with pytest.raises(ValueError, match="ReLU"):
             score_neurons(model, records, 1, 0)
+
+    @pytest.mark.parametrize("layer, class_index, message", [
+        (0, 4, "^class index 4 out of range$"),
+        (0, -1, "^class index -1 out of range$"),
+        (0, True, "^class index True is not an integer$"),
+        (0, 1.0, "^class index 1.0 is not an integer$"),
+        (True, 0, "^layer True is not an integer$"),
+        (0.0, 0, "^layer 0.0 is not an integer$"),
+    ], ids=["class-4", "class-minus-1", "bool-class", "float-class",
+            "bool-layer", "float-layer"])
+    @pytest.mark.parametrize("dims", [(3, 5, 4), (3, 5, 6, 4)],
+                             ids=["penultimate", "interior"])
+    def test_layer_and_class_are_checked(self, dims, layer, class_index,
+                                         message):
+        # a bool class once indexed the weight columns as a mask, and a
+        # bool layer scored layer 1
+        model = relu_chain(np.random.default_rng(1), dims)
+        records = layer0_records(model, [np.ones(3), -np.ones(3)], 1)
+        with pytest.raises(ValueError, match=message):
+            score_neurons(model, records, layer, class_index)
+        got = score_neurons(model, records, np.int64(0), np.int8(1))
+        assert got.shape == (5,)
+        assert got.tobytes() == score_neurons(model, records, 0, 1).tobytes()
 
     def _record(self, true_label, pred_label, acts):
         return TraceRecord(id="r", true_label=true_label,

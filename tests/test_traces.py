@@ -54,6 +54,15 @@ class TestRoundTrip:
         assert (tmp_path / "a.jsonl").read_bytes() \
             == (tmp_path / "b.jsonl").read_bytes()
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text("\n".join([
+            json.dumps(HEADER), "", json.dumps(RECORD), "  \t",
+            json.dumps({**RECORD, "id": "s1"}), ""]) + "\n")
+        header, records = read_traces(path)
+        assert header == TraceHeader(layer=1, width=1, classes=2)
+        assert [r.id for r in records] == ["s0", "s1"]
+
     def test_header_line_first(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_traces(path, TraceHeader(2, 4, 3), sample_records())
