@@ -10,8 +10,9 @@ trace files line by line), its integer fields are checked by
 :func:`finite_floats`, and it is written through :func:`replace_on_success`
 (a JSON-lines file line by line through :data:`JSON_LINE`).
 :func:`all_finite` is the one finiteness rule for every float array the
-package checks.  Integer arguments from library callers are checked by
-:func:`as_int`, and :func:`warn` points every warning at the caller's line.
+package checks.  Integer arguments from library callers, and their lower
+bounds, are checked by :func:`as_int`, and :func:`warn` points every
+warning at the caller's line.
 """
 
 import contextlib
