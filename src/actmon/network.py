@@ -15,6 +15,7 @@ be linear: decisions are taken on raw scores.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +176,9 @@ def gradient_from_activations(
 def make_blobs(per_class: int = 500, seed: int = 0,
                offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic Gaussian blobs in the plane: ``per_class`` samples, a
-    Python or numpy integer >= 0, of each of ``BLOB_CLASSES`` classes.
+    Python or numpy integer >= 0, of each of ``BLOB_CLASSES`` classes,
+    drawn from a generator seeded with ``seed``, an integer >= 0 by the
+    same rule (a bool, float or string raises ``ValueError``).
 
     Class means sit on a circle of radius ``BLOB_RADIUS`` with standard
     deviation ``BLOB_STD``, so the classes are linearly separable by
@@ -184,7 +187,7 @@ def make_blobs(per_class: int = 500, seed: int = 0,
     the distribution-shift experiments are produced.
     """
     per_class = as_int(per_class, "per_class", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed", 0))
     angles = 2.0 * np.pi * np.arange(BLOB_CLASSES) / BLOB_CLASSES
     means = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     y = np.repeat(np.arange(BLOB_CLASSES, dtype=np.int64), per_class)
@@ -200,58 +203,83 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     Deterministic for a given seed: initialization and shuffling share one
     generator.  With ``epochs=0`` the freshly initialized model is returned
     untouched.  ``seed`` and ``epochs`` are Python or numpy integers >= 0,
-    recorded as ints.  Raises ``ValueError`` otherwise or if the loss
+    recorded as ints.  Each label is a whole number >= 0 (``1.0`` is read
+    as class 1; ``-1`` and ``0.5`` are refused), and the largest one sets
+    the class count.  Raises ``ValueError`` otherwise or if the loss
     diverges to NaN/inf.
+
+    Every weight and bias is a view into one flat float64 vector, and each
+    minibatch writes its gradients into the same views of a second one, so
+    one ``params -= lr * grads`` updates every layer.  Elementwise that is
+    per-layer SGD: every gradient is taken before any update, and each
+    element goes through the same products, reductions and subtraction in
+    the same order, so the model is the same bit for bit.
     """
     seed = as_int(seed, "seed", 0)
     epochs = as_int(epochs, "epochs", 0)
     x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != y.shape[0]:
+    labels = np.asarray(labels)
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != labels.shape[0]:
         raise ValueError("dataset must be nonempty with matching labels")
+    with np.errstate(invalid="ignore"):  # NaN or inf casts to junk, refused
+        y = labels.astype(np.int64)
+    bad = np.flatnonzero((y < 0) | (y != labels))
+    if bad.size:
+        raise ValueError(f"label {labels.ravel()[bad[0]].item()!r} is not "
+                         f"a whole number >= 0")
     n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
 
     rng = np.random.default_rng(seed)
     dims = (x.shape[1],) + TOY_HIDDEN + (n_classes,)
-    weights = [rng.normal(0.0, np.sqrt(2.0 / dims[i]), (dims[i], dims[i + 1]))
-               for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+    shapes = [shape for d_in, d_out in zip(dims, dims[1:])
+              for shape in ((d_in, d_out), (d_out,))]
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])
+    params, grads = np.zeros(cuts[-1]), np.zeros(cuts[-1])
+    # view 2l of each vector is layer l's weights, view 2l + 1 its bias
+    param_views, grad_views = (
+        [part.reshape(shape)
+         for part, shape in zip(np.split(flat, cuts[:-1]), shapes)]
+        for flat in (params, grads))
+    weights, biases = param_views[0::2], param_views[1::2]
+    grad_w, grad_b = grad_views[0::2], grad_views[1::2]
+    for i, w in enumerate(weights):
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / dims[i]), w.shape)
 
-    n = x.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, TOY_BATCH_SIZE):
-            idx = order[start:start + TOY_BATCH_SIZE]
-            xb, yb = x[idx], y[idx]
-            # divergence shows up as non-finite loss below, so the
-            # intermediate overflow warnings carry no extra information
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                acts = [xb]
-                pre = []
+    n, last = x.shape[0], len(weights) - 1
+    rows = np.arange(TOY_BATCH_SIZE)
+    # divergence shows up as a non-finite loss below, so the intermediate
+    # overflow warnings carry no extra information
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            xs, ys = x[order], y[order]
+            for start in range(0, n, TOY_BATCH_SIZE):
+                xb = xs[start:start + TOY_BATCH_SIZE]
+                yb = ys[start:start + TOY_BATCH_SIZE]
+                picked = (rows[:len(yb)], yb)
+                acts, pre = [xb], []
                 for i, (w, b) in enumerate(zip(weights, biases)):
                     z = acts[-1] @ w + b
                     pre.append(z)
-                    acts.append(
-                        np.maximum(z, 0.0) if i < len(weights) - 1 else z)
+                    acts.append(np.maximum(z, 0.0) if i < last else z)
                 logits = acts[-1]
-                shifted = logits - logits.max(axis=1, keepdims=True)
-                probs = np.exp(shifted)
-                probs /= probs.sum(axis=1, keepdims=True)
-                loss = -np.mean(np.log(probs[np.arange(len(yb)), yb]))
-                if not np.isfinite(loss):
+                probs = np.exp(logits - np.maximum.reduce(
+                    logits, axis=1, keepdims=True))
+                probs /= np.add.reduce(probs, axis=1, keepdims=True)
+                # the loss is minus this sum over the batch size
+                if not math.isfinite(np.add.reduce(np.log(probs[picked]))):
                     raise ValueError("training diverged (non-finite loss)")
                 delta = probs
-                delta[np.arange(len(yb)), yb] -= 1.0
+                delta[picked] -= 1.0
                 delta /= len(yb)
-                for i in range(len(weights) - 1, -1, -1):
-                    grad_w = acts[i].T @ delta
-                    grad_b = delta.sum(axis=0)
+                for i in range(last, -1, -1):
+                    np.matmul(acts[i].T, delta, out=grad_w[i])
+                    np.add.reduce(delta, axis=0, out=grad_b[i])
                     if i > 0:
                         delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
-                    weights[i] -= TOY_LEARNING_RATE * grad_w
-                    biases[i] -= TOY_LEARNING_RATE * grad_b
+                params -= TOY_LEARNING_RATE * grads
 
     layers = [Layer(w, b, "relu") for w, b in zip(weights[:-1], biases[:-1])]
     layers.append(Layer(weights[-1], biases[-1], "none"))

@@ -154,6 +154,7 @@ class TestTrainToyCommand:
     @pytest.mark.parametrize("flag, message", [
         ("--epochs", "epochs must be >= 0, got -3"),
         ("--per-class", "per_class must be >= 0, got -3"),
+        ("--seed", "seed must be >= 0, got -3"),
     ])
     def test_negative_count_writes_no_model(self, tmp_path, capsys, flag,
                                             message):

@@ -1,8 +1,9 @@
 """Tests for the shared file layer: the replace-on-success writer, the
 strict JSON reader, the one finiteness rule, and guards that no other code
 in the package opens a file for writing, parses JSON or tests finiteness,
-that only the BDD store's node makers grow its node table, and that only
-the BDD module spells the table's keys."""
+that only the BDD store's node makers grow its node table, that only
+the BDD module spells the table's keys, and that no loop enters numpy's
+error state once per iteration."""
 
 import ast
 import math
@@ -371,4 +372,58 @@ def test_only_the_bdd_module_spells_the_table_keys():
         if path.name != "bdd.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             found += [(path.name, line) for line in table_key_spellings(tree)]
+    assert found == [], found
+
+
+def errstates_in_loops(tree):
+    """The sorted lines of every ``with`` in ``tree`` that enters an
+    ``errstate`` (``np.errstate(...)`` or a bare ``errstate(...)``, as any
+    of its items) inside a ``for`` or ``while`` loop, in its body or its
+    ``else``, however deep, a function defined there included."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, (ast.With, ast.AsyncWith)) and any(
+                    isinstance(item.context_expr, ast.Call)
+                    and "errstate" in (
+                        getattr(item.context_expr.func, "attr", None),
+                        getattr(item.context_expr.func, "id", None))
+                    for item in node.items):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_errstate_loop_guard_sees_each_form():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import errstate\n"
+                     "with np.errstate(over='ignore'):\n"
+                     "    for row in rows:\n"
+                     "        pass\n"
+                     "for row in rows:\n"
+                     "    with np.errstate(all='ignore'):\n"
+                     "        pass\n"
+                     "while rows:\n"
+                     "    for row in rows:\n"
+                     "        if row:\n"
+                     "            with open(row) as fh, errstate():\n"
+                     "                pass\n"
+                     "for row in rows:\n"
+                     "    with open(row) as fh:\n"
+                     "        pass\n"
+                     "else:\n"
+                     "    def step():\n"
+                     "        with np.errstate(divide='ignore'):\n"
+                     "            pass\n")
+    assert errstates_in_loops(tree) == [7, 12, 19]
+
+
+def test_no_errstate_is_entered_per_iteration():
+    """Entering and leaving ``np.errstate`` costs a few microseconds, as
+    much as a small product: a loop enters it once, around the loop."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, line) for line in errstates_in_loops(tree)]
     assert found == [], found

@@ -9,6 +9,9 @@ import pytest
 
 from actmon.errors import FormatVersionError, SchemaError
 from actmon.network import (
+    TOY_BATCH_SIZE,
+    TOY_HIDDEN,
+    TOY_LEARNING_RATE,
     Layer,
     ModelSpec,
     decide,
@@ -63,6 +66,50 @@ def rowwise_gradient(model, acts, layer, class_index):
             grad = grad * (z > 0.0)
         grad = lyr.weights @ grad
     return grad
+
+
+def reference_train(x, y, seed, epochs):
+    """Reference trainer: the per-minibatch loop ``train_toy`` replaced,
+    with its own errstate, row gather and six per-layer updates per step;
+    returns its weights and biases."""
+    y = np.asarray(y, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    dims = (x.shape[1],) + TOY_HIDDEN + (int(y.max()) + 1,)
+    weights = [rng.normal(0.0, np.sqrt(2.0 / dims[i]), (dims[i], dims[i + 1]))
+               for i in range(len(dims) - 1)]
+    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
+    n = x.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, TOY_BATCH_SIZE):
+            idx = order[start:start + TOY_BATCH_SIZE]
+            xb, yb = x[idx], y[idx]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                acts = [xb]
+                pre = []
+                for i, (w, b) in enumerate(zip(weights, biases)):
+                    z = acts[-1] @ w + b
+                    pre.append(z)
+                    acts.append(
+                        np.maximum(z, 0.0) if i < len(weights) - 1 else z)
+                logits = acts[-1]
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                probs = np.exp(shifted)
+                probs /= probs.sum(axis=1, keepdims=True)
+                loss = -np.mean(np.log(probs[np.arange(len(yb)), yb]))
+                if not np.isfinite(loss):
+                    raise ValueError("training diverged (non-finite loss)")
+                delta = probs
+                delta[np.arange(len(yb)), yb] -= 1.0
+                delta /= len(yb)
+                for i in range(len(weights) - 1, -1, -1):
+                    grad_w = acts[i].T @ delta
+                    grad_b = delta.sum(axis=0)
+                    if i > 0:
+                        delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
+                    weights[i] -= TOY_LEARNING_RATE * grad_w
+                    biases[i] -= TOY_LEARNING_RATE * grad_b
+    return weights, biases
 
 
 class TestForward:
@@ -444,6 +491,22 @@ class TestMakeBlobs:
         x, y = make_blobs(per_class=np.int64(4), seed=5)
         assert x.tobytes() == make_blobs(per_class=4, seed=5)[0].tobytes()
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "^seed must be >= 0, got -1$"),
+        (True, "^seed True is not an integer$"),
+        (2.5, "^seed 2.5 is not an integer$"),
+        ("3", "^seed '3' is not an integer$"),
+    ], ids=["negative", "bool", "float", "string"])
+    def test_seed_is_a_count(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            make_blobs(per_class=2, seed=seed)
+
+    def test_numpy_seed_gives_the_same_bytes(self):
+        x, y = make_blobs(per_class=4, seed=np.int64(5))
+        x_int, y_int = make_blobs(per_class=4, seed=5)
+        assert x.tobytes() == x_int.tobytes()
+        assert y.tobytes() == y_int.tobytes()
+
 
 class TestTrainToy:
     def test_separable_blobs_reach_90_percent(self):
@@ -520,6 +583,60 @@ class TestTrainToy:
         model = train_toy(x, y, seed=2, epochs=np.int64(1))
         assert type(model.metadata["epochs"]) is int
         assert model.metadata == train_toy(x, y, seed=2, epochs=1).metadata
+
+    @pytest.mark.parametrize("bad, message", [
+        (-1, "^label -1 is not a whole number >= 0$"),
+        (0.5, "^label 0.5 is not a whole number >= 0$"),
+        (np.nan, "^label nan is not a whole number >= 0$"),
+        (np.inf, "^label inf is not a whole number >= 0$"),
+    ], ids=["negative", "fraction", "nan", "inf"])
+    def test_labels_are_whole_numbers_of_at_least_zero(self, bad, message):
+        x, y = make_blobs(per_class=10, seed=2)
+        labels = y.astype(np.float64) if isinstance(bad, float) else y.copy()
+        labels[4] = bad
+        with pytest.raises(ValueError, match=message):
+            train_toy(x, labels, epochs=1)
+
+    def test_whole_float_labels_train_the_same_model(self):
+        x, y = make_blobs(per_class=10, seed=2)
+        floats = train_toy(x, y.astype(np.float64), seed=2, epochs=2)
+        ints = train_toy(x, y, seed=2, epochs=2)
+        for a, b in zip(floats.layers, ints.layers):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.bias, b.bias)
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    @pytest.mark.parametrize("seed, per_class", [(0, 32), (4, 37), (9, 11)])
+    def test_equals_the_per_layer_loop(self, seed, per_class, epochs):
+        """One flat update per minibatch trains the same model, bit for
+        bit, as six per-layer updates: 96 rows fill three minibatches,
+        while 111 rows end in one of 15 and 33 rows in one of 1."""
+        x, y = make_blobs(per_class=per_class, seed=seed)
+        model = train_toy(x, y, seed=seed, epochs=epochs)
+        weights, biases = reference_train(x, y, seed, epochs)
+        assert len(model.layers) == len(weights) == len(biases)
+        for layer, w, b in zip(model.layers, weights, biases):
+            assert np.array_equal(layer.weights, w)
+            assert np.array_equal(layer.bias, b)
+
+    def test_both_loops_diverge_on_huge_inputs(self):
+        x, y = make_blobs(per_class=50, seed=2)
+        with pytest.raises(ValueError, match="diverged"):
+            reference_train(x * 1e300, y, 2, 50)
+        with pytest.raises(ValueError, match="diverged"):
+            train_toy(x * 1e300, y, seed=2, epochs=50)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300], ids=["returns", "raises"])
+    def test_numpy_error_state_restored(self, scale):
+        x, y = make_blobs(per_class=20, seed=2)
+        before = np.geterr()
+        try:
+            train_toy(x * scale, y, seed=2, epochs=3)
+        except ValueError as exc:
+            assert scale != 1.0 and "diverged" in str(exc)
+        else:
+            assert scale == 1.0
+        assert np.geterr() == before
 
 
 class TestModelFiles:
