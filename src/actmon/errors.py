@@ -122,12 +122,12 @@ JSON_LINE = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 def read_json(path, what: str):
     """The JSON value held by the file at ``path``; a file that is not
-    UTF-8 standard JSON raises :class:`SchemaError` naming the ``what``
-    artifact."""
+    UTF-8 standard JSON, or nests too deep for the decoder, raises
+    :class:`SchemaError` naming the ``what`` artifact."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return JSON_DECODER.decode(fh.read())
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError too
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
             raise SchemaError(f"{what} file is not valid JSON: {exc}") from exc
 
 

@@ -633,6 +633,36 @@ class TestOverflowingLiteral:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["trace-line", "trace-header", "monitor",
+                                  "model", "dataset"])
+def test_too_deep_nesting_is_one_error_line(pipeline, tmp_path, capsys,
+                                            kind):
+    # the JSON decoder raises RecursionError on 100,000 nested arrays
+    deep, bad, out = "[" * 100_000, tmp_path / "bad.json", tmp_path / "out"
+    if kind.startswith("trace"):
+        lines = pipeline["train"].read_text().splitlines()
+        lines[2 if kind == "trace-line" else 0] = deep
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["build", "--traces", str(bad), "--gamma", "0"]
+        message = ("line 3: malformed trace record: " if kind == "trace-line"
+                   else "trace header is not valid JSON: ")
+    else:
+        bad.write_text(deep)
+        argv = {"monitor": ["stats", "--monitor", str(bad)],
+                "model": ["extract", "--model", str(bad), "--layer", "1"],
+                "dataset": ["extract", "--model", str(pipeline["model"]),
+                            "--data", str(bad), "--layer", "1"]}[kind]
+        message = f"{kind} file is not valid JSON: "
+    if kind != "monitor":
+        argv += ["--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: {message}maximum recursion depth exceeded " \
+        f"while decoding a JSON array from a unicode string\n"
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 @pytest.mark.parametrize("command", ["build", "sweep"])
 def test_selection_flags_shared(command, capsys):
     with pytest.raises(SystemExit):

@@ -9,7 +9,8 @@ import pytest
 
 from actmon import traces
 from actmon.cli import main
-from actmon.errors import JSON_LINE, FormatVersionError, SchemaError
+from actmon.errors import (JSON_LINE, FormatVersionError, SchemaError,
+                           all_finite)
 from actmon.network import (decide, evaluate_accuracy, forward, load_model,
                             make_blobs)
 from actmon.traces import (TraceHeader, TraceRecord, extract, read_traces,
@@ -82,14 +83,22 @@ ODD_VALUES = [0.0, -0.0, 5e-324, 1e-05, 1e+16, 1e200, -1e200, 2.0, 0.1]
 
 def odd_records(count, width=6, kind="float64", seed=0):
     """``count`` records over 3 classes whose values repeat, whose ids need
-    escaping, and whose labels are Python or numpy integers; the first
-    block holds ``0.0`` and ``-0.0``, and every row has its own id."""
+    escaping, and whose labels are Python or numpy integers; every row has
+    its own id.  The first block holds ``0.0`` and ``-0.0``, but for the
+    float64 kinds whose cells are all ``0.0`` ("zeros"), none of them zero
+    ("no-zeros"), or each ``0.0`` or ``-0.0`` ("signed-zeros")."""
     rng = np.random.default_rng(seed)
     acts = np.where(rng.random((count, width)) < 0.6,
                     rng.choice(ODD_VALUES, (count, width)),
                     rng.normal(size=(count, width)))
     if count:
         acts[0, :2] = 0.0, -0.0
+    if kind == "zeros":
+        acts[:] = 0.0
+    elif kind == "no-zeros":
+        acts[acts == 0.0] = 0.25  # -0.0 too
+    elif kind == "signed-zeros":
+        acts = np.copysign(0.0, acts)
     labels = rng.integers(0, 3, (count, 2))
     records = []
     for i, (row, (true_label, pred_label)) in enumerate(zip(acts, labels)):
@@ -125,12 +134,14 @@ def per_record_bytes(header, records) -> bytes:
 
 
 class TestBlockWriter:
-    """``write_traces`` formats each distinct value once per block; its
-    bytes and refusals are those of the per-record rule."""
+    """``write_traces`` checks a block of records at once and formats each
+    distinct nonzero value once per block; its bytes and refusals are
+    those of the per-record rule."""
 
     HEADER = TraceHeader(layer=1, width=6, classes=3)
 
-    @pytest.mark.parametrize("kind", ["float64", "float32", "list"])
+    @pytest.mark.parametrize("kind", ["float64", "float32", "list", "zeros",
+                                      "no-zeros", "signed-zeros"])
     @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
                                        2 * BLOCK + 1])
     def test_bytes_equal_the_per_record_rule(self, tmp_path, count, kind):
@@ -218,6 +229,213 @@ class TestBlockWriter:
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
 
+
+
+def per_line_read(path):
+    """``read_traces`` one line at a time: the reference the block-wise
+    reader must equal, in what it returns and in what it raises."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            first = fh.readline()
+            if not first.strip():
+                raise SchemaError("trace file is empty")
+            header = traces._parse_header(first)
+            records = []
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                records.append(traces._parse_record(line, line_no, header))
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"trace file is not UTF-8 text: {exc}") from exc
+    if records and not all_finite(
+            np.concatenate([r.activations for r in records])):
+        bad = next(r for r in records if not all_finite(r.activations))
+        raise SchemaError(f"record {bad.id!r}: non-finite activation value")
+    return header, records
+
+
+def outcome(read, path):
+    """What ``read`` makes of ``path``: the header and each record's
+    fields, label types and activation bits, or the exception's class and
+    message."""
+    try:
+        header, records = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return header, [(r.id, type(r.true_label), r.true_label,
+                     type(r.pred_label), r.pred_label, r.activations.dtype,
+                     r.activations.shape, r.activations.tobytes())
+                    for r in records]
+
+
+def fault(kind, line):
+    """A record line of ``odd_records`` broken in one way."""
+    record = json.loads(line)
+    if kind == "label":
+        record["true_label"] = 3
+    elif kind == "bool-label":
+        record["pred_label"] = True
+    elif kind == "width":
+        record["activations"].pop()
+    elif kind == "string-value":
+        record["activations"][0] = "0.5"
+    elif kind == "huge-int":
+        record["activations"][0] = 10 ** 400
+    elif kind == "id":
+        record["id"] = 5
+    elif kind == "missing-key":
+        del record["pred_label"]
+    elif kind == "not-a-record":
+        record = [record]
+    elif kind == "truncated":
+        return line[:-3]
+    elif kind == "extra-data":
+        return line + line
+    elif kind == "deep":
+        return "[" * 100_000
+    return JSON_LINE(record)
+
+
+class TestBlockReader:
+    """``read_traces`` checks a block of lines at once; what it returns
+    and what it refuses are those of the per-line reader."""
+
+    HEADER = TraceHeader(layer=1, width=6, classes=3)
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        """The lines of a file of two full blocks and three records."""
+        path = tmp_path_factory.mktemp("reader") / "t.jsonl"
+        write_traces(path, self.HEADER, odd_records(2 * BLOCK + 3))
+        return path.read_text().splitlines()
+
+    @pytest.fixture
+    def lines(self, clean, tmp_path):
+        """A copy of the clean lines to edit, and where to write them."""
+        return tmp_path / "t.jsonl", list(clean)
+
+    @pytest.mark.parametrize("line", [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2,
+                                      BLOCK + 3])
+    @pytest.mark.parametrize("kind", [
+        "label", "bool-label", "width", "string-value", "huge-int", "id",
+        "missing-key", "not-a-record", "truncated", "extra-data", "deep"])
+    def test_fault_at_a_block_edge_names_its_line(self, lines, line, kind):
+        path, lines = lines
+        lines[line - 1] = fault(kind, lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        want = outcome(per_line_read, path)
+        assert want[0] is SchemaError
+        assert want[1].startswith(f"line {line}: malformed trace record: ")
+        assert outcome(read_traces, path) == want
+
+    @pytest.mark.parametrize("malformed", [None, 6, BLOCK + 5])
+    def test_non_finite_check_runs_after_the_parse(self, lines, malformed):
+        path, lines = lines
+        record = json.loads(lines[4])
+        record["activations"][1] = 12345.678
+        lines[4] = JSON_LINE(record).replace("12345.678", "1e999")
+        if malformed is not None:
+            lines[malformed - 1] = fault("truncated", lines[malformed - 1])
+        path.write_text("\n".join(lines) + "\n")
+        want = outcome(per_line_read, path)
+        assert want[1].startswith(
+            f"record {record['id']!r}: non-finite" if malformed is None
+            else f"line {malformed}: malformed trace record: ")
+        assert outcome(read_traces, path) == want
+
+    @pytest.mark.parametrize("odd", ["blank", "whitespace-led",
+                                     "trailing-whitespace", "crlf",
+                                     "extra-data"])
+    def test_odd_lines_in_a_full_block(self, lines, odd):
+        path, lines = lines
+        ids = [json.loads(line)["id"] for line in lines[1:]]
+        for at in (3, BLOCK // 2, BLOCK - 1):
+            if odd == "blank":
+                lines[at] = "\n  \t\n" + lines[at] + "\n"
+            elif odd == "whitespace-led":
+                lines[at] = " \t" + lines[at]
+            elif odd == "trailing-whitespace":
+                lines[at] += " \t"
+            elif odd == "extra-data":
+                lines[at] = fault("extra-data", lines[at])
+        newline = "\r\n" if odd == "crlf" else "\n"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        want = outcome(per_line_read, path)
+        if odd == "extra-data":
+            assert want[1].startswith("line 4: malformed trace record: "
+                                      "Extra data")
+        else:
+            assert [row[0] for row in want[1]] == ids
+        assert outcome(read_traces, path) == want
+
+    def test_records_own_their_rows(self, lines):
+        path, lines = lines
+        path.write_text("\n".join(lines) + "\n")
+        _, records = read_traces(path)
+        _, again = read_traces(path)
+        records[BLOCK - 1].activations[:] = 7.0
+        for i, (a, b) in enumerate(zip(records, again)):
+            if i != BLOCK - 1:
+                assert a.activations.tobytes() == b.activations.tobytes()
+
+    # tokens a mutation puts where a number, label or id was
+    TOKENS = ["1e999", "-1e999", "NaN", "true", "null", '"0.5"', "1" * 400,
+              "2", "-0.0", "1e-400", "3", "-1", "1.0", "[]", "{}"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_per_line_reader(self, lines, seed):
+        # seeded mutations of a file of two full blocks and three lines,
+        # many at the block edges: the same header and bit-identical
+        # records, or the same exception class and message
+        rng = random.Random(seed)
+        path, clean = lines
+        for _ in range(20):
+            lines = list(clean)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.choice((rng.randrange(1, len(lines)),
+                                 rng.randint(BLOCK - 2, BLOCK + 3),
+                                 rng.randint(2 * BLOCK - 1, len(lines) - 1)))
+                at = min(at, len(lines) - 1)
+                line = lines[at]
+                # a byte that is not UTF-8 fails the whole file: rarely
+                op = rng.choices(range(9), [3, 2, 4, 1, 1, 2, 2, 2, 0.3])[0]
+                if op == 0 and line:  # one character changed
+                    i = rng.randrange(len(line))
+                    line = line[:i] + rng.choice('09"-.,:[]{} et') \
+                        + line[i + 1:]
+                elif op == 1 and line:  # one character gone
+                    i = rng.randrange(len(line))
+                    line = line[:i] + line[i + 1:]
+                elif op == 2:  # a token in place of a value
+                    spans = [i for i, c in enumerate(line) if c in ":,["]
+                    if spans:
+                        i = rng.choice(spans) + 1
+                        j = min((k for k in (line.find(",", i),
+                                             line.find("]", i),
+                                             line.find("}", i)) if k >= 0),
+                                default=len(line))
+                        line = line[:i] + rng.choice(self.TOKENS) + line[j:]
+                elif op == 3:  # joined with the next line
+                    if at + 1 < len(lines):
+                        line += lines.pop(at + 1)
+                elif op == 4:  # split in two
+                    i = rng.randrange(len(line) + 1)
+                    line = line[:i] + "\n" + line[i:]
+                elif op == 5:  # a blank line before
+                    line = rng.choice(["", " ", "\t "]) + "\n" + line
+                elif op == 6:
+                    line = rng.choice([" ", "\t"]) + line
+                elif op == 7:
+                    line = fault(rng.choice(["label", "width", "id",
+                                             "extra-data", "deep"]),
+                                 clean[at]) if at else line
+                else:  # a byte that is not UTF-8
+                    line = line.replace('"', '"\udcff', 1)
+                lines[at] = line
+            text = "\n".join(lines) + "\n"
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            assert outcome(read_traces, path) \
+                == outcome(per_line_read, path), lines
 
 class TestRecord:
     def test_slotted(self):
