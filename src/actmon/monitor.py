@@ -78,15 +78,16 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
     (it will flag every query) and a warning at the caller's line.  ``gamma``
-    and the classes are Python or numpy integers (a bool, float or string
-    raises ``ValueError``), stored as ints.
+    and the classes, default ones too, are Python or numpy integers (a
+    bool, float or string raises ``ValueError``), stored as ints.
     """
     gamma = as_int(gamma, "gamma", 0)
     traces = list(traces)
     if not traces:
         raise ValueError("cannot build a monitor from zero traces")
-    class_list = sorted({r.true_label for r in traces} if classes is None
-                        else {as_int(c, "class") for c in classes})
+    if classes is None:
+        classes = {r.true_label for r in traces}
+    class_list = sorted({as_int(c, "class") for c in classes})
     if not class_list:
         raise ValueError("no classes to monitor")
 

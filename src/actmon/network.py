@@ -221,12 +221,7 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     labels = np.asarray(labels)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != labels.shape[0]:
         raise ValueError("dataset must be nonempty with matching labels")
-    with np.errstate(invalid="ignore"):  # NaN or inf casts to junk, refused
-        y = labels.astype(np.int64)
-    bad = np.flatnonzero((y < 0) | (y != labels))
-    if bad.size:
-        raise ValueError(f"label {labels.ravel()[bad[0]].item()!r} is not "
-                         f"a whole number >= 0")
+    y = _class_indices(labels)
     n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -289,10 +284,24 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
         "hidden": list(TOY_HIDDEN)})
 
 
+def _class_indices(labels) -> np.ndarray:
+    """``labels`` as int64 class indices, each a whole number >= 0 (``1.0``
+    is class 1), else a ``ValueError`` naming the first label that is not:
+    ``-1``, ``0.5``, NaN, infinity or the string ``"1"``."""
+    labels = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # NaN or inf casts to junk, refused
+        y = labels.astype(np.int64)
+    bad = np.flatnonzero((y < 0) | (y != labels))
+    if bad.size:
+        raise ValueError(f"label {labels.ravel().tolist()[bad[0]]!r} is not "
+                         f"a whole number >= 0")
+    return y
+
+
 def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:
     """Fraction of the (N, D) rows, N >= 1, whose argmax decision matches
-    the label."""
-    y = np.asarray(labels, dtype=np.int64)
+    the label; the labels follow :func:`train_toy`'s rule."""
+    y = _class_indices(labels)
     predicted = decide(forward(model, inputs).final)
     if np.shape(predicted) != y.shape:
         raise ValueError(f"{np.size(predicted)} inputs but {y.size} labels")

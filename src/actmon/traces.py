@@ -17,12 +17,11 @@ so :func:`write_traces` refuses what :func:`read_traces` refuses; the
 reader also refuses activations that are not a list of JSON numbers.
 
 A record line is the compact ``json`` encoding of the record's dict.
-Both directions work a block of ``_BLOCK`` records at a time, with one
-record-rule check per block; a block that fails it is checked again one
-record at a time, so a refusal names the first bad record or line.  The
-writer writes each ``+0.0`` cell as ``0.0`` and formats each distinct
-nonzero activation value of a block once; the reader decodes each line
-on its own and gives a block's records one float64 array.
+Both directions work a block of ``_BLOCK`` records at a time.  The writer,
+and :func:`extract` with it, checks a block at once and a failed block one
+record at a time; the reader checks each line as it decodes it and reads
+a failed line again alone.  So a refusal names the first bad record or
+line, and each direction has one record check and one fallback.
 """
 
 from __future__ import annotations
@@ -72,7 +71,9 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
     model's decision its predicted label.  Returns the pair
     :func:`read_traces` returns for the written file.  Inputs not an (N,
     input width) batch or ``[]``, inputs and labels of different lengths,
-    and a label that :func:`write_traces` refuses raise ``ValueError``.
+    and a record that :func:`write_traces` refuses raise ``ValueError``.
+    The records go through the writer's block check, and a 1-D integer
+    label array is read as Python ints, which that check takes at once.
     """
     layer = as_int(layer, "layer")
     if not model.is_relu_layer(layer):
@@ -84,9 +85,16 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
     if x.ndim != 2:
         raise ValueError(f"inputs must be a 2-D batch, got shape {x.shape}")
     trace = forward(model, x)
-    rows = zip(labels, decide(trace.final), trace.outputs[layer], strict=True)
-    return header, [TraceRecord(f"s{i}", *_writable(f"s{i}", *row, header))
-                    for i, row in enumerate(rows)]
+    if isinstance(labels, np.ndarray) and labels.ndim == 1 \
+            and labels.dtype.kind in "iu":
+        labels = labels.tolist()
+    rows = ((f"s{i}", *row) for i, row in enumerate(zip(
+        labels, decide(trace.final).tolist(), trace.outputs[layer],
+        strict=True)))
+    records = []
+    for block in _blocks(rows):
+        records += map(TraceRecord, *_block_columns(block, header))
+    return header, records
 
 
 def _check_header(header: TraceHeader) -> TraceHeader:
@@ -115,11 +123,14 @@ def _check_record(header: TraceHeader, rid: str, true_label: int,
 def _writable(rid: str, true_label, pred_label, activations,
               header: TraceHeader) -> tuple[int, int, np.ndarray]:
     """The labels through :func:`~actmon.errors.as_int` and the activations
-    as float64, under the record rule; else ``ValueError`` naming ``rid``."""
+    as float64, under the record rule and finite (JSON has no NaN or
+    infinity); else ``ValueError`` naming ``rid``."""
     try:
         fields = (as_int(true_label, "label"), as_int(pred_label, "label"),
                   np.asarray(activations, np.float64))
         _check_record(header, rid, *fields)
+        if not all_finite(fields[2]):
+            raise ValueError("non-finite activation value")
     except ValueError as exc:
         raise ValueError(f"record {rid!r}: {exc}") from exc
     return fields
@@ -145,7 +156,7 @@ def write_traces(path, header: TraceHeader, records) -> None:
     with replace_on_success(path) as fh:
         fh.write(JSON_LINE({"format": TRACE_FORMAT, "version": TRACE_VERSION,
                             **vars(header)}) + "\n")
-        for block in _blocks(iter(records)):
+        for block in _blocks(map(_RECORD_FIELDS, records)):
             fh.writelines(_block_lines(*_block_columns(block, header)))
 
 
@@ -173,41 +184,30 @@ _RECORD_FIELDS = operator.attrgetter("id", "true_label", "pred_label",
 
 
 def _block_columns(block: list, header: TraceHeader) -> tuple:
-    """The columns of a block of records under the record rule: ids, true
-    and predicted labels as ints, and activations as one (n, width)
-    float64 array.  String ids, exact-int labels in range and stacked
-    activations of the header's width are checked once per block; any
-    other block goes through :func:`_writable` record by record, so a
-    refusal names the first bad record of the block."""
+    """The columns of a block of (id, true label, predicted label,
+    activations) rows under the record rule: ids, both labels as ints,
+    and the activations as one finite (n, width) float64 array, checked
+    once per block.  A block that fails goes through :func:`_writable`
+    row by row, so a refusal names its first bad record."""
     try:  # whatever fails here fails again, in file order, below
-        ids, trues, preds, acts = zip(*map(_RECORD_FIELDS, block))
+        ids, trues, preds, acts = zip(*block)
         labels = trues + preds
         values = np.array(acts, np.float64)
         if {*map(type, ids)} == {str} and {*map(type, labels)} == {int} \
                 and 0 <= min(labels) and max(labels) < header.classes \
-                and values.shape == (len(block), header.width):
+                and values.shape == (len(block), header.width) \
+                and all_finite(values):
             return ids, trues, preds, values
     except Exception:
         pass
-    rows = []
-    try:
-        for record in block:
-            rows.append((record.id, *_writable(
-                record.id, record.true_label, record.pred_label,
-                record.activations, header)))
-    except Exception:
-        # a non-finite record before the failing one comes first in the file
-        _check_finite(rows)
-        raise
-    ids, trues, preds, acts = zip(*rows)
+    ids, trues, preds, acts = zip(*[(rid, *_writable(rid, *fields, header))
+                                    for rid, *fields in block])
     return ids, trues, preds, np.array(acts)
 
 
 def _block_lines(ids, trues, preds, values: np.ndarray) -> list[str]:
     """The lines of a block's columns, each distinct nonzero value
     formatted once."""
-    if not all_finite(values):
-        _check_finite(zip(ids, trues, preds, values))
     bits = values.view(np.uint64).ravel()
     nonzero = bits != 0  # +0.0 is the one float64 whose bits are all 0
     patterns, inverse = np.unique(bits[nonzero], return_inverse=True)
@@ -222,15 +222,6 @@ def _block_lines(ids, trues, preds, values: np.ndarray) -> list[str]:
             in zip(ids, trues, preds, cells)]
 
 
-def _check_finite(rows) -> None:
-    """A ``ValueError`` naming the first of the (id, true label, predicted
-    label, activations) ``rows`` that holds a NaN or infinity, which JSON
-    cannot write."""
-    for rid, _, _, acts in rows:
-        if not all_finite(acts):
-            raise ValueError(f"record {rid!r}: non-finite activation value")
-
-
 def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
     """The header and records of the trace file at ``path``; a file that
     breaks the header or record rule, or is not UTF-8 standard JSON,
@@ -238,14 +229,11 @@ def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
     version).
 
     Blank lines are skipped.  Lines are read a block of ``_BLOCK`` at a
-    time: each line is decoded on its own, its activations go into the
-    block's array, and the block's ids and labels are checked at once; a
-    block that fails is read again line by line, so the error names the
-    first malformed line of the file.  A value JSON reads as infinity
-    (``1e999``) is refused only after the whole file is parsed, naming its
-    record.  The records of a block share one float64 array, each holding
-    a row of it as ``activations``, so a record that is kept keeps its
-    block alive.
+    time and checked one by one as they are decoded; a line that fails is
+    read again alone, so the error names the first malformed line.  A
+    value JSON reads as infinity (``1e999``) is refused only after the
+    whole file is parsed, naming its record.  A block's records share one
+    float64 array, so a record that is kept keeps its block alive.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -270,53 +258,44 @@ def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
 def _parse_block(lines: list[str], line_no: int, header: TraceHeader) \
         -> list[TraceRecord]:
     """The records of ``lines``, the first of which is line ``line_no``
-    of the file.  A block that breaks the record rule anywhere is parsed
-    again by :func:`_parse_record`, one line at a time, which names the
-    first line at fault."""
-    try:
-        records = _block_records(lines, header)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-        records = None
-    if records is None:
-        records = [_parse_record(line, no, header)
-                   for no, line in enumerate(lines, line_no) if line.strip()]
-    return records
-
-
-# a record line's fields before its activations, in TraceRecord order
-_LINE_HEAD = operator.itemgetter("id", "true_label", "pred_label")
-
-
-def _block_records(lines: list[str], header: TraceHeader) \
-        -> list[TraceRecord] | None:
-    """The records of the non-blank ``lines`` if all of them keep the
-    record rule, else ``None`` or an exception.  Each line is decoded on
-    its own, since two broken lines could join into one valid record.
-    Its activations go into the block's (n, width) float64 array at once,
-    while their float objects are fresh in the CPU cache: those of a whole
-    decoded block of 1,024 lines of 128 values take about 3 MB.  Ids and
-    labels are checked once per block."""
-    values = np.empty((len(lines), header.width))
+    of the file.  Each line is decoded on its own (two broken lines could
+    join into one valid record) and checked under the record rule, and its
+    activations go into the block's float64 array while their floats are
+    fresh in the CPU cache.  A line that fails goes to
+    :func:`_parse_record`, which reads a record with whitespace around it
+    or raises that line's error."""
+    width, classes = header.width, header.classes
+    # a row per line long enough to hold width numbers, so a header's
+    # width alone allocates nothing; with no row it may exceed any array
+    capacity = sum(len(line) >= 2 * width for line in lines)
+    values = np.empty((capacity, width if capacity else 0))
     heads = []
-    for line in lines:
-        if not line.strip():
-            continue
-        row, end = JSON_DECODER.raw_decode(line)
-        acts = row["activations"]
-        if line[end:] not in ("", "\n") or type(acts) is not list \
-                or len(acts) != header.width \
-                or not _NUMBERS.issuperset(map(type, acts)):
-            return None
-        values[len(heads)] = acts
-        heads.append(_LINE_HEAD(row))
-    if not heads:
-        return []
-    ids, trues, preds = zip(*heads)
-    labels = trues + preds
-    if {*map(type, ids)} != {str} or {*map(type, labels)} != {int} \
-            or min(labels) < 0 or max(labels) >= header.classes:
-        return None
-    return list(map(TraceRecord, ids, trues, preds, values))
+    for no, line in enumerate(lines, line_no):
+        try:
+            row, end = JSON_DECODER.raw_decode(line)
+            head = rid, true_label, pred_label = (
+                row["id"], row["true_label"], row["pred_label"])
+            acts = row["activations"]
+            read = line[end:] in ("", "\n") and type(rid) is str \
+                and type(true_label) is int and type(pred_label) is int \
+                and 0 <= true_label < classes and 0 <= pred_label < classes \
+                and type(acts) is list and len(acts) == width \
+                and _NUMBERS.issuperset(map(type, acts))
+            if read:
+                values[len(heads)] = acts
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError):
+            read = False
+        if not read:
+            if not line.strip():
+                continue
+            *head, acts = _RECORD_FIELDS(_parse_record(line, no, header))
+            values[len(heads)] = acts
+        heads.append(head)
+    # records made together lie together in memory; made one per line,
+    # among each line's decoded objects, they made a sweep or build over
+    # them 2-3% slower
+    return [TraceRecord(*head, row) for head, row in zip(heads, values)]
 
 
 def _parse_header(line: str) -> TraceHeader:

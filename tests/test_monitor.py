@@ -281,17 +281,22 @@ class TestBuild:
 
     @pytest.mark.parametrize("cls", [True, 1.5, "1", np.True_])
     def test_non_integer_class_rejected(self, cls):
-        with pytest.raises(ValueError, match="class .* is not an integer"):
-            build([pattern_trace(1, 1, (0, 1))], identity_selection(2),
-                  gamma=0, classes=[cls])
+        # an explicit class, and a default class from a true label
+        for label, classes in [(1, [cls]), (cls, None)]:
+            with pytest.raises(ValueError,
+                               match="class .* is not an integer"):
+                build([pattern_trace(label, 1, (0, 1))],
+                      identity_selection(2), gamma=0, classes=classes)
 
     def test_numpy_class_saves_and_loads(self, tmp_path):
-        mon = build([pattern_trace(1, 1, (0, 1))], identity_selection(2),
-                    gamma=0, classes=[np.int64(1)])
-        assert [type(c) for c in mon.classes] == [int]
-        path = tmp_path / "m.json"
-        save_monitor(mon, path)
-        assert load_monitor(path).classes == [1]
+        # an explicit class, and a default class from a true label
+        for label, classes in [(1, [np.int64(1)]), (np.int64(1), None)]:
+            mon = build([pattern_trace(label, 1, (0, 1))],
+                        identity_selection(2), gamma=0, classes=classes)
+            assert [type(c) for c in mon.classes] == [int]
+            path = tmp_path / "m.json"
+            save_monitor(mon, path)
+            assert load_monitor(path).classes == [1]
 
     def test_empty_zone_warning_points_at_caller(self):
         traces = [pattern_trace(0, 0, (0, 1)), pattern_trace(1, 0, (1, 1))]

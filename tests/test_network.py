@@ -589,13 +589,19 @@ class TestTrainToy:
         (0.5, "^label 0.5 is not a whole number >= 0$"),
         (np.nan, "^label nan is not a whole number >= 0$"),
         (np.inf, "^label inf is not a whole number >= 0$"),
-    ], ids=["negative", "fraction", "nan", "inf"])
+        ("1", "^label '1' is not a whole number >= 0$"),
+    ], ids=["negative", "fraction", "nan", "inf", "string"])
     def test_labels_are_whole_numbers_of_at_least_zero(self, bad, message):
         x, y = make_blobs(per_class=10, seed=2)
-        labels = y.astype(np.float64) if isinstance(bad, float) else y.copy()
+        labels = y.astype(np.float64) if isinstance(bad, float) \
+            else y.astype(object) if isinstance(bad, str) else y.copy()
         labels[4] = bad
-        with pytest.raises(ValueError, match=message):
-            train_toy(x, labels, epochs=1)
+        model = train_toy(x, y, epochs=0)
+        # evaluate_accuracy keeps train_toy's rule
+        for run in (lambda: train_toy(x, labels, epochs=1),
+                    lambda: evaluate_accuracy(model, x, labels)):
+            with pytest.raises(ValueError, match=message):
+                run()
 
     def test_whole_float_labels_train_the_same_model(self):
         x, y = make_blobs(per_class=10, seed=2)

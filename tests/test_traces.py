@@ -346,7 +346,7 @@ class TestBlockReader:
     @pytest.mark.parametrize("odd", ["blank", "whitespace-led",
                                      "trailing-whitespace", "crlf",
                                      "extra-data"])
-    def test_odd_lines_in_a_full_block(self, lines, odd):
+    def test_odd_lines_in_a_full_block(self, lines, odd, monkeypatch):
         path, lines = lines
         ids = [json.loads(line)["id"] for line in lines[1:]]
         for at in (3, BLOCK // 2, BLOCK - 1):
@@ -367,6 +367,20 @@ class TestBlockReader:
         else:
             assert [row[0] for row in want[1]] == ids
         assert outcome(read_traces, path) == want
+        # each odd line but a blank one is read again alone, not its block
+        read_again = []
+        parse = traces._parse_record
+
+        def counted(line, line_no, header):
+            read_again.append(line_no)
+            return parse(line, line_no, header)
+
+        monkeypatch.setattr(traces, "_parse_record", counted)
+        assert outcome(read_traces, path) == want
+        assert read_again == {
+            "whitespace-led": [4, BLOCK // 2 + 1, BLOCK],
+            "trailing-whitespace": [4, BLOCK // 2 + 1, BLOCK],
+            "extra-data": [4]}.get(odd, [])
 
     def test_records_own_their_rows(self, lines):
         path, lines = lines
@@ -489,6 +503,24 @@ class TestValidation:
             write_traces(path, TraceHeader(1, 4, 3), records)
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("width", [10 ** 8, 10 ** 15, 10 ** 20])
+    def test_huge_width_on_short_lines(self, tmp_path, capsys, width):
+        # the block's array is sized from its lines, not from the header
+        path = tmp_path / "t.jsonl"
+        record = JSON_LINE({**RECORD, "activations": [1.0, 0.0]})
+        path.write_text(JSON_LINE({**HEADER, "width": width}) + "\n"
+                        + (record + "\n") * 3)
+        message = (f"line 2: malformed trace record: activation shape (2,) "
+                   f"does not match header width {width}")
+        with pytest.raises(SchemaError) as exc:
+            read_traces(path)
+        assert str(exc.value) == message
+        out = tmp_path / "m.json"
+        assert main(["build", "--traces", str(path), "--gamma", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -617,6 +649,49 @@ class TestValidation:
             read_traces(path)
 
 
+def per_row_extract(model, inputs, labels, layer):
+    """``extract`` one row at a time through the per-record rule: the
+    reference the block-wise ``extract`` must equal, in what it returns
+    and in what it raises."""
+    header = TraceHeader(layer, model.layer_width(layer), model.class_count)
+    trace = forward(model, inputs)
+    rows = zip(labels, decide(trace.final), trace.outputs[layer], strict=True)
+    return header, [
+        TraceRecord(f"s{i}", *traces._writable(f"s{i}", *row, header))
+        for i, row in enumerate(rows)]
+
+
+def with_label(labels, at, value):
+    """A list of ``labels`` with ``value`` at ``at``."""
+    labels = labels.tolist()
+    labels[at] = value
+    return labels
+
+
+# label inputs for a dataset of two blocks and a few rows, as functions of
+# its int64 labels
+EXTRACT_LABELS = {
+    "int-list": lambda y: y.tolist(),
+    "int64-array": lambda y: y,
+    "int32-array": lambda y: y.astype(np.int32),
+    "uint8-array": lambda y: y.astype(np.uint8),
+    "numpy-scalars": list,
+    "bool-array": lambda y: y.astype(bool),
+    "float-array": lambda y: y.astype(np.float64),
+    "fractional-array": lambda y: y + 0.5,
+    "true": lambda y: with_label(y, 5, True),
+    "string": lambda y: with_label(y, BLOCK - 1, "2"),
+    "above": lambda y: with_label(y, BLOCK, 3),
+    "negative": lambda y: with_label(y, BLOCK + 2, -1),
+    "shorter": lambda y: y.tolist()[:-1],
+    "longer": lambda y: y.tolist() + [0],
+    "short-bad-first": lambda y: ["x", 1, 2],
+    "generator": lambda y: (int(v) for v in y),
+    "object-array": lambda y: y.astype(object),
+    "empty": lambda y: [],
+}
+
+
 class TestExtract:
     @pytest.fixture(scope="class")
     def model_path(self, tmp_path_factory):
@@ -696,6 +771,20 @@ class TestExtract:
         _, records = extract(load_model(model_path), x, labels, 1)
         assert [r.true_label for r in records] == [0, 1, 2]
         assert all(type(r.true_label) is int for r in records)
+
+    @pytest.mark.parametrize("kind", EXTRACT_LABELS)
+    def test_equals_the_per_row_extract(self, model_path, kind):
+        # the same ids, label types and values and activation bytes, or
+        # the same exception class and message
+        model = load_model(model_path)
+        x, y = make_blobs(seed=5, per_class=BLOCK // 3 + 2)
+        labels = EXTRACT_LABELS[kind]
+        want = outcome(
+            lambda _: per_row_extract(model, x, labels(y), 1), None)
+        got = outcome(lambda _: extract(model, x, labels(y), 1), None)
+        assert got == want
+        if got[0] is not ValueError:
+            assert [row[2] for row in got[1]] == y.tolist()
 
 
 class TestBatchMatchesRows:
