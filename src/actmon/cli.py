@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import evaluation, monitor as monitor_mod, network
-from .errors import (JSON_LINE, ActmonError, SchemaError, exact_int,
+from .errors import (JSON_LINE, ActmonError, SchemaError, as_int,
                      finite_floats, read_json, replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
 from .traces import extract, read_traces, write_traces
@@ -35,9 +35,10 @@ def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
         payload = read_json(args.data, "dataset")
         try:
             x = finite_floats(payload["inputs"], "inputs", 2)
-            y = np.array([exact_int(label, "label")
+            y = np.array([as_int(label, "label")
                           for label in payload["labels"]], dtype=np.int64)
-        except (KeyError, TypeError, OverflowError, SchemaError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError,
+                SchemaError) as exc:
             raise SchemaError(f"malformed dataset file: {exc}") from exc
         if x.shape[0] != y.shape[0]:
             raise SchemaError("dataset inputs/labels shapes disagree")
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
         # so numpy's warning would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             args.func(args)
-    except (ValueError, ActmonError) as exc:
+    except (ValueError, OverflowError, ActmonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

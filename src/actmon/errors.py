@@ -5,14 +5,14 @@ the classes here mark problems with persisted artifacts (model, trace,
 monitor files) and store lifecycle violations, so callers can distinguish
 bad data from bad environments.  Every artifact is parsed by the one
 strict decoder :data:`JSON_DECODER` (whole files through :func:`read_json`,
-trace files line by line), its integer fields are checked by
-:func:`exact_int` and the number arrays of files read whole by
-:func:`finite_floats`, and it is written through :func:`replace_on_success`
-(a JSON-lines file line by line through :data:`JSON_LINE`).
+trace files line by line) and written through :func:`replace_on_success`
+(a JSON-lines file line by line through :data:`JSON_LINE`); the number
+arrays of files read whole are checked by :func:`finite_floats`.
+:func:`as_int` is the one integer rule, with its lower bound, for every
+integer the package reads: arguments, labels and file fields alike.
 :func:`all_finite` is the one finiteness rule for every float array the
-package checks.  Integer arguments from library callers, and their lower
-bounds, are checked by :func:`as_int`, and :func:`warn` points every
-warning at the caller's line.
+package checks, and :func:`warn` points every warning at the caller's
+line.
 """
 
 import contextlib
@@ -40,17 +40,6 @@ class FormatVersionError(SchemaError):
 
 class FrozenStoreError(ActmonError):
     """A node-creating operation was attempted on a frozen BDD store."""
-
-
-def exact_int(value, what: str) -> int:
-    """``value`` itself if it is an int, else a :class:`SchemaError`.
-
-    JSON loads ``1.9`` as a float, ``true`` as a bool and ``"1"`` as a
-    string; ``int()`` would silently read each of them as 1.
-    """
-    if type(value) is not int:
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -84,7 +73,8 @@ def finite_floats(value, what: str, ndim: int) -> np.ndarray:
 def as_int(value, what: str, least: int | None = None) -> int:
     """``value`` as an int if it is a Python or numpy integer of at least
     ``least`` (if given), else a ``ValueError``: a bool, float or string
-    is no integer argument; ``int()`` would truncate 1.9 or read "1"."""
+    is no integer (JSON loads ``1.9``, ``true`` and ``"1"`` as such), and
+    ``int()`` would truncate 1.9 or read "1"."""
     if type(value) is not int:  # an exact int, the common case, skips this
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{what} {value!r} is not an integer")

@@ -113,8 +113,8 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
     warning rate is non-increasing in gamma.  Gammas are integers as in
     ``build``.
     """
-    gammas = [as_int(g, "gamma") for g in gammas]
-    if not gammas or any(g < 0 for g in gammas):
+    gammas = [as_int(g, "gamma", 0) for g in gammas]
+    if not gammas:
         raise ValueError("gammas must be a nonempty list of levels >= 0")
     if sorted(set(gammas)) != gammas:
         raise ValueError("gammas must be strictly ascending")

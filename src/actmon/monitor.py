@@ -31,8 +31,8 @@ import numpy as np
 
 from . import bdd, patterns
 from .bdd import FALSE, BddStore
-from .errors import (FormatVersionError, SchemaError, as_int, exact_int,
-                     read_json, replace_on_success, warn)
+from .errors import (FormatVersionError, SchemaError, as_int, read_json,
+                     replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -183,14 +183,12 @@ def monitor_from_dict(data: Mapping) -> Monitor:
         selection = NeuronSelection(
             layer=sel["layer"], layer_width=sel["layer_width"],
             indices=sel["indices"], scores=sel["scores"])
-        gamma = exact_int(data["gamma"], "gamma")
-        layer = exact_int(data["layer"], "layer")
-        classes = [exact_int(c, "class") for c in data["classes"]]
+        gamma = as_int(data["gamma"], "gamma", 0)
+        layer = as_int(data["layer"], "layer")
+        classes = [as_int(c, "class") for c in data["classes"]]
         bdd_part = data["bdd"]
-    except (KeyError, TypeError, ValueError, SchemaError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed monitor file: {exc}") from exc
-    if gamma < 0:
-        raise SchemaError(f"negative gamma {gamma}")
     if layer != selection.layer:
         raise SchemaError(f"layer {layer} does not match selection layer "
                           f"{selection.layer}")

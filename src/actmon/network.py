@@ -203,10 +203,10 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     Deterministic for a given seed: initialization and shuffling share one
     generator.  With ``epochs=0`` the freshly initialized model is returned
     untouched.  ``seed`` and ``epochs`` are Python or numpy integers >= 0,
-    recorded as ints.  Each label is a whole number >= 0 (``1.0`` is read
-    as class 1; ``-1`` and ``0.5`` are refused), and the largest one sets
-    the class count.  Raises ``ValueError`` otherwise or if the loss
-    diverges to NaN/inf.
+    recorded as ints.  There is one label per row, a Python or numpy
+    integer >= 0 as :func:`~actmon.traces.extract` takes it (a bool, float
+    or string is refused), and the largest one sets the class count.
+    Raises ``ValueError`` otherwise or if the loss diverges to NaN/inf.
 
     Every weight and bias is a view into one flat float64 vector, and each
     minibatch writes its gradients into the same views of a second one, so
@@ -218,10 +218,9 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     seed = as_int(seed, "seed", 0)
     epochs = as_int(epochs, "epochs", 0)
     x = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != labels.shape[0]:
+    y = _label_array(labels)
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != len(y):
         raise ValueError("dataset must be nonempty with matching labels")
-    y = _class_indices(labels)
     n_classes = int(y.max()) + 1
     if n_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -284,24 +283,26 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
         "hidden": list(TOY_HIDDEN)})
 
 
-def _class_indices(labels) -> np.ndarray:
-    """``labels`` as int64 class indices, each a whole number >= 0 (``1.0``
-    is class 1), else a ``ValueError`` naming the first label that is not:
-    ``-1``, ``0.5``, NaN, infinity or the string ``"1"``."""
-    labels = np.asarray(labels)
-    with np.errstate(invalid="ignore"):  # NaN or inf casts to junk, refused
-        y = labels.astype(np.int64)
-    bad = np.flatnonzero((y < 0) | (y != labels))
-    if bad.size:
-        raise ValueError(f"label {labels.ravel().tolist()[bad[0]]!r} is not "
-                         f"a whole number >= 0")
+def _label_array(labels) -> np.ndarray:
+    """``labels``, one per row, as an int64 array of class indices, else a
+    ``ValueError``.  A 1-D integer array is checked by its minimum; any
+    other labels go one by one through ``as_int(label, "label", 0)``, so
+    the first bad one is named."""
+    shape = np.shape(labels)
+    if len(shape) != 1:
+        raise ValueError(f"labels must be one per row, got shape {shape}")
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
+        labels = [as_int(label, "label", 0) for label in labels]
+    y = np.array(labels, np.int64)
+    if y.size:
+        as_int(y.min(), "label", 0)
     return y
 
 
 def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:
     """Fraction of the (N, D) rows, N >= 1, whose argmax decision matches
     the label; the labels follow :func:`train_toy`'s rule."""
-    y = _class_indices(labels)
+    y = _label_array(labels)
     predicted = decide(forward(model, inputs).final)
     if np.shape(predicted) != y.shape:
         raise ValueError(f"{np.size(predicted)} inputs but {y.size} labels")

@@ -57,11 +57,9 @@ class NeuronSelection:
     def __post_init__(self):
         object.__setattr__(self, "layer", as_int(self.layer, "layer"))
         object.__setattr__(self, "layer_width",
-                           as_int(self.layer_width, "layer width"))
+                           as_int(self.layer_width, "layer width", 1))
         object.__setattr__(self, "indices", tuple(
             as_int(i, "neuron index") for i in self.indices))
-        if self.layer_width < 1:
-            raise ValueError("layer width must be >= 1")
         if not self.indices:
             raise ValueError("selection must keep at least one neuron")
         if len(set(self.indices)) != len(self.indices):

@@ -33,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (JSON_DECODER, JSON_LINE, FormatVersionError,
-                     SchemaError, all_finite, as_int, exact_int,
-                     replace_on_success)
+                     SchemaError, all_finite, as_int, replace_on_success)
 from .network import ModelSpec, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
@@ -97,12 +96,11 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
     return header, records
 
 
-def _check_header(header: TraceHeader) -> TraceHeader:
-    """The header rule of writer and reader (else ``ValueError``)."""
-    if header.width < 1 or header.classes < 2:
-        raise ValueError(f"width {header.width} must be >= 1 and classes "
-                         f"{header.classes} >= 2")
-    return header
+def _check_header(layer, width, classes) -> TraceHeader:
+    """The header of writer and reader: three integers, ``width`` at least
+    1 and ``classes`` at least 2 (else ``ValueError``)."""
+    return TraceHeader(as_int(layer, "layer"), as_int(width, "width", 1),
+                       as_int(classes, "classes", 2))
 
 
 def _check_record(header: TraceHeader, rid: str, true_label: int,
@@ -138,7 +136,8 @@ def _writable(rid: str, true_label, pred_label, activations,
 
 def write_traces(path, header: TraceHeader, records) -> None:
     """Write a trace file, refusing with ``ValueError`` (the old file kept)
-    what :func:`read_traces` refuses; integers go through ``as_int``.
+    what :func:`read_traces` refuses: the header's fields and the labels
+    are Python or numpy integers under the reader's bounds, by ``as_int``.
 
     The bytes are those of ``JSON_LINE`` on each record's dict, with the
     activations as a list of Python floats.  Records go in blocks of
@@ -150,9 +149,7 @@ def write_traces(path, header: TraceHeader, records) -> None:
     file; an exception from ``records`` itself comes after the faults of
     the records before it.
     """
-    header = _check_header(TraceHeader(
-        as_int(header.layer, "layer"), as_int(header.width, "width"),
-        as_int(header.classes, "classes")))
+    header = _check_header(header.layer, header.width, header.classes)
     with replace_on_success(path) as fh:
         fh.write(JSON_LINE({"format": TRACE_FORMAT, "version": TRACE_VERSION,
                             **vars(header)}) + "\n")
@@ -309,12 +306,8 @@ def _parse_header(line: str) -> TraceHeader:
     if type(version) is not int or version != TRACE_VERSION:
         raise FormatVersionError(f"unsupported trace version {version!r}")
     try:
-        return _check_header(TraceHeader(
-            layer=exact_int(head["layer"], "layer"),
-            width=exact_int(head["width"], "width"),
-            classes=exact_int(head["classes"], "classes"),
-        ))
-    except (KeyError, ValueError, SchemaError) as exc:
+        return _check_header(head["layer"], head["width"], head["classes"])
+    except (KeyError, ValueError) as exc:
         raise SchemaError(f"malformed trace header: {exc}") from exc
 
 
@@ -323,8 +316,8 @@ def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
         row = JSON_DECODER.decode(line)
         record = TraceRecord(
             id=row["id"],
-            true_label=exact_int(row["true_label"], "true_label"),
-            pred_label=exact_int(row["pred_label"], "pred_label"),
+            true_label=as_int(row["true_label"], "true_label"),
+            pred_label=as_int(row["pred_label"], "pred_label"),
             activations=np.asarray(_numbers(row["activations"]),
                                    dtype=np.float64),
         )

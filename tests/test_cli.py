@@ -311,15 +311,20 @@ class TestErrors:
 
     def test_inexact_integer_in_monitor_file(self, pipeline, tmp_path,
                                              capsys):
-        data = json.loads(pipeline["monitor"].read_text())
-        data["gamma"] = 1.9
-        bad = tmp_path / "bad_monitor.json"
-        bad.write_text(json.dumps(data))
-        code = main(["stats", "--monitor", str(bad)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("error: ") and "gamma must be an integer" in err
-        assert "Traceback" not in err
+        # one table for the monitor file's bounded field, looped so the
+        # test keeps its id
+        for gamma, message in [(1.9, "gamma 1.9 is not an integer"),
+                               (True, "gamma True is not an integer"),
+                               (-1, "gamma must be >= 0, got -1")]:
+            data = json.loads(pipeline["monitor"].read_text())
+            data["gamma"] = gamma
+            bad = tmp_path / "bad_monitor.json"
+            bad.write_text(json.dumps(data))
+            code = main(["stats", "--monitor", str(bad)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err \
+                == f"error: malformed monitor file: {message}\n"
 
     def test_inexact_terminal_id_in_monitor_file(self, pipeline, tmp_path,
                                                  capsys):
@@ -393,6 +398,22 @@ class TestErrors:
         assert code == 1
         assert "no classes to monitor" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "train-toy"])
+    def test_integer_beyond_a_c_size_is_one_error_line(
+            self, pipeline, tmp_path, capsys, command):
+        huge = "99999999999999999999"  # no list of 0..huge, no huge array
+        args = {"sweep": ["--traces", str(pipeline["train"]), "--eval",
+                          str(pipeline["eval"]), "--gamma", huge],
+                "train-toy": ["--per-class", huge]}
+        out = tmp_path / "out"
+        code = main([command, *args[command], "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: Python int too large to "
+                                       "convert to C ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["build", "sweep"])
     @pytest.mark.parametrize("index", ["7", "-1"])

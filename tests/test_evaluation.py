@@ -383,12 +383,17 @@ class TestGammaSweep:
         with pytest.raises(ValueError, match="nonempty"):
             gamma_sweep(train, train, identity_selection(8), [])
 
-    @pytest.mark.parametrize("gammas", [[True], [0, 1.5], ["1"],
-                                        [0, np.float64(1.0)]],
-                             ids=["bool", "float", "string", "numpy-float"])
-    def test_non_integer_gamma_rejected(self, gammas):
+    @pytest.mark.parametrize("gammas, message", [
+        ([True], "^gamma True is not an integer$"),
+        ([0, 1.5], r"^gamma 1\.5 is not an integer$"),
+        (["1"], "^gamma '1' is not an integer$"),
+        ([0, np.float64(1.0)],
+         r"^gamma np\.float64\(1\.0\) is not an integer$"),
+        ([-1, 0], "^gamma must be >= 0, got -1$"),
+    ], ids=["bool", "float", "string", "numpy-float", "negative"])
+    def test_non_integer_gamma_rejected(self, gammas, message):
         train = self._traces(44, 10)
-        with pytest.raises(ValueError, match="gamma .* is not an integer"):
+        with pytest.raises(ValueError, match=message):
             gamma_sweep(train, train, identity_selection(8), gammas)
 
     def test_numpy_gamma_reported_as_int(self):

@@ -262,7 +262,7 @@ class TestNeuronSelection:
             NeuronSelection(0, 4, (0, 4), (0.0, 0.0))
 
     @pytest.mark.parametrize("layer_width, indices, message", [
-        (0, (0,), "^layer width must be >= 1$"),
+        (0, (0,), "^layer width must be >= 1, got 0$"),
         (4, (), "^selection must keep at least one neuron$"),
     ], ids=["width-0", "no-indices"])
     def test_empty_layer_or_selection_rejected(self, layer_width, indices,

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ def sample_records(count=5, width=4, seed=0):
 
 HEADER = {"format": "actmon-trace", "version": 1, "layer": 1, "width": 1,
           "classes": 2}
+# the least value of each bounded header field
+HEADER_LEAST = {"width": 1, "classes": 2}
 RECORD = {"id": "s0", "true_label": 1, "pred_label": 0, "activations": [1.0]}
 
 
@@ -634,6 +637,8 @@ class TestValidation:
         ("header", "layer", True),
         ("header", "width", 1.0),
         ("header", "classes", "2"),
+        ("header", "width", 0),
+        ("header", "classes", 1),
         ("record", "true_label", 1.9),
         ("record", "pred_label", False),
         ("record", "true_label", "1"),
@@ -645,7 +650,10 @@ class TestValidation:
         read_traces(path)  # the unedited file is valid
         (header if part == "header" else record)[field] = value
         path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
-        with pytest.raises(SchemaError, match=f"{field} must be an integer"):
+        message = f"{field} {value!r} is not an integer" \
+            if type(value) is not int \
+            else f"{field} must be >= {HEADER_LEAST[field]}, got {value}"
+        with pytest.raises(SchemaError, match=f"{re.escape(message)}$"):
             read_traces(path)
 
 
@@ -843,15 +851,18 @@ FIELD_VALUES = [0, 1, 2, 3, -1, np.int64(2), np.int32(1), np.uint8(3), True,
 
 
 class TestWriterRefusesWhatReaderRefuses:
-    @pytest.mark.parametrize("header", [
-        TraceHeader(0, 2, 1), TraceHeader(0, 0, 3), TraceHeader(True, 2, 3),
-        TraceHeader(0, 2.0, 3), TraceHeader(0, 2, "3"),
+    @pytest.mark.parametrize("header, message", [
+        (TraceHeader(0, 2, 1), "classes must be >= 2, got 1"),
+        (TraceHeader(0, 0, 3), "width must be >= 1, got 0"),
+        (TraceHeader(True, 2, 3), "layer True is not an integer"),
+        (TraceHeader(0, 2.0, 3), "width 2.0 is not an integer"),
+        (TraceHeader(0, 2, "3"), "classes '3' is not an integer"),
     ], ids=["one-class", "zero-width", "bool-layer", "float-width",
             "string-classes"])
-    def test_bad_header_not_written(self, tmp_path, header):
+    def test_bad_header_not_written(self, tmp_path, header, message):
         path = tmp_path / "t.jsonl"
         path.write_text("old contents\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             write_traces(path, header, [])
         assert path.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [path]
