@@ -9,13 +9,14 @@ level, membership evaluation, the capped Hamming distance from a pattern to
 a set (the monitor's query) and from a batch of patterns to their sets at
 once (:meth:`BddStore._distances`, the batch judge), exact model counting,
 and the table's one file format: :meth:`BddStore.to_json` writes the whole
-table in table order as the deterministic JSON text that monitor files
-embed, and :func:`from_dict` reads its parsed object back; opening files
-is the caller's job.  A node's id is its position in the table, and a set (a
-monitor's zone) is the plain ``int`` id of its root, which only the store
-that holds it can read.  A table encoded in one call into an empty store,
-as each monitor's is, lists its nodes in canonical order, so equal sets
-give equal files.  No other module reads the node table.
+table in table order, one column per node field, as the deterministic JSON
+text that monitor files embed, and :func:`from_dict` reads its parsed
+object back; opening files is the caller's job.  A node's id is its
+position in the table, and a set (a monitor's zone) is the plain ``int``
+id of its root, which only the store that holds it can read.  A table
+encoded in one call into an empty store, as each monitor's is, lists its
+nodes in canonical order, so equal sets give equal files.  No other module
+reads the node table.
 Existential quantification over one variable (:meth:`BddStore.exists`) is
 the paper's distance-1 step; no monitor uses it, the tests' Hamming balls do.
 
@@ -35,17 +36,15 @@ does the unique table (:meth:`BddStore._index`) a node-creating call makes.
 
 from __future__ import annotations
 
-from itertools import compress, count
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatVersionError, FrozenStoreError, SchemaError, as_int
+from .errors import FrozenStoreError, SchemaError, as_int
 
 FALSE = 0
 TRUE = 1
-
-SERIAL_VERSION = 1
 
 # the file format's cap on the width; the store's one recursion, exists
 # (_exists with _or), goes one variable deeper per call, so at this cap it
@@ -55,6 +54,9 @@ MAX_VARS = 256
 
 # the values a pattern bit may equal
 _BITS = frozenset((0, 1))
+
+# the table's keys: the node columns, then the roots
+_TABLE_KEYS = ("var", "low", "high", "roots")
 
 
 class BddStore:
@@ -375,81 +377,61 @@ class BddStore:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self, zones: Mapping[int, int]) -> str:
-        """The whole table in table order and the checked root id of each
-        class in ``zones``, ascending, as the compact JSON text of the
-        monitor file's table::
+    def to_json(self, roots: Sequence[int]) -> str:
+        """The whole table in table order and the checked ids ``roots``,
+        in the order given, as the compact JSON text of the monitor file's
+        table: one column per node field, position ``i`` holding node
+        ``i + 2``::
 
-            {"version":1,"n_vars":K,"nodes":[{"id":2,"var":..,"low":..,
-            "high":..},...],"false_id":0,"true_id":1,"roots":{"0":..,...}}
+            {"var":[..],"low":[..],"high":[..],"roots":[..]}
 
-        Every id is the table's own.  A table that ``_encode`` filled from
-        empty, as ``build`` fills each monitor's, is in canonical order
-        (children before parents, low subtree first, zones by class), so
-        its text is canonical too; any other table, unreachable nodes
-        included, is written as it is.
+        A table that ``_encode`` filled from empty, as ``build`` fills each
+        monitor's, is in canonical order (children before parents, low
+        subtree first, zones by class), so its text is canonical too; any
+        other table, unreachable nodes included, is written as it is.
         """
-        classes = sorted(zones)
-        tops = [self._check_node(zones[c]) for c in classes]
+        roots = [self._check_node(root) for root in roots]
         start = TRUE + 1
-        # one template fill per node, no dict
-        nodes = ",".join(map('{"id":%d,"var":%d,"low":%d,"high":%d}'.__mod__,
-                             zip(count(start), self._var[start:],
-                                 self._low[start:], self._high[start:])))
-        roots = ",".join(map('"%d":%d'.__mod__, zip(classes, tops)))
-        return (f'{{"version":{SERIAL_VERSION},"n_vars":{self.n_vars},'
-                f'"nodes":[{nodes}],"false_id":{FALSE},"true_id":{TRUE},'
-                f'"roots":{{{roots}}}}}')
+        var, low, high = (",".join(map(str, column[start:])) for column
+                          in (self._var, self._low, self._high))
+        return (f'{{"var":[{var}],"low":[{low}],"high":[{high}],'
+                f'"roots":[{",".join(map(str, roots))}]}}')
 
 
-def from_dict(data: dict) -> tuple[BddStore, dict[str, int]]:
-    """Rebuild a store and its roots, the node id under each key, from
-    the parsed text of :meth:`BddStore.to_json`.
+def from_dict(data: dict, n_vars: int) -> tuple[BddStore, list[int]]:
+    """Rebuild a store of width ``n_vars`` and its roots, in file order,
+    from the parsed text of :meth:`BddStore.to_json`.
 
-    A node's id is its position in the table, as ``to_json`` writes it:
-    dense from 2, each child before its parent, so a loaded node keeps its
-    id, a root is a position, and the loaded table saves back the node
-    list it was read from, canonical or not.  Raises
-    :class:`FormatVersionError` on a version other than the int 1 and
-    :class:`SchemaError` on a malformed table: wrong field types, terminal
-    ids other than the ints 0 and 1, an id that is not its position,
-    dangling children, equal children, duplicate triples, ordering
-    violations, too many variables.
+    Position ``i`` of the columns is node ``i + 2``, each child before its
+    parent, so a loaded node keeps its id and the loaded table saves back
+    the columns it was read from, canonical or not.  An ``n_vars`` the
+    store refuses raises ``ValueError``; a malformed table raises
+    :class:`SchemaError`: a missing column, columns of unequal length,
+    cells that are no exact ints, variables out of range, dangling
+    children, ordering violations, equal children, duplicate triples and
+    roots that name no node.
     """
     if not isinstance(data, dict):
-        raise SchemaError("BDD serialization must be a JSON object")
-    version = data.get("version")
-    if type(version) is not int or version != SERIAL_VERSION:
-        raise FormatVersionError(
-            f"unsupported BDD serialization version {version!r}")
-    for field, kind in (("n_vars", int), ("nodes", list), ("roots", dict)):
-        if not isinstance(data.get(field), kind):
-            raise SchemaError(f"BDD serialization {field!r} is missing or "
-                              f"not a {kind.__name__}")
-    n_vars = data["n_vars"]
-    if type(n_vars) is not int or not 1 <= n_vars <= MAX_VARS:
-        raise SchemaError(f"invalid n_vars {n_vars!r} (cap {MAX_VARS})")
-    false_id, true_id = data.get("false_id", FALSE), data.get("true_id", TRUE)
-    if not (type(false_id) is type(true_id) is int
-            and (false_id, true_id) == (FALSE, TRUE)):
-        raise SchemaError("terminal ids must be 0 (false) and 1 (true)")
+        raise SchemaError("BDD table must be a JSON object")
+    columns = [data.get(key) for key in _TABLE_KEYS]
+    for key, column in zip(_TABLE_KEYS, columns):
+        if not isinstance(column, list):
+            raise SchemaError(f"BDD table {key!r} is missing or not a list")
+    var_column, low_column, high_column, roots = columns
+    if not len(var_column) == len(low_column) == len(high_column):
+        raise SchemaError("BDD table columns 'var', 'low' and 'high' differ "
+                          "in length")
 
     store = BddStore(n_vars)
     # _mk's id objects by position: children share them, and the query walk
     # reads no ints scattered by the JSON parse
     made, unique = [FALSE, TRUE], {}
-    for entry in data["nodes"]:
-        try:
-            node, var = entry["id"], entry["var"]
-            low, high = entry["low"], entry["high"]
-        except (TypeError, KeyError) as exc:
-            raise SchemaError(f"malformed node entry {entry!r}") from exc
+    for node, (var, low, high) in enumerate(
+            zip(var_column, low_column, high_column), TRUE + 1):
         # exact ints: JSON true/false load as bools, which equal 1 and 0
-        if not type(node) is type(var) is type(low) is type(high) is int:
-            raise SchemaError(f"malformed node entry {entry!r}")
-        if node != len(store):
-            raise SchemaError(f"node id {node} is not its position "
-                              f"{len(store)} in the table")
+        if not type(var) is type(low) is type(high) is int:
+            raise SchemaError(
+                f"node {node}: malformed entry {[var, low, high]!r}")
         if not 0 <= var < n_vars:
             raise SchemaError(f"node {node}: variable {var!r} out of range")
         if not (0 <= low < node and 0 <= high < node):
@@ -462,7 +444,7 @@ def from_dict(data: dict) -> tuple[BddStore, dict[str, int]]:
         if made[-1] != node:
             raise SchemaError(f"node {node}: children are equal or "
                               f"(var, low, high) is a duplicate")
-    for key, node in data["roots"].items():
-        if type(node) is not int or not 0 <= node < len(store):
-            raise SchemaError(f"root {key!r}: dangling node id {node!r}")
-    return store, dict(data["roots"])
+    for i, root in enumerate(roots):
+        if type(root) is not int or not 0 <= root < len(made):
+            raise SchemaError(f"root {i}: dangling node id {root!r}")
+    return store, [made[root] for root in roots]

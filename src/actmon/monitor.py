@@ -39,7 +39,9 @@ from .traces import TraceRecord
 MONITOR_FORMAT = "actmon-monitor"
 # 2: zones are gamma 0; a version-1 zone of gamma > 0 was grown, and read
 # as gamma 0 it would answer for radius 2 * gamma
-MONITOR_VERSION = 2
+# 3: the table is columnar and states each fact once: no node or terminal
+# ids, no nested version or width, no second layer, roots as a list
+MONITOR_VERSION = 3
 
 
 class Verdict(enum.Enum):
@@ -149,8 +151,8 @@ def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
 
 def save_monitor(monitor: Monitor, path) -> None:
     """Write the monitor as deterministic versioned JSON: its own fields,
-    then its table, :meth:`~actmon.bdd.BddStore.to_json`'s text, as the
-    last key ``bdd``.
+    then its table, :meth:`~actmon.bdd.BddStore.to_json`'s text with one
+    root per class in ``classes`` order, as the last key ``bdd``.
 
     Requires a frozen monitor, so the table written is the one ``build``
     made, in canonical order, or the one ``load_monitor`` read; repeated
@@ -158,15 +160,15 @@ def save_monitor(monitor: Monitor, path) -> None:
     """
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")
-    sel = monitor.selection
+    sel, classes = monitor.selection, monitor.classes
     head = json.dumps({
         "format": MONITOR_FORMAT, "version": MONITOR_VERSION,
-        "gamma": monitor.gamma, "layer": sel.layer, "classes": monitor.classes,
+        "gamma": monitor.gamma, "classes": classes,
         "selection": {
             "layer": sel.layer, "layer_width": sel.layer_width,
             "indices": list(sel.indices), "scores": list(sel.scores)},
     }, separators=(",", ":"), allow_nan=False)
-    table = monitor.store.to_json(monitor.zones)
+    table = monitor.store.to_json([monitor.zones[c] for c in classes])
     with replace_on_success(path) as fh:
         fh.write(f'{head[:-1]},"bdd":{table}}}\n')
 
@@ -184,26 +186,19 @@ def monitor_from_dict(data: Mapping) -> Monitor:
             layer=sel["layer"], layer_width=sel["layer_width"],
             indices=sel["indices"], scores=sel["scores"])
         gamma = as_int(data["gamma"], "gamma", 0)
-        layer = as_int(data["layer"], "layer")
         classes = [as_int(c, "class") for c in data["classes"]]
-        bdd_part = data["bdd"]
+        # the store refuses a width above its cap with a ValueError
+        store, roots = bdd.from_dict(data["bdd"], selection.width)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed monitor file: {exc}") from exc
-    if layer != selection.layer:
-        raise SchemaError(f"layer {layer} does not match selection layer "
-                          f"{selection.layer}")
-    store, roots = bdd.from_dict(bdd_part)
-    if store.n_vars != selection.width:
-        raise SchemaError(
-            f"BDD width {store.n_vars} does not match selection width "
-            f"{selection.width}")
-    # one root per listed class, keyed as the writer keys it
-    if len(classes) != len(roots) or set(roots) != set(map(str, classes)):
-        raise SchemaError(f"classes {classes} do not match the zone keys "
-                          f"{list(roots)}")
+    # one root per class, the classes strictly ascending as the writer
+    # lists them
+    if len(roots) != len(classes) or classes != sorted(set(classes)):
+        raise SchemaError(f"classes {classes} must ascend strictly and "
+                          f"match the {len(roots)} zone roots")
     store.freeze()
     return Monitor(selection=selection, gamma=gamma, store=store,
-                   zones={c: roots[str(c)] for c in classes})
+                   zones=dict(zip(classes, roots)))
 
 
 def load_monitor(path) -> Monitor:

@@ -35,6 +35,9 @@ TOY_HIDDEN = (16, 14)
 TOY_LEARNING_RATE = 0.1
 TOY_BATCH_SIZE = 32
 
+# the largest label of the int64 label arrays
+_LABEL_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass
 class Layer:
@@ -283,20 +286,30 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
         "hidden": list(TOY_HIDDEN)})
 
 
+def _label(value) -> int:
+    """``value`` as a class index: ``as_int(value, "label", 0)`` that an
+    int64 array holds, else a ``ValueError`` naming it."""
+    label = as_int(value, "label", 0)
+    if label > _LABEL_MAX:
+        raise ValueError(f"label {label} exceeds the int64 maximum "
+                         f"{_LABEL_MAX}")
+    return label
+
+
 def _label_array(labels) -> np.ndarray:
     """``labels``, one per row, as an int64 array of class indices, else a
-    ``ValueError``.  A 1-D integer array is checked by its minimum; any
-    other labels go one by one through ``as_int(label, "label", 0)``, so
-    the first bad one is named."""
+    ``ValueError``.  A 1-D integer array is checked by its extremes; any
+    other labels go one by one through :func:`_label`, so the first bad
+    one is named."""
     shape = np.shape(labels)
     if len(shape) != 1:
         raise ValueError(f"labels must be one per row, got shape {shape}")
-    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
-        labels = [as_int(label, "label", 0) for label in labels]
-    y = np.array(labels, np.int64)
-    if y.size:
-        as_int(y.min(), "label", 0)
-    return y
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        if labels.size:
+            _label(labels.min())
+            _label(labels.max())
+        return labels.astype(np.int64)
+    return np.array([_label(label) for label in labels], np.int64)
 
 
 def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:

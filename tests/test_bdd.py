@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from actmon import bdd, monitor
-from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
+from actmon.errors import FrozenStoreError, SchemaError
 from actmon.patterns import identity_selection
 from actmon.traces import TraceRecord
 
@@ -50,9 +50,16 @@ def exists_oracle(patterns, j):
     return out
 
 
+def ordered(roots):
+    """The root ids of ``roots``, a root id per int class, in ascending
+    class order: the order a monitor file lists them in."""
+    return [roots[key] for key in sorted(roots)]
+
+
 def table(store, roots):
-    """The table as from_dict reads it: the parsed text of to_json."""
-    return json.loads(store.to_json(roots))
+    """The table as from_dict reads it: the parsed text of to_json, with
+    the roots of ``roots`` in ascending class order."""
+    return json.loads(store.to_json(ordered(roots)))
 
 
 def reference_to_dict(store, roots):
@@ -63,9 +70,8 @@ def reference_to_dict(store, roots):
     finished.  Equal sets give equal forms whatever order a store made its
     nodes in; a table that one ``_encode`` call fills from empty is listed
     in this order by ``to_json`` itself."""
-    order = sorted(roots)
     relabel = {bdd.FALSE: 0, bdd.TRUE: 1}
-    nodes = []
+    columns = {"var": [], "low": [], "high": []}
 
     def visit(node):
         if node in relabel:
@@ -73,22 +79,20 @@ def reference_to_dict(store, roots):
         visit(store._low[node])
         visit(store._high[node])
         relabel[node] = len(relabel)
-        nodes.append({"id": relabel[node], "var": store._var[node],
-                      "low": relabel[store._low[node]],
-                      "high": relabel[store._high[node]]})
+        columns["var"].append(store._var[node])
+        columns["low"].append(relabel[store._low[node]])
+        columns["high"].append(relabel[store._high[node]])
 
-    for key in order:
-        visit(roots[key])
-    return {"version": bdd.SERIAL_VERSION, "n_vars": store.n_vars,
-            "nodes": nodes, "false_id": bdd.FALSE, "true_id": bdd.TRUE,
-            "roots": {str(key): relabel[roots[key]] for key in order}}
+    for root in ordered(roots):
+        visit(root)
+    return {**columns, "roots": [relabel[root] for root in ordered(roots)]}
 
 
 def reload(store, roots):
     """A new store and its roots, keyed by int class, read back from the
     table's JSON text."""
-    loaded, roots = bdd.from_dict(table(store, roots))
-    return loaded, {int(key): node for key, node in roots.items()}
+    loaded, loaded_roots = bdd.from_dict(table(store, roots), store.n_vars)
+    return loaded, dict(zip(sorted(roots), loaded_roots))
 
 
 def members(store, node):
@@ -446,7 +450,8 @@ class TestLazyUniqueTable:
                  for c in range(3)}
         loaded, loaded_roots = reload(store, roots)
         assert len(loaded) == len(store)
-        assert loaded.to_json(loaded_roots) == store.to_json(roots)
+        assert loaded.to_json(ordered(loaded_roots)) \
+            == store.to_json(ordered(roots))
 
 
 class TestUnion:
@@ -1139,7 +1144,7 @@ class TestSerialization:
 
     def test_byte_determinism(self):
         store, roots = self._sample()
-        assert store.to_json(roots) == store.to_json(roots)
+        assert store.to_json(ordered(roots)) == store.to_json(ordered(roots))
 
     def test_insertion_order_does_not_change_bytes(self):
         patterns = [tup("0011"), tup("0111"), tup("1110")]
@@ -1152,114 +1157,111 @@ class TestSerialization:
                                            {0: build_set(store, order)}))
             # one encode_set into a fresh store: the written text matches
             store = bdd.BddStore(4)
-            blobs.append(store.to_json({0: store.encode_set(order)}))
+            blobs.append(store.to_json([store.encode_set(order)]))
         assert forms[0] == forms[1]
         assert blobs[0] == blobs[1]
 
     def test_nodes_listed_children_first_with_dense_ids(self):
         store, roots = self._sample()
         data = table(store, roots)
+        assert list(data) == ["var", "low", "high", "roots"]
         seen = {0, 1}
-        for i, node in enumerate(data["nodes"]):
-            assert node["id"] == i + 2
-            assert node["low"] in seen and node["high"] in seen
-            seen.add(node["id"])
-
-    def test_version_mismatch(self):
-        store, roots = self._sample()
-        data = table(store, roots)
-        data["version"] = 99
-        with pytest.raises(FormatVersionError):
-            bdd.from_dict(data)
+        for node, low, high in zip(range(2, len(store)), data["low"],
+                                   data["high"]):
+            assert low in seen and high in seen
+            seen.add(node)
+        assert seen == set(range(len(store)))
 
     def test_corrupted_low_pointer(self):
         store, roots = self._sample()
         data = table(store, roots)
-        data["nodes"][-1]["low"] = 999  # dangling id
+        data["low"][-1] = 999  # dangling id
         with pytest.raises(SchemaError, match="dangling"):
-            bdd.from_dict(data)
+            bdd.from_dict(data, 4)
 
     def test_ordering_violation(self):
-        data = {
-            "version": 1, "n_vars": 3,
-            "nodes": [
-                {"id": 2, "var": 2, "low": 0, "high": 1},
-                {"id": 3, "var": 2, "low": 2, "high": 1},
-            ],
-            "false_id": 0, "true_id": 1, "roots": {"0": 3},
-        }
+        data = {"var": [2, 2], "low": [0, 2], "high": [1, 1], "roots": [3]}
         with pytest.raises(SchemaError, match="ordering"):
-            bdd.from_dict(data)
+            bdd.from_dict(data, 3)
 
     def test_equal_children_rejected(self):
-        data = {
-            "version": 1, "n_vars": 2,
-            "nodes": [{"id": 2, "var": 0, "low": 1, "high": 1}],
-            "false_id": 0, "true_id": 1, "roots": {"0": 2},
-        }
+        data = {"var": [0], "low": [1], "high": [1], "roots": [2]}
         with pytest.raises(SchemaError, match="equal"):
-            bdd.from_dict(data)
+            bdd.from_dict(data, 2)
 
     def test_duplicate_triple_rejected(self):
-        data = {
-            "version": 1, "n_vars": 2,
-            "nodes": [
-                {"id": 2, "var": 1, "low": 0, "high": 1},
-                {"id": 3, "var": 1, "low": 0, "high": 1},
-            ],
-            "false_id": 0, "true_id": 1, "roots": {"0": 3},
-        }
+        data = {"var": [1, 1], "low": [0, 0], "high": [1, 1], "roots": [3]}
         with pytest.raises(SchemaError, match=r"^node 3: children are equal "
                            r"or \(var, low, high\) is a duplicate$"):
-            bdd.from_dict(data)
+            bdd.from_dict(data, 2)
 
     @staticmethod
     def _scale_ids(data):
-        """Every id, child and root times 10: a consistent relabeling that
-        to_json never writes."""
+        """Every child and root id times 10: a consistent relabeling whose
+        ids are not the columns' positions."""
         scale = {0: 0, 1: 1}
-        scale.update((node["id"], node["id"] * 10) for node in data["nodes"])
-        for node in data["nodes"]:
-            node.update({k: scale[node[k]] for k in ("id", "low", "high")})
-        data["roots"] = {k: scale[v] for k, v in data["roots"].items()}
+        scale.update((node, node * 10)
+                     for node in range(2, 2 + len(data["var"])))
+        for key in ("low", "high", "roots"):
+            data[key] = [scale[node] for node in data[key]]
 
-    @pytest.mark.parametrize("corrupt", [
-        _scale_ids,
-        lambda d: d["nodes"].reverse(),
-        lambda d: d["nodes"][-1].update(id=d["nodes"][-1]["id"] + 1),
-    ], ids=["ids-times-ten", "parents-first", "gap"])
+    @staticmethod
+    def _reverse(data):
+        """Parents before children, each node keeping its ids: every
+        child is listed after its parent."""
+        last = len(data["var"]) + 1
+        flip = {0: 0, 1: 1}
+        flip.update((node, last + 2 - node) for node in range(2, last + 1))
+        for key in ("var", "low", "high"):
+            data[key].reverse()
+        for key in ("low", "high", "roots"):
+            data[key] = [flip[node] for node in data[key]]
+
+    @pytest.mark.parametrize("corrupt", [_scale_ids, _reverse],
+                             ids=["ids-times-ten", "parents-first"])
     def test_ids_must_be_positions(self, corrupt):
         store, roots = self._sample()
         data = table(store, roots)
         corrupt(data)
-        with pytest.raises(SchemaError, match="is not its position"):
-            bdd.from_dict(data)
+        with pytest.raises(SchemaError, match="dangling"):
+            bdd.from_dict(data, 4)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda d: d.update(roots=list(d["roots"].values())),
-        lambda d: d.update(nodes=7),
-        lambda d: d["nodes"][0].update(id=[2]),
-        lambda d: d["nodes"][-1].update(low=[0]),
-        lambda d: d["nodes"][-1].update(high=1.0),
-        lambda d: d["nodes"][-1].update(high=True),
-        lambda d: d["roots"].update({"0": [2]}),
-        lambda d: d.update(n_vars=bdd.MAX_VARS + 1),
-        # JSON true and 1.0 equal 1, and false and 0.0 equal 0
-        lambda d: d.update(version=True),
-        lambda d: d.update(version=1.0),
-        lambda d: d.update(false_id=False),
-        lambda d: d.update(false_id=0.0),
-        lambda d: d.update(true_id=True),
-    ], ids=["roots-list", "nodes-int", "id-unhashable", "low-unhashable",
-            "high-float", "high-bool", "root-unhashable", "n-vars-above-cap",
-            "version-bool", "version-float", "false-id-bool",
-            "false-id-float", "true-id-bool"])
+        lambda d: d.update(roots=dict(enumerate(d["roots"]))),
+        lambda d: d.update(var=7),
+        lambda d: d.pop("high"),
+        lambda d: d["low"].pop(),
+        lambda d: d["var"].append(0),
+        lambda d: d["low"].__setitem__(-1, [0]),
+        lambda d: d["high"].__setitem__(-1, 1.0),
+        lambda d: d["high"].__setitem__(-1, True),
+        lambda d: d["var"].__setitem__(0, -1),
+        lambda d: d["var"].__setitem__(0, 4),
+        lambda d: d["roots"].__setitem__(0, [2]),
+        lambda d: d["roots"].__setitem__(0, True),
+        lambda d: d["roots"].__setitem__(0, -1),
+    ], ids=["roots-dict", "var-int", "high-missing", "low-short",
+            "var-long", "low-unhashable", "high-float", "high-bool", "var-negative",
+            "var-at-width", "root-unhashable", "root-bool", "root-negative"])
     def test_malformed_table_is_schema_error(self, corrupt):
         store, roots = self._sample()
         data = table(store, roots)
+        bdd.from_dict(copy.deepcopy(data), 4)  # the unedited table loads
         corrupt(data)
         with pytest.raises(SchemaError):
-            bdd.from_dict(data)
+            bdd.from_dict(data, 4)
+
+    @pytest.mark.parametrize("data", [None, [], "table"])
+    def test_table_must_be_an_object(self, data):
+        with pytest.raises(SchemaError, match="must be a JSON object"):
+            bdd.from_dict(data, 4)
+
+    @pytest.mark.parametrize("n_vars", [0, bdd.MAX_VARS + 1, True],
+                             ids=["zero", "above-cap", "bool"])
+    def test_width_is_the_stores_rule(self, n_vars):
+        store, roots = self._sample()
+        with pytest.raises(ValueError, match="n_vars"):
+            bdd.from_dict(table(store, roots), n_vars)
 
     def test_round_trip_membership_unchanged(self):
         store, roots = self._sample()
@@ -1299,10 +1301,8 @@ class TestCanonicalWalk:
         roots = {0: store.encode_set([(0, 1, 1, 0, 1, 0),
                                       (1, 1, 0, 0, 0, 1)])}
         data = table(store, roots)
-        assert [(node["id"], node["var"], node["low"], node["high"])
-                for node in data["nodes"]] == list(zip(
-                    range(2, len(store)), store._var[2:], store._low[2:],
-                    store._high[2:]))
+        assert (data["var"], data["low"], data["high"]) \
+            == (store._var[2:], store._low[2:], store._high[2:])
         assert data == reference_to_dict(store, roots)
 
 
@@ -1349,15 +1349,14 @@ class TestTableOrder:
     @pytest.mark.parametrize("seed", range(3))
     def test_load_gives_back_the_table(self, make, seed):
         store, roots = make(random.Random(seed), 8)
-        text = store.to_json(roots)
+        text = store.to_json(ordered(roots))
         # not the canonical order: the table is written as it is
         assert json.loads(text) != reference_to_dict(store, roots)
-        loaded, loaded_roots = bdd.from_dict(json.loads(text))
+        loaded, loaded_roots = bdd.from_dict(json.loads(text), 8)
         assert (loaded._var, loaded._low, loaded._high) \
             == (store._var, store._low, store._high)
-        assert loaded_roots == {str(c): node for c, node in roots.items()}
-        assert loaded.to_json({int(c): node for c, node
-                               in loaded_roots.items()}) == text
+        assert loaded_roots == ordered(roots)
+        assert loaded.to_json(loaded_roots) == text
 
 
 def one_build(rng, n):
@@ -1371,19 +1370,20 @@ def one_build(rng, n):
 def a_written_table(rng, n):
     """A table that no store call made, loaded by from_dict: random
     reduced nodes, each listed after its children, the last one a root."""
-    var, nodes, triples = [n, n], [], set()
+    var, low, high, triples = [n, n], [0, 1], [0, 1], set()
     for _ in range(60):
         v = rng.randrange(n)
         below = [node for node, w in enumerate(var) if w > v]
-        low, high = rng.choice(below), rng.choice(below)
-        if low != high and (v, low, high) not in triples:
-            triples.add((v, low, high))
-            nodes.append({"id": len(var), "var": v, "low": low, "high": high})
+        lo, hi = rng.choice(below), rng.choice(below)
+        if lo != hi and (v, lo, hi) not in triples:
+            triples.add((v, lo, hi))
             var.append(v)
+            low.append(lo)
+            high.append(hi)
     store, roots = bdd.from_dict({
-        "version": bdd.SERIAL_VERSION, "n_vars": n, "nodes": nodes,
-        "roots": {"0": len(var) - 1, "1": bdd.TRUE + 1}})
-    roots = {int(c): node for c, node in roots.items()}
+        "var": var[2:], "low": low[2:], "high": high[2:],
+        "roots": [len(var) - 1, bdd.TRUE + 1]}, n)
+    roots = dict(enumerate(roots))
     assert table(store, roots) != reference_to_dict(store, roots)
     return store, roots
 

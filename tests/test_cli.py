@@ -10,6 +10,7 @@ import json
 import math
 import random
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,12 +265,20 @@ class TestSinglePatternMonitor:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("command", ["stats", "query"])
-    def test_version_one_monitor(self, pipeline, tmp_path, capsys, command):
-        data = json.loads(pipeline["monitor"].read_text())
-        data["version"] = 1
-        old = tmp_path / "monitor.json"
-        old.write_text(json.dumps(data))
+    @pytest.mark.parametrize("command, version", [
+        ("stats", 1), ("query", 1), ("stats", 2), ("query", 2)],
+        ids=["stats", "query", "stats-v2", "query-v2"])
+    def test_version_one_monitor(self, pipeline, tmp_path, capsys, command,
+                                 version):
+        """A version-1 monitor, and the golden monitor as the version-2
+        writer saved it, are refused with one line."""
+        if version == 1:
+            data = json.loads(pipeline["monitor"].read_text())
+            data["version"] = 1
+            old = tmp_path / "monitor.json"
+            old.write_text(json.dumps(data))
+        else:
+            old = Path(__file__).parent / "legacy" / "monitor-v2.json"
         out = tmp_path / "v.jsonl"
         argv = [command, "--monitor", str(old)]
         if command == "query":
@@ -277,8 +286,9 @@ class TestErrors:
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == ("error: unsupported monitor version 1; "
-                                "rebuild the monitor with 'actmon build'\n")
+        assert captured.err == (f"error: unsupported monitor version "
+                                f"{version}; rebuild the monitor with "
+                                f"'actmon build'\n")
         assert not out.exists()
 
     def test_non_relu_layer(self, pipeline, tmp_path, capsys):
@@ -300,7 +310,7 @@ class TestErrors:
 
     def test_malformed_monitor_file(self, pipeline, tmp_path, capsys):
         data = json.loads(pipeline["monitor"].read_text())
-        data["bdd"]["roots"] = list(data["bdd"]["roots"].values())
+        data["bdd"]["roots"] = dict(enumerate(data["bdd"]["roots"]))
         bad = tmp_path / "bad_monitor.json"
         bad.write_text(json.dumps(data))
         code = main(["stats", "--monitor", str(bad)])
@@ -326,17 +336,18 @@ class TestErrors:
             assert captured.err \
                 == f"error: malformed monitor file: {message}\n"
 
-    def test_inexact_terminal_id_in_monitor_file(self, pipeline, tmp_path,
-                                                 capsys):
+    def test_inexact_table_cell_in_monitor_file(self, pipeline, tmp_path,
+                                                capsys):
         data = json.loads(pipeline["monitor"].read_text())
-        data["bdd"]["true_id"] = True  # equal to 1, but no integer
+        data["bdd"]["high"][0] = True  # equal to 1, but no integer
+        low, var = data["bdd"]["low"][0], data["bdd"]["var"][0]
         bad = tmp_path / "bad_monitor.json"
         bad.write_text(json.dumps(data))
         code = main(["stats", "--monitor", str(bad)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == ("error: terminal ids must be 0 (false) and "
-                                "1 (true)\n")
+        assert captured.err == (f"error: node 2: malformed entry "
+                                f"[{var}, {low}, True]\n")
 
     def test_width_mismatch_between_build_inputs(self, pipeline, tmp_path,
                                                  capsys):

@@ -334,13 +334,13 @@ def test_only_exists_recurses():
 
 
 # keys of the BDD table that only its writer and its reader name
-TABLE_KEYS = ("nodes", "false_id", "true_id")
+TABLE_KEYS = ("var", "low", "high", "roots")
 
 
 def table_key_spellings(tree):
     """The line of every string constant in ``tree``, docstrings aside,
     that spells a key of the BDD table as JSON: one that is the key, as
-    in ``data["nodes"]``, or holds it in double quotes, as ``'"nodes":'``
+    in ``data["roots"]``, or holds it in double quotes, as ``'"var":'``
     does, in an f-string too."""
     docs = {id(node.body[0].value) for node in ast.walk(tree)
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
@@ -355,12 +355,12 @@ def table_key_spellings(tree):
 
 
 def test_table_key_guard_sees_each_form():
-    tree = ast.parse('"""The "nodes" list and true_id."""\n'
+    tree = ast.parse('"""The "var" column and roots."""\n'
                      'def save(data, text, n):\n'
-                     '    """Splits on \'"nodes":[]\'."""\n'
-                     '    head, tail = text.split(\'"nodes":[]\', 1)\n'
-                     '    data["false_id"] = f\'{head}"true_id":{n}\'\n'
-                     '    return f"store nodes: {n}", "node_ids"\n')
+                     '    """Splits on \'"low":[]\'."""\n'
+                     '    head, tail = text.split(\'"low":[]\', 1)\n'
+                     '    data["roots"] = f\'{head}"high":{n}\'\n'
+                     '    return f"variable: {n}", "lowest", "var_ids"\n')
     assert sorted(table_key_spellings(tree)) == [4, 5, 5]
 
 

@@ -13,6 +13,7 @@ import math
 import random
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ from actmon.network import make_blobs, train_toy
 from actmon.patterns import NeuronSelection, binarize, identity_selection
 from actmon.traces import TraceRecord, extract
 from test_bdd import reference_to_dict
+
+# a version-2 monitor file, as that format's writer saved the golden one
+MONITOR_V2 = Path(__file__).parent / "legacy" / "monitor-v2.json"
 
 
 def hamming(p, q):
@@ -169,7 +173,7 @@ class TestBuild:
         mon = build(traces, identity_selection(n), gamma=gamma)
         # the canonical walk lists every node reachable from the roots once
         assert len(mon.store) - 2 \
-            == len(reference_to_dict(mon.store, mon.zones)["nodes"])
+            == len(reference_to_dict(mon.store, mon.zones)["var"])
 
     @pytest.mark.filterwarnings("ignore:class")  # a class may go empty
     def test_table_equals_encode_set(self):
@@ -446,17 +450,19 @@ class TestQuery:
 
 
 def reference_verdict(monitor, acts, pred_label):
-    """Per-index threshold, then a plain walk over the serialized nodes."""
+    """Per-index threshold, then a plain walk over the saved columns, in
+    which position ``i`` is node ``i + 2`` and ids 0 and 1 are the
+    terminals."""
     root = monitor.zones.get(pred_label)
     if root is None:
         return Verdict.NO_ZONE
     bits = [1 if acts[i] > 0.0 else 0 for i in monitor.selection.indices]
-    table = json.loads(monitor.store.to_json({pred_label: root}))
-    nodes = {n["id"]: n for n in table["nodes"]}
-    node = table["roots"][str(pred_label)]
-    while node in nodes:
-        node = nodes[node]["high" if bits[nodes[node]["var"]] else "low"]
-    return Verdict.IN_ZONE if node == table["true_id"] else Verdict.OUT_OF_ZONE
+    table = json.loads(monitor.store.to_json([root]))
+    node = table["roots"][0]
+    while node > 1:
+        at = node - 2
+        node = table["high" if bits[table["var"][at]] else "low"][at]
+    return Verdict.IN_ZONE if node == 1 else Verdict.OUT_OF_ZONE
 
 
 class TestQueryReference:
@@ -591,7 +597,7 @@ class TestPersistence:
         path = tmp_path / "monitor.json"
         save_monitor(self._monitor(), path)
         data = json.loads(path.read_text())
-        assert data["version"] == 2
+        assert data["version"] == 3
         data["version"] = 1
         path.write_text(json.dumps(data))
         with pytest.raises(FormatVersionError, match=(
@@ -599,12 +605,19 @@ class TestPersistence:
                 "'actmon build'")):
             load_monitor(path)
 
+    def test_version_two_is_refused(self):
+        # a version-2 file, the golden monitor as that format wrote it
+        with pytest.raises(FormatVersionError, match=(
+                "^unsupported monitor version 2; rebuild the monitor with "
+                "'actmon build'$")):
+            load_monitor(MONITOR_V2)
+
     @pytest.mark.parametrize("path, value", [
         ("gamma", 1.9),
         ("gamma", True),
         ("gamma", "1"),
-        ("layer", 0.0),
-        ("layer", 3),
+        ("bdd.roots", [2]),  # fewer roots than classes
+        ("bdd.var", None),
         ("classes", [0]),
         ("classes", [0, 1, 2]),
         ("classes", [0, 0]),
@@ -617,19 +630,19 @@ class TestPersistence:
         ("selection.scores", [0.0, 0.0, True, 0.0, 0.0, 0.0]),
         ("selection.scores", [0.0, 0.0, 0.0, None, 0.0, 0.0]),
         ("selection.scores", [[0.0]] * 6),
-        # JSON true and 2.0 equal ints that the readers compare with
+        ("bdd.high", True),
+        ("bdd.roots", [2, True]),
+        # JSON true and 3.0 equal ints that the readers compare with
         ("version", 2.0),
-        ("bdd.version", True),
-        ("bdd.true_id", True),
-        ("bdd.false_id", 0.0),
+        ("version", 3.0),
         # values of the right type that the reader still refuses
         ("gamma", -1),
-        ("bdd.n_vars", 7),  # wider than the selection
+        ("classes", [1, 0]),
     ])
     def test_inexact_or_contradicting_field(self, path, value, tmp_path):
         save_monitor(self._monitor(), tmp_path / "monitor.json")
         data = json.loads((tmp_path / "monitor.json").read_text("utf-8"))
-        assert data["classes"] == [0, 1] and data["layer"] == 0
+        assert data["classes"] == [0, 1]
         monitor_from_dict(data)  # the unedited dict is valid
         *parents, field = path.split(".")
         target = data
@@ -713,6 +726,18 @@ class TestPersistence:
         path = tmp_path / "monitor.json"
         save_monitor(mon, path)
         assert load_monitor(path).store.frozen
+
+    def test_selection_above_the_variable_cap(self, tmp_path):
+        save_monitor(self._monitor(), tmp_path / "monitor.json")
+        data = json.loads((tmp_path / "monitor.json").read_text("utf-8"))
+        width = bdd.MAX_VARS + 1
+        data["selection"].update(layer_width=width,
+                                 indices=list(range(width)),
+                                 scores=[0.0] * width)
+        with pytest.raises(SchemaError, match=(
+                "^malformed monitor file: n_vars 257 exceeds the variable "
+                "cap 256$")):
+            monitor_from_dict(data)
 
 
 class TestBatchDistances:
@@ -840,8 +865,8 @@ class TestSavedBytes:
         data = json.loads(text)
         assert text == json.dumps(data, separators=(",", ":"),
                                   allow_nan=False) + "\n"
-        assert list(data) == ["format", "version", "gamma", "layer",
-                              "classes", "selection", "bdd"]
+        assert list(data) == ["format", "version", "gamma", "classes",
+                              "selection", "bdd"]
         # build's _encode makes the nodes in the canonical walk's order
         assert data["bdd"] == reference_to_dict(monitor.store, monitor.zones)
         # a loaded store writes the table it read: the same bytes
@@ -885,10 +910,8 @@ class TestSavedBytes:
         save_monitor(monitor, path)
         data = json.loads(path.read_text(encoding="utf-8"))["bdd"]
         assert data != reference_to_dict(store, monitor.zones)
-        assert [(node["id"], node["var"], node["low"], node["high"])
-                for node in data["nodes"]] == list(zip(
-                    range(2, len(store)), store._var[2:], store._low[2:],
-                    store._high[2:]))
+        assert (data["var"], data["low"], data["high"], data["roots"]) \
+            == (store._var[2:], store._low[2:], store._high[2:], [zero, one])
         loaded = load_monitor(path)
         for bits in itertools.product((0, 1), repeat=5):
             for c in (0, 1):
@@ -896,3 +919,83 @@ class TestSavedBytes:
                     == store.contains(monitor.zones[c], bits)
         save_monitor(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def copy_table(table):
+    return {key: list(column) for key, column in table.items()}
+
+
+def mutate(table, width, rng):
+    """``table``, a saved table of width ``width``, with one seeded fault:
+    a cell made a bool, a float, ``2**70`` or -1; a child at or above its
+    node; a variable at or above the width or not below its children's; a
+    node made a copy of an earlier one; a column one cell longer than the
+    others; a root past the table.  The kind of fault, as a string."""
+    var, low, high, roots = (table[key]
+                             for key in ("var", "low", "high", "roots"))
+    size = len(var) + 2
+    kind = rng.choice(["bool", "float", "huge", "negative", "child",
+                       "wide-var", "misordered-var", "duplicate", "length",
+                       "root"])
+    at = rng.randrange(len(var))
+    column = rng.choice([var, low, high, roots])
+    cell = rng.randrange(len(column))
+    if kind == "bool":
+        column[cell] = rng.choice([True, False])
+    elif kind == "float":
+        column[cell] = float(column[cell])
+    elif kind == "huge":
+        column[cell] = 2 ** 70
+    elif kind == "negative":
+        column[cell] = -1
+    elif kind == "child":
+        rng.choice([low, high])[at] = rng.randrange(at + 2, size + 3)
+    elif kind == "wide-var":
+        var[at] = rng.randrange(width, width + 3)
+    elif kind == "misordered-var":
+        # a node with a non-terminal child: its variable bounds the node's
+        at = rng.choice([i for i in range(len(var))
+                         if max(low[i], high[i]) > 1])
+        least = min(var[c - 2] for c in (low[at], high[at]) if c > 1)
+        var[at] = rng.randrange(least, width)
+    elif kind == "duplicate":
+        at = rng.randrange(1, len(var))
+        earlier = rng.randrange(at)
+        for col in (var, low, high):
+            col[at] = col[earlier]
+    elif kind == "length":  # a cell past the others' ends
+        column = rng.choice([var, low, high])
+        column.append(column[-1])
+    else:
+        roots[rng.randrange(len(roots))] = rng.randrange(size, size + 5)
+    return kind
+
+
+class TestTableMutations:
+    """A saved 128-wide table with one seeded fault: every fault is a
+    :class:`SchemaError` and no other exception, a subclass included."""
+
+    WIDTH = 128
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("wide") / "m.json"
+        save_monitor(synthetic_monitor(self.WIDTH, 4, 100, seed=3), path)
+        return json.loads(path.read_text(encoding="utf-8"))["bdd"]
+
+    def test_the_unmutated_table_loads(self, table):
+        store, roots = bdd.from_dict(copy_table(table), self.WIDTH)
+        assert len(store) == len(table["var"]) + 2 > 1000
+        assert roots == table["roots"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_fault_is_a_schema_error(self, table, seed):
+        rng = random.Random(seed)
+        kinds = set()
+        for _ in range(100):
+            mutated = copy_table(table)
+            kinds.add(mutate(mutated, self.WIDTH, rng))
+            with pytest.raises(SchemaError) as caught:
+                bdd.from_dict(mutated, self.WIDTH)
+            assert type(caught.value) is SchemaError
+        assert len(kinds) == 10

@@ -620,6 +620,20 @@ class TestTrainToy:
             with pytest.raises(ValueError, match=message):
                 run()
 
+    @pytest.mark.parametrize("big, as_array", [(2 ** 70, False),
+                                               (2 ** 63, True)],
+                             ids=["list", "uint64-array"])
+    def test_label_beyond_int64_is_named(self, big, as_array):
+        x, y = make_blobs(per_class=10, seed=2)
+        labels = y.astype(np.uint64) if as_array else y.tolist()
+        labels[4] = big
+        model = train_toy(x, y, epochs=0)
+        message = f"^label {big} exceeds the int64 maximum {2 ** 63 - 1}$"
+        for run in (lambda: train_toy(x, labels, epochs=1),
+                    lambda: evaluate_accuracy(model, x, labels)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     @pytest.mark.parametrize("seed, per_class", [(0, 32), (4, 37), (9, 11)])
     def test_equals_the_per_layer_loop(self, seed, per_class, epochs):
