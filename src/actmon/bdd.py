@@ -46,7 +46,8 @@ from .errors import FrozenStoreError, SchemaError, as_int
 FALSE = 0
 TRUE = 1
 
-# the file format's cap on the width; the store's one recursion, exists
+# the file format's cap on the width, and so on every gamma, since no
+# Hamming distance exceeds it; the store's one recursion, exists
 # (_exists with _or), goes one variable deeper per call, so at this cap it
 # needs at most 259 frames beyond its caller's, well inside Python's default
 # recursion limit of 1000
@@ -63,11 +64,7 @@ class BddStore:
     """Hash-consed ROBDD node table over ``n_vars`` pattern bits."""
 
     def __init__(self, n_vars: int):
-        n_vars = as_int(n_vars, "n_vars", 1)
-        if n_vars > MAX_VARS:
-            raise ValueError(
-                f"n_vars {n_vars} exceeds the variable cap {MAX_VARS}")
-        self.n_vars = n_vars
+        self.n_vars = n_vars = as_int(n_vars, "n_vars", 1, MAX_VARS)
         self.frozen = False
         # ids 0 and 1 are the terminals; real nodes start at 2
         self._var: list[int] = [n_vars, n_vars]
@@ -232,10 +229,7 @@ class BddStore:
         integer; a bool or float raises ``ValueError``.
         """
         self._require_mutable()
-        var = as_int(var, "variable index")
-        if not 0 <= var < self.n_vars:
-            raise ValueError(
-                f"variable index {var} out of range 0..{self.n_vars - 1}")
+        var = as_int(var, "variable index", 0, self.n_vars - 1)
         return self._exists(var, self._check_node(a), self._index())
 
     def _exists(self, var: int, a: int, memo: dict) -> int:

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import evaluation, monitor as monitor_mod, network
-from .errors import (JSON_LINE, ActmonError, SchemaError, as_int,
+from .bdd import MAX_VARS
+from .errors import (INT64_MAX, JSON_LINE, ActmonError, SchemaError, as_int,
                      finite_floats, read_json, replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
 from .traces import extract, read_traces, write_traces
@@ -35,10 +36,9 @@ def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
         payload = read_json(args.data, "dataset")
         try:
             x = finite_floats(payload["inputs"], "inputs", 2)
-            y = np.array([as_int(label, "label")
+            y = np.array([as_int(label, "label", 0, INT64_MAX)
                           for label in payload["labels"]], dtype=np.int64)
-        except (KeyError, TypeError, ValueError, OverflowError,
-                SchemaError) as exc:
+        except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"malformed dataset file: {exc}") from exc
         if x.shape[0] != y.shape[0]:
             raise SchemaError("dataset inputs/labels shapes disagree")
@@ -67,7 +67,7 @@ def _parse_int_list(text: str) -> list[int]:
 def _parse_gammas(text: str) -> list[int]:
     values = _parse_int_list(text)
     if len(values) == 1:  # single value means a full sweep 0..gamma
-        values = list(range(values[0] + 1))
+        values = list(range(as_int(values[0], "gamma", 0, MAX_VARS) + 1))
     return values
 
 
@@ -76,12 +76,8 @@ def _parse_classes(text: str | None, header) -> list[int] | None:
     ``None`` when the option is absent."""
     if not text:
         return None
-    classes = _parse_int_list(text)
-    for c in classes:
-        if not 0 <= c < header.classes:
-            raise ValueError(f"class index {c} outside "
-                             f"0..{header.classes - 1}")
-    return classes
+    return [as_int(c, "class index", 0, header.classes - 1)
+            for c in _parse_int_list(text)]
 
 
 def _make_selection(args, header, records, classes):
@@ -129,10 +125,7 @@ def cmd_query(args) -> None:
     if header.width != mon.selection.layer_width:
         raise ValueError(f"trace width {header.width} does not match "
                          f"monitor layer width {mon.selection.layer_width}")
-    gamma, kind = mon.gamma, monitor_mod.Verdict  # query's rule, batched
-    verdicts = [kind.NO_ZONE if d is None else kind.IN_ZONE if d <= gamma
-                else kind.OUT_OF_ZONE
-                for d in monitor_mod._batch_distances(mon, records, gamma + 1)]
+    verdicts = monitor_mod._batch_verdicts(mon, records)
     counts = {v: verdicts.count(v) for v in monitor_mod.Verdict}
     with replace_on_success(args.out) as fh:
         for record, verdict in zip(records, verdicts):
@@ -258,7 +251,7 @@ def main(argv=None) -> int:
         # so numpy's warning would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             args.func(args)
-    except (ValueError, OverflowError, ActmonError) as exc:
+    except (ValueError, ActmonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -8,8 +8,9 @@ strict decoder :data:`JSON_DECODER` (whole files through :func:`read_json`,
 trace files line by line) and written through :func:`replace_on_success`
 (a JSON-lines file line by line through :data:`JSON_LINE`); the number
 arrays of files read whole are checked by :func:`finite_floats`.
-:func:`as_int` is the one integer rule, with its lower bound, for every
-integer the package reads: arguments, labels and file fields alike.
+:func:`as_int` is the one integer rule, with its lower and upper bounds,
+for every integer the package reads: arguments, labels and file fields
+alike.
 :func:`all_finite` is the one finiteness rule for every float array the
 package checks, and :func:`warn` points every warning at the caller's
 line.
@@ -70,17 +71,24 @@ def finite_floats(value, what: str, ndim: int) -> np.ndarray:
     return floats
 
 
-def as_int(value, what: str, least: int | None = None) -> int:
-    """``value`` as an int if it is a Python or numpy integer of at least
-    ``least`` (if given), else a ``ValueError``: a bool, float or string
-    is no integer (JSON loads ``1.9``, ``true`` and ``"1"`` as such), and
-    ``int()`` would truncate 1.9 or read "1"."""
+# the largest integer an int64 array, a numpy count or index, holds
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def as_int(value, what: str, least: int | None = None,
+           most: int | None = None) -> int:
+    """``value`` as an int if it is a Python or numpy integer in
+    ``least..most`` (each bound if given), else a ``ValueError`` naming
+    ``what``: a bool, float or string is no integer (JSON loads ``1.9``,
+    ``true`` and ``"1"`` as such; ``int()`` would truncate or read them)."""
     if type(value) is not int:  # an exact int, the common case, skips this
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{what} {value!r} is not an integer")
         value = int(value)
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be <= {most}, got {value}")
     return value
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import patterns
+from .bdd import MAX_VARS
 from .errors import as_int, replace_on_success
 from .monitor import Monitor, _batch_distances, build
 from .traces import TraceRecord
@@ -110,10 +111,10 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
     predicted class exceeds gamma, so one gamma-0 build and one distance
     tally capped at ``max(gammas) + 1`` serve every level: each row is
     what :func:`evaluate` reads from the same tally at its own gamma.  The
-    warning rate is non-increasing in gamma.  Gammas are integers as in
-    ``build``.
+    warning rate is non-increasing in gamma.  Gammas are integers in
+    ``0..MAX_VARS`` as in ``build``.
     """
-    gammas = [as_int(g, "gamma", 0) for g in gammas]
+    gammas = [as_int(g, "gamma", 0, MAX_VARS) for g in gammas]
     if not gammas:
         raise ValueError("gammas must be a nonempty list of levels >= 0")
     if sorted(set(gammas)) != gammas:

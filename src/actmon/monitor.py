@@ -11,9 +11,9 @@ Building makes only the gamma-0 zones, so its cost and the monitor file do
 not depend on gamma; the query's cost grows with it.  :func:`query`
 applies this rule to one runtime sample; the batch path
 :func:`_batch_distances`, one threshold pass handed to the store's batch
-walk, applies it to the record sets of ``actmon query`` and of
-:mod:`~actmon.evaluation`'s report rows.  This module reads no node
-table: every walk over one is the store's.
+walk, applies it to the record sets of ``actmon query`` (as
+:func:`_batch_verdicts`) and of :mod:`~actmon.evaluation`'s report rows.
+This module reads no node table: every walk over one is the store's.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -81,9 +81,10 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     monitored class with no correctly classified record gets an empty zone
     (it will flag every query) and a warning at the caller's line.  ``gamma``
     and the classes, default ones too, are Python or numpy integers (a
-    bool, float or string raises ``ValueError``), stored as ints.
+    bool, float or string raises ``ValueError``), stored as ints; no
+    distance exceeds the width, so ``gamma`` is at most ``bdd.MAX_VARS``.
     """
-    gamma = as_int(gamma, "gamma", 0)
+    gamma = as_int(gamma, "gamma", 0, bdd.MAX_VARS)
     traces = list(traces)
     if not traces:
         raise ValueError("cannot build a monitor from zero traces")
@@ -146,6 +147,16 @@ def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
     return monitor.store._distances(bits, roots, cap)
 
 
+def _batch_verdicts(monitor: Monitor, records: Sequence[TraceRecord]) \
+        -> list[Verdict]:
+    """Each record's :func:`query` verdict, from one
+    :func:`_batch_distances` pass capped at ``gamma + 1``."""
+    gamma = monitor.gamma
+    return [Verdict.NO_ZONE if d is None else Verdict.IN_ZONE if d <= gamma
+            else Verdict.OUT_OF_ZONE
+            for d in _batch_distances(monitor, records, gamma + 1)]
+
+
 # -- persistence --------------------------------------------------------------
 
 
@@ -185,7 +196,7 @@ def monitor_from_dict(data: Mapping) -> Monitor:
         selection = NeuronSelection(
             layer=sel["layer"], layer_width=sel["layer_width"],
             indices=sel["indices"], scores=sel["scores"])
-        gamma = as_int(data["gamma"], "gamma", 0)
+        gamma = as_int(data["gamma"], "gamma", 0, bdd.MAX_VARS)
         classes = [as_int(c, "class") for c in data["classes"]]
         # the store refuses a width above its cap with a ValueError
         store, roots = bdd.from_dict(data["bdd"], selection.width)

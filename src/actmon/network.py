@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (FormatVersionError, SchemaError, all_finite, as_int,
-                     finite_floats, read_json, replace_on_success)
+from .errors import (INT64_MAX, FormatVersionError, SchemaError, all_finite,
+                     as_int, finite_floats, read_json, replace_on_success)
 
 MODEL_VERSION = 1
 
@@ -34,9 +34,6 @@ BLOB_RADIUS = 5.0
 TOY_HIDDEN = (16, 14)
 TOY_LEARNING_RATE = 0.1
 TOY_BATCH_SIZE = 32
-
-# the largest label of the int64 label arrays
-_LABEL_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -157,11 +154,9 @@ def gradient_from_activations(
     non-finite activation.
     """
     layer = as_int(layer, "layer")
-    class_index = as_int(class_index, "class index")
+    class_index = as_int(class_index, "class index", 0, model.class_count - 1)
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
-    if not 0 <= class_index < model.class_count:
-        raise ValueError(f"class index {class_index} out of range")
     outputs = _run_layers(model, activations, layer + 1)
     grad = np.zeros(outputs[-1].shape)
     grad[..., class_index] = 1.0
@@ -179,9 +174,10 @@ def gradient_from_activations(
 def make_blobs(per_class: int = 500, seed: int = 0,
                offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic Gaussian blobs in the plane: ``per_class`` samples, a
-    Python or numpy integer >= 0, of each of ``BLOB_CLASSES`` classes,
-    drawn from a generator seeded with ``seed``, an integer >= 0 by the
-    same rule (a bool, float or string raises ``ValueError``).
+    Python or numpy integer in ``0..INT64_MAX``, of each of
+    ``BLOB_CLASSES`` classes, drawn from a generator seeded with ``seed``,
+    an integer >= 0 by the same rule (a bool, float or string raises
+    ``ValueError``).
 
     Class means sit on a circle of radius ``BLOB_RADIUS`` with standard
     deviation ``BLOB_STD``, so the classes are linearly separable by
@@ -189,7 +185,7 @@ def make_blobs(per_class: int = 500, seed: int = 0,
     along the diagonal, which is how the shifted evaluation sets used in
     the distribution-shift experiments are produced.
     """
-    per_class = as_int(per_class, "per_class", 0)
+    per_class = as_int(per_class, "per_class", 0, INT64_MAX)
     rng = np.random.default_rng(as_int(seed, "seed", 0))
     angles = 2.0 * np.pi * np.arange(BLOB_CLASSES) / BLOB_CLASSES
     means = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -207,8 +203,8 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     generator.  With ``epochs=0`` the freshly initialized model is returned
     untouched.  ``seed`` and ``epochs`` are Python or numpy integers >= 0,
     recorded as ints.  There is one label per row, a Python or numpy
-    integer >= 0 as :func:`~actmon.traces.extract` takes it (a bool, float
-    or string is refused), and the largest one sets the class count.
+    integer in ``0..INT64_MAX`` (a bool, float or string is refused), and
+    the largest one sets the class count.
     Raises ``ValueError`` otherwise or if the loss diverges to NaN/inf.
 
     Every weight and bias is a view into one flat float64 vector, and each
@@ -286,30 +282,21 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
         "hidden": list(TOY_HIDDEN)})
 
 
-def _label(value) -> int:
-    """``value`` as a class index: ``as_int(value, "label", 0)`` that an
-    int64 array holds, else a ``ValueError`` naming it."""
-    label = as_int(value, "label", 0)
-    if label > _LABEL_MAX:
-        raise ValueError(f"label {label} exceeds the int64 maximum "
-                         f"{_LABEL_MAX}")
-    return label
-
-
 def _label_array(labels) -> np.ndarray:
     """``labels``, one per row, as an int64 array of class indices, else a
-    ``ValueError``.  A 1-D integer array is checked by its extremes; any
-    other labels go one by one through :func:`_label`, so the first bad
-    one is named."""
+    ``ValueError``: each label is an integer in ``0..INT64_MAX``.  A 1-D
+    integer array is checked by its extremes; any other labels go one by
+    one, so the first bad one is named."""
     shape = np.shape(labels)
     if len(shape) != 1:
         raise ValueError(f"labels must be one per row, got shape {shape}")
     if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
         if labels.size:
-            _label(labels.min())
-            _label(labels.max())
+            as_int(labels.min(), "label", 0, INT64_MAX)
+            as_int(labels.max(), "label", 0, INT64_MAX)
         return labels.astype(np.int64)
-    return np.array([_label(label) for label in labels], np.int64)
+    return np.array([as_int(label, "label", 0, INT64_MAX)
+                     for label in labels], np.int64)
 
 
 def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:

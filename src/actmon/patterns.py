@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import SchemaError, all_finite, as_int, finite_floats
+from .errors import INT64_MAX, SchemaError, all_finite, as_int, finite_floats
 from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
@@ -44,8 +44,10 @@ class NeuronSelection:
     ``layer``, ``layer_width`` and each index may be Python or numpy
     integers (say from ``np.argsort``) and are stored as Python ints, so
     the selection saves as JSON; a bool, float or string raises
-    ``ValueError``.  Scores are stored as floats; one that is not a
-    finite number (a bool, a string, NaN) raises ``ValueError``.
+    ``ValueError``, as does a width above ``INT64_MAX`` (an ``intp``) or an
+    index outside ``0..layer_width-1``.  Scores are stored as floats; one
+    that is not a finite number (a bool, a string, NaN) raises
+    ``ValueError``.
     """
 
     layer: int
@@ -56,16 +58,15 @@ class NeuronSelection:
 
     def __post_init__(self):
         object.__setattr__(self, "layer", as_int(self.layer, "layer"))
-        object.__setattr__(self, "layer_width",
-                           as_int(self.layer_width, "layer width", 1))
+        object.__setattr__(self, "layer_width", as_int(
+            self.layer_width, "layer width", 1, INT64_MAX))
         object.__setattr__(self, "indices", tuple(
-            as_int(i, "neuron index") for i in self.indices))
+            as_int(i, "neuron index", 0, self.layer_width - 1)
+            for i in self.indices))
         if not self.indices:
             raise ValueError("selection must keep at least one neuron")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("duplicate neuron indices in selection")
-        if any(not 0 <= i < self.layer_width for i in self.indices):
-            raise ValueError("neuron index outside the monitored layer")
         if len(self.scores) != len(self.indices):
             raise ValueError("scores and indices must align")
         try:  # the file rule, so that every selection saves and loads
@@ -85,7 +86,9 @@ class NeuronSelection:
 
 
 def identity_selection(layer_width: int, layer: int = 0) -> NeuronSelection:
-    """Monitor every neuron of the layer in natural order."""
+    """Monitor every neuron of the layer in natural order; the width is
+    checked by :class:`NeuronSelection`'s rule before any index is made."""
+    layer_width = as_int(layer_width, "layer width", 1, INT64_MAX)
     return NeuronSelection(
         layer=layer,
         layer_width=layer_width,
@@ -150,11 +153,9 @@ def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],
     ``ValueError``.
     """
     layer = as_int(layer, "layer")
-    class_index = as_int(class_index, "class index")
+    class_index = as_int(class_index, "class index", 0, model.class_count - 1)
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
-    if not 0 <= class_index < model.class_count:
-        raise ValueError(f"class index {class_index} out of range")
     records = list(records)
     if not records:
         raise ValueError("empty record set")

@@ -103,30 +103,29 @@ def _check_header(layer, width, classes) -> TraceHeader:
                        as_int(classes, "classes", 2))
 
 
-def _check_record(header: TraceHeader, rid: str, true_label: int,
-                  pred_label: int, activations: np.ndarray) -> None:
-    """The record rule of writer and reader: a string id, activations of
-    the header's width, both labels in ``0..classes-1``; else
-    ``ValueError``."""
+def _check_record(header: TraceHeader, rid: str,
+                  activations: np.ndarray) -> None:
+    """The record rule of writer and reader beside the labels, which
+    ``as_int`` bounds to ``0..classes-1``: a string id and activations of
+    the header's width; else ``ValueError``."""
     if not isinstance(rid, str):
         raise ValueError(f"id {rid!r} is not a string")
     if activations.shape != (header.width,):
         raise ValueError(f"activation shape {activations.shape} does not "
                          f"match header width {header.width}")
-    for label in (true_label, pred_label):
-        if not 0 <= label < header.classes:
-            raise ValueError(f"label {label} outside 0..{header.classes - 1}")
 
 
 def _writable(rid: str, true_label, pred_label, activations,
               header: TraceHeader) -> tuple[int, int, np.ndarray]:
-    """The labels through :func:`~actmon.errors.as_int` and the activations
-    as float64, under the record rule and finite (JSON has no NaN or
-    infinity); else ``ValueError`` naming ``rid``."""
+    """The labels through :func:`~actmon.errors.as_int`, in
+    ``0..classes-1``, and the activations as float64, under the record
+    rule and finite (JSON has no NaN or infinity); else ``ValueError``
+    naming ``rid``."""
     try:
-        fields = (as_int(true_label, "label"), as_int(pred_label, "label"),
+        fields = (as_int(true_label, "label", 0, header.classes - 1),
+                  as_int(pred_label, "label", 0, header.classes - 1),
                   np.asarray(activations, np.float64))
-        _check_record(header, rid, *fields)
+        _check_record(header, rid, fields[2])
         if not all_finite(fields[2]):
             raise ValueError("non-finite activation value")
     except ValueError as exc:
@@ -228,9 +227,10 @@ def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
     Blank lines are skipped.  Lines are read a block of ``_BLOCK`` at a
     time and checked one by one as they are decoded; a line that fails is
     read again alone, so the error names the first malformed line.  A
-    value JSON reads as infinity (``1e999``) is refused only after the
-    whole file is parsed, naming its record.  A block's records share one
-    float64 array, so a record that is kept keeps its block alive.
+    value JSON reads as infinity (``1e999``), found by one test of each
+    block's rows, is refused only after the whole file is parsed, naming
+    its record.  A block's records share one float64 array, so a record
+    that is kept keeps its block alive.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -238,29 +238,31 @@ def read_traces(path) -> tuple[TraceHeader, list[TraceRecord]]:
             if not first.strip():
                 raise SchemaError("trace file is empty")
             header = _parse_header(first)
-            records, line_no = [], 2
+            records, line_no, suspect = [], 2, None
             for lines in _blocks(fh):
-                records += _parse_block(lines, line_no, header)
+                block, finite = _parse_block(lines, line_no, header)
+                if suspect is None and not finite:
+                    suspect = block
+                records += block
                 line_no += len(lines)
         except UnicodeDecodeError as exc:
             raise SchemaError(f"trace file is not UTF-8 text: {exc}") from exc
-    # JSON reads 1e999 as infinity; one check per file, not per record
-    if records and not all_finite(
-            np.concatenate([r.activations for r in records])):
-        bad = next(r for r in records if not all_finite(r.activations))
+    # JSON reads 1e999 as infinity; the first block that holds one names it
+    if suspect is not None:
+        bad = next(r for r in suspect if not all_finite(r.activations))
         raise SchemaError(f"record {bad.id!r}: non-finite activation value")
     return header, records
 
 
 def _parse_block(lines: list[str], line_no: int, header: TraceHeader) \
-        -> list[TraceRecord]:
+        -> tuple[list[TraceRecord], bool]:
     """The records of ``lines``, the first of which is line ``line_no``
-    of the file.  Each line is decoded on its own (two broken lines could
-    join into one valid record) and checked under the record rule, and its
-    activations go into the block's float64 array while their floats are
-    fresh in the CPU cache.  A line that fails goes to
-    :func:`_parse_record`, which reads a record with whitespace around it
-    or raises that line's error."""
+    of the file, and whether their activations are all finite.  Each line
+    is decoded on its own (two broken lines could join into one valid
+    record) and checked under the record rule, and its activations go into
+    the block's float64 array while their floats are fresh in the CPU
+    cache.  A line that fails goes to :func:`_parse_record`, which reads a
+    record with whitespace around it or raises that line's error."""
     width, classes = header.width, header.classes
     # a row per line long enough to hold width numbers, so a header's
     # width alone allocates nothing; with no row it may exceed any array
@@ -289,10 +291,12 @@ def _parse_block(lines: list[str], line_no: int, header: TraceHeader) \
             *head, acts = _RECORD_FIELDS(_parse_record(line, no, header))
             values[len(heads)] = acts
         heads.append(head)
+    values = values[:len(heads)]  # np.empty left the spare rows unset
     # records made together lie together in memory; made one per line,
     # among each line's decoded objects, they made a sweep or build over
     # them 2-3% slower
-    return [TraceRecord(*head, row) for head, row in zip(heads, values)]
+    return [TraceRecord(*head, row) for head, row in zip(heads, values)], \
+        all_finite(values)
 
 
 def _parse_header(line: str) -> TraceHeader:
@@ -312,17 +316,17 @@ def _parse_header(line: str) -> TraceHeader:
 
 
 def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
+    last = header.classes - 1
     try:
         row = JSON_DECODER.decode(line)
         record = TraceRecord(
             id=row["id"],
-            true_label=as_int(row["true_label"], "true_label"),
-            pred_label=as_int(row["pred_label"], "pred_label"),
+            true_label=as_int(row["true_label"], "true_label", 0, last),
+            pred_label=as_int(row["pred_label"], "pred_label", 0, last),
             activations=np.asarray(_numbers(row["activations"]),
                                    dtype=np.float64),
         )
-        _check_record(header, record.id, record.true_label,
-                      record.pred_label, record.activations)
+        _check_record(header, record.id, record.activations)
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
             SchemaError) as exc:
         raise SchemaError(f"line {line_no}: malformed trace record: {exc}") \

@@ -507,7 +507,8 @@ class TestExists:
 
     def test_index_out_of_range(self):
         store = bdd.BddStore(3)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError,
+                           match="^variable index must be <= 2, got 3$"):
             store.exists(3, store.encode_set([]))
 
     @pytest.mark.parametrize("var", [True, 1.0, 1.5],
@@ -1046,10 +1047,10 @@ class TestNoCache:
 
 class TestVariableCap:
     def test_cap_exceeded(self):
-        with pytest.raises(ValueError, match="cap"):
-            bdd.BddStore(300)
-        with pytest.raises(ValueError, match="cap"):
-            bdd.BddStore(bdd.MAX_VARS + 1)
+        for n_vars in (300, bdd.MAX_VARS + 1):
+            with pytest.raises(ValueError,
+                               match=f"^n_vars must be <= 256, got {n_vars}$"):
+                bdd.BddStore(n_vars)
 
     @pytest.mark.parametrize("n_vars", [0, -2, np.int64(0)],
                              ids=["zero", "negative", "numpy-zero"])

@@ -410,20 +410,42 @@ class TestErrors:
         assert "no classes to monitor" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
-    @pytest.mark.parametrize("command", ["sweep", "train-toy"])
+    HUGE = "99999999999999999999"  # no list of 0..huge, no huge array
+
+    @pytest.mark.parametrize("command, option, value, message", [
+        ("sweep", "--gamma", HUGE, f"gamma must be <= 256, got {HUGE}"),
+        ("train-toy", "--per-class", HUGE,
+         f"per_class must be <= {2 ** 63 - 1}, got {HUGE}"),
+        ("sweep", "--gamma", f"0,{HUGE}", f"gamma must be <= 256, got {HUGE}"),
+        ("sweep", "--classes", HUGE,
+         f"class index must be <= 2, got {HUGE}"),
+        ("extract", "--per-class", HUGE,
+         f"per_class must be <= {2 ** 63 - 1}, got {HUGE}"),
+        ("extract", "--layer", HUGE, f"layer {HUGE} is not a ReLU layer"),
+        ("build", "--gamma", HUGE, f"gamma must be <= 256, got {HUGE}"),
+        ("build", "--classes", HUGE,
+         f"class index must be <= 2, got {HUGE}"),
+    ], ids=["sweep", "train-toy", "sweep-gamma-list", "sweep-classes",
+            "extract-per-class", "extract-layer", "build-gamma",
+            "build-classes"])
     def test_integer_beyond_a_c_size_is_one_error_line(
-            self, pipeline, tmp_path, capsys, command):
-        huge = "99999999999999999999"  # no list of 0..huge, no huge array
-        args = {"sweep": ["--traces", str(pipeline["train"]), "--eval",
-                          str(pipeline["eval"]), "--gamma", huge],
-                "train-toy": ["--per-class", huge]}
+            self, pipeline, tmp_path, capsys, command, option, value,
+            message):
+        """Each integer option names itself and its bound; the option is
+        given last, so it replaces a valid value given before it."""
+        valid = {"train-toy": [],
+                 "extract": ["--model", str(pipeline["model"]),
+                             "--layer", "1"],
+                 "build": ["--traces", str(pipeline["train"]),
+                           "--gamma", "0"],
+                 "sweep": ["--traces", str(pipeline["train"]), "--eval",
+                           str(pipeline["eval"]), "--gamma", "1"]}
         out = tmp_path / "out"
-        code = main([command, *args[command], "--out", str(out)])
+        code = main([command, *valid[command], option, value,
+                     "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith("error: Python int too large to "
-                                       "convert to C ")
-        assert captured.err.count("\n") == 1
+        assert captured.err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["build", "sweep"])
@@ -439,7 +461,9 @@ class TestErrors:
                      "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: class index {index} outside 0..2")
+        bound = "<= 2" if index == "7" else ">= 0"
+        assert err.startswith(f"error: class index must be {bound}, "
+                              f"got {index}\n")
         assert out.read_text() == "old contents\n"
         assert list(tmp_path.iterdir()) == [out]
 
@@ -585,7 +609,8 @@ class TestDatasetFile:
                      "--layer", "1", "--data", str(data), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: record 's1': label 7 outside 0..2")
+        assert err.startswith("error: record 's1': label must be <= 2, "
+                              "got 7\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("labels", [[1.9, True, 0], [0, 2 ** 70, 1]],

@@ -1,9 +1,10 @@
 """Tests for the shared file layer: the replace-on-success writer, the
-strict JSON reader, the one finiteness rule, and guards that no other code
-in the package opens a file for writing, parses JSON or tests finiteness,
-that only the BDD store's node makers grow its node table, that only
-the BDD module spells the table's keys, and that no loop enters numpy's
-error state once per iteration."""
+strict JSON reader, the one finiteness rule, the one integer rule, and
+guards that no other code in the package opens a file for writing, parses
+JSON or tests finiteness, that only the BDD store's node makers grow its
+node table, that only the BDD module spells the table's keys, that no
+loop enters numpy's error state once per iteration, and that only the
+file readers name ``OverflowError``."""
 
 import ast
 import math
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 
 import actmon
-from actmon.errors import (SchemaError, all_finite, as_int, finite_floats,
-                           read_json, replace_on_success)
+from actmon.errors import (INT64_MAX, SchemaError, all_finite, as_int,
+                           finite_floats, read_json, replace_on_success)
 
 SRC = Path(actmon.__file__).parent
 # a literal open() mode that writes, appends or creates
@@ -59,16 +60,31 @@ class TestAsInt:
         got = as_int(value, "count", least)
         assert type(got) is int and got == 3
 
-    @pytest.mark.parametrize("value, least, message", [
-        (-2, 0, "^count must be >= 0, got -2$"),
-        (np.int64(0), 1, "^count must be >= 1, got 0$"),
-        (True, 0, "^count True is not an integer$"),
-        (2.0, 0, "^count 2.0 is not an integer$"),
-        ("2", None, "^count '2' is not an integer$"),
-    ], ids=["below", "numpy-below", "bool", "float", "string"])
-    def test_refusals_name_the_argument(self, value, least, message):
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    @pytest.mark.parametrize("least, most", [
+        (None, 3), (3, 3), (0, INT64_MAX)])
+    def test_integer_at_most_the_bound_is_an_int(self, value, least, most):
+        got = as_int(value, "count", least, most)
+        assert type(got) is int and got == 3
+
+    @pytest.mark.parametrize("value, least, most, message", [
+        (-2, 0, None, "^count must be >= 0, got -2$"),
+        (np.int64(0), 1, None, "^count must be >= 1, got 0$"),
+        (True, 0, None, "^count True is not an integer$"),
+        (2.0, 0, None, "^count 2.0 is not an integer$"),
+        ("2", None, None, "^count '2' is not an integer$"),
+        (4, 0, 3, "^count must be <= 3, got 4$"),
+        (-1, 0, 3, "^count must be >= 0, got -1$"),
+        (np.uint64(2 ** 63), 0, INT64_MAX,
+         f"^count must be <= {INT64_MAX}, got {2 ** 63}$"),
+        (10 ** 20, None, INT64_MAX,
+         f"^count must be <= {INT64_MAX}, got {10 ** 20}$"),
+        (True, None, 3, "^count True is not an integer$"),
+    ], ids=["below", "numpy-below", "bool", "float", "string", "above",
+            "below-both", "numpy-beyond-int64", "beyond-int64", "bool-most"])
+    def test_refusals_name_the_argument(self, value, least, most, message):
         with pytest.raises(ValueError, match=message):
-            as_int(value, "count", least)
+            as_int(value, "count", least, most)
 
 
 class TestReadJson:
@@ -427,3 +443,56 @@ def test_no_errstate_is_entered_per_iteration():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [(path.name, line) for line in errstates_in_loops(tree)]
     assert found == [], found
+
+
+def overflow_names(tree):
+    """(function, line) of every use in ``tree`` of the name
+    ``OverflowError``, bare or as an attribute (``builtins.OverflowError``),
+    caught, raised or otherwise; named by the innermost enclosing function
+    (None at module level)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Name) and node.id == "OverflowError" \
+                or isinstance(node, ast.Attribute) \
+                and node.attr == "OverflowError":
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_overflow_guard_sees_each_form():
+    tree = ast.parse("try:\n"
+                     "    pass\n"
+                     "except OverflowError:\n"
+                     "    pass\n"
+                     "def parse(s):\n"
+                     "    try:\n"
+                     "        return int(s)\n"
+                     "    except (ValueError, OverflowError):\n"
+                     "        raise builtins.OverflowError(s)\n"
+                     "class C:\n"
+                     "    def f(self):\n"
+                     "        return OverflowError\n"
+                     "    def g(self):\n"
+                     "        return ArithmeticError, 'OverflowError'\n")
+    assert overflow_names(tree) == [(None, 3), ("parse", 8), ("parse", 9),
+                                    ("f", 12)]
+
+
+def test_only_the_file_readers_name_overflow_error():
+    """``as_int`` bounds every integer argument, so none overflows inside
+    numpy or ``range``; only a file's number literal beyond float64, which
+    is data, reaches a reader's ``OverflowError``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {(path.name, func) for func, _ in overflow_names(tree)}
+    assert found == {("errors.py", "finite_floats"),
+                     ("traces.py", "_parse_block"),
+                     ("traces.py", "_parse_record")}, found

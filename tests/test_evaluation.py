@@ -390,7 +390,9 @@ class TestGammaSweep:
         ([0, np.float64(1.0)],
          r"^gamma np\.float64\(1\.0\) is not an integer$"),
         ([-1, 0], "^gamma must be >= 0, got -1$"),
-    ], ids=["bool", "float", "string", "numpy-float", "negative"])
+        ([0, 257], "^gamma must be <= 256, got 257$"),
+    ], ids=["bool", "float", "string", "numpy-float", "negative",
+            "above-cap"])
     def test_non_integer_gamma_rejected(self, gammas, message):
         train = self._traces(44, 10)
         with pytest.raises(ValueError, match=message):

@@ -254,6 +254,14 @@ class TestBuild:
             build([pattern_trace(0, 0, (0, 1))],
                   identity_selection(2), gamma=-1)
 
+    def test_gamma_above_the_variable_cap_rejected(self):
+        """No Hamming distance exceeds the width, at most ``MAX_VARS``."""
+        traces = [pattern_trace(0, 0, (0, 1))]
+        assert build(traces, identity_selection(2), gamma=256).gamma == 256
+        with pytest.raises(ValueError,
+                           match="^gamma must be <= 256, got 257$"):
+            build(traces, identity_selection(2), gamma=257)
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError, match="width"):
             build([pattern_trace(0, 0, (0, 1, 1))],
@@ -638,6 +646,9 @@ class TestPersistence:
         # values of the right type that the reader still refuses
         ("gamma", -1),
         ("classes", [1, 0]),
+        # no distance exceeds the width; no index array holds 2**70
+        ("gamma", 257),
+        ("selection.layer_width", 2 ** 70),
     ])
     def test_inexact_or_contradicting_field(self, path, value, tmp_path):
         save_monitor(self._monitor(), tmp_path / "monitor.json")
@@ -735,8 +746,7 @@ class TestPersistence:
                                  indices=list(range(width)),
                                  scores=[0.0] * width)
         with pytest.raises(SchemaError, match=(
-                "^malformed monitor file: n_vars 257 exceeds the variable "
-                "cap 256$")):
+                "^malformed monitor file: n_vars must be <= 256, got 257$")):
             monitor_from_dict(data)
 
 

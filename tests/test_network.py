@@ -482,7 +482,8 @@ class TestMakeBlobs:
         (-2, "^per_class must be >= 0, got -2$"),
         (2.5, "^per_class 2.5 is not an integer$"),
         (True, "^per_class True is not an integer$"),
-    ], ids=["negative", "float", "bool"])
+        (10 ** 20, f"^per_class must be <= {2 ** 63 - 1}, got {10 ** 20}$"),
+    ], ids=["negative", "float", "bool", "beyond-int64"])
     def test_per_class_is_a_count(self, per_class, message):
         with pytest.raises(ValueError, match=message):
             make_blobs(per_class=per_class)
@@ -628,7 +629,7 @@ class TestTrainToy:
         labels = y.astype(np.uint64) if as_array else y.tolist()
         labels[4] = big
         model = train_toy(x, y, epochs=0)
-        message = f"^label {big} exceeds the int64 maximum {2 ** 63 - 1}$"
+        message = f"^label must be <= {2 ** 63 - 1}, got {big}$"
         for run in (lambda: train_toy(x, labels, epochs=1),
                     lambda: evaluate_accuracy(model, x, labels)):
             with pytest.raises(ValueError, match=message):

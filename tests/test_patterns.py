@@ -258,8 +258,19 @@ class TestNeuronSelection:
             NeuronSelection(0, 4, (1, 1), (0.0, 0.0))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError,
+                           match="^neuron index must be <= 3, got 4$"):
             NeuronSelection(0, 4, (0, 4), (0.0, 0.0))
+
+    def test_layer_width_beyond_int64_rejected(self):
+        """An index array of ``intp`` holds every index of a narrower
+        layer; the identity selection names the width before it makes
+        any index."""
+        message = f"^layer width must be <= {2 ** 63 - 1}, got {2 ** 70}$"
+        with pytest.raises(ValueError, match=message):
+            NeuronSelection(0, 2 ** 70, (0,), (0.0,))
+        with pytest.raises(ValueError, match=message):
+            identity_selection(2 ** 70)
 
     @pytest.mark.parametrize("layer_width, indices, message", [
         (0, (0,), "^layer width must be >= 1, got 0$"),
@@ -407,8 +418,8 @@ class TestScoreNeurons:
             score_neurons(model, records, 1, 0)
 
     @pytest.mark.parametrize("layer, class_index, message", [
-        (0, 4, "^class index 4 out of range$"),
-        (0, -1, "^class index -1 out of range$"),
+        (0, 4, "^class index must be <= 3, got 4$"),
+        (0, -1, "^class index must be >= 0, got -1$"),
         (0, True, "^class index True is not an integer$"),
         (0, 1.0, "^class index 1.0 is not an integer$"),
         (True, 0, "^layer True is not an integer$"),
