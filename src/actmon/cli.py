@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evaluation, monitor as monitor_mod, network
 from .bdd import MAX_VARS
-from .errors import (INT64_MAX, JSON_LINE, ActmonError, SchemaError, as_int,
+from .errors import (JSON_LINE, ActmonError, SchemaError, as_int,
                      finite_floats, read_json, replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
 from .traces import extract, read_traces, write_traces
@@ -36,8 +36,7 @@ def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
         payload = read_json(args.data, "dataset")
         try:
             x = finite_floats(payload["inputs"], "inputs", 2)
-            y = np.array([as_int(label, "label", 0, INT64_MAX)
-                          for label in payload["labels"]], dtype=np.int64)
+            y = network._label_array(payload["labels"])
         except (KeyError, TypeError, ValueError, SchemaError) as exc:
             raise SchemaError(f"malformed dataset file: {exc}") from exc
         if x.shape[0] != y.shape[0]:

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import bdd, patterns
 from .bdd import FALSE, BddStore
-from .errors import (FormatVersionError, SchemaError, as_int, read_json,
-                     replace_on_success, warn)
+from .errors import (INT64_MAX, FormatVersionError, SchemaError, as_int,
+                     read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -41,7 +41,8 @@ MONITOR_FORMAT = "actmon-monitor"
 # as gamma 0 it would answer for radius 2 * gamma
 # 3: the table is columnar and states each fact once: no node or terminal
 # ids, no nested version or width, no second layer, roots as a list
-MONITOR_VERSION = 3
+# 4: the selection is its layer, width and neurons; no unread scores
+MONITOR_VERSION = 4
 
 
 class Verdict(enum.Enum):
@@ -82,7 +83,8 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     (it will flag every query) and a warning at the caller's line.  ``gamma``
     and the classes, default ones too, are Python or numpy integers (a
     bool, float or string raises ``ValueError``), stored as ints; no
-    distance exceeds the width, so ``gamma`` is at most ``bdd.MAX_VARS``.
+    distance exceeds the width, so ``gamma`` is at most ``bdd.MAX_VARS``,
+    and a class is a label, in ``0..INT64_MAX``.
     """
     gamma = as_int(gamma, "gamma", 0, bdd.MAX_VARS)
     traces = list(traces)
@@ -90,7 +92,7 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
         raise ValueError("cannot build a monitor from zero traces")
     if classes is None:
         classes = {r.true_label for r in traces}
-    class_list = sorted({as_int(c, "class") for c in classes})
+    class_list = sorted({as_int(c, "class", 0, INT64_MAX) for c in classes})
     if not class_list:
         raise ValueError("no classes to monitor")
 
@@ -177,7 +179,7 @@ def save_monitor(monitor: Monitor, path) -> None:
         "gamma": monitor.gamma, "classes": classes,
         "selection": {
             "layer": sel.layer, "layer_width": sel.layer_width,
-            "indices": list(sel.indices), "scores": list(sel.scores)},
+            "indices": list(sel.indices)},
     }, separators=(",", ":"), allow_nan=False)
     table = monitor.store.to_json([monitor.zones[c] for c in classes])
     with replace_on_success(path) as fh:
@@ -193,11 +195,10 @@ def monitor_from_dict(data: Mapping) -> Monitor:
                                  f"rebuild the monitor with 'actmon build'")
     try:
         sel = data["selection"]
-        selection = NeuronSelection(
-            layer=sel["layer"], layer_width=sel["layer_width"],
-            indices=sel["indices"], scores=sel["scores"])
+        selection = NeuronSelection(sel["layer"], sel["layer_width"],
+                                    sel["indices"])
         gamma = as_int(data["gamma"], "gamma", 0, bdd.MAX_VARS)
-        classes = [as_int(c, "class") for c in data["classes"]]
+        classes = [as_int(c, "class", 0, INT64_MAX) for c in data["classes"]]
         # the store refuses a width above its cap with a ValueError
         store, roots = bdd.from_dict(data["bdd"], selection.width)
     except (KeyError, TypeError, ValueError) as exc:

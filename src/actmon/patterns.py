@@ -22,7 +22,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import INT64_MAX, SchemaError, all_finite, as_int, finite_floats
+from .bdd import MAX_VARS
+from .errors import INT64_MAX, all_finite, as_int
 from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
@@ -35,25 +36,21 @@ class NeuronSelection:
 
     ``indices[i]`` is the neuron behind pattern bit / BDD variable ``i``;
     the list order therefore fixes the variable order of every zone built
-    from this selection.  ``scores`` holds the importance magnitude of each
-    selected neuron (zeros when the selection was not score-based).
-    ``index_array`` is ``indices`` as a read-only numpy ``intp`` array,
-    made once here so that :func:`binarize` takes with it directly; it
-    takes no part in equality, hashing or ``repr``.
+    from this selection.  ``index_array`` is ``indices`` as a read-only
+    numpy ``intp`` array, made once here so that :func:`binarize` takes
+    with it directly; it takes no part in equality, hashing or ``repr``.
 
     ``layer``, ``layer_width`` and each index may be Python or numpy
     integers (say from ``np.argsort``) and are stored as Python ints, so
     the selection saves as JSON; a bool, float or string raises
     ``ValueError``, as does a width above ``INT64_MAX`` (an ``intp``) or an
-    index outside ``0..layer_width-1``.  Scores are stored as floats; one
-    that is not a finite number (a bool, a string, NaN) raises
-    ``ValueError``.
+    index outside ``0..layer_width-1``.  The layer may be wider than a
+    store's variable cap; only the monitored neurons become variables.
     """
 
     layer: int
     layer_width: int
     indices: tuple[int, ...]
-    scores: tuple[float, ...]
     index_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -67,14 +64,6 @@ class NeuronSelection:
             raise ValueError("selection must keep at least one neuron")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("duplicate neuron indices in selection")
-        if len(self.scores) != len(self.indices):
-            raise ValueError("scores and indices must align")
-        try:  # the file rule, so that every selection saves and loads
-            scores = finite_floats([s.item() if isinstance(s, np.generic)
-                                    else s for s in self.scores], "scores", 1)
-        except SchemaError as exc:
-            raise ValueError(str(exc)) from None
-        object.__setattr__(self, "scores", tuple(scores.tolist()))
         index_array = np.array(self.indices, dtype=np.intp)
         index_array.flags.writeable = False
         object.__setattr__(self, "index_array", index_array)
@@ -86,15 +75,11 @@ class NeuronSelection:
 
 
 def identity_selection(layer_width: int, layer: int = 0) -> NeuronSelection:
-    """Monitor every neuron of the layer in natural order; the width is
-    checked by :class:`NeuronSelection`'s rule before any index is made."""
-    layer_width = as_int(layer_width, "layer width", 1, INT64_MAX)
-    return NeuronSelection(
-        layer=layer,
-        layer_width=layer_width,
-        indices=tuple(range(layer_width)),
-        scores=(0.0,) * layer_width,
-    )
+    """Monitor every neuron of the layer in natural order.  Each neuron is
+    a BDD variable, so the width is at most ``bdd.MAX_VARS``, checked
+    before any index is made."""
+    layer_width = as_int(layer_width, "layer width", 1, MAX_VARS)
+    return NeuronSelection(layer, layer_width, tuple(range(layer_width)))
 
 
 def binarize(activations, selection: NeuronSelection) -> Pattern:
@@ -193,10 +178,4 @@ def select_top_fraction(scores, fraction: float, layer: int = 0) \
     # mathematically-integral products floor correctly
     k = max(1, math.floor(fraction * scores.size + 1e-9))
     ranked = sorted(range(scores.size), key=lambda i: (-scores[i], i))
-    kept = ranked[:k]
-    return NeuronSelection(
-        layer=layer,
-        layer_width=int(scores.size),
-        indices=tuple(kept),
-        scores=tuple(float(scores[i]) for i in kept),
-    )
+    return NeuronSelection(layer, scores.size, tuple(ranked[:k]))

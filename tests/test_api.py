@@ -1,5 +1,8 @@
-"""The package's public names: a change to the exports or to the BDD
-store's methods shows in these lists."""
+"""The package's public names: a change to the exports, to the BDD
+store's methods or to the public dataclasses' fields shows in these
+lists."""
+
+import dataclasses
 
 import actmon
 from actmon import BddStore
@@ -27,3 +30,22 @@ def test_store_method_names():
         "contains", "contains_with_cost", "distance", "encode_set", "exists",
         "freeze", "node_count", "sat_count", "to_json",
     ]
+
+
+def test_dataclass_field_names():
+    assert {name: [field.name for field in dataclasses.fields(
+        getattr(actmon, name))] for name in [
+        "NeuronSelection", "Monitor", "TraceHeader", "TraceRecord",
+        "EvalRow", "GammaChoice", "Layer", "ModelSpec", "LayerTrace"]} == {
+        "NeuronSelection": ["layer", "layer_width", "indices", "index_array"],
+        "Monitor": ["selection", "gamma", "store", "zones"],
+        "TraceHeader": ["layer", "width", "classes"],
+        "TraceRecord": ["id", "true_label", "pred_label", "activations"],
+        "EvalRow": ["gamma", "n_total", "n_out_of_pattern", "out_rate",
+                    "n_out_misclassified", "misclassified_within_out_rate",
+                    "overall_misclassification_rate", "n_nozone"],
+        "GammaChoice": ["gamma", "qualified"],
+        "Layer": ["weights", "bias", "activation"],
+        "ModelSpec": ["layers", "metadata"],
+        "LayerTrace": ["outputs"],
+    }

@@ -8,7 +8,10 @@ checkout needs no external data.
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -63,6 +66,28 @@ def as_layer_zero(traces, tmp_path):
     other = tmp_path / "relabeled.jsonl"
     other.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     return other
+
+
+# the CLI with its address space capped at 1 GiB, for a command that must
+# fail before it allocates by a size that a file states
+CAPPED_MAIN = """import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, hard))
+from actmon.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_capped(argv):
+    """``actmon argv`` in a child process under :data:`CAPPED_MAIN`'s
+    limit, which acts on that process alone."""
+    package = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(package), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestPipeline:
@@ -266,19 +291,21 @@ class TestSinglePatternMonitor:
 
 class TestErrors:
     @pytest.mark.parametrize("command, version", [
-        ("stats", 1), ("query", 1), ("stats", 2), ("query", 2)],
-        ids=["stats", "query", "stats-v2", "query-v2"])
+        ("stats", 1), ("query", 1), ("stats", 2), ("query", 2),
+        ("stats", 3), ("query", 3)],
+        ids=["stats", "query", "stats-v2", "query-v2", "stats-v3",
+             "query-v3"])
     def test_version_one_monitor(self, pipeline, tmp_path, capsys, command,
                                  version):
         """A version-1 monitor, and the golden monitor as the version-2
-        writer saved it, are refused with one line."""
+        and version-3 writers saved it, are refused with one line."""
         if version == 1:
             data = json.loads(pipeline["monitor"].read_text())
             data["version"] = 1
             old = tmp_path / "monitor.json"
             old.write_text(json.dumps(data))
         else:
-            old = Path(__file__).parent / "legacy" / "monitor-v2.json"
+            old = Path(__file__).parent / "legacy" / f"monitor-v{version}.json"
         out = tmp_path / "v.jsonl"
         argv = [command, "--monitor", str(old)]
         if command == "query":
@@ -290,6 +317,24 @@ class TestErrors:
                                 f"{version}; rebuild the monitor with "
                                 f"'actmon build'\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    def test_identity_selection_beyond_the_variable_cap(self, tmp_path,
+                                                        command):
+        """Without ``--model`` every neuron of the layer is a BDD variable,
+        so a header-only trace file of width 10**12 is refused by the cap
+        before any neuron index is made."""
+        traces = tmp_path / "wide.jsonl"
+        traces.write_text('{"format":"actmon-trace","version":1,"layer":0,'
+                          f'"width":{10 ** 12},"classes":3}}\n')
+        args = {"build": ["--gamma", "0"],
+                "sweep": ["--eval", str(traces), "--gamma", "1"]}
+        done = run_capped([command, "--traces", str(traces), *args[command],
+                           "--out", str(tmp_path / "out")])
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr \
+            == f"error: layer width must be <= 256, got {10 ** 12}\n"
+        assert list(tmp_path.iterdir()) == [traces]
 
     def test_non_relu_layer(self, pipeline, tmp_path, capsys):
         code = main(["extract", "--model", str(pipeline["model"]),
@@ -613,10 +658,14 @@ class TestDatasetFile:
                               "got 7\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("labels", [[1.9, True, 0], [0, 2 ** 70, 1]],
-                             ids=["inexact", "beyond-int64"])
+    @pytest.mark.parametrize("labels, message", [
+        ([1.9, True, 0], "label 1.9 is not an integer"),
+        ([0, 2 ** 70, 1], f"label must be <= {2 ** 63 - 1}, got {2 ** 70}"),
+        ([0, -1, 1], "label must be >= 0, got -1"),
+        ([[0], [1], [2]], "labels must be one per row, got shape (3, 1)"),
+    ], ids=["inexact", "beyond-int64", "negative", "column"])
     def test_labels_must_be_exact_integers(self, pipeline, tmp_path, capsys,
-                                           labels):
+                                           labels, message):
         data = tmp_path / "data.json"
         data.write_text(json.dumps({
             "inputs": [[0.0, 1.0], [5.0, 5.0], [-3.0, 0.5]],
@@ -627,7 +676,7 @@ class TestDatasetFile:
                      "--layer", "1", "--data", str(data), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: malformed dataset file: ")
+        assert err == f"error: malformed dataset file: {message}\n"
         assert not out.exists()
 
 
@@ -667,15 +716,18 @@ class TestOverflowingLiteral:
 
     @pytest.mark.parametrize("command", ["stats", "query"])
     def test_monitor_score(self, pipeline, tmp_path, capsys, command):
+        # a monitor file holds no float since its selection scores went:
+        # gamma takes the literal, and the integer rule refuses it by name
         data = json.loads(pipeline["monitor"].read_text())
-        data["selection"]["scores"][0] = 12345.678
+        data["gamma"] = 12345
         bad = tmp_path / "monitor.json"
-        bad.write_text(json.dumps(data).replace("12345.678", self.HUGE))
+        bad.write_text(json.dumps(data).replace("12345", self.HUGE))
         argv = [command, "--monitor", str(bad)]
         if command == "query":
             argv += ["--traces", str(pipeline["eval"]),
                      "--out", str(tmp_path / "v.jsonl")]
-        self._fails_cleanly(argv, capsys, "scores must hold finite numbers")
+        self._fails_cleanly(argv, capsys, "malformed monitor file: gamma "
+                            f"must be <= 256, got {self.HUGE}")
 
     @pytest.mark.parametrize("literal", ['"1"', "true", "1e999", HUGE],
                              ids=["string", "bool", "infinite", "huge"])

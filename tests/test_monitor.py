@@ -6,7 +6,6 @@ The patterns a query accepts, those whose ``BddStore.distance`` to the
 gamma-0 zone is at most gamma, must match it exactly.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -36,8 +35,10 @@ from actmon.patterns import NeuronSelection, binarize, identity_selection
 from actmon.traces import TraceRecord, extract
 from test_bdd import reference_to_dict
 
-# a version-2 monitor file, as that format's writer saved the golden one
+# version-2 and version-3 monitor files, as those formats' writers saved
+# the golden one
 MONITOR_V2 = Path(__file__).parent / "legacy" / "monitor-v2.json"
+MONITOR_V3 = Path(__file__).parent / "legacy" / "monitor-v3.json"
 
 
 def hamming(p, q):
@@ -183,8 +184,7 @@ class TestBuild:
         for trial in range(12):
             k = 64 if trial == 0 else rng.randint(1, 64)
             width = k + rng.randint(0, 3)
-            sel = NeuronSelection(0, width, rng.sample(range(width), k),
-                                  (0.0,) * k)
+            sel = NeuronSelection(0, width, rng.sample(range(width), k))
             protos = [[rng.randint(0, 1) for _ in range(width)]
                       for _ in range(rng.randint(1, 6))]
             traces = [rec(c, rng.choice([c, c, c, 3 - c]),
@@ -300,6 +300,18 @@ class TestBuild:
                 build([pattern_trace(label, 1, (0, 1))],
                       identity_selection(2), gamma=0, classes=classes)
 
+    @pytest.mark.parametrize("cls, message", [
+        (-1, "class must be >= 0, got -1"),
+        (2 ** 63, f"class must be <= {2 ** 63 - 1}, got {2 ** 63}"),
+    ], ids=["negative", "beyond-int64"])
+    def test_class_outside_the_labels_rejected(self, cls, message):
+        # a class is a label: an explicit class, and a default class from
+        # a true label
+        for label, classes in [(0, [cls, 0, 10 ** 30]), (cls, None)]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build([pattern_trace(label, label, (0, 1))],
+                      identity_selection(2), gamma=0, classes=classes)
+
     def test_numpy_class_saves_and_loads(self, tmp_path):
         # an explicit class, and a default class from a true label
         for label, classes in [(1, [np.int64(1)]), (np.int64(1), None)]:
@@ -336,8 +348,7 @@ class TestBuild:
 
     def test_projection_applies_before_enlargement(self):
         # monitor only neuron 2 and 0 of a width-4 layer
-        selection = NeuronSelection(layer=0, layer_width=4,
-                                    indices=(2, 0), scores=(0.0, 0.0))
+        selection = NeuronSelection(layer=0, layer_width=4, indices=(2, 0))
         traces = [rec(0, 0, (3.0, -1.0, 0.0, 9.9))]  # projects to (0, 1)
         mon = build(traces, selection, gamma=0)
         assert accepted(mon.store, mon.zones[0], 0) == [(0, 1)]
@@ -481,7 +492,7 @@ class TestQueryReference:
 
     def _selection(self, rng):
         indices = tuple(int(i) for i in rng.permutation(self.WIDTH)[:self.K])
-        return NeuronSelection(1, self.WIDTH, indices, (0.0,) * self.K)
+        return NeuronSelection(1, self.WIDTH, indices)
 
     def _probes(self, rng, seeds, selection):
         """The seeds, each with one and with two monitored signs flipped,
@@ -605,7 +616,7 @@ class TestPersistence:
         path = tmp_path / "monitor.json"
         save_monitor(self._monitor(), path)
         data = json.loads(path.read_text())
-        assert data["version"] == 3
+        assert data["version"] == 4
         data["version"] = 1
         path.write_text(json.dumps(data))
         with pytest.raises(FormatVersionError, match=(
@@ -619,6 +630,15 @@ class TestPersistence:
                 "^unsupported monitor version 2; rebuild the monitor with "
                 "'actmon build'$")):
             load_monitor(MONITOR_V2)
+
+    def test_version_three_is_refused(self):
+        # a version-3 file, the golden monitor as that format wrote it,
+        # selection scores and all
+        assert '"scores":[0.0,' in MONITOR_V3.read_text()
+        with pytest.raises(FormatVersionError, match=(
+                "^unsupported monitor version 3; rebuild the monitor with "
+                "'actmon build'$")):
+            load_monitor(MONITOR_V3)
 
     @pytest.mark.parametrize("path, value", [
         ("gamma", 1.9),
@@ -634,10 +654,12 @@ class TestPersistence:
         ("selection.layer", 0.5),
         ("selection.layer_width", 6.7),
         ("selection.indices", [0.2, 1.9, "2", 3, 4, 5]),
-        ("selection.scores", ["1.5", 0.0, 0.0, 0.0, 0.0, 0.0]),
-        ("selection.scores", [0.0, 0.0, True, 0.0, 0.0, 0.0]),
-        ("selection.scores", [0.0, 0.0, 0.0, None, 0.0, 0.0]),
-        ("selection.scores", [[0.0]] * 6),
+        # a class is a label, in 0..INT64_MAX
+        ("classes", [-1, 1]),
+        ("classes", [0, 2 ** 63]),
+        # an index beyond the layer; a version-3 file
+        ("selection.indices", [0, 1, 2, 3, 4, 6]),
+        ("version", 3),
         ("bdd.high", True),
         ("bdd.roots", [2, True]),
         # JSON true and 3.0 equal ints that the readers compare with
@@ -670,35 +692,10 @@ class TestPersistence:
         with pytest.raises(ValueError, match="frozen"):
             save_monitor(thawed, tmp_path / "m.json")
 
-    def test_non_finite_score_not_saved(self, tmp_path):
-        mon = self._monitor()
-        scores = (math.nan,) + mon.selection.scores[1:]
-        with pytest.raises(ValueError,
-                           match="^scores must hold finite numbers$"):
-            dataclasses.replace(mon.selection, scores=scores)
-        # the writer refuses it too, should a selection be made to hold it
-        object.__setattr__(mon.selection, "scores", scores)
-        path = tmp_path / "m.json"
-        path.write_text("old contents\n")
-        with pytest.raises(ValueError, match="JSON"):
-            save_monitor(mon, path)
-        assert path.read_text() == "old contents\n"
-        assert list(tmp_path.iterdir()) == [path]
-
-    def test_integer_scores_save_and_load(self, tmp_path):
-        # the selection stores them as floats, which the reader accepts
-        selection = NeuronSelection(0, 3, (2, 0, 1), (3, np.int64(2), 1.5))
-        mon = build([rec(0, 0, (1.0, -1.0, 2.0))], selection, gamma=0)
-        path = tmp_path / "m.json"
-        save_monitor(mon, path)
-        assert '"scores":[3.0,2.0,1.5]' in path.read_text()
-        assert load_monitor(path).selection == selection
-
     def test_numpy_selection_saves_and_loads(self, tmp_path):
         rng = np.random.default_rng(23)
         order = np.argsort(rng.normal(size=6))[:4]
-        selection = NeuronSelection(np.int64(0), np.int64(6), tuple(order),
-                                    (0.0,) * 4)
+        selection = NeuronSelection(np.int64(0), np.int64(6), tuple(order))
         traces = [rec(0, 0, rng.normal(size=6), rid=f"s{i}")
                   for i in range(10)]
         mon = build(traces, selection, gamma=np.int64(1))
@@ -714,22 +711,28 @@ class TestPersistence:
         save_monitor(self._monitor(), path)
         text = path.read_text()
         load_monitor(path)  # the unedited file is valid
-        assert '"scores":[0.0,' in text
-        path.write_text(text.replace('"scores":[0.0,',
-                                     f'"scores":[{token},', 1))
+        assert '"gamma":1,' in text
+        path.write_text(text.replace('"gamma":1,', f'"gamma":{token},', 1))
         with pytest.raises(SchemaError, match="monitor file .*non-finite"):
             load_monitor(path)
 
-    @pytest.mark.parametrize("literal", ["1" * 400, "1e999", "-1e999"],
-                             ids=["huge-int", "inf", "minus-inf"])
-    def test_overflowing_score_is_schema_error(self, tmp_path, literal):
+    @pytest.mark.parametrize("literal, message", [
+        ("1" * 400, f"gamma must be <= 256, got {'1' * 400}"),
+        ("1e999", "gamma inf is not an integer"),
+        ("-1e999", "gamma -inf is not an integer"),
+    ], ids=["huge-int", "inf", "minus-inf"])
+    def test_overflowing_score_is_schema_error(self, tmp_path, literal,
+                                               message):
+        # a monitor file holds no float since its selection scores went:
+        # gamma takes the literal (the decoder reads 1e999 as inf), and
+        # the integer rule refuses it by name
         path = tmp_path / "monitor.json"
         save_monitor(self._monitor(), path)
         text = path.read_text()
-        assert '"scores":[0.0,' in text
-        path.write_text(text.replace('"scores":[0.0,',
-                                     f'"scores":[{literal},', 1))
-        with pytest.raises(SchemaError, match="scores must hold finite"):
+        assert '"gamma":1,' in text
+        path.write_text(text.replace('"gamma":1,', f'"gamma":{literal},', 1))
+        with pytest.raises(SchemaError, match=(
+                f"^malformed monitor file: {message}$")):
             load_monitor(path)
 
     def test_loaded_monitor_is_frozen(self, tmp_path):
@@ -743,8 +746,7 @@ class TestPersistence:
         data = json.loads((tmp_path / "monitor.json").read_text("utf-8"))
         width = bdd.MAX_VARS + 1
         data["selection"].update(layer_width=width,
-                                 indices=list(range(width)),
-                                 scores=[0.0] * width)
+                                 indices=list(range(width)))
         with pytest.raises(SchemaError, match=(
                 "^malformed monitor file: n_vars must be <= 256, got 257$")):
             monitor_from_dict(data)
@@ -771,8 +773,7 @@ class TestBatchDistances:
         rng = np.random.default_rng(seed)
         width = k + 3
         selection = NeuronSelection(
-            0, width, tuple(int(i) for i in rng.permutation(width)[:k]),
-            tuple(rng.random(k).tolist()))
+            0, width, tuple(int(i) for i in rng.permutation(width)[:k]))
         seeds = rng.integers(0, 2, (12, k))
         train = [rec(i % 2, i % 2, self._acts(rng, selection, bits), f"t{i}")
                  for i, bits in enumerate(seeds)]

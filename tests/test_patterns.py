@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-import re
 
 import numpy as np
 import pytest
@@ -96,8 +95,7 @@ class TestBinarize:
 
     def test_projection_then_threshold(self):
         # hand-derived: pick neurons 3 and 0, both positive
-        sel = NeuronSelection(layer=0, layer_width=4,
-                              indices=(3, 0), scores=(0.0, 0.0))
+        sel = NeuronSelection(layer=0, layer_width=4, indices=(3, 0))
         assert binarize((1.0, -1.0, 2.0, 3.0), sel) == (1, 1)
 
     def test_width_mismatch(self):
@@ -165,7 +163,7 @@ class TestBinarize:
             acts[mask] = rng.choice(specials, size=int(mask.sum()))
             k = int(rng.integers(1, width + 1))
             indices = tuple(int(i) for i in rng.permutation(width)[:k])
-            sel = NeuronSelection(0, width, indices, (0.0,) * k)
+            sel = NeuronSelection(0, width, indices)
             expected = tuple(1 if acts[i] > 0.0 else 0 for i in indices)
             got = binarize(acts, sel)
             assert got == expected
@@ -246,31 +244,35 @@ class TestSelectTopFraction:
             with pytest.raises(ValueError, match="fraction"):
                 select_top_fraction([1.0, 2.0], bad)
 
-    def test_scores_follow_indices(self):
-        sel = select_top_fraction([0.9, 0.1, 0.5], 1.0)
-        assert sel.indices == (0, 2, 1)
-        assert sel.scores == (0.9, 0.5, 0.1)
-
 
 class TestNeuronSelection:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            NeuronSelection(0, 4, (1, 1), (0.0, 0.0))
+            NeuronSelection(0, 4, (1, 1))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError,
                            match="^neuron index must be <= 3, got 4$"):
-            NeuronSelection(0, 4, (0, 4), (0.0, 0.0))
+            NeuronSelection(0, 4, (0, 4))
 
     def test_layer_width_beyond_int64_rejected(self):
         """An index array of ``intp`` holds every index of a narrower
-        layer; the identity selection names the width before it makes
-        any index."""
-        message = f"^layer width must be <= {2 ** 63 - 1}, got {2 ** 70}$"
-        with pytest.raises(ValueError, match=message):
-            NeuronSelection(0, 2 ** 70, (0,), (0.0,))
-        with pytest.raises(ValueError, match=message):
+        layer; the identity selection, whose every neuron is a BDD
+        variable, names the variable cap before it makes any index."""
+        with pytest.raises(ValueError, match=(
+                f"^layer width must be <= {2 ** 63 - 1}, got {2 ** 70}$")):
+            NeuronSelection(0, 2 ** 70, (0,))
+        with pytest.raises(ValueError, match=(
+                f"^layer width must be <= 256, got {2 ** 70}$")):
             identity_selection(2 ** 70)
+
+    def test_identity_selection_stops_at_the_variable_cap(self):
+        assert identity_selection(256).width == 256
+        with pytest.raises(ValueError,
+                           match="^layer width must be <= 256, got 257$"):
+            identity_selection(257)
+        # a ranked selection keeps some neurons of a wider layer
+        assert select_top_fraction(np.arange(1000.0), 0.1).width == 100
 
     @pytest.mark.parametrize("layer_width, indices, message", [
         (0, (0,), "^layer width must be >= 1, got 0$"),
@@ -279,31 +281,7 @@ class TestNeuronSelection:
     def test_empty_layer_or_selection_rejected(self, layer_width, indices,
                                                message):
         with pytest.raises(ValueError, match=message):
-            NeuronSelection(0, layer_width, indices, (0.0,) * len(indices))
-
-    def test_scores_must_align(self):
-        with pytest.raises(ValueError, match="align"):
-            NeuronSelection(0, 4, (0, 1), (0.0,))
-
-    @pytest.mark.parametrize("scores, message", [
-        (("a", "b"), "scores must hold numbers, got 'a'"),
-        ((True, 2), "scores must hold numbers, got True"),
-        ((0.5, np.True_), "scores must hold numbers, got True"),
-        ((1.0, None), "scores must hold numbers, got None"),
-        ((0.5, math.nan), "scores must hold finite numbers"),
-        ((math.inf, 0.5), "scores must hold finite numbers"),
-        ((10 ** 400, 0.5), "scores must hold finite numbers"),
-    ])
-    def test_scores_that_a_file_could_not_hold_rejected(self, scores,
-                                                        message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            NeuronSelection(0, 2, (0, 1), scores)
-
-    def test_scores_stored_as_python_floats(self):
-        sel = NeuronSelection(0, 4, (3, 0, 1),
-                              (2, np.float32(0.5), np.int64(-1)))
-        assert sel.scores == (2.0, 0.5, -1.0)
-        assert all(type(s) is float for s in sel.scores)
+            NeuronSelection(0, layer_width, indices)
 
     def test_identity(self):
         sel = identity_selection(5, layer=2)
@@ -312,16 +290,16 @@ class TestNeuronSelection:
         assert sel.width == 5
 
     def test_index_array_leaves_equality_hash_and_repr_alone(self):
-        sel = NeuronSelection(0, 4, (3, 0), (0.5, 0.25))
-        same = NeuronSelection(0, 4, (3, 0), (0.5, 0.25))
+        sel = NeuronSelection(0, 4, (3, 0))
+        same = NeuronSelection(0, 4, (3, 0))
         assert sel == same and hash(sel) == hash(same)
-        assert hash(sel) == hash((0, 4, (3, 0), (0.5, 0.25)))
-        assert sel != NeuronSelection(0, 4, (0, 3), (0.5, 0.25))
+        assert hash(sel) == hash((0, 4, (3, 0)))
+        assert sel != NeuronSelection(0, 4, (0, 3))
         assert repr(sel) == ("NeuronSelection(layer=0, layer_width=4, "
-                             "indices=(3, 0), scores=(0.5, 0.25))")
+                             "indices=(3, 0))")
 
     def test_index_array_is_a_read_only_copy_of_indices(self):
-        sel = NeuronSelection(0, 4, (3, 0), (0.0, 0.0))
+        sel = NeuronSelection(0, 4, (3, 0))
         assert sel.index_array.dtype == np.intp
         assert sel.index_array.tolist() == [3, 0]
         with pytest.raises(ValueError, match="read-only"):
@@ -329,12 +307,11 @@ class TestNeuronSelection:
 
     def test_numpy_integers_stored_as_python_ints(self):
         order = np.argsort([0.5, 2.0, 1.0, 0.0])[::-1][:2]  # int64 indices
-        sel = NeuronSelection(np.int64(1), np.int32(4), tuple(order),
-                              (2.0, 1.0))
-        assert sel == NeuronSelection(1, 4, (1, 2), (2.0, 1.0))
+        sel = NeuronSelection(np.int64(1), np.int32(4), tuple(order))
+        assert sel == NeuronSelection(1, 4, (1, 2))
         assert type(sel.layer) is type(sel.layer_width) is int
         assert all(type(i) is int for i in sel.indices)
-        assert NeuronSelection(0, 4, order, (2.0, 1.0)).indices == (1, 2)
+        assert NeuronSelection(0, 4, order).indices == (1, 2)
 
     @pytest.mark.parametrize("field, value", [
         ("layer", True), ("layer", 1.0), ("layer", "1"),
@@ -344,12 +321,12 @@ class TestNeuronSelection:
     ])
     def test_non_integer_rejected(self, field, value):
         args = {"layer": 0, "layer_width": 4, "indices": (0, 1),
-                "scores": (0.0, 0.0), field: value}
+                field: value}
         with pytest.raises(ValueError, match="is not an integer"):
             NeuronSelection(**args)
 
     def test_replace_recomputes_the_index_array(self):
-        sel = NeuronSelection(0, 4, (3, 0), (0.0, 0.0))
+        sel = NeuronSelection(0, 4, (3, 0))
         moved = dataclasses.replace(sel, indices=(1, 2))
         assert moved.index_array.tolist() == [1, 2]
         assert sel.index_array.tolist() == [3, 0]
