@@ -17,6 +17,7 @@ sample.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -43,9 +44,9 @@ class NeuronSelection:
     ``layer``, ``layer_width`` and each index may be Python or numpy
     integers (say from ``np.argsort``) and are stored as Python ints, so
     the selection saves as JSON; a bool, float or string raises
-    ``ValueError``, as does a width above ``INT64_MAX`` (an ``intp``) or an
-    index outside ``0..layer_width-1``.  The layer may be wider than a
-    store's variable cap; only the monitored neurons become variables.
+    ``ValueError``, as does a negative layer, a layer or width above
+    ``INT64_MAX`` or an index outside ``0..layer_width-1``.  The layer may
+    be wider than a store's variable cap; only monitored neurons are variables.
     """
 
     layer: int
@@ -54,7 +55,8 @@ class NeuronSelection:
     index_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layer", as_int(self.layer, "layer"))
+        object.__setattr__(self, "layer", as_int(
+            self.layer, "layer", 0, INT64_MAX))
         object.__setattr__(self, "layer_width", as_int(
             self.layer_width, "layer width", 1, INT64_MAX))
         object.__setattr__(self, "indices", tuple(
@@ -172,6 +174,8 @@ def select_top_fraction(scores, fraction: float, layer: int = 0) \
         raise ValueError("scores must be a nonempty vector")
     if not all_finite(scores):  # NaN would rank by its position
         raise ValueError("scores must hold finite numbers")
+    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
+        raise ValueError(f"fraction {fraction!r} is not a real number")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     # the epsilon undoes binary rounding of fractions like 2/3 so that

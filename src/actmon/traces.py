@@ -12,9 +12,9 @@ Every following line is one record::
 ``layer`` names the monitored layer, ``width`` its neuron count (the length
 of every activation vector), ``classes`` the number of classes.
 :func:`extract` makes the header and records by running a model over a
-dataset.  Writer and reader share one header rule and one record rule,
-so :func:`write_traces` refuses what :func:`read_traces` refuses; the
-reader also refuses activations that are not a list of JSON numbers.
+dataset.  Writer and reader share one header rule and one record rule:
+:func:`write_traces` refuses what :func:`read_traces` refuses, in the same
+words, and the reader also refuses activations that are no JSON numbers.
 
 A record line is the compact ``json`` encoding of the record's dict.
 Both directions work a block of ``_BLOCK`` records at a time.  The writer,
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (JSON_DECODER, JSON_LINE, FormatVersionError,
+from .errors import (INT64_MAX, JSON_DECODER, JSON_LINE, FormatVersionError,
                      SchemaError, all_finite, as_int, replace_on_success)
 from .network import ModelSpec, decide, forward
 
@@ -97,35 +97,38 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
 
 
 def _check_header(layer, width, classes) -> TraceHeader:
-    """The header of writer and reader: three integers, ``width`` at least
-    1 and ``classes`` at least 2 (else ``ValueError``)."""
-    return TraceHeader(as_int(layer, "layer"), as_int(width, "width", 1),
+    """The header of writer and reader: three integers, ``layer`` at least
+    0, ``width`` at least 1 and ``classes`` at least 2; else ``ValueError``."""
+    return TraceHeader(as_int(layer, "layer", 0, INT64_MAX),
+                       as_int(width, "width", 1),
                        as_int(classes, "classes", 2))
 
 
-def _check_record(header: TraceHeader, rid: str,
-                  activations: np.ndarray) -> None:
-    """The record rule of writer and reader beside the labels, which
-    ``as_int`` bounds to ``0..classes-1``: a string id and activations of
-    the header's width; else ``ValueError``."""
+def _row(rid, true_label, pred_label, activations,
+         header: TraceHeader) -> tuple[int, int, np.ndarray]:
+    """The record rule of writer and reader: a string id, both labels by
+    ``as_int`` in ``0..classes-1`` and float64 activations of the header's
+    width; returns labels and activations, else raises ``ValueError``."""
     if not isinstance(rid, str):
         raise ValueError(f"id {rid!r} is not a string")
-    if activations.shape != (header.width,):
-        raise ValueError(f"activation shape {activations.shape} does not "
-                         f"match header width {header.width}")
-
-
-def _writable(rid: str, true_label, pred_label, activations,
-              header: TraceHeader) -> tuple[int, int, np.ndarray]:
-    """The labels through :func:`~actmon.errors.as_int`, in
-    ``0..classes-1``, and the activations as float64, under the record
-    rule and finite (JSON has no NaN or infinity); else ``ValueError``
-    naming ``rid``."""
+    true_label = as_int(true_label, "true_label", 0, header.classes - 1)
+    pred_label = as_int(pred_label, "pred_label", 0, header.classes - 1)
     try:
-        fields = (as_int(true_label, "label", 0, header.classes - 1),
-                  as_int(pred_label, "label", 0, header.classes - 1),
-                  np.asarray(activations, np.float64))
-        _check_record(header, rid, fields[2])
+        values = np.asarray(activations, np.float64)
+    except OverflowError:  # an int beyond the float64 range
+        raise ValueError("activation beyond the float64 range") from None
+    if values.shape != (header.width,):
+        raise ValueError(f"activation shape {values.shape} does not "
+                         f"match header width {header.width}")
+    return true_label, pred_label, values
+
+
+def _writable(rid, true_label, pred_label, activations,
+              header: TraceHeader) -> tuple[int, int, np.ndarray]:
+    """:func:`_row`'s labels and activations, also finite (JSON has no NaN
+    or infinity); else ``ValueError`` naming ``rid``."""
+    try:
+        fields = _row(rid, true_label, pred_label, activations, header)
         if not all_finite(fields[2]):
             raise ValueError("non-finite activation value")
     except ValueError as exc:
@@ -316,31 +319,18 @@ def _parse_header(line: str) -> TraceHeader:
 
 
 def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
-    last = header.classes - 1
+    """The record ``line`` holds under :func:`_row`, its activations a
+    list of JSON numbers (``np.asarray`` reads ``"0.5"`` and ``true`` as
+    floats); else a :class:`SchemaError` naming line ``line_no``."""
     try:
         row = JSON_DECODER.decode(line)
-        record = TraceRecord(
-            id=row["id"],
-            true_label=as_int(row["true_label"], "true_label", 0, last),
-            pred_label=as_int(row["pred_label"], "pred_label", 0, last),
-            activations=np.asarray(_numbers(row["activations"]),
-                                   dtype=np.float64),
-        )
-        _check_record(header, record.id, record.activations)
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
-            SchemaError) as exc:
+        rid, acts = row["id"], row["activations"]
+        odd = [v for v in acts if type(v) not in _NUMBERS] \
+            if type(acts) is list else [acts]
+        if odd:
+            raise ValueError(f"activations must hold numbers, got {odd[0]!r}")
+        return TraceRecord(rid, *_row(rid, row["true_label"],
+                                      row["pred_label"], acts, header))
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaError(f"line {line_no}: malformed trace record: {exc}") \
             from exc
-    return record
-
-
-def _numbers(value) -> list:
-    """``value`` if it is a list of JSON numbers, else a
-    :class:`SchemaError` naming its first non-number: ``np.asarray`` would
-    read the string ``"0.5"`` and the bool ``true`` as floats."""
-    if type(value) is not list:
-        raise SchemaError(f"activations must hold numbers, got {value!r}")
-    if not _NUMBERS.issuperset(map(type, value)):
-        bad = next(v for v in value if type(v) not in _NUMBERS)
-        raise SchemaError(f"activations must hold numbers, got {bad!r}")
-    return value

@@ -654,7 +654,7 @@ class TestDatasetFile:
                      "--layer", "1", "--data", str(data), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith("error: record 's1': label must be <= 2, "
+        assert err.startswith("error: record 's1': true_label must be <= 2, "
                               "got 7\n")
         assert not out.exists()
 

@@ -3,8 +3,9 @@ strict JSON reader, the one finiteness rule, the one integer rule, and
 guards that no other code in the package opens a file for writing, parses
 JSON or tests finiteness, that only the BDD store's node makers grow its
 node table, that only the BDD module spells the table's keys, that no
-loop enters numpy's error state once per iteration, and that only the
-file readers name ``OverflowError``."""
+loop enters numpy's error state once per iteration, that only the
+file readers name ``OverflowError``, and that the trace module states its
+integer bounds in its header rule, its record rule and ``extract``."""
 
 import ast
 import math
@@ -445,19 +446,18 @@ def test_no_errstate_is_entered_per_iteration():
     assert found == [], found
 
 
-def overflow_names(tree):
-    """(function, line) of every use in ``tree`` of the name
-    ``OverflowError``, bare or as an attribute (``builtins.OverflowError``),
-    caught, raised or otherwise; named by the innermost enclosing function
-    (None at module level)."""
+def name_uses(tree, name):
+    """(function, line) of every use in ``tree`` of ``name``, bare or as
+    an attribute (``builtins.OverflowError``), called, caught, raised or
+    otherwise; named by the innermost enclosing function (None at module
+    level)."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Name) and node.id == "OverflowError" \
-                or isinstance(node, ast.Attribute) \
-                and node.attr == "OverflowError":
+        if isinstance(node, ast.Name) and node.id == name \
+                or isinstance(node, ast.Attribute) and node.attr == name:
             found.append((func, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -481,8 +481,8 @@ def test_overflow_guard_sees_each_form():
                      "        return OverflowError\n"
                      "    def g(self):\n"
                      "        return ArithmeticError, 'OverflowError'\n")
-    assert overflow_names(tree) == [(None, 3), ("parse", 8), ("parse", 9),
-                                    ("f", 12)]
+    assert name_uses(tree, "OverflowError") == [
+        (None, 3), ("parse", 8), ("parse", 9), ("f", 12)]
 
 
 def test_only_the_file_readers_name_overflow_error():
@@ -492,7 +492,18 @@ def test_only_the_file_readers_name_overflow_error():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found |= {(path.name, func) for func, _ in overflow_names(tree)}
+        found |= {(path.name, func)
+                  for func, _ in name_uses(tree, "OverflowError")}
     assert found == {("errors.py", "finite_floats"),
                      ("traces.py", "_parse_block"),
-                     ("traces.py", "_parse_record")}, found
+                     ("traces.py", "_row")}, found
+
+
+def test_one_record_rule_bounds_the_labels():
+    """The trace module calls ``as_int`` in its header rule, its record
+    rule (the labels, for writer, ``extract`` and reader alike) and
+    ``extract``'s layer argument; no other function there restates a
+    bound."""
+    tree = ast.parse((SRC / "traces.py").read_text(encoding="utf-8"))
+    assert {func for func, _ in name_uses(tree, "as_int")} \
+        == {"_check_header", "_row", "extract"}

@@ -474,6 +474,15 @@ class TestChooseGamma:
             choose_gamma(self.REFERENCE, min_precision=1.5)
         with pytest.raises(ValueError, match="max_out_rate"):
             choose_gamma(self.REFERENCE, max_out_rate=0.0)
+        # a rate is a real number: no bool, string or None, and not NaN
+        for name in ("min_precision", "max_out_rate"):
+            for bad in (True, "0.3", None, float("nan")):
+                with pytest.raises(ValueError, match=f"^{name} "):
+                    choose_gamma(self.REFERENCE, **{name: bad})
+        assert choose_gamma(self.REFERENCE, min_precision=np.float32(0.5),
+                            max_out_rate=1) \
+            == choose_gamma(self.REFERENCE, min_precision=0.5,
+                            max_out_rate=1.0)
 
 
 class TestReportCsv:

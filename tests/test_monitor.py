@@ -671,6 +671,9 @@ class TestPersistence:
         # no distance exceeds the width; no index array holds 2**70
         ("gamma", 257),
         ("selection.layer_width", 2 ** 70),
+        # a layer index is in 0..INT64_MAX
+        ("selection.layer", -1),
+        ("selection.layer", 2 ** 63),
     ])
     def test_inexact_or_contradicting_field(self, path, value, tmp_path):
         save_monitor(self._monitor(), tmp_path / "monitor.json")

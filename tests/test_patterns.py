@@ -240,9 +240,12 @@ class TestSelectTopFraction:
             == select_top_fraction(scores.copy(), 0.3)
 
     def test_fraction_range(self):
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="fraction"):
+        # a fraction is a real number: no bool, string or None, and not NaN
+        for bad in (0.0, -0.1, 1.5, math.nan, True, "0.5", None):
+            with pytest.raises(ValueError, match="^fraction "):
                 select_top_fraction([1.0, 2.0], bad)
+        assert select_top_fraction([1.0, 2.0], 1) \
+            == select_top_fraction([1.0, 2.0], np.float32(1.0))
 
 
 class TestNeuronSelection:
@@ -282,6 +285,17 @@ class TestNeuronSelection:
                                                message):
         with pytest.raises(ValueError, match=message):
             NeuronSelection(0, layer_width, indices)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: NeuronSelection(-1, 4, (0,)), "layer must be >= 0, got -1"),
+        (lambda: NeuronSelection(2 ** 63, 4, (0,)),
+         f"layer must be <= {2 ** 63 - 1}, got {2 ** 63}"),
+        (lambda: identity_selection(4, layer=-1),
+         "layer must be >= 0, got -1"),
+    ], ids=["negative", "beyond-int64", "identity-negative"])
+    def test_layer_outside_its_range_rejected(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
     def test_identity(self):
         sel = identity_selection(5, layer=2)

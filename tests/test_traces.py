@@ -31,7 +31,7 @@ def sample_records(count=5, width=4, seed=0):
 HEADER = {"format": "actmon-trace", "version": 1, "layer": 1, "width": 1,
           "classes": 2}
 # the least value of each bounded header field
-HEADER_LEAST = {"width": 1, "classes": 2}
+HEADER_LEAST = {"layer": 0, "width": 1, "classes": 2}
 RECORD = {"id": "s0", "true_label": 1, "pred_label": 0, "activations": [1.0]}
 
 
@@ -641,6 +641,8 @@ class TestValidation:
         ("header", "classes", "2"),
         ("header", "width", 0),
         ("header", "classes", 1),
+        ("header", "layer", -1),
+        ("header", "layer", 2 ** 63),
         ("record", "true_label", 1.9),
         ("record", "pred_label", False),
         ("record", "true_label", "1"),
@@ -654,7 +656,9 @@ class TestValidation:
         path.write_text(f"{json.dumps(header)}\n{json.dumps(record)}\n")
         message = f"{field} {value!r} is not an integer" \
             if type(value) is not int \
-            else f"{field} must be >= {HEADER_LEAST[field]}, got {value}"
+            else f"{field} must be >= {HEADER_LEAST[field]}, got {value}" \
+            if value < HEADER_LEAST[field] \
+            else f"{field} must be <= {2 ** 63 - 1}, got {value}"
         with pytest.raises(SchemaError, match=f"{re.escape(message)}$"):
             read_traces(path)
 
@@ -756,14 +760,15 @@ class TestExtract:
             extract(load_model(model_path), x, y, 1)
 
     @pytest.mark.parametrize("labels, message", [
-        ([1.9, True, 7], "record 's0': label 1.9 is not an integer"),
-        ([1, True, 2], "record 's1': label True is not an integer"),
-        ([1, np.True_, 2], "record 's1': label np.True_ is not an integer"),
-        ([0, 1, "2"], "record 's2': label '2' is not an integer"),
-        ([0, 1, 2.0], "record 's2': label 2.0 is not an integer"),
-        ([0, 1, 3], "record 's2': label must be <= 2, got 3"),
-        ([0, -1, 1], "record 's1': label must be >= 0, got -1"),
-        ([0, np.int64(7), 1], "record 's1': label must be <= 2, got 7"),
+        ([1.9, True, 7], "record 's0': true_label 1.9 is not an integer"),
+        ([1, True, 2], "record 's1': true_label True is not an integer"),
+        ([1, np.True_, 2],
+         "record 's1': true_label np.True_ is not an integer"),
+        ([0, 1, "2"], "record 's2': true_label '2' is not an integer"),
+        ([0, 1, 2.0], "record 's2': true_label 2.0 is not an integer"),
+        ([0, 1, 3], "record 's2': true_label must be <= 2, got 3"),
+        ([0, -1, 1], "record 's1': true_label must be >= 0, got -1"),
+        ([0, np.int64(7), 1], "record 's1': true_label must be <= 2, got 7"),
     ], ids=["float", "bool", "numpy-bool", "string", "integral-float",
             "above", "negative", "numpy-above"])
     def test_label_must_be_a_class_index(self, model_path, labels, message):
@@ -859,8 +864,11 @@ class TestWriterRefusesWhatReaderRefuses:
         (TraceHeader(True, 2, 3), "layer True is not an integer"),
         (TraceHeader(0, 2.0, 3), "width 2.0 is not an integer"),
         (TraceHeader(0, 2, "3"), "classes '3' is not an integer"),
+        (TraceHeader(-1, 2, 3), "layer must be >= 0, got -1"),
+        (TraceHeader(2 ** 63, 2, 3),
+         f"layer must be <= {2 ** 63 - 1}, got {2 ** 63}"),
     ], ids=["one-class", "zero-width", "bool-layer", "float-width",
-            "string-classes"])
+            "string-classes", "negative-layer", "layer-beyond-int64"])
     def test_bad_header_not_written(self, tmp_path, header, message):
         path = tmp_path / "t.jsonl"
         path.write_text("old contents\n")
@@ -875,7 +883,7 @@ class TestWriterRefusesWhatReaderRefuses:
         path.write_text("old contents\n")
         records = sample_records()
         records[2].pred_label = label
-        with pytest.raises(ValueError, match="record 's2': label"):
+        with pytest.raises(ValueError, match="record 's2': pred_label"):
             write_traces(path, TraceHeader(1, 4, 3), records)
         assert path.read_text() == "old contents\n"
 
@@ -899,6 +907,40 @@ class TestWriterRefusesWhatReaderRefuses:
                 f"line 4: malformed trace record: id {rid!r} is not a "
                 f"string")):
             read_traces(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("true_label", 3, "true_label must be <= 2, got 3"),
+        ("pred_label", -1, "pred_label must be >= 0, got -1"),
+        ("true_label", True, "true_label True is not an integer"),
+        ("pred_label", 1.5, "pred_label 1.5 is not an integer"),
+        ("id", 5, "id 5 is not a string"),
+        ("activations", [0.5, 1.0, 2.0],
+         "activation shape (3,) does not match header width 4"),
+        ("activations", [10 ** 400, 0.0, 0.0, 0.0],
+         "activation beyond the float64 range"),
+    ], ids=["true-above", "pred-negative", "bool-label", "float-label",
+            "int-id", "short-row", "int-beyond-float64"])
+    def test_one_fault_in_the_same_words(self, tmp_path, field, value,
+                                         message):
+        """The writer's message after ``record '<id>': `` is the reader's
+        after ``line N: malformed trace record: `` for the same fault."""
+        header = TraceHeader(1, 4, 3)
+        good = {"id": "s0", "true_label": 1, "pred_label": 2,
+                "activations": [0.5, 0.0, -1.0, 2.0]}
+        bad = {**good, "id": "s1", field: value}
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        with pytest.raises(ValueError) as written:
+            write_traces(path, header, [TraceRecord(**good),
+                                        TraceRecord(**bad)])
+        assert path.read_text() == "old contents\n"
+        path.write_text("".join(JSON_LINE(line) + "\n" for line in [
+            {"format": "actmon-trace", "version": 1, **vars(header)},
+            good, bad]))
+        with pytest.raises(SchemaError) as read:
+            read_traces(path)
+        assert str(written.value) == f"record {bad['id']!r}: {message}"
+        assert str(read.value) == f"line 3: malformed trace record: {message}"
 
     def test_numpy_integers_written_as_ints(self, tmp_path):
         path = tmp_path / "t.jsonl"
