@@ -8,10 +8,10 @@ handful of operations a monitor needs: encoding sets of patterns level by
 level, membership evaluation, the capped Hamming distance from a pattern to
 a set (the monitor's query) and from a batch of patterns to their sets at
 once (:meth:`BddStore._distances`, the batch judge), exact model counting,
-and the table's one file format: :meth:`BddStore.to_json` writes the whole
-table in table order, one column per node field, as the deterministic JSON
-text that monitor files embed, and :func:`from_dict` reads its parsed
-object back; opening files is the caller's job.  A node's id is its
+and the table's one file format, a pair: :meth:`BddStore.to_dict` copies
+the whole table in table order, one column per node field, into the object
+that monitor files hold, and :func:`from_dict` reads that object back;
+encoding and opening files are the caller's job.  A node's id is its
 position in the table, and a set (a monitor's zone) is the plain ``int``
 id of its root, which only the store that holds it can read.  A table
 encoded in one call into an empty store, as each monitor's is, lists its
@@ -371,30 +371,28 @@ class BddStore:
 
     # -- serialization -------------------------------------------------------
 
-    def to_json(self, roots: Sequence[int]) -> str:
+    def to_dict(self, roots: Sequence[int]) -> dict[str, list[int]]:
         """The whole table in table order and the checked ids ``roots``,
-        in the order given, as the compact JSON text of the monitor file's
-        table: one column per node field, position ``i`` holding node
-        ``i + 2``::
+        in the order given, as the object :func:`from_dict` reads: one
+        column per node field, position ``i`` holding node ``i + 2``,
+        each a copy::
 
             {"var":[..],"low":[..],"high":[..],"roots":[..]}
 
         A table that ``_encode`` filled from empty, as ``build`` fills each
         monitor's, is in canonical order (children before parents, low
-        subtree first, zones by class), so its text is canonical too; any
-        other table, unreachable nodes included, is written as it is.
+        subtree first, zones by class), so its object is canonical too; any
+        other table, unreachable nodes included, is given as it is.
         """
         roots = [self._check_node(root) for root in roots]
         start = TRUE + 1
-        var, low, high = (",".join(map(str, column[start:])) for column
-                          in (self._var, self._low, self._high))
-        return (f'{{"var":[{var}],"low":[{low}],"high":[{high}],'
-                f'"roots":[{",".join(map(str, roots))}]}}')
+        return dict(zip(_TABLE_KEYS, (self._var[start:], self._low[start:],
+                                      self._high[start:], roots)))
 
 
 def from_dict(data: dict, n_vars: int) -> tuple[BddStore, list[int]]:
     """Rebuild a store of width ``n_vars`` and its roots, in file order,
-    from the parsed text of :meth:`BddStore.to_json`.
+    from the object :meth:`BddStore.to_dict` gives.
 
     Position ``i`` of the columns is node ``i + 2``, each child before its
     parent, so a loaded node keeps its id and the loaded table saves back

@@ -3,17 +3,16 @@
 Width mismatches and other argument-level misuse raise plain ``ValueError``;
 the classes here mark problems with persisted artifacts (model, trace,
 monitor files) and store lifecycle violations, so callers can distinguish
-bad data from bad environments.  Every artifact is parsed by the one
-strict decoder :data:`JSON_DECODER` (whole files through :func:`read_json`,
-trace files line by line) and written through :func:`replace_on_success`
-(a JSON-lines file line by line through :data:`JSON_LINE`); the number
+bad data from bad environments.  Only this module imports ``json``: every
+artifact is parsed by the one strict decoder :data:`JSON_DECODER` and
+written through :func:`replace_on_success` as the one encoder
+:data:`JSON_LINE` gives it (trace records a block at a time); the number
 arrays of files read whole are checked by :func:`finite_floats`.
 :func:`as_int` is the one integer rule, with its lower and upper bounds,
-for every integer the package reads: arguments, labels and file fields
-alike.
-:func:`all_finite` is the one finiteness rule for every float array the
-package checks, and :func:`warn` points every warning at the caller's
-line.
+for every integer the package reads, and :func:`float_array` the one
+float64 conversion of file and caller data.  :func:`all_finite` is the
+one finiteness rule for every float array the package checks, and
+:func:`warn` points every warning at the caller's line.
 """
 
 import contextlib
@@ -54,21 +53,27 @@ def all_finite(values: np.ndarray) -> bool:
 
 def finite_floats(value, what: str, ndim: int) -> np.ndarray:
     """``value``, JSON numbers nested ``ndim`` lists deep, as a finite
-    float64 array, else a :class:`SchemaError` naming ``what``: a string,
-    bool, null or literal beyond float64 (``1e999`` reads as inf) is not."""
+    float64 array, else a :class:`SchemaError` naming ``what`` (a string,
+    bool, null or ``1e999``) or :func:`float_array`'s ``ValueError``."""
     cells = np.array(value, dtype=object)
     if cells.ndim != ndim:
         raise SchemaError(f"{what} must be a {ndim}-D array of numbers")
     for cell in cells.flat:
         if type(cell) not in (int, float):
             raise SchemaError(f"{what} must hold numbers, got {cell!r}")
-    try:
-        floats = cells.astype(np.float64)
-    except OverflowError:  # an int beyond the float64 range
-        floats = np.array(np.inf)
+    floats = float_array(cells, what)
     if not all_finite(floats):
         raise SchemaError(f"{what} must hold finite numbers")
     return floats
+
+
+def float_array(value, what: str) -> np.ndarray:
+    """``np.asarray(value, dtype=np.float64)``, an int beyond the float64
+    range a ``ValueError`` naming ``what`` (numpy's is ``OverflowError``)."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} beyond the float64 range") from None
 
 
 # the largest integer an int64 array, a numpy count or index, holds

@@ -23,7 +23,6 @@ per-class neuron selections, build one monitor per class.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -31,8 +30,8 @@ import numpy as np
 
 from . import bdd, patterns
 from .bdd import FALSE, BddStore
-from .errors import (INT64_MAX, FormatVersionError, SchemaError, as_int,
-                     read_json, replace_on_success, warn)
+from .errors import (INT64_MAX, JSON_LINE, FormatVersionError, SchemaError,
+                     as_int, read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
 from .traces import TraceRecord
 
@@ -163,9 +162,9 @@ def _batch_verdicts(monitor: Monitor, records: Sequence[TraceRecord]) \
 
 
 def save_monitor(monitor: Monitor, path) -> None:
-    """Write the monitor as deterministic versioned JSON: its own fields,
-    then its table, :meth:`~actmon.bdd.BddStore.to_json`'s text with one
-    root per class in ``classes`` order, as the last key ``bdd``.
+    """Write the monitor as one ``JSON_LINE`` object, deterministic and
+    versioned: its own fields, then as the last key ``bdd`` its table,
+    :meth:`~actmon.bdd.BddStore.to_dict` with a root per class in order.
 
     Requires a frozen monitor, so the table written is the one ``build``
     made, in canonical order, or the one ``load_monitor`` read; repeated
@@ -174,16 +173,14 @@ def save_monitor(monitor: Monitor, path) -> None:
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")
     sel, classes = monitor.selection, monitor.classes
-    head = json.dumps({
-        "format": MONITOR_FORMAT, "version": MONITOR_VERSION,
-        "gamma": monitor.gamma, "classes": classes,
-        "selection": {
-            "layer": sel.layer, "layer_width": sel.layer_width,
-            "indices": list(sel.indices)},
-    }, separators=(",", ":"), allow_nan=False)
-    table = monitor.store.to_json([monitor.zones[c] for c in classes])
     with replace_on_success(path) as fh:
-        fh.write(f'{head[:-1]},"bdd":{table}}}\n')
+        fh.write(JSON_LINE({
+            "format": MONITOR_FORMAT, "version": MONITOR_VERSION,
+            "gamma": monitor.gamma, "classes": classes,
+            "selection": {"layer": sel.layer, "layer_width": sel.layer_width,
+                          "indices": list(sel.indices)},
+            "bdd": monitor.store.to_dict([monitor.zones[c] for c in classes]),
+        }) + "\n")
 
 
 def monitor_from_dict(data: Mapping) -> Monitor:

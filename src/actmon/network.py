@@ -14,14 +14,14 @@ be linear: decisions are taken on raw scores.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (INT64_MAX, FormatVersionError, SchemaError, all_finite,
-                     as_int, finite_floats, read_json, replace_on_success)
+from .errors import (INT64_MAX, JSON_LINE, FormatVersionError, SchemaError,
+                     all_finite, as_int, finite_floats, float_array,
+                     read_json, replace_on_success)
 
 MODEL_VERSION = 1
 
@@ -54,7 +54,8 @@ class ModelSpec:
         if not self.layers:
             raise ValueError("model needs at least one layer")
         for i, layer in enumerate(self.layers):
-            w, b = np.asarray(layer.weights), np.asarray(layer.bias)
+            w = float_array(layer.weights, f"layer {i}: weights")
+            b = float_array(layer.bias, f"layer {i}: bias")
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight/bias shapes disagree")
             if layer.activation not in ACTIVATIONS:
@@ -64,8 +65,7 @@ class ModelSpec:
                 raise ValueError(
                     f"layer {i}: input width {w.shape[0]} does not match "
                     f"previous layer output")
-            layer.weights = w.astype(np.float64)
-            layer.bias = b.astype(np.float64)
+            layer.weights, layer.bias = np.copy(w), np.copy(b)
         if self.layers[-1].activation != "none":
             raise ValueError("final layer must be linear (activation 'none')")
         if self.class_count < 2:
@@ -103,7 +103,7 @@ def _run_layers(model: ModelSpec, x, first: int) -> list[np.ndarray]:
     (N, D) batch.  A row is ``x @ W + b``; a batch is viewed as (N, 1, D),
     so each of its rows is its own (1, D) product, bit-identical to a pass
     of that row alone.  A bad shape or value raises ``ValueError``."""
-    x = np.asarray(x, dtype=np.float64)
+    x = float_array(x, f"layer {first} input")
     width = model.layers[first].weights.shape[0]
     if x.ndim not in (1, 2) or x.shape[-1] != width:
         raise ValueError(f"input shape {x.shape} does not match layer "
@@ -132,7 +132,7 @@ def forward(model: ModelSpec, inputs) -> LayerTrace:
 def decide(output) -> int | np.ndarray:
     """Argmax along the last axis, ties to the lowest index: an ``int`` for
     a score vector, an array of N labels for an (N, C) batch."""
-    scores = np.asarray(output, dtype=np.float64)
+    scores = float_array(output, "output")
     if scores.ndim not in (1, 2):
         raise ValueError("decide expects a score vector or a batch of them")
     labels = scores.argmax(axis=-1)
@@ -187,6 +187,7 @@ def make_blobs(per_class: int = 500, seed: int = 0,
     """
     per_class = as_int(per_class, "per_class", 0, INT64_MAX)
     rng = np.random.default_rng(as_int(seed, "seed", 0))
+    offset = float_array(offset, "offset")
     angles = 2.0 * np.pi * np.arange(BLOB_CLASSES) / BLOB_CLASSES
     means = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     y = np.repeat(np.arange(BLOB_CLASSES, dtype=np.int64), per_class)
@@ -216,7 +217,7 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
     """
     seed = as_int(seed, "seed", 0)
     epochs = as_int(epochs, "epochs", 0)
-    x = np.asarray(inputs, dtype=np.float64)
+    x = float_array(inputs, "inputs")
     y = _label_array(labels)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[0] != len(y):
         raise ValueError("dataset must be nonempty with matching labels")
@@ -315,22 +316,12 @@ def evaluate_accuracy(model: ModelSpec, inputs, labels) -> float:
 
 
 def save_model(model: ModelSpec, path) -> None:
-    """Write the model as versioned JSON with full-precision floats."""
-    payload = {
-        "version": MODEL_VERSION,
-        "layers": [
-            {
-                "weights": layer.weights.tolist(),
-                "bias": layer.bias.tolist(),
-                "activation": layer.activation,
-            }
-            for layer in model.layers
-        ],
-        "metadata": model.metadata,
-    }
+    """Write the model as versioned JSON by one ``JSON_LINE`` call."""
     with replace_on_success(path) as fh:
-        json.dump(payload, fh, separators=(",", ":"), allow_nan=False)
-        fh.write("\n")
+        fh.write(JSON_LINE({"version": MODEL_VERSION, "layers": [
+            {"weights": layer.weights.tolist(), "bias": layer.bias.tolist(),
+             "activation": layer.activation} for layer in model.layers],
+            "metadata": model.metadata}) + "\n")
 
 
 def load_model(path) -> ModelSpec:

@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .bdd import MAX_VARS
-from .errors import INT64_MAX, all_finite, as_int
+from .errors import INT64_MAX, all_finite, as_int, float_array
 from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
@@ -106,7 +106,7 @@ def _threshold(activations, selection: NeuronSelection) -> np.ndarray:
     in one numpy pass: a batch row's bits are the row's own."""
     width = selection.layer_width
     try:
-        acts = np.asarray(activations, dtype=np.float64)
+        acts = float_array(activations, "activation")
     except ValueError:  # rows of different widths: name the first misfit
         shapes = [np.shape(row) for row in activations]
         if len(set(shapes)) < 2:  # one shape: values that are no numbers
@@ -169,7 +169,7 @@ def select_top_fraction(scores, fraction: float, layer: int = 0) \
     lower neuron index.  The selection lists neurons by descending score
     (then ascending index), which fixes the BDD variable order.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = float_array(scores, "scores")
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a nonempty vector")
     if not all_finite(scores):  # NaN would rank by its position

@@ -14,7 +14,7 @@ of every activation vector), ``classes`` the number of classes.
 :func:`extract` makes the header and records by running a model over a
 dataset.  Writer and reader share one header rule and one record rule:
 :func:`write_traces` refuses what :func:`read_traces` refuses, in the same
-words, and the reader also refuses activations that are no JSON numbers.
+words, and the reader also refuses a JSON bool among the activations.
 
 A record line is the compact ``json`` encoding of the record's dict.
 Both directions work a block of ``_BLOCK`` records at a time.  The writer,
@@ -27,13 +27,15 @@ line, and each direction has one record check and one fallback.
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (INT64_MAX, JSON_DECODER, JSON_LINE, FormatVersionError,
-                     SchemaError, all_finite, as_int, replace_on_success)
+                     SchemaError, all_finite, as_int, float_array,
+                     replace_on_success)
 from .network import ModelSpec, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
@@ -78,7 +80,7 @@ def extract(model: ModelSpec, inputs, labels, layer: int) \
     if not model.is_relu_layer(layer):
         raise ValueError(f"layer {layer} is not a ReLU layer")
     header = TraceHeader(layer, model.layer_width(layer), model.class_count)
-    x = np.asarray(inputs, dtype=np.float64)
+    x = float_array(inputs, "inputs")
     if x.shape == (0,):  # ``[]`` is a batch of zero rows
         x = x.reshape(0, model.input_dim)
     if x.ndim != 2:
@@ -108,15 +110,20 @@ def _row(rid, true_label, pred_label, activations,
          header: TraceHeader) -> tuple[int, int, np.ndarray]:
     """The record rule of writer and reader: a string id, both labels by
     ``as_int`` in ``0..classes-1`` and float64 activations of the header's
-    width; returns labels and activations, else raises ``ValueError``."""
+    width; returns labels and activations, else raises ``ValueError``,
+    naming the first value that is no number if numpy reads no integer or
+    float array (strings, ``None``, a dict, bools alone)."""
     if not isinstance(rid, str):
         raise ValueError(f"id {rid!r} is not a string")
     true_label = as_int(true_label, "true_label", 0, header.classes - 1)
     pred_label = as_int(pred_label, "pred_label", 0, header.classes - 1)
-    try:
-        values = np.asarray(activations, np.float64)
-    except OverflowError:  # an int beyond the float64 range
-        raise ValueError("activation beyond the float64 range") from None
+    values = np.asarray(activations)
+    if values.dtype.kind not in "iuf":  # objects may be ints beyond float64
+        odd = [v for v in np.asarray(activations, object).ravel().tolist()
+               if isinstance(v, bool) or not isinstance(v, numbers.Real)]
+        if odd:
+            raise ValueError(f"activations must hold numbers, got {odd[0]!r}")
+    values = float_array(values, "activation")
     if values.shape != (header.width,):
         raise ValueError(f"activation shape {values.shape} does not "
                          f"match header width {header.width}")
@@ -186,16 +193,18 @@ def _block_columns(block: list, header: TraceHeader) -> tuple:
     """The columns of a block of (id, true label, predicted label,
     activations) rows under the record rule: ids, both labels as ints,
     and the activations as one finite (n, width) float64 array, checked
-    once per block.  A block that fails goes through :func:`_writable`
-    row by row, so a refusal names its first bad record."""
+    once per block: numpy stacks them as integers or floats, or the block
+    fails.  A block that fails goes through :func:`_writable` row by row,
+    so a refusal names its first bad record."""
     try:  # whatever fails here fails again, in file order, below
         ids, trues, preds, acts = zip(*block)
         labels = trues + preds
-        values = np.array(acts, np.float64)
-        if {*map(type, ids)} == {str} and {*map(type, labels)} == {int} \
+        values = np.array(acts)
+        if values.dtype.kind in "iuf" and {*map(type, ids)} == {str} \
+                and {*map(type, labels)} == {int} \
                 and 0 <= min(labels) and max(labels) < header.classes \
                 and values.shape == (len(block), header.width) \
-                and all_finite(values):
+                and all_finite(values := np.asarray(values, np.float64)):
             return ids, trues, preds, values
     except Exception:
         pass
@@ -320,8 +329,8 @@ def _parse_header(line: str) -> TraceHeader:
 
 def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
     """The record ``line`` holds under :func:`_row`, its activations a
-    list of JSON numbers (``np.asarray`` reads ``"0.5"`` and ``true`` as
-    floats); else a :class:`SchemaError` naming line ``line_no``."""
+    list of JSON numbers (``np.asarray`` reads ``true`` among numbers as
+    ``1.0``); else a :class:`SchemaError` naming line ``line_no``."""
     try:
         row = JSON_DECODER.decode(line)
         rid, acts = row["id"], row["activations"]

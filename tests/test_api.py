@@ -28,7 +28,7 @@ def test_store_method_names():
     assert sorted(name for name, value in vars(BddStore).items()
                   if callable(value) and not name.startswith("_")) == [
         "contains", "contains_with_cost", "distance", "encode_set", "exists",
-        "freeze", "node_count", "sat_count", "to_json",
+        "freeze", "node_count", "sat_count", "to_dict",
     ]
 
 

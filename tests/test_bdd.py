@@ -11,7 +11,6 @@ compared with.
 
 import ast
 import copy
-import json
 import random
 import sys
 import warnings
@@ -57,19 +56,19 @@ def ordered(roots):
 
 
 def table(store, roots):
-    """The table as from_dict reads it: the parsed text of to_json, with
-    the roots of ``roots`` in ascending class order."""
-    return json.loads(store.to_json(ordered(roots)))
+    """The table as from_dict reads it: to_dict's object, with the roots
+    of ``roots`` in ascending class order."""
+    return store.to_dict(ordered(roots))
 
 
 def reference_to_dict(store, roots):
     """The canonical table under ``roots``, a root id per int class, as
-    the parsed object of ``to_json``'s text, by a recursive visit: only
+    the object ``to_dict`` gives, by a recursive visit: only
     the nodes the roots reach, children before parents, low subtree first,
     roots in ascending class order, ids dense from 2 as each node is first
     finished.  Equal sets give equal forms whatever order a store made its
     nodes in; a table that one ``_encode`` call fills from empty is listed
-    in this order by ``to_json`` itself."""
+    in this order by ``to_dict`` itself."""
     relabel = {bdd.FALSE: 0, bdd.TRUE: 1}
     columns = {"var": [], "low": [], "high": []}
 
@@ -450,8 +449,8 @@ class TestLazyUniqueTable:
                  for c in range(3)}
         loaded, loaded_roots = reload(store, roots)
         assert len(loaded) == len(store)
-        assert loaded.to_json(ordered(loaded_roots)) \
-            == store.to_json(ordered(roots))
+        assert loaded.to_dict(ordered(loaded_roots)) \
+            == store.to_dict(ordered(roots))
 
 
 class TestUnion:
@@ -1145,7 +1144,7 @@ class TestSerialization:
 
     def test_byte_determinism(self):
         store, roots = self._sample()
-        assert store.to_json(ordered(roots)) == store.to_json(ordered(roots))
+        assert store.to_dict(ordered(roots)) == store.to_dict(ordered(roots))
 
     def test_insertion_order_does_not_change_bytes(self):
         patterns = [tup("0011"), tup("0111"), tup("1110")]
@@ -1156,9 +1155,9 @@ class TestSerialization:
             store = bdd.BddStore(4)
             forms.append(reference_to_dict(store,
                                            {0: build_set(store, order)}))
-            # one encode_set into a fresh store: the written text matches
+            # one encode_set into a fresh store: the written table matches
             store = bdd.BddStore(4)
-            blobs.append(store.to_json([store.encode_set(order)]))
+            blobs.append(store.to_dict([store.encode_set(order)]))
         assert forms[0] == forms[1]
         assert blobs[0] == blobs[1]
 
@@ -1275,8 +1274,8 @@ class TestSerialization:
 
 class TestCanonicalWalk:
     """A table that one ``_encode`` call fills from empty, as ``build``
-    fills each monitor's, is in the canonical walk's order, so ``to_json``
-    writes what :func:`reference_to_dict` lists."""
+    fills each monitor's, is in the canonical walk's order, so ``to_dict``
+    gives what :func:`reference_to_dict` lists."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_the_recursive_reference(self, seed):
@@ -1340,9 +1339,9 @@ def an_unreachable_node(rng, n):
 
 
 class TestTableOrder:
-    """``to_json`` writes the whole table in table order, whatever call
+    """``to_dict`` gives the whole table in table order, whatever call
     made it: ``from_dict`` reads back the same columns and root ids, and
-    the loaded store writes the same text."""
+    the loaded store gives the same object."""
 
     @pytest.mark.parametrize("make", [
         separate_encodes, an_exists, terminal_roots, a_subset_of_the_roots,
@@ -1350,14 +1349,24 @@ class TestTableOrder:
     @pytest.mark.parametrize("seed", range(3))
     def test_load_gives_back_the_table(self, make, seed):
         store, roots = make(random.Random(seed), 8)
-        text = store.to_json(ordered(roots))
-        # not the canonical order: the table is written as it is
-        assert json.loads(text) != reference_to_dict(store, roots)
-        loaded, loaded_roots = bdd.from_dict(json.loads(text), 8)
+        data = store.to_dict(ordered(roots))
+        # not the canonical order: the table is given as it is
+        assert data != reference_to_dict(store, roots)
+        loaded, loaded_roots = bdd.from_dict(data, 8)
         assert (loaded._var, loaded._low, loaded._high) \
             == (store._var, store._low, store._high)
         assert loaded_roots == ordered(roots)
-        assert loaded.to_json(loaded_roots) == text
+        assert loaded.to_dict(loaded_roots) == data
+
+    def test_columns_are_copies_in_key_order(self):
+        store = bdd.BddStore(3)
+        root = store.encode_set([tup("011"), tup("100")])
+        data = store.to_dict([root])
+        assert list(data) == ["var", "low", "high", "roots"]
+        for column in data.values():
+            column.append(0)
+        assert store.to_dict([root]) \
+            == {key: column[:-1] for key, column in data.items()}
 
 
 def one_build(rng, n):

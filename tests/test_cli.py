@@ -712,7 +712,7 @@ class TestOverflowingLiteral:
         self._fails_cleanly(["extract", "--model", str(bad), "--layer", "1",
                              "--per-class", "2",
                              "--out", str(tmp_path / "t.jsonl")], capsys,
-                            "weights must hold finite numbers")
+                            "weights beyond the float64 range")
 
     @pytest.mark.parametrize("command", ["stats", "query"])
     def test_monitor_score(self, pipeline, tmp_path, capsys, command):
@@ -729,16 +729,21 @@ class TestOverflowingLiteral:
         self._fails_cleanly(argv, capsys, "malformed monitor file: gamma "
                             f"must be <= 256, got {self.HUGE}")
 
-    @pytest.mark.parametrize("literal", ['"1"', "true", "1e999", HUGE],
-                             ids=["string", "bool", "infinite", "huge"])
-    def test_dataset_input(self, pipeline, tmp_path, capsys, literal):
+    @pytest.mark.parametrize("literal, message", [
+        ('"1"', "inputs must hold numbers"),
+        ("true", "inputs must hold numbers"),
+        ("1e999", "inputs must hold finite numbers"),
+        (HUGE, "inputs beyond the float64 range"),
+    ], ids=["string", "bool", "infinite", "huge"])
+    def test_dataset_input(self, pipeline, tmp_path, capsys, literal,
+                           message):
         data = tmp_path / "data.json"
         data.write_text(f'{{"inputs": [[0.0, {literal}]], "labels": [0]}}')
         out = tmp_path / "traces.jsonl"
         self._fails_cleanly(["extract", "--model", str(pipeline["model"]),
                              "--layer", "1", "--data", str(data),
                              "--out", str(out)], capsys,
-                            "malformed dataset file: inputs must hold")
+                            f"malformed dataset file: {message}")
         assert not out.exists()
 
 

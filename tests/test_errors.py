@@ -1,23 +1,31 @@
 """Tests for the shared file layer: the replace-on-success writer, the
 strict JSON reader, the one finiteness rule, the one integer rule, and
-guards that no other code in the package opens a file for writing, parses
-JSON or tests finiteness, that only the BDD store's node makers grow its
-node table, that only the BDD module spells the table's keys, that no
-loop enters numpy's error state once per iteration, that only the
-file readers name ``OverflowError``, and that the trace module states its
-integer bounds in its header rule, its record rule and ``extract``."""
+guards that no other code in the package opens a file for writing,
+imports ``json``, parses JSON or tests finiteness, that only the BDD
+store's node makers grow its node table, that only the BDD module spells
+the table's keys, that no loop enters numpy's error state once per
+iteration, that only the float64 conversion and the trace reader name
+``OverflowError``, and that the trace module states its integer bounds in
+its header rule, its record rule and ``extract``."""
 
 import ast
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import actmon
+from actmon import (Layer, ModelSpec, TraceRecord, binarize, build, decide,
+                    evaluate, extract, forward, gamma_sweep,
+                    identity_selection, make_blobs, query,
+                    select_top_fraction, train_toy)
 from actmon.errors import (INT64_MAX, SchemaError, all_finite, as_int,
-                           finite_floats, read_json, replace_on_success)
+                           finite_floats, float_array, read_json,
+                           replace_on_success)
+from actmon.network import evaluate_accuracy, gradient_from_activations
 
 SRC = Path(actmon.__file__).parent
 # a literal open() mode that writes, appends or creates
@@ -131,6 +139,78 @@ class TestAllFinite:
             finite_floats([1e200, 1e999], "bias", 1)
 
 
+# an int that numpy cannot convert to float64: it raises OverflowError
+HUGE = 10 ** 400
+
+
+class TestFloatArray:
+    def test_numbers_become_float64(self):
+        values = np.array([0.5, -1.0])
+        assert float_array(values, "x") is values
+        got = float_array([[1, 2.5]], "x")
+        assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.5]]
+
+    def test_int_beyond_float64_is_named(self):
+        with pytest.raises(ValueError,
+                           match="^scores beyond the float64 range$"):
+            float_array([1.0, HUGE], "scores")
+
+    @pytest.fixture(scope="class")
+    def toy(self):
+        """A toy model (2 inputs, ReLU layers of 16 and 14, 3 classes),
+        its records, a monitor of its layer 1 and a row of 14 activations
+        that holds ``HUGE``."""
+        x, y = make_blobs(per_class=10, seed=4)
+        model = train_toy(x, y, seed=4, epochs=2)
+        records = extract(model, x, y, 1)[1]
+        return SimpleNamespace(
+            model=model, records=records, row=[HUGE] + [0.0] * 13,
+            mon=build(records, identity_selection(14, layer=1), gamma=1))
+
+    ENTRY_POINTS = {
+        "binarize": (lambda t: binarize(t.row, t.mon.selection),
+                     "activation"),
+        "query": (lambda t: query(t.mon, t.row, 0), "activation"),
+        "build": (lambda t: build([TraceRecord("s0", 0, 0, t.row)],
+                                  t.mon.selection, 0), "activation"),
+        "evaluate": (lambda t: evaluate(
+            t.mon, [TraceRecord("s0", 0, 0, t.row)]), "activation"),
+        "gamma_sweep": (lambda t: gamma_sweep(
+            t.records, [TraceRecord("s0", 0, 0, t.row)], t.mon.selection,
+            [0, 1]), "activation"),
+        "select_top_fraction": (lambda t: select_top_fraction(t.row, 0.5),
+                                "scores"),
+        "forward": (lambda t: forward(t.model, [HUGE, 0.0]),
+                    "layer 0 input"),
+        "gradient_from_activations": (
+            lambda t: gradient_from_activations(t.model, t.row, 1, 0),
+            "layer 2 input"),
+        "evaluate_accuracy": (
+            lambda t: evaluate_accuracy(t.model, [[0.0, HUGE]], [0]),
+            "layer 0 input"),
+        "decide": (lambda t: decide([1.0, HUGE]), "output"),
+        "train_toy": (lambda t: train_toy([[HUGE, 0.0], [0.0, 1.0]], [0, 1],
+                                          epochs=0), "inputs"),
+        "model-weights": (lambda t: ModelSpec(
+            [Layer([[1.0, HUGE]], [0.0, 0.0], "none")]), "layer 0: weights"),
+        "model-bias": (lambda t: ModelSpec(
+            [Layer([[1.0, 2.0]], [HUGE, 0.0], "none")]), "layer 0: bias"),
+        "make_blobs": (lambda t: make_blobs(per_class=1, offset=HUGE),
+                       "offset"),
+        "extract": (lambda t: extract(t.model, [[HUGE, 0.0]], [0], 1),
+                    "inputs"),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_every_entry_point_names_its_argument(self, toy, entry):
+        """An int beyond float64 in float data given to the library is a
+        ``ValueError`` naming the argument, not numpy's ``OverflowError``."""
+        call, what = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(what)} beyond the float64 range$")):
+            call(toy)
+
+
 def write_opens(tree):
     """The ``open`` calls in ``tree`` (``open(...)`` or ``x.open(...)``)
     that may write: one argument is a literal mode with ``w``, ``a`` or
@@ -200,6 +280,43 @@ def test_only_the_strict_decoder_parses_json():
                   if isinstance(node, ast.Assign)
                   and [t.id for t in node.targets] == ["JSON_DECODER"]]
     assert found == [("errors.py", decoder.lineno)], found
+
+
+def json_imports(tree):
+    """The statements in ``tree``, at any depth, that import ``json`` or
+    a submodule of it (``json.decoder``), plainly or from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "json" or name.startswith("json.") for name in names):
+            yield node
+
+
+def test_json_import_guard_sees_each_form():
+    tree = ast.parse("import json\n"
+                     "import os, json.decoder as d\n"
+                     "from json import dumps\n"
+                     "from json.encoder import JSONEncoder\n"
+                     "import jsonschema\n"
+                     "from .json import x\n"
+                     "def f():\n"
+                     "    import json\n")
+    assert [node.lineno for node in json_imports(tree)] == [1, 2, 3, 4, 8]
+
+
+def test_only_the_errors_module_imports_json():
+    """Every artifact is written by the one encoder ``JSON_LINE`` and read
+    by the one decoder ``JSON_DECODER``, both made in ``errors.py``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, node.lineno) for node in json_imports(tree)]
+    assert found == [], found
 
 
 def finiteness_tests(tree):
@@ -382,8 +499,8 @@ def test_table_key_guard_sees_each_form():
 
 
 def test_only_the_bdd_module_spells_the_table_keys():
-    """The table's format lives in ``bdd.py``: ``BddStore.to_json``
-    writes it and ``from_dict`` reads it; a monitor embeds its text."""
+    """The table's format lives in ``bdd.py``: ``BddStore.to_dict``
+    writes it and ``from_dict`` reads it; a monitor holds its object."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name != "bdd.py":
@@ -487,16 +604,17 @@ def test_overflow_guard_sees_each_form():
 
 def test_only_the_file_readers_name_overflow_error():
     """``as_int`` bounds every integer argument, so none overflows inside
-    numpy or ``range``; only a file's number literal beyond float64, which
-    is data, reaches a reader's ``OverflowError``."""
+    numpy or ``range``; only an int beyond float64, which is data, reaches
+    an ``OverflowError``: in ``float_array``, the one float64 conversion
+    of file and caller data, or in the trace reader's per-line test, which
+    then reads the line again through the record rule."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found |= {(path.name, func)
                   for func, _ in name_uses(tree, "OverflowError")}
-    assert found == {("errors.py", "finite_floats"),
-                     ("traces.py", "_parse_block"),
-                     ("traces.py", "_row")}, found
+    assert found == {("errors.py", "float_array"),
+                     ("traces.py", "_parse_block")}, found
 
 
 def test_one_record_rule_bounds_the_labels():

@@ -476,7 +476,7 @@ def reference_verdict(monitor, acts, pred_label):
     if root is None:
         return Verdict.NO_ZONE
     bits = [1 if acts[i] > 0.0 else 0 for i in monitor.selection.indices]
-    table = json.loads(monitor.store.to_json([root]))
+    table = monitor.store.to_dict([root])
     node = table["roots"][0]
     while node > 1:
         at = node - 2

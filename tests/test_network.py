@@ -689,13 +689,31 @@ class TestModelFiles:
         assert (tmp_path / "a.json").read_bytes() \
             == (tmp_path / "b.json").read_bytes()
 
+    def test_file_is_the_compact_encoding_of_its_payload(self, tmp_path):
+        """``save_model`` writes the compact ``json`` encoding of the
+        object its file holds, and a loaded model saved again gives the
+        same bytes."""
+        model = random_model(np.random.default_rng(34), (3, 6, 4))
+        model.layers[0].weights[0, :3] = [-0.0, 1e-300, 1e200]
+        model.metadata = {"seed": 34, "hidden": [6], "note": "\u00e9"}
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = {"version": 1, "layers": [
+            {"weights": layer.weights.tolist(), "bias": layer.bias.tolist(),
+             "activation": layer.activation} for layer in model.layers],
+            "metadata": model.metadata}
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            payload, separators=(",", ":"), allow_nan=False) + "\n"
+        save_model(load_model(path), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
     def test_failed_save_keeps_the_old_file(self, tmp_path):
         rng = np.random.default_rng(33)
         model = random_model(rng, (3, 6, 4))
         path = tmp_path / "m.json"
         save_model(model, path)
         old = path.read_bytes()
-        # a set is not JSON; json.dump has written the layers by then
+        # a set is not JSON
         model.metadata["tags"] = {"a"}
         with pytest.raises(TypeError):
             save_model(model, path)
@@ -742,15 +760,19 @@ class TestModelFiles:
                            f"{field} must"):
             load_model(path)
 
-    @pytest.mark.parametrize("literal", ["1" * 400, "-1e999"],
-                             ids=["huge-int", "minus-inf"])
-    def test_overflowing_weight_is_schema_error(self, tmp_path, literal):
+    @pytest.mark.parametrize("literal, message", [
+        ("1" * 400, "weights beyond the float64 range"),
+        ("-1e999", "weights must hold finite numbers"),
+    ], ids=["huge-int", "minus-inf"])
+    def test_overflowing_weight_is_schema_error(self, tmp_path, literal,
+                                                message):
         path = tmp_path / "m.json"
         save_model(random_model(np.random.default_rng(37), (3, 6, 4)), path)
         data = json.loads(path.read_text())
         data["layers"][1]["weights"][0][0] = 12345.678
         path.write_text(json.dumps(data).replace("12345.678", literal))
-        with pytest.raises(SchemaError, match="weights must hold finite"):
+        with pytest.raises(SchemaError, match=(
+                f"^malformed model file: {message}$")):
             load_model(path)
 
     def test_version_mismatch(self, tmp_path):

@@ -918,8 +918,15 @@ class TestWriterRefusesWhatReaderRefuses:
          "activation shape (3,) does not match header width 4"),
         ("activations", [10 ** 400, 0.0, 0.0, 0.0],
          "activation beyond the float64 range"),
+        ("activations", ["0.5", True, 0.0, 0.0],
+         "activations must hold numbers, got '0.5'"),
+        ("activations", [None, 1.0, 0.0, 0.0],
+         "activations must hold numbers, got None"),
+        ("activations", {"a": 1.0},
+         "activations must hold numbers, got {'a': 1.0}"),
     ], ids=["true-above", "pred-negative", "bool-label", "float-label",
-            "int-id", "short-row", "int-beyond-float64"])
+            "int-id", "short-row", "int-beyond-float64", "string-and-bool",
+            "none", "dict"])
     def test_one_fault_in_the_same_words(self, tmp_path, field, value,
                                          message):
         """The writer's message after ``record '<id>': `` is the reader's
@@ -941,6 +948,18 @@ class TestWriterRefusesWhatReaderRefuses:
             read_traces(path)
         assert str(written.value) == f"record {bad['id']!r}: {message}"
         assert str(read.value) == f"line 3: malformed trace record: {message}"
+
+    def test_a_bool_is_a_number_only_among_numbers(self, tmp_path):
+        """The writer reads activations as numpy does: a bool among
+        numbers is 0 or 1, and bools alone are no numbers."""
+        path = tmp_path / "t.jsonl"
+        header = TraceHeader(1, 2, 3)
+        write_traces(path, header, [TraceRecord("s0", 0, 0, [True, 0.5])])
+        assert read_traces(path)[1][0].activations.tolist() == [1.0, 0.5]
+        for acts in ([True, False], np.array([True, False])):
+            with pytest.raises(ValueError, match=(
+                    "^record 's0': activations must hold numbers, got True$")):
+                write_traces(path, header, [TraceRecord("s0", 0, 0, acts)])
 
     def test_numpy_integers_written_as_ints(self, tmp_path):
         path = tmp_path / "t.jsonl"
