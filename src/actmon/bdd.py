@@ -10,8 +10,9 @@ a set (the monitor's query) and from a batch of patterns to their sets at
 once (:meth:`BddStore._distances`, the batch judge), exact model counting,
 and the table's one file format, a pair: :meth:`BddStore.to_dict` copies
 the whole table in table order, one column per node field, into the object
-that monitor files hold, and :func:`from_dict` reads that object back;
-encoding and opening files are the caller's job.  A node's id is its
+that monitor files hold, and :func:`from_dict` reads that object back,
+checking each node against the ones before it and taking the columns
+whole; encoding and opening files are the caller's job.  A node's id is its
 position in the table, and a set (a monitor's zone) is the plain ``int``
 id of its root, which only the store that holds it can read.  A table
 encoded in one call into an empty store, as each monitor's is, lists its
@@ -96,7 +97,10 @@ class BddStore:
 
     def _mk(self, var: int, low: int, high: int, unique: dict) -> int:
         """``low`` if the children are equal, else the node that the calling
-        operation's index ``unique`` names, else a new one it then names."""
+        operation's index ``unique`` names, else a new one it then names.
+        Only :meth:`exists` calls it, through ``_or`` and ``_exists``;
+        ``_encode`` applies the same rule level-wise, and :func:`from_dict`
+        refuses a table that breaks it."""
         if low == high:
             return low
         key = (var, low, high)
@@ -391,17 +395,18 @@ class BddStore:
 
 
 def from_dict(data: dict, n_vars: int) -> tuple[BddStore, list[int]]:
-    """Rebuild a store of width ``n_vars`` and its roots, in file order,
+    """Load a store of width ``n_vars`` and its roots, in file order,
     from the object :meth:`BddStore.to_dict` gives.
 
     Position ``i`` of the columns is node ``i + 2``, each child before its
-    parent, so a loaded node keeps its id and the loaded table saves back
-    the columns it was read from, canonical or not.  An ``n_vars`` the
-    store refuses raises ``ValueError``; a malformed table raises
-    :class:`SchemaError`: a missing column, columns of unequal length,
-    cells that are no exact ints, variables out of range, dangling
-    children, ordering violations, equal children, duplicate triples and
-    roots that name no node.
+    parent.  One pass checks each node against the triples listed before
+    it, then the store takes the columns whole, so a loaded node keeps its
+    id and the loaded table saves back the columns it was read from,
+    canonical or not.  An ``n_vars`` the store refuses raises
+    ``ValueError``; a malformed table raises :class:`SchemaError`: a
+    missing column, columns of unequal length, cells that are no exact
+    ints, variables out of range, dangling children, ordering violations,
+    equal children, duplicate triples and roots that name no node.
     """
     if not isinstance(data, dict):
         raise SchemaError("BDD table must be a JSON object")
@@ -415,11 +420,11 @@ def from_dict(data: dict, n_vars: int) -> tuple[BddStore, list[int]]:
                           "in length")
 
     store = BddStore(n_vars)
-    # _mk's id objects by position: children share them, and the query walk
-    # reads no ints scattered by the JSON parse
-    made, unique = [FALSE, TRUE], {}
-    for node, (var, low, high) in enumerate(
+    # terminals carry the sentinel variable index n_vars
+    var_of, seen = store._var + var_column, set()
+    for node, triple in enumerate(
             zip(var_column, low_column, high_column), TRUE + 1):
+        var, low, high = triple
         # exact ints: JSON true/false load as bools, which equal 1 and 0
         if not type(var) is type(low) is type(high) is int:
             raise SchemaError(
@@ -428,15 +433,19 @@ def from_dict(data: dict, n_vars: int) -> tuple[BddStore, list[int]]:
             raise SchemaError(f"node {node}: variable {var!r} out of range")
         if not (0 <= low < node and 0 <= high < node):
             raise SchemaError(f"node {node}: dangling child reference")
-        # terminals carry the sentinel variable index n_vars
-        if var >= store._var[low] or var >= store._var[high]:
+        if var >= var_of[low] or var >= var_of[high]:
             raise SchemaError(f"node {node}: variable ordering violation")
-        # a reduced table has no node that _mk would not create anew
-        made.append(store._mk(var, made[low], made[high], unique))
-        if made[-1] != node:
+        if low == high or triple in seen:
             raise SchemaError(f"node {node}: children are equal or "
                               f"(var, low, high) is a duplicate")
+        seen.add(triple)
+    ids = list(range(len(var_of)))
     for i, root in enumerate(roots):
-        if type(root) is not int or not 0 <= root < len(made):
+        if type(root) is not int or not 0 <= root < len(ids):
             raise SchemaError(f"root {i}: dangling node id {root!r}")
-    return store, [made[root] for root in roots]
+    # one int object per id, shared by the children and the roots: the
+    # query walk reads no ints scattered by the JSON parse
+    store._var = var_of
+    store._low += [ids[low] for low in low_column]
+    store._high += [ids[high] for high in high_column]
+    return store, [ids[root] for root in roots]

@@ -168,10 +168,13 @@ def save_monitor(monitor: Monitor, path) -> None:
 
     Requires a frozen monitor, so the table written is the one ``build``
     made, in canonical order, or the one ``load_monitor`` read; repeated
-    saves of the same monitor are byte-identical.
+    saves of the same monitor are byte-identical.  A monitor with no zones,
+    which ``build`` never makes and the reader refuses, is not written.
     """
     if not monitor.store.frozen:
         raise ValueError("monitor store must be frozen before saving")
+    if not monitor.zones:
+        raise ValueError("no classes to monitor")
     sel, classes = monitor.selection, monitor.classes
     with replace_on_success(path) as fh:
         fh.write(JSON_LINE({
@@ -200,6 +203,8 @@ def monitor_from_dict(data: Mapping) -> Monitor:
         store, roots = bdd.from_dict(data["bdd"], selection.width)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed monitor file: {exc}") from exc
+    if not classes:  # as build refuses to make such a monitor
+        raise SchemaError("no classes to monitor")
     # one root per class, the classes strictly ascending as the writer
     # lists them
     if len(roots) != len(classes) or classes != sorted(set(classes)):

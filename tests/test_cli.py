@@ -364,6 +364,24 @@ class TestErrors:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["stats", "query"])
+    def test_monitor_file_with_no_classes(self, pipeline, tmp_path, capsys,
+                                          command):
+        data = json.loads(pipeline["monitor"].read_text())
+        data["classes"] = []
+        data["bdd"] = {"var": [], "low": [], "high": [], "roots": []}
+        bad = tmp_path / "bad_monitor.json"
+        bad.write_text(json.dumps(data))
+        out = tmp_path / "v.jsonl"
+        argv = [command, "--monitor", str(bad)]
+        if command == "query":
+            argv += ["--traces", str(pipeline["eval"]), "--out", str(out)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: no classes to monitor\n"
+        assert not out.exists()
+
     def test_inexact_integer_in_monitor_file(self, pipeline, tmp_path,
                                              capsys):
         # one table for the monitor file's bounded field, looped so the

@@ -398,13 +398,15 @@ def test_table_write_guard_sees_each_form():
 def test_only_the_node_makers_grow_the_bdd_table():
     """Node creation has one rule (``_mk``) and one level-wise batch form
     (``_encode``); a second writer could append a node the table already
-    holds."""
+    holds.  The loader ``from_dict`` writes a whole table, and
+    refuses equal children and duplicate triples itself, which
+    ``TestTableMutations`` checks."""
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found |= {(path.name, func) for func, _ in table_writes(tree)}
     assert found == {("bdd.py", "__init__"), ("bdd.py", "_mk"),
-                     ("bdd.py", "_encode")}, found
+                     ("bdd.py", "_encode"), ("bdd.py", "from_dict")}, found
 
 
 def self_calls(tree):

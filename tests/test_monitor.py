@@ -695,6 +695,25 @@ class TestPersistence:
         with pytest.raises(ValueError, match="frozen"):
             save_monitor(thawed, tmp_path / "m.json")
 
+    def test_a_file_with_no_classes_is_refused(self, tmp_path):
+        # build refuses to make a monitor with no zones; loaded, every
+        # query on it would answer NoZone
+        save_monitor(self._monitor(), tmp_path / "monitor.json")
+        data = json.loads((tmp_path / "monitor.json").read_text("utf-8"))
+        data["classes"] = []
+        data["bdd"] = {"var": [], "low": [], "high": [], "roots": []}
+        with pytest.raises(SchemaError, match="^no classes to monitor$"):
+            monitor_from_dict(data)
+
+    def test_a_monitor_with_no_zones_is_not_saved(self, tmp_path):
+        store = BddStore(6)
+        store.freeze()
+        zoneless = Monitor(selection=identity_selection(6), gamma=1,
+                           store=store, zones={})
+        with pytest.raises(ValueError, match="^no classes to monitor$"):
+            save_monitor(zoneless, tmp_path / "m.json")
+        assert list(tmp_path.iterdir()) == []
+
     def test_numpy_selection_saves_and_loads(self, tmp_path):
         rng = np.random.default_rng(23)
         order = np.argsort(rng.normal(size=6))[:4]
@@ -1001,6 +1020,21 @@ class TestTableMutations:
         store, roots = bdd.from_dict(copy_table(table), self.WIDTH)
         assert len(store) == len(table["var"]) + 2 > 1000
         assert roots == table["roots"]
+
+    def test_a_loaded_store_shares_one_int_per_id(self, table):
+        """The child entries and roots that name one id are one int object,
+        as the query walk reads them.  The JSON parse makes an object per
+        cell, and CPython caches no int above 256."""
+        def shared(ids):
+            first = {}
+            return all(first.setdefault(i, i) is i for i in ids if i > 256)
+
+        data = copy_table(table)
+        assert not shared(data["low"] + data["high"] + data["roots"])
+        store, roots = bdd.from_dict(data, self.WIDTH)
+        ids = store._low + store._high + roots
+        assert len({i for i in ids if i > 256}) > 1000
+        assert shared(ids)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_each_fault_is_a_schema_error(self, table, seed):
