@@ -8,16 +8,18 @@ artifact is parsed by the one strict decoder :data:`JSON_DECODER` and
 written through :func:`replace_on_success` as the one encoder
 :data:`JSON_LINE` gives it (trace records a block at a time); the number
 arrays of files read whole are checked by :func:`finite_floats`.
-:func:`as_int` is the one integer rule, with its lower and upper bounds,
-for every integer the package reads, and :func:`float_array` the one
-float64 conversion of file and caller data.  :func:`all_finite` is the
-one finiteness rule for every float array the package checks, and
-:func:`warn` points every warning at the caller's line.
+Only this module decides what a number is: :func:`as_int` is the one
+integer rule, with its lower and upper bounds, :func:`float_array` the
+one number rule of file and caller data, :func:`as_real` its form for one
+number, and :data:`JSON_NUMBERS` names JSON's number types.
+:func:`all_finite` is the one finiteness rule for every float array the
+package checks, and :func:`warn` points every warning at the caller's line.
 """
 
 import contextlib
 import json
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -51,6 +53,11 @@ def all_finite(values: np.ndarray) -> bool:
         or bool(np.isfinite(values).all())
 
 
+# the types JSON numbers load as, and the dtype float_array returns as is
+JSON_NUMBERS = frozenset((int, float))
+_FLOAT64 = np.dtype(np.float64)
+
+
 def finite_floats(value, what: str, ndim: int) -> np.ndarray:
     """``value``, JSON numbers nested ``ndim`` lists deep, as a finite
     float64 array, else a :class:`SchemaError` naming ``what`` (a string,
@@ -59,21 +66,39 @@ def finite_floats(value, what: str, ndim: int) -> np.ndarray:
     if cells.ndim != ndim:
         raise SchemaError(f"{what} must be a {ndim}-D array of numbers")
     for cell in cells.flat:
-        if type(cell) not in (int, float):
+        if type(cell) not in JSON_NUMBERS:
             raise SchemaError(f"{what} must hold numbers, got {cell!r}")
-    floats = float_array(cells, what)
+    floats = float_array(value, what)
     if not all_finite(floats):
         raise SchemaError(f"{what} must hold finite numbers")
     return floats
 
 
 def float_array(value, what: str) -> np.ndarray:
-    """``np.asarray(value, dtype=np.float64)``, an int beyond the float64
-    range a ``ValueError`` naming ``what`` (numpy's is ``OverflowError``)."""
+    """``value`` as numpy reads it, as a float64 array (a float64 array is
+    returned as it is).  A ``ValueError`` naming ``what`` refuses what numpy
+    reads as no integer or float array (strings, ``None``, a dict, bools
+    alone), by its first value that is no number, and an int beyond float64."""
+    values = np.asarray(value)
+    if values.dtype is _FLOAT64:  # the query path's one test
+        return values
+    if values.dtype.kind not in "iuf":  # objects may be ints beyond float64
+        for v in np.asarray(value, object).ravel().tolist():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{what} must hold numbers, got {v!r}")
     try:
-        return np.asarray(value, dtype=np.float64)
+        return np.asarray(values, dtype=np.float64)
     except OverflowError:
         raise ValueError(f"{what} beyond the float64 range") from None
+
+
+def as_real(value, what: str) -> float:
+    """``value``, one finite number by :func:`float_array`'s rule (a 0-d
+    array is one), as a float; else a ``ValueError`` naming ``what``."""
+    number = float_array(value, what)
+    if number.ndim or not all_finite(number):
+        raise ValueError(f"{what} must be one finite number, got {value!r}")
+    return float(number)
 
 
 # the largest integer an int64 array, a numpy count or index, holds

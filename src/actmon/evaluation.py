@@ -16,14 +16,13 @@ nothing here can validate that assumption.
 from __future__ import annotations
 
 import csv
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import patterns
 from .bdd import MAX_VARS
-from .errors import as_int, replace_on_success
+from .errors import as_int, as_real, replace_on_success
 from .monitor import Monitor, _batch_distances, build
 from .traces import TraceRecord
 
@@ -139,10 +138,8 @@ def choose_gamma(report: Sequence[EvalRow], min_precision: float = 0.3,
     rows = list(report)
     if not rows:
         raise ValueError("empty report")
-    for name, rate in (("min_precision", min_precision),
-                       ("max_out_rate", max_out_rate)):
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-            raise ValueError(f"{name} {rate!r} is not a real number")
+    min_precision = as_real(min_precision, "min_precision")
+    max_out_rate = as_real(max_out_rate, "max_out_rate")
     if not 0.0 <= min_precision <= 1.0:
         raise ValueError(f"min_precision must be in [0, 1], got {min_precision}")
     if not 0.0 < max_out_rate <= 1.0:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (INT64_MAX, JSON_LINE, FormatVersionError, SchemaError,
-                     all_finite, as_int, finite_floats, float_array,
-                     read_json, replace_on_success)
+                     all_finite, as_int, as_real, finite_floats,
+                     float_array, read_json, replace_on_success)
 
 MODEL_VERSION = 1
 
@@ -181,13 +181,13 @@ def make_blobs(per_class: int = 500, seed: int = 0,
 
     Class means sit on a circle of radius ``BLOB_RADIUS`` with standard
     deviation ``BLOB_STD``, so the classes are linearly separable by
-    construction.  ``offset`` translates every sample by that distance
-    along the diagonal, which is how the shifted evaluation sets used in
-    the distribution-shift experiments are produced.
+    construction.  ``offset``, one finite number, translates every sample
+    by that distance along the diagonal, which is how the shifted
+    evaluation sets used in the distribution-shift experiments are made.
     """
     per_class = as_int(per_class, "per_class", 0, INT64_MAX)
     rng = np.random.default_rng(as_int(seed, "seed", 0))
-    offset = float_array(offset, "offset")
+    offset = as_real(offset, "offset")
     angles = 2.0 * np.pi * np.arange(BLOB_CLASSES) / BLOB_CLASSES
     means = BLOB_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     y = np.repeat(np.arange(BLOB_CLASSES, dtype=np.int64), per_class)

@@ -17,14 +17,13 @@ sample.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
 from .bdd import MAX_VARS
-from .errors import INT64_MAX, all_finite, as_int, float_array
+from .errors import INT64_MAX, all_finite, as_int, as_real, float_array
 from .network import ModelSpec, gradient_from_activations
 from .traces import TraceRecord
 
@@ -108,7 +107,8 @@ def _threshold(activations, selection: NeuronSelection) -> np.ndarray:
     try:
         acts = float_array(activations, "activation")
     except ValueError:  # rows of different widths: name the first misfit
-        shapes = [np.shape(row) for row in activations]
+        shapes = [np.shape(row) for row in activations] \
+            if np.iterable(activations) else []
         if len(set(shapes)) < 2:  # one shape: values that are no numbers
             raise
         misfit = next(s for s in shapes if s != (width,))
@@ -174,8 +174,7 @@ def select_top_fraction(scores, fraction: float, layer: int = 0) \
         raise ValueError("scores must be a nonempty vector")
     if not all_finite(scores):  # NaN would rank by its position
         raise ValueError("scores must hold finite numbers")
-    if isinstance(fraction, bool) or not isinstance(fraction, numbers.Real):
-        raise ValueError(f"fraction {fraction!r} is not a real number")
+    fraction = as_real(fraction, "fraction")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     # the epsilon undoes binary rounding of fractions like 2/3 so that

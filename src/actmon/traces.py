@@ -27,23 +27,20 @@ line, and each direction has one record check and one fallback.
 from __future__ import annotations
 
 import itertools
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (INT64_MAX, JSON_DECODER, JSON_LINE, FormatVersionError,
-                     SchemaError, all_finite, as_int, float_array,
-                     replace_on_success)
+from .errors import (INT64_MAX, JSON_DECODER, JSON_LINE, JSON_NUMBERS,
+                     FormatVersionError, SchemaError, all_finite, as_int,
+                     float_array, replace_on_success)
 from .network import ModelSpec, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
 TRACE_VERSION = 1
 # records the writer formats at once; one block's arrays are alive at once
 _BLOCK = 1024
-# the types JSON numbers load as
-_NUMBERS = frozenset((int, float))
 
 
 @dataclass
@@ -110,20 +107,13 @@ def _row(rid, true_label, pred_label, activations,
          header: TraceHeader) -> tuple[int, int, np.ndarray]:
     """The record rule of writer and reader: a string id, both labels by
     ``as_int`` in ``0..classes-1`` and float64 activations of the header's
-    width; returns labels and activations, else raises ``ValueError``,
-    naming the first value that is no number if numpy reads no integer or
-    float array (strings, ``None``, a dict, bools alone)."""
+    width, by :func:`~actmon.errors.float_array`; returns labels and
+    activations, else raises ``ValueError``."""
     if not isinstance(rid, str):
         raise ValueError(f"id {rid!r} is not a string")
     true_label = as_int(true_label, "true_label", 0, header.classes - 1)
     pred_label = as_int(pred_label, "pred_label", 0, header.classes - 1)
-    values = np.asarray(activations)
-    if values.dtype.kind not in "iuf":  # objects may be ints beyond float64
-        odd = [v for v in np.asarray(activations, object).ravel().tolist()
-               if isinstance(v, bool) or not isinstance(v, numbers.Real)]
-        if odd:
-            raise ValueError(f"activations must hold numbers, got {odd[0]!r}")
-    values = float_array(values, "activation")
+    values = float_array(activations, "activations")
     if values.shape != (header.width,):
         raise ValueError(f"activation shape {values.shape} does not "
                          f"match header width {header.width}")
@@ -192,19 +182,18 @@ _RECORD_FIELDS = operator.attrgetter("id", "true_label", "pred_label",
 def _block_columns(block: list, header: TraceHeader) -> tuple:
     """The columns of a block of (id, true label, predicted label,
     activations) rows under the record rule: ids, both labels as ints,
-    and the activations as one finite (n, width) float64 array, checked
-    once per block: numpy stacks them as integers or floats, or the block
-    fails.  A block that fails goes through :func:`_writable` row by row,
-    so a refusal names its first bad record."""
+    and the activations as one finite (n, width) float64 array, each
+    record's by :func:`~actmon.errors.float_array`, the rest checked once
+    per block.  A block that fails goes through :func:`_writable` row by
+    row, so a refusal names its first bad record."""
     try:  # whatever fails here fails again, in file order, below
         ids, trues, preds, acts = zip(*block)
         labels = trues + preds
-        values = np.array(acts)
-        if values.dtype.kind in "iuf" and {*map(type, ids)} == {str} \
-                and {*map(type, labels)} == {int} \
+        values = np.array([float_array(row, "activations") for row in acts])
+        if {*map(type, ids)} == {str} and {*map(type, labels)} == {int} \
                 and 0 <= min(labels) and max(labels) < header.classes \
                 and values.shape == (len(block), header.width) \
-                and all_finite(values := np.asarray(values, np.float64)):
+                and all_finite(values):
             return ids, trues, preds, values
     except Exception:
         pass
@@ -291,7 +280,7 @@ def _parse_block(lines: list[str], line_no: int, header: TraceHeader) \
                 and type(true_label) is int and type(pred_label) is int \
                 and 0 <= true_label < classes and 0 <= pred_label < classes \
                 and type(acts) is list and len(acts) == width \
-                and _NUMBERS.issuperset(map(type, acts))
+                and JSON_NUMBERS.issuperset(map(type, acts))
             if read:
                 values[len(heads)] = acts
         except (KeyError, TypeError, ValueError, OverflowError,
@@ -334,7 +323,7 @@ def _parse_record(line: str, line_no: int, header: TraceHeader) -> TraceRecord:
     try:
         row = JSON_DECODER.decode(line)
         rid, acts = row["id"], row["activations"]
-        odd = [v for v in acts if type(v) not in _NUMBERS] \
+        odd = [v for v in acts if type(v) not in JSON_NUMBERS] \
             if type(acts) is list else [acts]
         if odd:
             raise ValueError(f"activations must hold numbers, got {odd[0]!r}")

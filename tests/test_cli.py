@@ -318,6 +318,19 @@ class TestErrors:
                                 f"'actmon build'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
+    def test_shift_is_one_finite_number(self, pipeline, tmp_path, capsys,
+                                        shift):
+        out = tmp_path / "t.jsonl"
+        code = main(["extract", "--model", str(pipeline["model"]),
+                     "--layer", "1", "--per-class", "2", f"--shift={shift}",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: offset must be one finite number, "
+                                f"got {shift}\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["build", "sweep"])
     def test_identity_selection_beyond_the_variable_cap(self, tmp_path,
                                                         command):

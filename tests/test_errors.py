@@ -5,12 +5,14 @@ imports ``json``, parses JSON or tests finiteness, that only the BDD
 store's node makers grow its node table, that only the BDD module spells
 the table's keys, that no loop enters numpy's error state once per
 iteration, that only the float64 conversion and the trace reader name
-``OverflowError``, and that the trace module states its integer bounds in
-its header rule, its record rule and ``extract``."""
+``OverflowError``, that only the errors module decides what a number is,
+and that the trace module states its integer bounds in its header rule,
+its record rule and ``extract``."""
 
 import ast
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +25,7 @@ from actmon import (Layer, ModelSpec, TraceRecord, binarize, build, decide,
                     identity_selection, make_blobs, query,
                     select_top_fraction, train_toy)
 from actmon.errors import (INT64_MAX, SchemaError, all_finite, as_int,
-                           finite_floats, float_array, read_json,
+                           as_real, finite_floats, float_array, read_json,
                            replace_on_success)
 from actmon.network import evaluate_accuracy, gradient_from_activations
 
@@ -210,6 +212,105 @@ class TestFloatArray:
                 f"^{re.escape(what)} beyond the float64 range$")):
             call(toy)
 
+    @pytest.mark.parametrize("value, first", [
+        (["0.5", "-1"], "'0.5'"),
+        ([0.5, None], "None"),
+        (None, "None"),
+        ([True, False], "True"),
+        (np.array([[False], [True]]), "False"),
+        ({"a": 1.0}, "{'a': 1.0}"),
+        ([1.0, 2j], "2j"),
+        ([[1.0, True], [HUGE, "a"]], "True"),
+    ], ids=["strings", "none-among-numbers", "none", "bools", "bool-array",
+            "dict", "complex", "bool-among-objects"])
+    def test_what_numpy_reads_as_no_numbers_is_refused(self, value, first):
+        with pytest.raises(ValueError, match=(
+                f"^x must hold numbers, got {re.escape(first)}$")):
+            float_array(value, "x")
+
+    @pytest.mark.parametrize("value, expected", [
+        ([True, 0.5], [1.0, 0.5]),
+        ([1, np.float32(0.5)], [1.0, 0.5]),
+        (np.array([2, 3], dtype=np.uint8), [2.0, 3.0]),
+        ([2 ** 64, Fraction(1, 2)], [2.0 ** 64, 0.5]),
+        ([], []),
+    ], ids=["bool-among-floats", "numpy-scalar", "uint8", "objects", "empty"])
+    def test_what_numpy_reads_as_numbers_is_read(self, value, expected):
+        got = float_array(value, "x")
+        assert got.dtype == np.float64 and got.tolist() == expected
+
+    # a value that is no number, given at a width; the first one is named
+    NO_NUMBERS = {
+        "string": (lambda w: ["0.5"] + ["-1"] * (w - 1), "'0.5'"),
+        "none": (lambda w: None, "None"),
+        "none-in-row": (lambda w: [None] + [0.0] * (w - 1), "None"),
+        "bools": (lambda w: [True] + [False] * (w - 1), "True"),
+        "dict": (lambda w: {"a": 1.0}, "{'a': 1.0}"),
+    }
+
+    # each entry point given ``bad(width)`` where it reads floats, and the
+    # argument its refusal names
+    NO_NUMBER_ENTRY_POINTS = {
+        "binarize": (lambda t, bad: binarize(bad(14), t.mon.selection),
+                     "activation"),
+        "query": (lambda t, bad: query(t.mon, bad(14), 0), "activation"),
+        "build": (lambda t, bad: build([TraceRecord("s0", 0, 0, bad(14))],
+                                       t.mon.selection, 0), "activation"),
+        "forward": (lambda t, bad: forward(t.model, bad(2)), "layer 0 input"),
+        "decide": (lambda t, bad: decide(bad(3)), "output"),
+        "gradient_from_activations": (
+            lambda t, bad: gradient_from_activations(t.model, bad(14), 1, 0),
+            "layer 2 input"),
+        "model-weights": (lambda t, bad: ModelSpec(
+            [Layer([bad(2)], [0.0, 0.0], "none")]), "layer 0: weights"),
+        "model-bias": (lambda t, bad: ModelSpec(
+            [Layer([[1.0, 2.0]], bad(2), "none")]), "layer 0: bias"),
+        "train_toy": (lambda t, bad: train_toy([bad(2), bad(2)], [0, 1],
+                                               epochs=0), "inputs"),
+        "extract": (lambda t, bad: extract(t.model, [bad(2)], [0], 1),
+                    "inputs"),
+        "select_top_fraction": (
+            lambda t, bad: select_top_fraction(bad(14), 0.5), "scores"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NO_NUMBERS))
+    @pytest.mark.parametrize("entry", sorted(NO_NUMBER_ENTRY_POINTS))
+    def test_every_entry_point_names_the_first_value_that_is_no_number(
+            self, toy, entry, kind):
+        """Float data given to the library is read by one number rule: a
+        string, ``None``, bools alone or a dict is a ``ValueError`` naming
+        the argument and the first value that is no number."""
+        call, what = self.NO_NUMBER_ENTRY_POINTS[entry]
+        bad, first = self.NO_NUMBERS[kind]
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(what)} must hold numbers, "
+                f"got {re.escape(first)}$")):
+            call(toy, bad)
+
+
+class TestAsReal:
+    @pytest.mark.parametrize("value", [
+        0.5, 1, np.float32(0.5), np.int64(1), np.array(0.5), Fraction(1, 2)],
+        ids=["float", "int", "float32", "int64", "0-d", "fraction"])
+    def test_one_number_is_a_float(self, value):
+        got = as_real(value, "rate")
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value, message", [
+        (True, "rate must hold numbers, got True"),
+        ("0.5", "rate must hold numbers, got '0.5'"),
+        (None, "rate must hold numbers, got None"),
+        (math.nan, "rate must be one finite number, got nan"),
+        (-math.inf, "rate must be one finite number, got -inf"),
+        ([0.5, 0.5], "rate must be one finite number, got [0.5, 0.5]"),
+        (np.array([0.5]), "rate must be one finite number, got array([0.5])"),
+        (HUGE, "rate beyond the float64 range"),
+    ], ids=["bool", "string", "none", "nan", "infinite", "list", "1-d",
+            "huge"])
+    def test_refusals_name_the_argument(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_real(value, "rate")
+
 
 def write_opens(tree):
     """The ``open`` calls in ``tree`` (``open(...)`` or ``x.open(...)``)
@@ -316,6 +417,64 @@ def test_only_the_errors_module_imports_json():
         if path.name != "errors.py":
             tree = ast.parse(path.read_text(encoding="utf-8"))
             found += [(path.name, node.lineno) for node in json_imports(tree)]
+    assert found == [], found
+
+
+# numpy's dtype kinds of numbers: bool, signed, unsigned, float, complex
+NUMBER_KINDS = set("biufc")
+
+
+def number_tests(tree):
+    """The nodes in ``tree`` that decide what a number is on their own: an
+    import of ``numbers`` or from it, a ``.Real`` attribute, a dtype kind
+    string that holds ``"f"`` and an integer kind (``"iuf"``), and a
+    literal tuple, list or set of ``int`` and ``float``, JSON's number
+    types."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[0] == "numbers" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numbers" and not node.level
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "Real"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            hit = "f" in node.value and bool({"i", "u"} & set(node.value)) \
+                and set(node.value) <= NUMBER_KINDS
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            hit = sorted(getattr(e, "id", "") for e in node.elts) \
+                == ["float", "int"]
+        else:
+            hit = False
+        if hit:
+            yield node
+
+
+def test_number_guard_sees_each_form():
+    tree = ast.parse("import numbers\n"
+                     "import os, numbers as n\n"
+                     "from numbers import Real\n"
+                     "isinstance(x, n.Real)\n"
+                     "a.dtype.kind in 'iuf'\n"
+                     "T = frozenset((int, float))\n"
+                     "type(v) in {float, int}\n"
+                     "b.dtype.kind in 'iu'\n"
+                     "c = (int, str)\n"
+                     "from .numbers import x\n"
+                     "def f():\n"
+                     "    return [int, float]\n")
+    assert sorted({node.lineno for node in number_tests(tree)}) \
+        == [1, 2, 3, 4, 5, 6, 7, 12]
+
+
+def test_only_the_errors_module_imports_numbers():
+    """``float_array`` and ``as_real`` decide for every value a caller
+    passes, and ``JSON_NUMBERS`` names the types a JSON number loads as,
+    all in ``errors.py``; no other module keeps a number test of its own."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, node.lineno) for node in number_tests(tree)]
     assert found == [], found
 
 

@@ -3,6 +3,7 @@ training and model files."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -487,6 +488,24 @@ class TestMakeBlobs:
     def test_per_class_is_a_count(self, per_class, message):
         with pytest.raises(ValueError, match=message):
             make_blobs(per_class=per_class)
+
+    @pytest.mark.parametrize("offset, message", [
+        ([1, 2], "offset must be one finite number, got [1, 2]"),
+        (math.nan, "offset must be one finite number, got nan"),
+        (np.inf, "offset must be one finite number, got inf"),
+        ("2", "offset must hold numbers, got '2'"),
+        (None, "offset must hold numbers, got None"),
+        (True, "offset must hold numbers, got True"),
+    ], ids=["list", "nan", "infinite", "string", "none", "bool"])
+    def test_offset_is_one_finite_number(self, offset, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_blobs(per_class=1, offset=offset)
+
+    def test_numpy_offset_accepted(self):
+        moved = make_blobs(per_class=4, seed=5, offset=2.0)[0].tobytes()
+        for offset in (np.float32(2.0), np.array(2.0), 2):
+            assert make_blobs(per_class=4, seed=5,
+                              offset=offset)[0].tobytes() == moved
 
     def test_numpy_per_class_accepted(self):
         x, y = make_blobs(per_class=np.int64(4), seed=5)

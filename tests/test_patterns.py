@@ -111,7 +111,8 @@ class TestBinarize:
                 binarize(acts, identity_selection(3))
 
     def test_rows_of_one_shape_that_are_no_numbers(self):
-        with pytest.raises(ValueError, match="could not convert string"):
+        with pytest.raises(ValueError,
+                           match="^activation must hold numbers, got 'a'$"):
             _threshold([("a", "b", "c"), ("d", "e", "f")],
                        identity_selection(3))
 

@@ -917,7 +917,7 @@ class TestWriterRefusesWhatReaderRefuses:
         ("activations", [0.5, 1.0, 2.0],
          "activation shape (3,) does not match header width 4"),
         ("activations", [10 ** 400, 0.0, 0.0, 0.0],
-         "activation beyond the float64 range"),
+         "activations beyond the float64 range"),
         ("activations", ["0.5", True, 0.0, 0.0],
          "activations must hold numbers, got '0.5'"),
         ("activations", [None, 1.0, 0.0, 0.0],
@@ -960,6 +960,23 @@ class TestWriterRefusesWhatReaderRefuses:
             with pytest.raises(ValueError, match=(
                     "^record 's0': activations must hold numbers, got True$")):
                 write_traces(path, header, [TraceRecord("s0", 0, 0, acts)])
+
+    @pytest.mark.parametrize("bools_first", [True, False],
+                             ids=["bools-first", "floats-first"])
+    def test_bools_alone_are_refused_in_any_block(self, tmp_path,
+                                                  bools_first):
+        """A record of bools alone is refused beside a float record of its
+        block, in either order, as it is alone."""
+        path = tmp_path / "t.jsonl"
+        path.write_text("old contents\n")
+        records = [TraceRecord("s0", 0, 0, [True, False]),
+                   TraceRecord("s1", 0, 0, [0.5, 1.0])]
+        with pytest.raises(ValueError, match=(
+                "^record 's0': activations must hold numbers, got True$")):
+            write_traces(path, TraceHeader(1, 2, 3),
+                         records if bools_first else records[::-1])
+        assert path.read_text() == "old contents\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_numpy_integers_written_as_ints(self, tmp_path):
         path = tmp_path / "t.jsonl"
