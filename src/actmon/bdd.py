@@ -318,9 +318,9 @@ class BddStore:
         return best
 
     def _distances(self, bits: np.ndarray, roots: np.ndarray,
-                   cap: int) -> list[int | None]:
+                   cap: int) -> np.ndarray:
         """:meth:`distance` from each row of the unchecked (N, ``n_vars``) 0/1
-        array ``bits`` to its id in ``roots``, or ``None`` for an id of -1.
+        array ``bits`` to its id in ``roots`` (int64, -1 for an id of -1).
         Each distinct (pattern, root) walks its root, all in lockstep, and
         only the misses go to :meth:`_distance`."""
         keys = np.hstack([np.packbits(bits, axis=1),
@@ -338,10 +338,10 @@ class BddStore:
                 2 * nodes + flat[walking * width + var[nodes]]]
             walking = walking[nodes > TRUE]
         search = self._distance
-        found = [None if root < 0 else 0 if end == TRUE else cap if cap == 1
+        found = [-1 if root < 0 else 0 if end == TRUE else cap if cap == 1
                  else search(root, bits[g].tolist(), cap) for g, (root, end)
                  in enumerate(zip(roots.tolist(), ends.tolist()))]
-        return np.array(found, dtype=object)[inverse].tolist()
+        return np.array(found, dtype=np.int64)[inverse]
 
     def _cone(self, root: int) -> list[bool]:
         """Whether ``root`` reaches each id up to it.  Every child's id is

@@ -13,12 +13,12 @@ import sys
 
 import numpy as np
 
-from . import evaluation, monitor as monitor_mod, network
+from . import evaluation, monitor as monitor_mod, network, patterns
 from .bdd import MAX_VARS
-from .errors import (JSON_LINE, ActmonError, SchemaError, as_int,
+from .errors import (JSON_LINE, ActmonError, SchemaError, as_int, as_real,
                      finite_floats, read_json, replace_on_success)
 from .patterns import identity_selection, score_neurons, select_top_fraction
-from .traces import extract, read_traces, write_traces
+from .traces import extract, labels, read_traces, write_traces
 
 
 def cmd_train_toy(args) -> None:
@@ -42,8 +42,8 @@ def _load_dataset(args) -> tuple[np.ndarray, np.ndarray]:
         if x.shape[0] != y.shape[0]:
             raise SchemaError("dataset inputs/labels shapes disagree")
         return x, y
-    return network.make_blobs(
-        seed=args.seed, per_class=args.per_class, offset=args.shift)
+    return network.make_blobs(seed=args.seed, per_class=args.per_class,
+                              offset=as_real(args.shift, "--shift"))
 
 
 def cmd_extract(args) -> None:
@@ -82,9 +82,7 @@ def _parse_classes(text: str | None, header) -> list[int] | None:
 def _make_selection(args, header, records, classes):
     """Selection for build/sweep: gradient-ranked when a model is given,
     identity order otherwise."""
-    fraction = 1.0 if args.select_frac is None else args.select_frac
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    fraction = patterns._fraction(args.select_frac)
     if args.model is None:
         if fraction < 1.0:
             raise ValueError(
@@ -95,7 +93,7 @@ def _make_selection(args, header, records, classes):
             or model.layer_width(header.layer) != header.width:
         raise ValueError(
             f"model layer {header.layer} does not match the trace header")
-    monitored = classes if classes else sorted({r.true_label for r in records})
+    monitored = classes if classes else np.unique(labels(records)[0]).tolist()
     per_class = [score_neurons(model, records, header.layer, c)
                  for c in monitored]
     # one shared store needs one variable order; averaging the per-class
@@ -186,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     selecting = argparse.ArgumentParser(add_help=False)
     selecting.add_argument("--model", help="enables gradient-based neuron "
                            "selection")
-    selecting.add_argument("--select-frac", type=float,
+    selecting.add_argument("--select-frac", type=float, default=1.0,
                            help="fraction of neurons to monitor, in (0, 1]")
     selecting.add_argument("--classes", help="comma-separated class indices "
                            "(default: all classes present)")

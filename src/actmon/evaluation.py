@@ -16,15 +16,16 @@ nothing here can validate that assumption.
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import patterns
 from .bdd import MAX_VARS
 from .errors import as_int, as_real, replace_on_success
 from .monitor import Monitor, _batch_distances, build
-from .traces import TraceRecord
+from .traces import TraceRecord, labels
 
 
 @dataclass
@@ -58,46 +59,37 @@ class GammaChoice:
 
 
 def evaluate(monitor: Monitor, eval_traces: Iterable[TraceRecord]) -> EvalRow:
-    """One report row for a monitor: the sweep's distance tally, capped at
-    ``monitor.gamma + 1`` and read at ``monitor.gamma``."""
-    return _report_row(monitor.gamma,
-                       _tally(monitor, eval_traces, monitor.gamma + 1))
+    """One report row for a monitor: the sweep's, at ``monitor.gamma``."""
+    return _report_rows(monitor, eval_traces, [monitor.gamma])[0]
 
 
-def _tally(monitor: Monitor, records: Iterable[TraceRecord],
-           cap: int) -> Counter:
-    """Records counted by (distance, misclassified): the distance of a
-    record's pattern to the zone of its predicted class, capped at ``cap``,
-    or ``None`` when that class has no zone, all from one batch pass,
-    :func:`~actmon.monitor._batch_distances`."""
+def _report_rows(monitor: Monitor, records: Iterable[TraceRecord],
+                 gammas: Sequence[int]) -> list[EvalRow]:
+    """The report row at each of the ascending ``gammas`` from one judge:
+    the labels and one :func:`~actmon.monitor._batch_distances` pass."""
     records = list(records)
-    return Counter(zip(_batch_distances(monitor, records, cap),
-                       [r.pred_label != r.true_label for r in records]))
+    true, pred = labels(records)
+    distances = _batch_distances(monitor, records, gammas[-1] + 1, pred)
+    misclassified = pred != true
+    return [_report_row(gamma, distances, misclassified) for gamma in gammas]
 
 
-def _report_row(gamma: int, tally: Counter) -> EvalRow:
-    """The report row at ``gamma`` of a :func:`_tally`: a distance of
-    ``None`` is no zone, one above ``gamma`` is flagged."""
-    n_total = sum(tally.values())
+def _report_row(gamma: int, distances: np.ndarray,
+                misclassified: np.ndarray) -> EvalRow:
+    """The report row at ``gamma`` of the records' capped distances (-1:
+    no zone) and misclassified mask: a distance above ``gamma`` is flagged."""
+    n_total, n_judged = len(distances), int(np.count_nonzero(distances >= 0))
     if not n_total:
         raise ValueError("cannot evaluate on an empty trace set")
-    n_mis = sum(n for (_, misclassified), n in tally.items() if misclassified)
-    n_nozone = tally[None, False] + tally[None, True]
-    flagged = [(misclassified, n) for (d, misclassified), n in tally.items()
-               if d is not None and d > gamma]
-    n_out = sum(n for _, n in flagged)
-    n_out_mis = sum(n for misclassified, n in flagged if misclassified)
-    n_judged = n_total - n_nozone
+    out = distances > gamma
+    n_out, n_out_mis = int(out.sum()), int((out & misclassified).sum())
     return EvalRow(
-        gamma=gamma,
-        n_total=n_total,
-        n_out_of_pattern=n_out,
+        gamma=gamma, n_total=n_total, n_out_of_pattern=n_out,
         out_rate=n_out / n_judged if n_judged else None,
         n_out_misclassified=n_out_mis,
         misclassified_within_out_rate=n_out_mis / n_out if n_out else None,
-        overall_misclassification_rate=n_mis / n_total,
-        n_nozone=n_nozone,
-    )
+        overall_misclassification_rate=int(misclassified.sum()) / n_total,
+        n_nozone=n_total - n_judged)
 
 
 def gamma_sweep(traces_train: Sequence[TraceRecord],
@@ -108,20 +100,18 @@ def gamma_sweep(traces_train: Sequence[TraceRecord],
     """Report rows of the monitors :func:`~actmon.monitor.build` would make
     at each of ``gammas``.  Those monitors differ only in ``gamma``, and a
     record is flagged when its Hamming distance to the zone of its
-    predicted class exceeds gamma, so one gamma-0 build and one distance
-    tally capped at ``max(gammas) + 1`` serve every level: each row is
-    what :func:`evaluate` reads from the same tally at its own gamma.  The
-    warning rate is non-increasing in gamma.  Gammas are integers in
-    ``0..MAX_VARS`` as in ``build``.
+    predicted class exceeds gamma, so one gamma-0 build and one judge of
+    the distances capped at ``max(gammas) + 1`` serve every level, each
+    row as :func:`evaluate` would read it.  The warning rate is
+    non-increasing in gamma.  Gammas are integers in ``0..MAX_VARS``.
     """
     gammas = [as_int(g, "gamma", 0, MAX_VARS) for g in gammas]
     if not gammas:
         raise ValueError("gammas must be a nonempty list of levels >= 0")
     if sorted(set(gammas)) != gammas:
         raise ValueError("gammas must be strictly ascending")
-    tally = _tally(build(traces_train, selection, 0, classes), traces_eval,
-                   gammas[-1] + 1)
-    return [_report_row(gamma, tally) for gamma in gammas]
+    return _report_rows(build(traces_train, selection, 0, classes),
+                        traces_eval, gammas)
 
 
 def choose_gamma(report: Sequence[EvalRow], min_precision: float = 0.3,

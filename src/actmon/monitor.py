@@ -9,11 +9,10 @@ predicted class's zone lies within Hamming distance ``gamma`` of its own
 pattern: one capped search, ``BddStore.distance(zone, pattern, gamma + 1)``.
 Building makes only the gamma-0 zones, so its cost and the monitor file do
 not depend on gamma; the query's cost grows with it.  :func:`query`
-applies this rule to one runtime sample; the batch path
-:func:`_batch_distances`, one threshold pass handed to the store's batch
-walk, applies it to the record sets of ``actmon query`` (as
-:func:`_batch_verdicts`) and of :mod:`~actmon.evaluation`'s report rows.
-This module reads no node table: every walk over one is the store's.
+applies this rule to one runtime sample, and :func:`_batch_distances` to
+the record sets of ``actmon query`` (:func:`_batch_verdicts`) and of the
+report rows, in int arrays: the labels by :func:`~actmon.traces.labels`,
+and -1 for "no zone".  Every node table walk is the store's.
 
 All zones of one monitor share a single store and therefore one variable
 order (the selection's neuron order).  To monitor classes under different
@@ -24,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .bdd import FALSE, BddStore
 from .errors import (INT64_MAX, JSON_LINE, FormatVersionError, SchemaError,
                      as_int, read_json, replace_on_success, warn)
 from .patterns import NeuronSelection, binarize
-from .traces import TraceRecord
+from .traces import TraceRecord, labels
 
 MONITOR_FORMAT = "actmon-monitor"
 # 2: zones are gamma 0; a version-1 zone of gamma > 0 was grown, and read
@@ -73,36 +73,32 @@ def build(traces: Sequence[TraceRecord], selection: NeuronSelection,
     store, and ``gamma``, the query radius.
 
     A record contributes to the zone of class ``c`` only when ``c`` is its
-    ground-truth label *and* the network predicted ``c``.  One checked
-    threshold pass makes the kept records' patterns, and one encode builds
-    every zone from them unchecked; the other records are never read.
+    ground-truth label *and* the network predicted ``c``.  Every record's
+    labels are read by :func:`~actmon.traces.labels`; one checked threshold
+    pass makes the kept records' patterns, and one encode builds every
+    zone from them unchecked; other activations are never read.
 
     ``classes`` defaults to every true label present in the traces.  A
     monitored class with no correctly classified record gets an empty zone
     (it will flag every query) and a warning at the caller's line.  ``gamma``
-    and the classes, default ones too, are Python or numpy integers (a
-    bool, float or string raises ``ValueError``), stored as ints; no
-    distance exceeds the width, so ``gamma`` is at most ``bdd.MAX_VARS``,
-    and a class is a label, in ``0..INT64_MAX``.
+    (at most ``bdd.MAX_VARS``) and each class (a label) follow the integer
+    rule, ``as_int``, and are stored as ints.
     """
     gamma = as_int(gamma, "gamma", 0, bdd.MAX_VARS)
     traces = list(traces)
     if not traces:
         raise ValueError("cannot build a monitor from zero traces")
-    if classes is None:
-        classes = {r.true_label for r in traces}
+    true, pred = labels(traces)
+    classes = np.unique(true).tolist() if classes is None else classes
     class_list = sorted({as_int(c, "class", 0, INT64_MAX) for c in classes})
     if not class_list:
         raise ValueError("no classes to monitor")
 
-    group = {c: i for i, c in enumerate(class_list)}
-    kept = [r for r in traces
-            if r.true_label in group and r.pred_label == r.true_label]
+    kept = (pred == true) & np.isin(true, class_list)
     store = BddStore(selection.width)
-    roots = store._encode(
-        patterns._threshold([r.activations for r in kept], selection),
-        np.array([group[r.true_label] for r in kept], dtype=np.intp)) \
-        if kept else {}
+    roots = store._encode(patterns._threshold(
+        [r.activations for r in compress(traces, kept.tolist())], selection),
+        np.searchsorted(class_list, true[kept])) if kept.any() else {}
     for i, c in enumerate(class_list):
         if i not in roots:
             warn(f"class {c}: no correctly classified training record; "
@@ -135,17 +131,18 @@ def query(monitor: Monitor, activations, pred_label: int) -> Verdict:
 
 
 def _batch_distances(monitor: Monitor, records: Sequence[TraceRecord],
-                     cap: int) -> list[int | None]:
-    """Each record's :func:`query` distance to the zone of its predicted
-    class, capped at ``cap``, or ``None`` without a zone: one checked
-    threshold pass makes every pattern, and the store's batch walk
-    :meth:`~actmon.bdd.BddStore._distances` judges them all."""
-    if not records:
-        return []
+                     cap: int, pred: np.ndarray | None = None) -> np.ndarray:
+    """Each record's :func:`query` distance to its predicted class's zone,
+    capped at ``cap``, or -1 without a zone, from one threshold pass and
+    the store's batch walk; ``pred``, if given, is their predicted labels."""
+    pred = labels(records)[1] if pred is None else pred
+    if not pred.size:
+        return pred
     bits = patterns._threshold([r.activations for r in records],
                                monitor.selection)
-    roots = np.array([monitor.zones.get(r.pred_label, -1) for r in records])
-    return monitor.store._distances(bits, roots, cap)
+    values, inverse = np.unique(pred, return_inverse=True)
+    roots = np.array([monitor.zones.get(v, -1) for v in values.tolist()])
+    return monitor.store._distances(bits, roots[inverse], cap)
 
 
 def _batch_verdicts(monitor: Monitor, records: Sequence[TraceRecord]) \
@@ -153,9 +150,9 @@ def _batch_verdicts(monitor: Monitor, records: Sequence[TraceRecord]) \
     """Each record's :func:`query` verdict, from one
     :func:`_batch_distances` pass capped at ``gamma + 1``."""
     gamma = monitor.gamma
-    return [Verdict.NO_ZONE if d is None else Verdict.IN_ZONE if d <= gamma
+    return [Verdict.NO_ZONE if d < 0 else Verdict.IN_ZONE if d <= gamma
             else Verdict.OUT_OF_ZONE
-            for d in _batch_distances(monitor, records, gamma + 1)]
+            for d in _batch_distances(monitor, records, gamma + 1).tolist()]
 
 
 # -- persistence --------------------------------------------------------------

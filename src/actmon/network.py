@@ -286,8 +286,11 @@ def train_toy(inputs, labels, seed: int = 0, epochs: int = 40) -> ModelSpec:
 def _label_array(labels) -> np.ndarray:
     """``labels``, one per row, as an int64 array of class indices, else a
     ``ValueError``: each label is an integer in ``0..INT64_MAX``.  A 1-D
-    integer array is checked by its extremes; any other labels go one by
-    one, so the first bad one is named."""
+    integer array or list of ints in int64 is checked by its extremes; any
+    other labels go one by one, so the first bad one is named."""
+    if type(labels) is list and set(map(type, labels)) == {int}:
+        exact = np.array(labels)  # not int64 if an int lies beyond it
+        labels = exact if exact.dtype.kind in "iu" else labels
     shape = np.shape(labels)
     if len(shape) != 1:
         raise ValueError(f"labels must be one per row, got shape {shape}")

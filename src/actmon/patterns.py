@@ -25,7 +25,7 @@ import numpy as np
 from .bdd import MAX_VARS
 from .errors import INT64_MAX, all_finite, as_int, as_real, float_array
 from .network import ModelSpec, gradient_from_activations
-from .traces import TraceRecord
+from .traces import TraceRecord, labels
 
 Pattern = tuple[int, ...]
 
@@ -150,15 +150,24 @@ def score_neurons(model: ModelSpec, records: Iterable[TraceRecord],
     if layer == len(model.layers) - 2:
         return np.abs(model.layers[-1].weights[:, class_index])
 
-    of_class = [r for r in records if r.true_label == class_index]
-    if not of_class:
+    true, pred = labels(records)
+    of_class = true == class_index
+    if not of_class.any():
         raise ValueError(f"no samples of class {class_index}")
-    correct = [r for r in of_class if r.pred_label == class_index]
-    chosen = correct or of_class
+    correct = of_class & (pred == class_index)
+    chosen = np.flatnonzero(correct if correct.any() else of_class)
 
-    grads = gradient_from_activations(
-        model, [r.activations for r in chosen], layer, class_index)
+    grads = gradient_from_activations(model, [
+        records[i].activations for i in chosen.tolist()], layer, class_index)
     return np.abs(grads).sum(axis=0) / len(chosen)
+
+
+def _fraction(fraction) -> float:
+    """``fraction`` as one finite float in ``(0, 1]``, else ``ValueError``."""
+    fraction = as_real(fraction, "fraction")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    return fraction
 
 
 def select_top_fraction(scores, fraction: float, layer: int = 0) \
@@ -174,11 +183,8 @@ def select_top_fraction(scores, fraction: float, layer: int = 0) \
         raise ValueError("scores must be a nonempty vector")
     if not all_finite(scores):  # NaN would rank by its position
         raise ValueError("scores must hold finite numbers")
-    fraction = as_real(fraction, "fraction")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     # the epsilon undoes binary rounding of fractions like 2/3 so that
     # mathematically-integral products floor correctly
-    k = max(1, math.floor(fraction * scores.size + 1e-9))
+    k = max(1, math.floor(_fraction(fraction) * scores.size + 1e-9))
     ranked = sorted(range(scores.size), key=lambda i: (-scores[i], i))
     return NeuronSelection(layer, scores.size, tuple(ranked[:k]))

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import (INT64_MAX, JSON_DECODER, JSON_LINE, JSON_NUMBERS,
                      FormatVersionError, SchemaError, all_finite, as_int,
                      float_array, replace_on_success)
-from .network import ModelSpec, decide, forward
+from .network import ModelSpec, _label_array, decide, forward
 
 TRACE_FORMAT = "actmon-trace"
 TRACE_VERSION = 1
@@ -59,6 +59,12 @@ class TraceRecord:
     true_label: int
     pred_label: int
     activations: np.ndarray
+
+
+def labels(records) -> tuple[np.ndarray, np.ndarray]:
+    """A record set's true and predicted labels, by the label rule."""
+    return (_label_array([r.true_label for r in records]),
+            _label_array([r.pred_label for r in records]))
 
 
 def extract(model: ModelSpec, inputs, labels, layer: int) \
@@ -188,10 +194,10 @@ def _block_columns(block: list, header: TraceHeader) -> tuple:
     row, so a refusal names its first bad record."""
     try:  # whatever fails here fails again, in file order, below
         ids, trues, preds, acts = zip(*block)
-        labels = trues + preds
+        both = trues + preds
         values = np.array([float_array(row, "activations") for row in acts])
-        if {*map(type, ids)} == {str} and {*map(type, labels)} == {int} \
-                and 0 <= min(labels) and max(labels) < header.classes \
+        if {*map(type, ids)} == {str} and {*map(type, both)} == {int} \
+                and 0 <= min(both) and max(both) < header.classes \
                 and values.shape == (len(block), header.width) \
                 and all_finite(values):
             return ids, trues, preds, values

@@ -239,8 +239,9 @@ class TestSelection:
         if command == "sweep":
             args += ["--eval", str(pipeline["eval"])]
         assert main(args) == 1
+        rule = "be one finite number" if fraction == "nan" else "be in (0, 1]"
         assert capsys.readouterr().err == (
-            f"error: fraction must be in (0, 1], got {float(fraction)}\n")
+            f"error: fraction must {rule}, got {float(fraction)}\n")
         assert not out.exists()
 
     def test_single_class_monitor(self, pipeline, tmp_path, capsys):
@@ -327,7 +328,7 @@ class TestErrors:
                      "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err == (f"error: offset must be one finite number, "
+        assert captured.err == (f"error: --shift must be one finite number, "
                                 f"got {shift}\n")
         assert list(tmp_path.iterdir()) == []
 

@@ -6,8 +6,9 @@ store's node makers grow its node table, that only the BDD module spells
 the table's keys, that no loop enters numpy's error state once per
 iteration, that only the float64 conversion and the trace reader name
 ``OverflowError``, that only the errors module decides what a number is,
-and that the trace module states its integer bounds in its header rule,
-its record rule and ``extract``."""
+that the trace module states its integer bounds in its header rule, its
+record rule and ``extract``, and that only the trace module reads a
+record's labels."""
 
 import ast
 import math
@@ -786,3 +787,53 @@ def test_one_record_rule_bounds_the_labels():
     tree = ast.parse((SRC / "traces.py").read_text(encoding="utf-8"))
     assert {func for func, _ in name_uses(tree, "as_int")} \
         == {"_check_header", "_row", "extract"}
+
+
+# a trace record's label fields
+LABEL_FIELDS = ("true_label", "pred_label")
+
+
+def label_uses(tree):
+    """The sorted lines in ``tree`` that read or set a label field of a
+    record: an attribute (``r.true_label``), or the field's name handed to
+    ``getattr`` or ``attrgetter``.  A key of a dict, as the trace reader's
+    ``row["true_label"]``, and a parameter or variable of that name are
+    no field of a record."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LABEL_FIELDS:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Call) and {
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None)} & {"getattr", "attrgetter"} \
+                and any(isinstance(arg, ast.Constant)
+                        and arg.value in LABEL_FIELDS for arg in node.args):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_label_read_guard_sees_each_form():
+    tree = ast.parse("import operator\n"
+                     "from operator import attrgetter\n"
+                     "def build(traces, true_label):\n"
+                     "    kept = [r for r in traces if r.true_label]\n"
+                     "    pred_label = row['pred_label'] + true_label\n"
+                     "    x = getattr(traces[0], 'pred_label')\n"
+                     "    f = operator.attrgetter('id', 'true_label')\n"
+                     "    g = attrgetter('pred_label')\n"
+                     "    traces[0].pred_label = pred_label\n"
+                     "    return r.true_labels, getattr(r, 'id')\n")
+    assert label_uses(tree) == [4, 6, 7, 8, 9]
+
+
+def test_only_the_trace_module_reads_record_labels():
+    """``traces.labels`` reads a record set's labels, by the label rule,
+    for ``build``, the batch judge, the report rows, ``score_neurons``
+    and the CLI; the trace writer's columns are the trace module's own.
+    Scalar ``query`` takes its predicted label as an argument."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "traces.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found += [(path.name, line) for line in label_uses(tree)]
+    assert found == [], found

@@ -128,12 +128,14 @@ def per_record_sweep(traces_train, traces_eval, selection, gammas,
     zero = build(traces_train, selection, 0, classes)
     bits = [binarize(r.activations, selection) for r in traces_eval]
     cap = gammas[-1] + 1
-    tally = Counter()
+    distances, misclassified = [], []
     for record, pattern in zip(traces_eval, bits):
         root = zero.zones.get(record.pred_label)
-        d = None if root is None else zero.store.distance(root, pattern, cap)
-        tally[d, record.pred_label != record.true_label] += 1
-    return [_report_row(gamma, tally) for gamma in gammas]
+        d = -1 if root is None else zero.store.distance(root, pattern, cap)
+        distances.append(d)
+        misclassified.append(record.pred_label != record.true_label)
+    return [_report_row(gamma, np.array(distances), np.array(misclassified))
+            for gamma in gammas]
 
 
 def per_record_query_row(monitor, records):

@@ -20,6 +20,7 @@ import pytest
 from actmon import bdd, patterns
 from actmon.bdd import BddStore
 from actmon.errors import FormatVersionError, FrozenStoreError, SchemaError
+from actmon.evaluation import evaluate, gamma_sweep
 from actmon.monitor import (
     Monitor,
     Verdict,
@@ -293,22 +294,26 @@ class TestBuild:
 
     @pytest.mark.parametrize("cls", [True, 1.5, "1", np.True_])
     def test_non_integer_class_rejected(self, cls):
-        # an explicit class, and a default class from a true label
-        for label, classes in [(1, [cls]), (cls, None)]:
+        # an explicit class, and a default class from a true label, which
+        # the label rule refuses first
+        for label, classes, what in [(1, [cls], "class"),
+                                     (cls, None, "label")]:
             with pytest.raises(ValueError,
-                               match="class .* is not an integer"):
+                               match=f"{what} .* is not an integer"):
                 build([pattern_trace(label, 1, (0, 1))],
                       identity_selection(2), gamma=0, classes=classes)
 
     @pytest.mark.parametrize("cls, message", [
-        (-1, "class must be >= 0, got -1"),
-        (2 ** 63, f"class must be <= {2 ** 63 - 1}, got {2 ** 63}"),
+        (-1, "must be >= 0, got -1"),
+        (2 ** 63, f"must be <= {2 ** 63 - 1}, got {2 ** 63}"),
     ], ids=["negative", "beyond-int64"])
     def test_class_outside_the_labels_rejected(self, cls, message):
         # a class is a label: an explicit class, and a default class from
-        # a true label
-        for label, classes in [(0, [cls, 0, 10 ** 30]), (cls, None)]:
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        # a true label, which the label rule refuses first
+        for label, classes, what in [(0, [cls, 0, 10 ** 30], "class"),
+                                     (cls, None, "label")]:
+            with pytest.raises(ValueError,
+                               match=f"^{what} {re.escape(message)}$"):
                 build([pattern_trace(label, label, (0, 1))],
                       identity_selection(2), gamma=0, classes=classes)
 
@@ -815,7 +820,7 @@ class TestBatchDistances:
 
     @staticmethod
     def _reference(mon, records, cap):
-        return [None if r.pred_label not in mon.zones
+        return [-1 if r.pred_label not in mon.zones
                 else mon.store.distance(mon.zones[r.pred_label],
                                         binarize(r.activations, mon.selection),
                                         cap)
@@ -829,12 +834,12 @@ class TestBatchDistances:
         seen = set()
         for cap in (1, 2, 3, 4):
             got = _batch_distances(mon, evals, cap)
-            assert got == self._reference(mon, evals, cap)
-            assert all(type(d) is int for d in got if d is not None)
-            seen.update(got)
-            assert _batch_distances(mon, [], cap) == []
+            assert got.tolist() == self._reference(mon, evals, cap)
+            assert got.dtype == np.int64
+            seen.update(got.tolist())
+            assert _batch_distances(mon, [], cap).tolist() == []
         # hits, misses and unmonitored classes all occur
-        assert {None, 0, 1} <= seen and (k == 1 or 2 in seen)
+        assert {-1, 0, 1} <= seen and (k == 1 or 2 in seen)
 
     def test_terminal_roots(self):
         rng = np.random.default_rng(41)
@@ -845,8 +850,8 @@ class TestBatchDistances:
         mon = Monitor(selection=selection, gamma=0, store=store, zones=zones)
         evals = [rec(0, int(p), rng.normal(size=5)) for p in (0, 1, 2) * 4]
         for cap in (1, 3):
-            assert _batch_distances(mon, evals, cap) \
-                == [cap, 0, None] * 4 == self._reference(mon, evals, cap)
+            assert _batch_distances(mon, evals, cap).tolist() \
+                == [cap, 0, -1] * 4 == self._reference(mon, evals, cap)
 
     @pytest.mark.parametrize("bad", [
         [math.nan] * 4, [0.5, math.inf, 0.0, 1.0], [0.5] * 3, [0.5] * 5])
@@ -864,6 +869,71 @@ class TestBatchDistances:
             with pytest.raises(ValueError,
                                match=f"^{re.escape(str(expected.value))}$"):
                 _batch_distances(mon, batch, 2)
+
+
+class TestRecordLabels:
+    """Every batch path reads a record set's labels by the label rule of
+    datasets and training, as scalar ``query`` reads its predicted label:
+    a bool, a float or a negative label is no class, even where it equals
+    one or where no zone is asked for."""
+
+    BAD = [(True, "^label True is not an integer$"),
+           (1.0, r"^label 1\.0 is not an integer$"),
+           (np.True_, r"^label np\.True_ is not an integer$"),
+           (-1, "^label must be >= 0, got -1$")]
+    IDS = ["bool", "whole-float", "numpy-bool", "negative"]
+
+    @staticmethod
+    def _good():
+        return [pattern_trace(0, 0, (0, 1), "a"),
+                pattern_trace(1, 1, (1, 0), "b")]
+
+    @staticmethod
+    def _odd(label, side):
+        """A record of pattern (1, 1) whose true or predicted label is
+        ``label``; its other label is 1."""
+        labels = (label, 1) if side == "true" else (1, label)
+        return pattern_trace(*labels, (1, 1), "odd")
+
+    @pytest.mark.parametrize("side", ["true", "pred"])
+    @pytest.mark.parametrize("label, message", BAD, ids=IDS)
+    def test_build_with_explicit_classes_refuses(self, label, message, side):
+        # before, True and 1.0 joined class 1's zone and -1 was skipped
+        records = self._good() + [self._odd(label, side)]
+        with pytest.raises(ValueError, match=message):
+            build(records, identity_selection(2), 0, classes=[0, 1])
+        with pytest.raises(ValueError, match=message):
+            gamma_sweep(records, self._good(), identity_selection(2), [0, 1],
+                        classes=[0, 1])
+
+    @pytest.mark.parametrize("side", ["true", "pred"])
+    @pytest.mark.parametrize("label, message", BAD, ids=IDS)
+    def test_judging_refuses(self, label, message, side):
+        # before, a predicted True or 1.0 was judged InZone, -1 NoZone
+        mon = build(self._good(), identity_selection(2), 0)
+        evals = self._good() + [self._odd(label, side)]
+        for judge in (lambda: evaluate(mon, evals),
+                      lambda: gamma_sweep(self._good(), evals,
+                                          identity_selection(2), [0, 1]),
+                      lambda: _batch_distances(mon, evals, 1)):
+            with pytest.raises(ValueError, match=message):
+                judge()
+
+    def test_numpy_integer_labels_are_ints(self):
+        records = self._good() + [self._odd(1, "true")]
+        numpy = [rec(np.int64(r.true_label), np.uint8(r.pred_label),
+                     r.activations, r.id) for r in records]
+        sel = identity_selection(2)
+        mon, ints = build(numpy, sel, 0, classes=[0, 1]), build(records, sel, 0)
+        assert mon.zones == ints.zones and mon.classes == [0, 1]
+        assert [type(c) for c in build(numpy, sel, 0).classes] == [int, int]
+        assert evaluate(mon, numpy) == evaluate(ints, records)
+        assert gamma_sweep(numpy, numpy, sel, [0, 1]) \
+            == gamma_sweep(records, records, sel, [0, 1])
+        # a miss of class 0's zone, and a class with no zone
+        evals = [rec(np.int64(0), np.uint8(0), (1.0, 1.0)),
+                 rec(np.int64(1), np.uint8(7), (1.0, 0.0))]
+        assert _batch_distances(mon, evals, 2).tolist() == [1, -1]
 
 
 def synthetic_monitor(width, n_classes, count, seed, **kwargs):

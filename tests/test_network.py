@@ -15,6 +15,7 @@ from actmon.network import (
     TOY_LEARNING_RATE,
     Layer,
     ModelSpec,
+    _label_array,
     decide,
     evaluate_accuracy,
     forward,
@@ -653,6 +654,20 @@ class TestTrainToy:
                     lambda: evaluate_accuracy(model, x, labels)):
             with pytest.raises(ValueError, match=message):
                 run()
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, -2, -5, 1], "^label must be >= 0, got -5$"),
+        # numpy reads 2**63 among ints as a float64 array
+        ([0, 2 ** 63, 1], f"^label must be <= {2 ** 63 - 1}, got {2 ** 63}$"),
+        ([0, 2 ** 64, 1], f"^label must be <= {2 ** 63 - 1}, got {2 ** 64}$"),
+    ], ids=["negative", "2**63", "2**64"])
+    def test_list_of_ints_is_checked_at_once(self, labels, message):
+        """A list of exact ints, a record set's labels, is checked by its
+        extremes as an int64 array; one beyond int64 goes one by one."""
+        assert _label_array([0, 2, 1]).tolist() == [0, 2, 1]
+        assert _label_array([0, 2, 1]).dtype == np.int64
+        with pytest.raises(ValueError, match=message):
+            _label_array(labels)
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     @pytest.mark.parametrize("seed, per_class", [(0, 32), (4, 37), (9, 11)])

@@ -464,6 +464,43 @@ class TestRecord:
         assert record.pred_label == 2
 
 
+class TestLabels:
+    def test_two_int64_arrays(self):
+        records = sample_records(count=7)
+        true, pred = traces.labels(records)
+        assert true.dtype == pred.dtype == np.int64
+        assert true.tolist() == [r.true_label for r in records]
+        assert pred.tolist() == [r.pred_label for r in records]
+        empty = traces.labels([])
+        assert [a.dtype for a in empty] == [np.int64] * 2
+        assert [a.tolist() for a in empty] == [[], []]
+
+    def test_numpy_integers_are_read(self):
+        records = sample_records(count=3)
+        for r in records:
+            r.true_label, r.pred_label = np.uint8(r.true_label), \
+                np.int64(r.pred_label)
+        assert [a.tolist() for a in traces.labels(records)] \
+            == [[r.true_label for r in records],
+                [r.pred_label for r in records]]
+
+    @pytest.mark.parametrize("field", ["true_label", "pred_label"])
+    @pytest.mark.parametrize("bad, message", [
+        (True, "label True is not an integer"),
+        (2.0, r"label 2\.0 is not an integer"),
+        ("1", "label '1' is not an integer"),
+        (-3, "label must be >= 0, got -3"),
+        (2 ** 63, f"label must be <= {2 ** 63 - 1}, got {2 ** 63}"),
+        (2 ** 70, f"label must be <= {2 ** 63 - 1}, got {2 ** 70}"),
+    ], ids=["bool", "float", "string", "negative", "2**63", "2**70"])
+    def test_label_rule(self, field, bad, message):
+        # no class bound: a record set carries no header
+        records = sample_records(count=4)
+        setattr(records[2], field, bad)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            traces.labels(records)
+
+
 class TestValidation:
     def _write_valid(self, path):
         write_traces(path, TraceHeader(1, 4, 3), sample_records())
